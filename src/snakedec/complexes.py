@@ -23,7 +23,7 @@ from .errors import (
     NotInvertible,
     ValidationError,
 )
-from .gf import FieldElem, Matrix
+from .gf import FieldElem
 
 RING_R1 = "r1"
 RING_FUV = "fuv"
@@ -222,54 +222,42 @@ def has_length_zero_arrow(c: Complex) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# ring-element matrices (internal): entry = dict (u_exp, v_exp) -> FieldElem
+# homogeneous matrices: sparse rows {col: (coeff, u_exp, v_exp)}, coeff in
+# [1, p); rows are never mutated once a BasisChange holds them
 
 
-def _rel_from_mono(m: Optional[Monomial]) -> dict:
-    return {} if m is None else {(m.u_exp, m.v_exp): m.coeff}
+def add_row_multiple(target: dict, m: tuple, row: dict, r1: bool, p: int) -> None:
+    """target += m * row in place, for the monomial m = (coeff, u_exp, v_exp).
+
+    Each cell of a homogeneous matrix is a single monomial; a sum of two
+    terms with different exponents is a grading violation.
+    """
+    c, mu, mv = m
+    for k, (d, u, v) in row.items():
+        u += mu
+        v += mv
+        if r1 and u and v:
+            continue
+        cur = target.get(k)
+        if cur is None:
+            target[k] = (c * d % p, u, v)
+        elif cur[1] != u or cur[2] != v:
+            raise GradingViolation(f"cell {k} is not a single monomial")
+        else:
+            s = (cur[0] + c * d) % p
+            if s:
+                target[k] = (s, u, v)
+            else:
+                del target[k]
 
 
-def _rel_add_term(acc: dict, exps: tuple, coeff: FieldElem) -> None:
-    cur = acc.get(exps)
-    s = coeff if cur is None else cur + coeff
-    if s.value:
-        acc[exps] = s
-    elif exps in acc:
-        del acc[exps]
-
-
-def _rel_mul(a: dict, b: dict, ring: str, char: int) -> dict:
-    out: dict = {}
-    for (u1, v1), c1 in a.items():
-        for (u2, v2), c2 in b.items():
-            u, v = u1 + u2, v1 + v2
-            if ring == RING_R1 and u > 0 and v > 0:
-                continue
-            _rel_add_term(out, (u, v), c1 * c2)
-    return out
-
-
-def _rel_to_mono(e: dict) -> Optional[Monomial]:
-    if not e:
-        return None
-    assert len(e) == 1, f"entry is not a single monomial: {e}"
-    (u, v), c = next(iter(e.items()))
-    return Monomial(c, u, v)
-
-
-def _mat_mul(a: list, b: list, ring: str, char: int) -> list:
-    n, m = len(a), len(b[0]) if b else 0
-    out = [[dict() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for k in range(len(b)):
-            aik = a[i][k]
-            if not aik:
-                continue
-            for j in range(m):
-                if b[k][j]:
-                    prod = _rel_mul(aik, b[k][j], ring, char)
-                    for exps, cc in prod.items():
-                        _rel_add_term(out[i][j], exps, cc)
+def _mul_rows(a, b, r1: bool, p: int) -> list:
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, m in row.items():
+            add_row_multiple(acc, m, b[k], r1, p)
+        out.append(acc)
     return out
 
 
@@ -277,132 +265,156 @@ def _mat_mul(a: list, b: list, ring: str, char: int) -> list:
 # basis changes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BasisChange:
     """An expression of a new basis through an old one.
 
-    Row i states new_i = sum_j entries[i][j] * old_j; entries are single
-    monomials or None.  Legal changes are grading-homogeneous and have an
-    invertible scalar part, which makes them invertible over the ring.
+    Row i states new_i = sum_j rows[i][j] * old_j.  ``rows[i]`` is sparse: it
+    maps a column j to ``(coeff, u_exp, v_exp)``, the monomial coeff U^u V^v
+    with an int coefficient in [1, p).  ``entries`` is the dense view, rows
+    of Monomial or None, which the constructor takes.  Legal changes are
+    grading-homogeneous, so the gradings fix each entry's exponents, and
+    have an invertible scalar part, which makes them invertible.
     """
 
     ring: str
     char: int
     old_gens: Tuple[Generator, ...]
     new_gens: Tuple[Generator, ...]
-    entries: Tuple[Tuple[Optional[Monomial], ...], ...]
+    rows: Tuple[dict, ...]
 
-    def __post_init__(self):
-        n = len(self.old_gens)
-        if len(self.new_gens) != n or len(self.entries) != n:
+    def __init__(self, ring, char, old_gens, new_gens, entries):
+        n = len(old_gens)
+        if len(new_gens) != n or len(entries) != n:
             raise ValidationError("basis change must be square")
-        for row in self.entries:
-            if len(row) != n:
-                raise ValidationError("ragged basis change")
+        if any(len(row) != n for row in entries):
+            raise ValidationError("ragged basis change")
+        if any(m is not None and m.coeff.char != char for row in entries for m in row):
+            raise FieldMismatch(f"basis change entry outside F_{char}")
+        rows = tuple(
+            {j: (m.coeff.value, m.u_exp, m.v_exp) for j, m in enumerate(row) if m is not None}
+            for row in entries
+        )
+        _set_fields(self, ring, char, old_gens, new_gens, rows)
+
+    @classmethod
+    def from_rows(cls, ring, char, old_gens, new_gens, rows) -> "BasisChange":
+        """Wrap sparse rows as they are; the caller hands them over."""
+        b = object.__new__(cls)
+        _set_fields(b, ring, char, old_gens, new_gens, tuple(rows))
+        return b
 
     @classmethod
     def identity(cls, c: Complex) -> "BasisChange":
-        n = c.rank
-        one = FieldElem(1, c.char)
-        ents = tuple(
-            tuple(Monomial(one, 0, 0) if i == j else None for j in range(n)) for i in range(n)
-        )
-        return cls(c.ring, c.char, c.generators, c.generators, ents)
+        rows = tuple({i: (1, 0, 0)} for i in range(c.rank))
+        return cls.from_rows(c.ring, c.char, c.generators, c.generators, rows)
+
+    @property
+    def entries(self) -> Tuple[Tuple[Optional[Monomial], ...], ...]:
+        n = len(self.old_gens)
+        out = []
+        for row in self.rows:
+            dense: list = [None] * n
+            for j, (c, u, v) in row.items():
+                dense[j] = Monomial(FieldElem(c, self.char), u, v)
+            out.append(tuple(dense))
+        return tuple(out)
 
     def check_homogeneous(self) -> None:
-        for i, gnew in enumerate(self.new_gens):
-            for j, gold in enumerate(self.old_gens):
-                m = self.entries[i][j]
-                if m is None:
-                    continue
-                if self.ring == RING_R1 and m.u_exp > 0 and m.v_exp > 0:
+        r1 = self.ring == RING_R1
+        for gnew, row in zip(self.new_gens, self.rows):
+            for j, (c, u, v) in row.items():
+                gold = self.old_gens[j]
+                if r1 and u > 0 and v > 0:
                     raise GradingViolation(
                         f"entry {gnew.id} <- {gold.id} is zero in R1 (mixed monomial)"
                     )
-                want = (gold.gr_u - 2 * m.u_exp, gold.gr_v - 2 * m.v_exp)
-                if gnew.grading != want:
+                if gnew.grading != (gold.gr_u - 2 * u, gold.gr_v - 2 * v):
+                    m = Monomial(FieldElem(c, self.char), u, v)
                     raise GradingViolation(
                         f"entry {gnew.id} <- {gold.id} ({m}) breaks the bigrading"
                     )
 
-    def scalar_part(self) -> Matrix:
-        rows = []
-        for row in self.entries:
-            rows.append(
-                [m.coeff if (m is not None and m.is_scalar()) else FieldElem(0, self.char) for m in row]
-            )
-        return Matrix(tuple(tuple(r) for r in rows), self.char)
-
-    def _rel_rows(self) -> list:
-        return [[_rel_from_mono(m) for m in row] for row in self.entries]
-
     def inverse(self) -> "BasisChange":
-        """Invert via the terminating geometric series around the scalar part."""
+        """Invert by Gauss-Jordan elimination over the ring, on scalar pivots.
+
+        Row operations subtract monomial multiples of the pivot row.  No
+        exponent is negative, so a nonscalar multiple only touches nonscalar
+        entries: the scalar part of the working matrix changes exactly as
+        plain Gauss-Jordan on the scalar part S would.  A scalar pivot thus
+        exists in every column exactly when S is invertible; otherwise
+        NotInvertible is raised.  Each step keeps the rows homogeneous.
+        """
         self.check_homogeneous()
-        n = len(self.old_gens)
-        sbar = self.scalar_part()
-        if not sbar.is_invertible():
-            raise NotInvertible("scalar part of the basis change is singular")
-        sbar_inv = sbar.inverse()
-        sbar_inv_rel = [[_rel_from_mono(_scalar_mono(sbar_inv[i, j])) for j in range(n)] for i in range(n)]
-        # K = sbar^-1 * (P - sbar) has strictly positive-degree entries
-        p_rel = self._rel_rows()
-        nonscalar = [
-            [{e: c for e, c in ent.items() if e != (0, 0)} for ent in row] for row in p_rel
-        ]
-        k = _mat_mul(sbar_inv_rel, nonscalar, self.ring, self.char)
-        # (I + K)^-1 = sum (-K)^m; homogeneity makes K nilpotent
-        phis = [g.gr_u + g.gr_v for g in self.old_gens]
-        cap = 2 + (max(phis) - min(phis)) // 2 if phis else 1
-        acc = [[_rel_from_mono(_scalar_mono(FieldElem(1 if i == j else 0, self.char))) for j in range(n)] for i in range(n)]
-        neg_k = [[{e: -c for e, c in ent.items()} for ent in row] for row in k]
-        power = [[dict(ent) for ent in row] for row in neg_k]
-        steps = 0
-        while any(ent for row in power for ent in row):
-            steps += 1
-            assert steps <= cap, "geometric series failed to terminate"
-            for i in range(n):
-                for j in range(n):
-                    for exps, cc in power[i][j].items():
-                        _rel_add_term(acc[i][j], exps, cc)
-            power = _mat_mul(power, neg_k, self.ring, self.char)
-        inv_rel = _mat_mul(acc, sbar_inv_rel, self.ring, self.char)
-        ents = tuple(tuple(_rel_to_mono(inv_rel[i][j]) for j in range(n)) for i in range(n))
-        return BasisChange(self.ring, self.char, self.new_gens, self.old_gens, ents)
+        n, p, r1 = len(self.old_gens), self.char, self.ring == RING_R1
+        work = [dict(row) for row in self.rows]
+        inv: list = [{i: (1, 0, 0)} for i in range(n)]
+        try:
+            for j in range(n):
+                scalar = (i for i in range(j, n) if work[i].get(j, (0, 1))[1:] == (0, 0))
+                piv = next(scalar, None)
+                if piv is None:
+                    raise NotInvertible("scalar part of the basis change is singular")
+                work[j], work[piv], inv[j], inv[piv] = work[piv], work[j], inv[piv], inv[j]
+                c = work[j][j][0]
+                if c != 1:
+                    c = pow(c, p - 2, p)
+                    work[j] = {k: (d * c % p, u, v) for k, (d, u, v) in work[j].items()}
+                    inv[j] = {k: (d * c % p, u, v) for k, (d, u, v) in inv[j].items()}
+                for r in range(n):
+                    m = work[r].get(j)
+                    if m is None or r == j:
+                        continue
+                    neg = (p - m[0], m[1], m[2])
+                    add_row_multiple(work[r], neg, work[j], r1, p)
+                    add_row_multiple(inv[r], neg, inv[j], r1, p)
+        except GradingViolation as exc:
+            raise GradingViolation(f"inhomogeneous elimination: {exc}") from exc
+        return BasisChange.from_rows(self.ring, self.char, self.new_gens, self.old_gens, inv)
 
     def compose(self, first: "BasisChange") -> "BasisChange":
         """The change performing ``first`` and then this one."""
         if self.old_gens != first.new_gens:
             raise ValidationError("composition bases do not line up")
-        prod = _mat_mul(self._rel_rows(), first._rel_rows(), self.ring, self.char)
-        n = len(first.old_gens)
-        ents = tuple(tuple(_rel_to_mono(prod[i][j]) for j in range(n)) for i in range(len(self.new_gens)))
-        return BasisChange(self.ring, self.char, first.old_gens, self.new_gens, ents)
+        rows = _mul_rows(self.rows, first.rows, self.ring == RING_R1, self.char)
+        return BasisChange.from_rows(self.ring, self.char, first.old_gens, self.new_gens, rows)
 
 
-def _scalar_mono(c: FieldElem) -> Optional[Monomial]:
-    return Monomial(c, 0, 0) if c.value else None
+def _set_fields(b: BasisChange, *values) -> None:
+    for name, value in zip(BasisChange.__slots__, values):
+        object.__setattr__(b, name, value)
 
 
 def apply_basis_change(c: Complex, b: BasisChange) -> Complex:
-    """Rewrite the differential in a new basis: D_new = P D P^-1."""
+    """Rewrite the differential in a new basis: D_new = P D P^-1.
+
+    The products run on sparse int rows.  Arrows are grouped by bidegree
+    first, so each cell holds a single monomial within a group; a complex
+    whose arrows break the bigrading still gets every term of a cell.
+    """
     if b.char != c.char or b.ring != c.ring:
         raise FieldMismatch("basis change over a different ring or field")
     if b.old_gens != c.generators:
         raise GradingViolation("basis change source basis does not match the complex")
-    b.check_homogeneous()
-    b_inv = b.inverse()  # raises NotInvertible when singular
-    n = c.rank
+    b_inv = b.inverse()  # checks homogeneity; raises NotInvertible when singular
+    n, p, r1 = c.rank, c.char, c.ring == RING_R1
     index = c.gen_index()
-    d = [[dict() for _ in range(n)] for _ in range(n)]
+    gens = c.generators
+    by_degree: Dict[tuple, list] = {}
     for a in c.arrows:
-        _rel_add_term(d[index[a.src]][index[a.tgt]], (a.mono.u_exp, a.mono.v_exp), a.mono.coeff)
-    new_d = _mat_mul(_mat_mul(b._rel_rows(), d, c.ring, c.char), b_inv._rel_rows(), c.ring, c.char)
+        s, t, m = index[a.src], index[a.tgt], a.mono
+        du = gens[t].gr_u - gens[s].gr_u - 2 * m.u_exp
+        dv = gens[t].gr_v - gens[s].gr_v - 2 * m.v_exp
+        d = by_degree.setdefault((du, dv), [{} for _ in range(n)])
+        d[s][t] = (m.coeff.value, m.u_exp, m.v_exp)
     arrows = []
-    for i in range(n):
-        for j in range(n):
-            for (u, v), coeff in new_d[i][j].items():
-                arrows.append(Arrow(b.new_gens[i].id, b.new_gens[j].id, Monomial(coeff, u, v)))
+    for d in by_degree.values():
+        new_d = _mul_rows(_mul_rows(b.rows, d, r1, p), b_inv.rows, r1, p)
+        for i, row in enumerate(new_d):
+            for j, (coeff, u, v) in row.items():
+                arrows.append(
+                    Arrow(b.new_gens[i].id, b.new_gens[j].id, Monomial(FieldElem(coeff, p), u, v))
+                )
     return Complex(c.ring, c.char, b.new_gens, tuple(arrows))
 
 
@@ -495,32 +507,31 @@ def _strip_one(c: Complex, retired: set):
         return None
     arrow = min(cands, key=lambda a: (index[a.src], index[a.tgt]))
     s, t, lam = arrow.src, arrow.tgt, arrow.mono.coeff
-    n = c.rank
-    one = FieldElem(1, c.char)
-    rows = [[Monomial(one, 0, 0) if i == j else None for j in range(n)] for i in range(n)]
+    p = c.char
+    rows = [{i: (1, 0, 0)} for i in range(c.rank)]
     si, ti = index[s], index[t]
     # row t becomes d(s) itself; its t-coefficient lam is an invertible scalar
-    rows[ti] = [None] * n
+    rows[ti] = {}
     for a in c.terms_from(s):
         assert a.tgt not in retired, "arrow into a retired zero pair"
-        assert rows[ti][index[a.tgt]] is None
-        rows[ti][index[a.tgt]] = a.mono
+        assert index[a.tgt] not in rows[ti]
+        rows[ti][index[a.tgt]] = (a.mono.coeff.value, a.mono.u_exp, a.mono.v_exp)
     # every other generator absorbs its t-arrow: x' = x - (nu/lam) m s
-    lam_inv = lam.inverse()
+    lam_inv = pow(lam.value, p - 2, p)
     for a in c.terms_into(t):
         if a.src == s:
             continue
         assert a.src not in retired, "arrow out of a retired zero pair"
         xi = index[a.src]
-        assert rows[xi][si] is None
-        rows[xi][si] = Monomial(-a.mono.coeff * lam_inv, a.mono.u_exp, a.mono.v_exp)
-    change = BasisChange(c.ring, c.char, c.generators, c.generators, tuple(tuple(r) for r in rows))
+        assert si not in rows[xi]
+        rows[xi][si] = (-a.mono.coeff.value * lam_inv % p, a.mono.u_exp, a.mono.v_exp)
+    change = BasisChange.from_rows(c.ring, c.char, c.generators, c.generators, rows)
     moved = apply_basis_change(c, change)
     # the pair must now be fully split: s -> t with unit coefficient, nothing else
     for a in moved.arrows:
         touches = {a.src, a.tgt} & {s, t}
         if touches:
-            assert (a.src, a.tgt) == (s, t) and a.mono == Monomial(one, 0, 0), (
+            assert (a.src, a.tgt) == (s, t) and a.mono.is_scalar() and a.mono.coeff.value == 1, (
                 f"zero pair failed to split: {a}"
             )
     return moved, change, (s, t)
@@ -550,13 +561,8 @@ def strip_zero_complexes(c: Complex):
     order = [g.id for g in survivors] + [gid for pair in pairs for gid in pair]
     gm = cur.gen_map()
     new_gens = tuple(gm[gid] for gid in order)
-    n = cur.rank
-    one = FieldElem(1, c.char)
-    perm_rows = tuple(
-        tuple(Monomial(one, 0, 0) if index[gid] == j else None for j in range(n))
-        for gid in order
-    )
-    reorder = BasisChange(c.ring, c.char, cur.generators, new_gens, perm_rows)
+    perm_rows = tuple({index[gid]: (1, 0, 0)} for gid in order)
+    reorder = BasisChange.from_rows(c.ring, c.char, cur.generators, new_gens, perm_rows)
     total = reorder.compose(total)
     d = Complex(
         c.ring,

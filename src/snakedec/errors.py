@@ -1,9 +1,10 @@
 """Shared exception types.
 
 Every error raised across module boundaries lives here, so callers can
-catch by category without importing the module that raised it.  Internal
-consistency checks use plain ``assert``; these classes are reserved for
-conditions a caller can trigger with legitimate input.
+catch by category without importing the module that raised it.  These
+classes are for conditions a caller can trigger with legitimate input, and
+for the invariants of the sparse matrix kernel in ``complexes``, which must
+survive ``python -O``; other internal checks still use plain ``assert``.
 """
 
 

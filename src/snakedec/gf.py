@@ -177,13 +177,10 @@ class Matrix:
                 raise FieldMismatch("matrix product across fields")
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-            ocols = list(zip(*other.entries)) if other.entries else []
-            zero = FieldElem.zero(self.char)
-            ents = tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), zero) for col in ocols)
-                for row in self.entries
-            )
-            return Matrix(ents, self.char)
+            ocols = [[e.value for e in col] for col in zip(*other.entries)]
+            rows = [[(k, e.value) for k, e in enumerate(row) if e.value] for row in self.entries]
+            ents = [[sum(a * col[k] for k, a in row) for col in ocols] for row in rows]
+            return Matrix.from_rows(ents, self.char)
         if isinstance(other, (FieldElem, int)):
             lam = other if isinstance(other, FieldElem) else FieldElem(other, self.char)
             return Matrix(tuple(tuple(e * lam for e in row) for row in self.entries), self.char)
@@ -218,23 +215,23 @@ class Matrix:
         zero = FieldElem.zero(self.char)
         return tuple(sum((a * b for a, b in zip(row, vec)), zero) for row in self.entries)
 
-    def _gauss_inverse(self) -> Optional["Matrix"]:
-        # Gauss-Jordan on [A | I]; None when a pivot is missing.
-        n = self.rows
-        aug = [list(row) + [FieldElem(1 if i == j else 0, self.char) for j in range(n)]
+    def _gauss_inverse(self) -> Optional[list]:
+        # Gauss-Jordan on [A | I] over int residues; None when a pivot is missing.
+        n, p = self.rows, self.char
+        aug = [[e.value for e in row] + [int(i == j) for j in range(n)]
                for i, row in enumerate(self.entries)]
         for j in range(n):
             piv = next((i for i in range(j, n) if aug[i][j]), None)
             if piv is None:
                 return None
             aug[j], aug[piv] = aug[piv], aug[j]
-            inv = aug[j][j].inverse()
-            aug[j] = [e * inv for e in aug[j]]
+            inv = pow(aug[j][j], p - 2, p)
+            pivot_row = aug[j] = [e * inv % p for e in aug[j]]
             for i in range(n):
-                if i != j and aug[i][j]:
-                    c = aug[i][j]
-                    aug[i] = [a - c * b for a, b in zip(aug[i], aug[j])]
-        return Matrix(tuple(tuple(row[n:]) for row in aug), self.char)
+                c = aug[i][j]
+                if i != j and c:
+                    aug[i] = [(a - c * b) % p for a, b in zip(aug[i], pivot_row)]
+        return [row[n:] for row in aug]
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -242,7 +239,7 @@ class Matrix:
         inv = self._gauss_inverse()
         if inv is None:
             raise Singular("matrix is not invertible")
-        return inv
+        return Matrix.from_rows(inv, self.char)
 
     def is_invertible(self) -> bool:
         return self.is_square() and self._gauss_inverse() is not None

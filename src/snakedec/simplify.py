@@ -98,20 +98,10 @@ def _quotient_arrows(c: Complex) -> list[tuple[int, int, Monomial]]:
     return [(idx[a.src], idx[a.tgt], a.mono) for a in c.arrows]
 
 
-def _one_step_change(c: Complex, rows: dict[int, dict[int, Monomial]]) -> BasisChange:
+def _one_step_change(c: Complex, rows: dict[int, dict[int, tuple]]) -> BasisChange:
     """Basis change equal to the identity outside the given sparse rows."""
-    n = c.rank
-    one = gf.FieldElem(1, c.char)
-    entries = []
-    for i in range(n):
-        row = [None] * n
-        if i in rows:
-            for j, m in rows[i].items():
-                row[j] = m
-        else:
-            row[i] = Monomial(one, 0, 0)
-        entries.append(tuple(row))
-    return BasisChange(c.ring, c.char, c.generators, c.generators, tuple(entries))
+    full = [rows[i] if i in rows else {i: (1, 0, 0)} for i in range(c.rank)]
+    return BasisChange.from_rows(c.ring, c.char, c.generators, c.generators, full)
 
 
 def _simplify_quotient(c: Complex, direction: str) -> SimplifiedBasis:
@@ -121,7 +111,7 @@ def _simplify_quotient(c: Complex, direction: str) -> SimplifiedBasis:
     quot = quotient_u(c) if direction == VERTICAL else quotient_v(c)
     length = (lambda m: m.v_exp) if direction == VERTICAL else (lambda m: m.u_exp)
     power = (lambda k: (0, k)) if direction == VERTICAL else (lambda k: (k, 0))
-    one = gf.FieldElem(1, c.char)
+    p = c.char
 
     cur = quot
     total = BasisChange.identity(c)
@@ -137,6 +127,7 @@ def _simplify_quotient(c: Complex, direction: str) -> SimplifiedBasis:
         a, si, ti, piv = min(live)
         gens = cur.generators
         s, t = gens[si].id, gens[ti].id
+        piv_inv = pow(piv.coeff.value, p - 2, p)
 
         # fold the other targets of s into t, so that d(s) hits t alone
         absorb = {}
@@ -145,10 +136,9 @@ def _simplify_quotient(c: Complex, direction: str) -> SimplifiedBasis:
                 j = cur.gen_index()[arr.tgt]
                 assert j not in absorb, "two terms share a target bidegree"
                 b = length(arr.mono)
-                coeff = arr.mono.coeff / piv.coeff
-                absorb[j] = Monomial(coeff, *power(b - a))
+                absorb[j] = (arr.mono.coeff.value * piv_inv % p, *power(b - a))
         if absorb:
-            absorb[ti] = Monomial(one, 0, 0)
+            absorb[ti] = (1, 0, 0)
             step = _one_step_change(cur, {ti: absorb})
             cur = apply_basis_change(cur, step)
             total = step.compose(total)
@@ -161,16 +151,16 @@ def _simplify_quotient(c: Complex, direction: str) -> SimplifiedBasis:
                 assert i not in clear, "two terms share a source bidegree"
                 b = length(arr.mono)
                 assert b >= a, "pivot was not minimal"
-                coeff = -(arr.mono.coeff / piv.coeff)
-                clear[i] = {i: Monomial(one, 0, 0), si: Monomial(coeff, *power(b - a))}
+                coeff = -arr.mono.coeff.value * piv_inv % p
+                clear[i] = {i: (1, 0, 0), si: (coeff, *power(b - a))}
         if clear:
             step = _one_step_change(cur, clear)
             cur = apply_basis_change(cur, step)
             total = step.compose(total)
 
         # normalize the surviving arrow to unit coefficient
-        if piv.coeff != one:
-            step = _one_step_change(cur, {ti: {ti: Monomial(piv.coeff, 0, 0)}})
+        if piv.coeff.value != 1:
+            step = _one_step_change(cur, {ti: {ti: (piv.coeff.value, 0, 0)}})
             cur = apply_basis_change(cur, step)
             total = step.compose(total)
 
@@ -182,7 +172,7 @@ def _simplify_quotient(c: Complex, direction: str) -> SimplifiedBasis:
     renamed = tuple(
         Generator(f"{prefix}{i + 1}", g.gr_u, g.gr_v) for i, g in enumerate(cur.generators)
     )
-    change = BasisChange(c.ring, c.char, c.generators, renamed, total.entries)
+    change = BasisChange.from_rows(c.ring, c.char, c.generators, renamed, total.rows)
     arrows = tuple(sorted((i, j, length(m)) for i, j, m in _quotient_arrows(cur)))
     sb = SimplifiedBasis(direction, renamed, arrows, change)
     assert matching_violations(sb) == []
@@ -221,9 +211,9 @@ def align_gradings(
     pos = {old: new for new, old in enumerate(perm)}
     gens = tuple(yb.generators[j] for j in perm)
     arrows = tuple(sorted((pos[i], pos[j], a) for i, j, a in yb.arrows))
-    entries = tuple(yb.change.entries[j] for j in perm)
-    change = BasisChange(
-        yb.change.ring, yb.change.char, yb.change.old_gens, gens, entries
+    rows = tuple(yb.change.rows[j] for j in perm)
+    change = BasisChange.from_rows(
+        yb.change.ring, yb.change.char, yb.change.old_gens, gens, rows
     )
     return xb, SimplifiedBasis(yb.direction, gens, arrows, change)
 
@@ -232,15 +222,12 @@ def _split_by_variable(p: BasisChange) -> tuple[BasisChange, BasisChange, BasisC
     """Split a transition matrix into scalar, scalar+U and scalar+V parts."""
 
     def filtered(keep):
-        entries = tuple(
-            tuple(m if m is not None and keep(m) else None for m in row)
-            for row in p.entries
-        )
-        return BasisChange(p.ring, p.char, p.old_gens, p.new_gens, entries)
+        rows = [{j: e for j, e in row.items() if keep(*e)} for row in p.rows]
+        return BasisChange.from_rows(p.ring, p.char, p.old_gens, p.new_gens, rows)
 
-    scalar = filtered(lambda m: m.is_scalar())
-    with_u = filtered(lambda m: m.v_exp == 0)
-    with_v = filtered(lambda m: m.u_exp == 0)
+    scalar = filtered(lambda c, u, v: u == 0 and v == 0)
+    with_u = filtered(lambda c, u, v: v == 0)
+    with_v = filtered(lambda c, u, v: u == 0)
     return scalar, with_u, with_v
 
 
@@ -269,9 +256,11 @@ def normalize_transition(
 
     p_new = x_change.compose(y_change.inverse())
     assert all(
-        m is None or m.is_scalar() for row in p_new.entries for m in row
+        u == 0 and v == 0 for row in p_new.rows for _, u, v in row.values()
     ), "transition matrix still has nonscalar entries"
-    p_mat = p_new.scalar_part()
+    p_mat = gf.Matrix.from_rows(
+        [[row.get(j, (0,))[0] for j in range(c.rank)] for row in p_new.rows], c.char
+    )
     q_mat = p_mat.inverse()
 
     # the adjustments are trivial on the respective quotients, so the

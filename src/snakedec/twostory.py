@@ -35,9 +35,9 @@ from .complexes import (
     Generator,
     Monomial,
     RING_R1,
+    add_row_multiple,
     apply_basis_change,
     has_length_zero_arrow,
-    mono_mul,
     quotient_u,
     quotient_v,
     validate,
@@ -256,17 +256,12 @@ def _as_sequence(s) -> TraversalSequence:
 def unusual_compare(s, t, limit=math.inf) -> str:
     """Compare two journeys lexicographically in the unusual order.
 
-    With a finite limit only the first ``limit`` terms are compared;
-    with an infinite limit both arguments must be eventually periodic
-    records and the comparison is exact.
+    Plain tuples are read as terminated records.  With a finite limit
+    only the first ``limit`` terms are compared; with an infinite limit
+    the comparison is exact.
     """
-    if limit == math.inf:
-        if not isinstance(s, TraversalSequence) or not isinstance(t, TraversalSequence):
-            raise ValueError("unbounded comparison needs periodic records")
-        window = _compare_window(s, t)
-    else:
-        window = int(limit)
-        s, t = _as_sequence(s), _as_sequence(t)
+    s, t = _as_sequence(s), _as_sequence(t)
+    window = _compare_window(s, t) if limit == math.inf else int(limit)
     for k in range(window):
         a, b = s.term(k), t.term(k)
         if a != b:
@@ -694,36 +689,17 @@ class TwoStoryComplex:
         gens = self.x_gens if side == "x" else self.y_gens
         steps = self._xsteps if side == "x" else self._ysteps
         char, ring = self.char, self.original.ring
-        one = gf.FieldElem(1, char)
-        rows = [{i: Monomial(one, 0, 0)} for i in range(len(gens))]
+        rows = [{i: (1, 0, 0)} for i in range(len(gens))]
         for step in steps:
             if step[0] == "add":
                 _, r, g, m = step
-                target = rows[r]
-                for j, mj in rows[g].items():
-                    add = mono_mul(m, mj, ring)
-                    if add is None:
-                        continue
-                    cur = target.get(j)
-                    if cur is None:
-                        target[j] = add
-                        continue
-                    assert (cur.u_exp, cur.v_exp) == (add.u_exp, add.v_exp)
-                    s = cur.coeff + add.coeff
-                    if not s:
-                        target.pop(j)
-                    else:
-                        target[j] = Monomial(s, cur.u_exp, cur.v_exp)
+                add_row_multiple(
+                    rows[r], (m.coeff.value, m.u_exp, m.v_exp), rows[g], ring == RING_R1, char
+                )
             else:
                 _, i, lam = step
-                rows[i] = {
-                    j: Monomial(m.coeff * lam, m.u_exp, m.v_exp)
-                    for j, m in rows[i].items()
-                }
-        entries = tuple(
-            tuple(rows[i].get(j) for j in range(len(gens))) for i in range(len(gens))
-        )
-        return BasisChange(ring, char, gens, gens, entries)
+                rows[i] = {j: (c * lam.value % char, u, v) for j, (c, u, v) in rows[i].items()}
+        return BasisChange.from_rows(ring, char, gens, gens, rows)
 
     # -- views -------------------------------------------------------------
 
@@ -858,23 +834,21 @@ class TwoStoryComplex:
         self._check_floor(cx, quotient_u, self._vert, "bottom")
         self._check_floor(cy, quotient_v, self._horiz, "top")
         p = x_change.compose(y_change.inverse())
-        for i, row in enumerate(p.entries):
-            for j, m in enumerate(row):
-                if m is None:
-                    continue
+        for i, row in enumerate(p.rows):
+            for j, (_, u, v) in row.items():
                 gi, gj = self.x_gens[i].grading, self.x_gens[j].grading
                 if gi == gj:
-                    assert m.is_scalar(), "same-grading transition entry left the ground field"
+                    assert u == v == 0, "same-grading transition entry left the ground field"
                 else:
                     du, dv = gi[0] - gj[0], gi[1] - gj[1]
-                    assert (-2 * m.u_exp, -2 * m.v_exp) == (du, dv), (
+                    assert (-2 * u, -2 * v) == (du, dv), (
                         "transition entry breaks grading homogeneity"
                     )
-        mat = p.scalar_part()
         for grading in self.gradings():
             members = self._slots[grading]
+            # same-grading entries are scalars, checked above
             block = gf.Matrix.from_rows(
-                [[mat[i, j] for j in members] for i in members], self.char
+                [[p.rows[i].get(j, (0,))[0] for j in members] for i in members], self.char
             )
             want = _state_matrix(self._shafts[grading], len(members), self.char)
             assert block == want, f"shaft product drifted at {grading}"
@@ -1385,18 +1359,15 @@ def _from_parts(char, gradings, vert, horiz, shaft_tokens) -> TwoStoryComplex:
     c = Complex(RING_R1, char, x_gens, tuple(arrows))
     t.original = c
     t._x0_change = BasisChange.identity(c)
-    flat = [[gf.FieldElem(0, char) for _ in range(n)] for _ in range(n)]
+    rows: list = [{} for _ in range(n)]
     for g in t.gradings():
         members = t._slots[g]
         inv = p_blocks[g].inverse()
         for a, ia in enumerate(members):
             for b, jb in enumerate(members):
-                flat[ia][jb] = inv[a, b]
-    entries = tuple(
-        tuple(Monomial(flat[i][j], 0, 0) if flat[i][j] else None for j in range(n))
-        for i in range(n)
-    )
-    t._y0_change = BasisChange(RING_R1, char, x_gens, y_gens, entries)
+                if inv[a, b]:
+                    rows[ia][jb] = (inv[a, b].value, 0, 0)
+    t._y0_change = BasisChange.from_rows(RING_R1, char, x_gens, y_gens, rows)
     t.verify()
     return t
 

@@ -34,7 +34,7 @@ from snakedec.errors import (
     NotInvertible,
     ValidationError,
 )
-from snakedec.gf import FieldElem
+from snakedec.gf import FieldElem, Matrix
 
 
 from gen import (
@@ -215,6 +215,70 @@ def test_random_changes_preserve_validity(seed):
     assert validate(moved) == []
     assert has_length_zero_arrow(moved) == has_length_zero_arrow(c)
     assert apply_basis_change(moved, b.inverse()) == c
+
+
+@st.composite
+def homogeneous_changes(draw):
+    """A random homogeneous basis change, and whether its scalar part was
+    forced singular by clearing the scalar entries of one row.
+
+    Gradings are even, so U- and V-power entries occur; over F[U,V] mixed
+    U^a V^b entries occur too.
+    """
+    ring = draw(st.sampled_from([RING_R1, RING_FUV]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(min_value=1, max_value=30))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    singular = draw(st.booleans())
+    old = [Generator(f"x{i}", 2 * rng.randrange(3), 2 * rng.randrange(3)) for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    new = [Generator(f"y{i}", *old[perm[i]].grading) for i in range(n)]
+    density = rng.choice([0.1, 0.3, 0.6])
+    dead = rng.randrange(n) if singular else None
+    rows = []
+    for i, gi in enumerate(new):
+        row = []
+        for j, gj in enumerate(old):
+            u, v = (gj.gr_u - gi.gr_u) // 2, (gj.gr_v - gi.gr_v) // 2
+            legal = u >= 0 and v >= 0 and not (ring == RING_R1 and u and v)
+            if i == dead and u == v == 0:
+                legal = False
+            hit = j == perm[i] or rng.random() < density
+            row.append(mono(rng.randrange(1, p), u, v, p) if legal and hit else None)
+        rows.append(tuple(row))
+    return BasisChange(ring, p, tuple(old), tuple(new), tuple(rows)), singular
+
+
+@given(homogeneous_changes())
+@settings(max_examples=80, deadline=None)
+def test_inverse_is_two_sided(case):
+    b, forced_singular = case
+    n, p = len(b.old_gens), b.char
+    scalar = Matrix.from_rows(
+        [[m.coeff.value if m is not None and m.is_scalar() else 0 for m in row] for row in b.entries],
+        p,
+    )
+    if not scalar.is_invertible():
+        with pytest.raises(NotInvertible):
+            b.inverse()
+        return
+    assert not forced_singular
+    ident = tuple(tuple(mono(1, 0, 0, p) if i == j else None for j in range(n)) for i in range(n))
+    inv = b.inverse()
+    assert (inv.old_gens, inv.new_gens) == (b.new_gens, b.old_gens)
+    assert inv.compose(b).entries == ident
+    assert b.compose(inv).entries == ident
+
+
+def test_compose_rejects_two_monomial_cell():
+    # x0 + x1 followed by x1 -> U x0 puts 1 + U into one cell: not homogeneous
+    gens = (Generator("x0", 0, 0), Generator("x1", 0, 0))
+    one = mono(1, 0, 0, 2)
+    first = BasisChange(RING_FUV, 2, gens, gens, ((one, None), (mono(1, 1, 0, 2), None)))
+    then = BasisChange(RING_FUV, 2, gens, gens, ((one, one), (None, one)))
+    with pytest.raises(GradingViolation):
+        then.compose(first)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,13 @@ def test_invert_examples():
         gf.invert(M([[1, 1], [1, 1]], 2))
     with pytest.raises(DimensionMismatch):
         gf.invert(M([[1, 0]], 2))
+    # all of M_2(F_3): invertible exactly when the determinant is nonzero
+    ident = gf.Matrix.identity(2, 3)
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        m = M([[a, b], [c, d]], 3)
+        assert m.is_invertible() == bool((a * d - b * c) % 3)
+        if m.is_invertible():
+            assert m * m.inverse() == ident and m.inverse() * m == ident
 
 
 def test_block_diag():

@@ -1,5 +1,6 @@
 """Tests for the two-story engine: tokens, journeys, weights, slides, depth."""
 
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -670,8 +671,21 @@ def test_exhaustive_small_rank_sweep():
     assert ran > 400
 
 
+def _fingerprint(h, t):
+    """Fold a two-story complex's dump and log into a running SHA-256."""
+    h.update(dump(t).encode())
+    h.update(repr(t.log).encode())
+
+
+# SHA-256 over dump() and log of every complex in the seeded sweeps below;
+# a kernel change must leave both byte-identical
+MESSY_SWEEP_DIGEST = "eb1df0a6f5d944440ae56572e6b8b38a8f03b1dd25b82c3a63bb46510dae3d5b"
+SUM_SWEEP_DIGEST = "45d3bb3c00beb641f205a7af978c781e7fb10df1a1d34598698e547ea6e481ea"
+
+
 def test_random_messy_pipeline():
     interesting = 0
+    h = hashlib.sha256()
     for seed in range(120):
         c, _, _ = strip_zero_complexes(random_messy(seed))
         if c.rank == 0:
@@ -683,15 +697,18 @@ def test_random_messy_pipeline():
         assert t.depth() == math.inf
         assert t.rounds <= max(1, c.rank * (c.rank - 1))
         t.verify()
+        _fingerprint(h, t)
         if had_tokens:
             interesting += 1
             for handle in arrow_handles(t):
                 w = weight_of(t, handle)
                 assert (w.w_hat, w.w_check) == (math.inf, math.inf)
     assert interesting >= 20
+    assert h.hexdigest() == MESSY_SWEEP_DIGEST
 
 
 def test_random_sum_pipeline():
+    h = hashlib.sha256()
     for seed in range(60):
         c, _, _ = strip_zero_complexes(random_complex(seed, max_parts=4))
         if c.rank == 0:
@@ -701,6 +718,8 @@ def test_random_sum_pipeline():
         run_to_depth_infinity(t)
         assert t.depth() == math.inf
         t.verify()
+        _fingerprint(h, t)
+    assert h.hexdigest() == SUM_SWEEP_DIGEST
 
 
 # ---------------------------------------------------------------------------
