@@ -291,10 +291,10 @@ class BasisChange:
             raise ValidationError("ragged basis change")
         if any(m is not None and m.coeff.char != char for row in entries for m in row):
             raise FieldMismatch(f"basis change entry outside F_{char}")
-        rows = tuple(
+        rows = tuple([
             {j: (m.coeff.value, m.u_exp, m.v_exp) for j, m in enumerate(row) if m is not None}
             for row in entries
-        )
+        ])
         _set_fields(self, ring, char, old_gens, new_gens, rows)
 
     @classmethod
@@ -306,7 +306,7 @@ class BasisChange:
 
     @classmethod
     def identity(cls, c: Complex) -> "BasisChange":
-        rows = tuple({i: (1, 0, 0)} for i in range(c.rank))
+        rows = tuple([{i: (1, 0, 0)} for i in range(c.rank)])
         return cls.from_rows(c.ring, c.char, c.generators, c.generators, rows)
 
     @property
@@ -424,8 +424,9 @@ def apply_basis_change(c: Complex, b: BasisChange) -> Complex:
 
 def reduce_mod_uv(c: Complex) -> Complex:
     """Pass from F[U,V] to R1 by deleting every mixed (diagonal) term."""
-    assert c.ring == RING_FUV, "already over R1"
-    kept = tuple(a for a in c.arrows if not (a.mono.u_exp > 0 and a.mono.v_exp > 0))
+    if c.ring != RING_FUV:
+        raise ValidationError("reduce_mod_uv needs a complex over F[U,V]; this one is over R1")
+    kept = tuple([a for a in c.arrows if not (a.mono.u_exp > 0 and a.mono.v_exp > 0)])
     out = Complex(RING_R1, c.char, c.generators, kept)
     assert not validate(out), "reduction mod UV left a non-complex"
     return out
@@ -437,13 +438,13 @@ def quotient_u(c: Complex) -> Complex:
     The result only carries V-power arrows and is read as a complex of
     free graded F[V]-modules; the container type is unchanged.
     """
-    kept = tuple(a for a in c.arrows if a.mono.u_exp == 0)
+    kept = tuple([a for a in c.arrows if a.mono.u_exp == 0])
     return Complex(c.ring, c.char, c.generators, kept)
 
 
 def quotient_v(c: Complex) -> Complex:
     """Set V = 0: drop every term with a positive V power."""
-    kept = tuple(a for a in c.arrows if a.mono.v_exp == 0)
+    kept = tuple([a for a in c.arrows if a.mono.v_exp == 0])
     return Complex(c.ring, c.char, c.generators, kept)
 
 
@@ -560,15 +561,15 @@ def strip_zero_complexes(c: Complex):
     survivors = [g for g in cur.generators if g.id not in retired]
     order = [g.id for g in survivors] + [gid for pair in pairs for gid in pair]
     gm = cur.gen_map()
-    new_gens = tuple(gm[gid] for gid in order)
-    perm_rows = tuple({index[gid]: (1, 0, 0)} for gid in order)
+    new_gens = tuple([gm[gid] for gid in order])
+    perm_rows = tuple([{index[gid]: (1, 0, 0)} for gid in order])
     reorder = BasisChange.from_rows(c.ring, c.char, cur.generators, new_gens, perm_rows)
     total = reorder.compose(total)
     d = Complex(
         c.ring,
         c.char,
         tuple(survivors),
-        tuple(a for a in cur.arrows if a.src not in retired and a.tgt not in retired),
+        tuple([a for a in cur.arrows if a.src not in retired and a.tgt not in retired]),
     )
     assert not has_length_zero_arrow(d)
     assert d.rank == c.rank - 2 * len(pairs)

@@ -2,9 +2,11 @@
 
 Every error raised across module boundaries lives here, so callers can
 catch by category without importing the module that raised it.  These
-classes are for conditions a caller can trigger with legitimate input, and
-for the invariants of the sparse matrix kernel in ``complexes``, which must
-survive ``python -O``; other internal checks still use plain ``assert``.
+classes are for conditions a caller can trigger, and for the invariants
+that must survive ``python -O``: those of the sparse matrix kernel in
+``complexes`` (``GradingViolation``) and of the two-story engine's
+``verify`` (``InvariantViolation``).  Other internal checks still use
+plain ``assert``.
 """
 
 
@@ -60,31 +62,16 @@ class BoundExceeded(SnakedecError):
     """The depth-raising loop ran past its proven round bound."""
 
 
-class BadPeriod(SnakedecError):
-    """A cyclic word does not have the minimal even period it claims."""
+class InvariantViolation(SnakedecError):
+    """A structural invariant of the two-story engine failed to hold.
 
-
-class InvalidDescriptor(SnakedecError):
-    """A piece descriptor fails its well-formedness conditions."""
-
-
-class BudgetExceeded(SnakedecError):
-    """A brute-force search ran out of budget before reaching a verdict."""
-
-
-class ComplexSyntaxError(SnakedecError):
-    """A complex file failed to parse.
-
-    Attributes
-    ----------
-    line : int
-        1-based line number of the offending line.
+    Raised by ``TwoStoryComplex.verify`` and by construction when the
+    engine's own state disagrees with the complex it claims to describe;
+    unlike ``assert`` it survives ``python -O``.
     """
-
-    def __init__(self, line, message):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class ValidationError(SnakedecError):
-    """A parsed complex file fails semantic validation."""
+    """A complex or basis change is malformed, or an operation was handed
+    an input it is not defined on (a complex over the wrong ring, or one
+    that still has length-zero arrows)."""

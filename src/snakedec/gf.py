@@ -13,6 +13,11 @@ Conventions
   T_ij, E_ij, D_i.  Permutations are plain 0-based tuples ``sigma`` with
   ``sigma[j]`` the image of j; their matrix has a 1 in row ``sigma[j]``
   of column j, so perm_matrix(a) * perm_matrix(b) = perm_matrix(a o b).
+* Field data is stored as int residues in [0, p).  ``Matrix`` keeps row
+  tuples of ints and LTU factorization runs on ints; ``FieldElem`` is the
+  public face of a single element and is created only where a caller
+  reads one out (``m[i, j]``, ``row``, ``column``, ``apply``, the
+  coefficients of elementary factors).
 * Polynomials over F_p are tuples of int coefficients in ascending degree
   with no trailing zeros; the zero polynomial is the empty tuple.
 """
@@ -46,14 +51,6 @@ class FieldElem:
     def __post_init__(self):
         _check_prime(self.char)
         object.__setattr__(self, "value", self.value % self.char)
-
-    @classmethod
-    def zero(cls, char: int) -> "FieldElem":
-        return cls(0, char)
-
-    @classmethod
-    def one(cls, char: int) -> "FieldElem":
-        return cls(1, char)
 
     def _lift(self, other):
         if isinstance(other, FieldElem):
@@ -113,45 +110,58 @@ class FieldElem:
         return f"{self.value}#F{self.char}"
 
 
-@dataclass(frozen=True, slots=True)
+def _residue(e, p: int) -> int:
+    if isinstance(e, int):
+        return e % p
+    if isinstance(e, FieldElem) and e.char == p:
+        return e.value
+    raise FieldMismatch(f"entry {e!r} outside F_{p}")
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Matrix:
     """Dense immutable matrix over F_p.
 
-    ``entries`` is a tuple of row tuples of FieldElem; ``char`` is kept
-    separately so 0-row matrices still know their field.
+    ``entries`` is a tuple of row tuples of int residues in [0, p); that is
+    the only storage.  The constructor and ``from_rows`` take ints, reduced
+    mod p, or FieldElems of the same field.  FieldElems appear only at the
+    public accessors ``m[i, j]``, ``row``, ``column`` and ``apply``.
+    ``char`` is kept separately so 0-row matrices still know their field.
     """
 
     entries: tuple
     char: int
 
-    def __post_init__(self):
-        _check_prime(self.char)
-        width = None
-        for row in self.entries:
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DimensionMismatch("ragged rows")
-            for e in row:
-                if not isinstance(e, FieldElem) or e.char != self.char:
-                    raise FieldMismatch("entry outside F_%d" % self.char)
+    def __init__(self, entries, char: int):
+        _check_prime(char)
+        rows = tuple([tuple([_residue(e, char) for e in row]) for row in entries])
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise DimensionMismatch("ragged rows")
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "char", char)
+
+    @classmethod
+    def _wrap(cls, rows: tuple, char: int) -> "Matrix":
+        # rows: a tuple of equal-length tuples of residues in [0, char), taken as is
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        object.__setattr__(m, "char", char)
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], char: int) -> "Matrix":
         """Build a matrix from rows of ints or FieldElems."""
-        ents = tuple(
-            tuple(e if isinstance(e, FieldElem) else FieldElem(e, char) for e in row)
-            for row in rows
-        )
-        return cls(ents, char)
+        return cls(rows, char)
 
     @classmethod
     def identity(cls, n: int, char: int) -> "Matrix":
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], char)
+        _check_prime(char)
+        return cls._wrap(tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]), char)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, char: int) -> "Matrix":
-        return cls.from_rows([[0] * cols for _ in range(rows)], char)
+        _check_prime(char)
+        return cls._wrap(tuple([(0,) * cols for _ in range(rows)]), char)
 
     @property
     def rows(self) -> int:
@@ -161,65 +171,76 @@ class Matrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def __getitem__(self, ij):
+    def __getitem__(self, ij) -> FieldElem:
         i, j = ij
-        return self.entries[i][j]
+        return FieldElem(self.entries[i][j], self.char)
 
     def row(self, i) -> tuple:
-        return self.entries[i]
+        return tuple([FieldElem(e, self.char) for e in self.entries[i]])
 
     def column(self, j) -> tuple:
-        return tuple(row[j] for row in self.entries)
+        return tuple([FieldElem(row[j], self.char) for row in self.entries])
+
+    def _same_field(self, other: "Matrix", what: str) -> None:
+        if self.char != other.char:
+            raise FieldMismatch(f"{what} across F_{self.char} and F_{other.char}")
 
     def __mul__(self, other):
+        p = self.char
         if isinstance(other, Matrix):
-            if self.char != other.char:
-                raise FieldMismatch("matrix product across fields")
+            self._same_field(other, "matrix product")
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-            ocols = [[e.value for e in col] for col in zip(*other.entries)]
-            rows = [[(k, e.value) for k, e in enumerate(row) if e.value] for row in self.entries]
-            ents = [[sum(a * col[k] for k, a in row) for col in ocols] for row in rows]
-            return Matrix.from_rows(ents, self.char)
+            ocols = list(zip(*other.entries))
+            out = []
+            for row in self.entries:
+                nz = [(k, a) for k, a in enumerate(row) if a]
+                out.append(tuple([sum([a * col[k] for k, a in nz]) % p for col in ocols]))
+            return Matrix._wrap(tuple(out), p)
         if isinstance(other, (FieldElem, int)):
-            lam = other if isinstance(other, FieldElem) else FieldElem(other, self.char)
-            return Matrix(tuple(tuple(e * lam for e in row) for row in self.entries), self.char)
+            lam = _residue(other, p)
+            ents = tuple([tuple([e * lam % p for e in row]) for row in self.entries])
+            return Matrix._wrap(ents, p)
         return NotImplemented
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        self._same_field(other, "matrix sum")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("sum of unequal shapes")
-        ents = tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)
-        )
-        return Matrix(ents, self.char)
+        p = self.char
+        pairs = zip(self.entries, other.entries)
+        ents = tuple([tuple([(a + b) % p for a, b in zip(r1, r2)]) for r1, r2 in pairs])
+        return Matrix._wrap(ents, p)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Matrix(tuple(tuple(-e for e in row) for row in self.entries), self.char)
+        p = self.char
+        return Matrix._wrap(tuple([tuple([-e % p for e in row]) for row in self.entries]), p)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries)) if self.entries else (), self.char)
+        return Matrix._wrap(tuple(zip(*self.entries)), self.char)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def apply(self, vec: Sequence[FieldElem]) -> tuple:
-        """Matrix times column vector."""
+    def apply(self, vec: Sequence) -> tuple:
+        """Matrix times column vector of ints or FieldElems; FieldElems out."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length")
-        zero = FieldElem.zero(self.char)
-        return tuple(sum((a * b for a, b in zip(row, vec)), zero) for row in self.entries)
+        p = self.char
+        xs = [_residue(x, p) for x in vec]
+        return tuple([
+            FieldElem(sum([a * x for a, x in zip(row, xs)]), p) for row in self.entries
+        ])
 
     def _gauss_inverse(self) -> Optional[list]:
-        # Gauss-Jordan on [A | I] over int residues; None when a pivot is missing.
+        # Gauss-Jordan on [A | I]; None when a pivot is missing.
         n, p = self.rows, self.char
-        aug = [[e.value for e in row] + [int(i == j) for j in range(n)]
-               for i, row in enumerate(self.entries)]
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
         for j in range(n):
             piv = next((i for i in range(j, n) if aug[i][j]), None)
             if piv is None:
@@ -239,16 +260,16 @@ class Matrix:
         inv = self._gauss_inverse()
         if inv is None:
             raise Singular("matrix is not invertible")
-        return Matrix.from_rows(inv, self.char)
+        return Matrix._wrap(tuple([tuple(row) for row in inv]), self.char)
 
     def is_invertible(self) -> bool:
         return self.is_square() and self._gauss_inverse() is not None
 
     def to_lists(self) -> list:
-        return [[e.value for e in row] for row in self.entries]
+        return [list(row) for row in self.entries]
 
     def __str__(self):
-        return "[" + "; ".join(" ".join(str(e.value) for e in row) for row in self.entries) + "]"
+        return "[" + "; ".join(" ".join(map(str, row)) for row in self.entries) + "]"
 
 
 def invert(m: Matrix) -> Matrix:
@@ -264,16 +285,15 @@ def block_diag(blocks: Sequence[Matrix], char: Optional[int] = None) -> Matrix:
         return Matrix((), char)
     char = blocks[0].char
     n = sum(b.rows for b in blocks)
-    rows = [[0] * n for _ in range(n)]
+    rows = []
     off = 0
     for b in blocks:
         if b.char != char:
             raise FieldMismatch("blocks over different fields")
-        for i in range(b.rows):
-            for j in range(b.cols):
-                rows[off + i][off + j] = b[i, j].value
+        for row in b.entries:
+            rows.append((0,) * off + row + (0,) * (n - off - b.cols))
         off += b.rows
-    return Matrix.from_rows(rows, char)
+    return Matrix._wrap(tuple(rows), char)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +306,7 @@ def perm_identity(n: int) -> tuple:
 
 def perm_compose(a: Sequence[int], b: Sequence[int]) -> tuple:
     """Function composition a o b (apply b first)."""
-    return tuple(a[b[j]] for j in range(len(b)))
+    return tuple([a[j] for j in b])
 
 def perm_inverse(a: Sequence[int]) -> tuple:
     out = [0] * len(a)
@@ -298,10 +318,11 @@ def perm_inverse(a: Sequence[int]) -> tuple:
 def perm_matrix(sigma: Sequence[int], char: int) -> Matrix:
     """Permutation matrix sending basis vector j to basis vector sigma[j]."""
     n = len(sigma)
+    _check_prime(char)
     rows = [[0] * n for _ in range(n)]
     for j, i in enumerate(sigma):
         rows[i][j] = 1
-    return Matrix.from_rows(rows, char)
+    return Matrix._wrap(tuple([tuple(row) for row in rows]), char)
 
 
 def cycle_type(sigma: Sequence[int]) -> tuple:
@@ -369,20 +390,21 @@ def factor_matrix(f: ElementaryFactor, n: int, char: int) -> Matrix:
     """The n x n matrix of a single elementary factor."""
     if max(f.i, getattr(f, "j", 1)) > n:
         raise DimensionMismatch("factor index exceeds matrix size")
-    rows = [[FieldElem(1 if i == j else 0, char) for j in range(n)] for i in range(n)]
+    _check_prime(char)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     if isinstance(f, Transposition):
         i, j = f.i - 1, f.j - 1
-        rows[i][i] = rows[j][j] = FieldElem(0, char)
-        rows[i][j] = rows[j][i] = FieldElem(1, char)
+        rows[i][i] = rows[j][j] = 0
+        rows[i][j] = rows[j][i] = 1
     elif isinstance(f, AddUnit):
-        rows[f.i - 1][f.j - 1] = FieldElem(1, char)
+        rows[f.i - 1][f.j - 1] = 1
     elif isinstance(f, Scale):
         if f.lam.char != char:
             raise FieldMismatch("scale coefficient outside F_%d" % char)
-        rows[f.i - 1][f.i - 1] = f.lam
+        rows[f.i - 1][f.i - 1] = f.lam.value
     else:
         raise TypeError(f"not an elementary factor: {f!r}")
-    return Matrix(tuple(tuple(r) for r in rows), char)
+    return Matrix._wrap(tuple([tuple(r) for r in rows]), char)
 
 
 def factor_product(factors: Iterable[ElementaryFactor], n: int, char: int) -> Matrix:
@@ -438,57 +460,51 @@ def ltu_factorize(m: Matrix):
     """
     if not m.is_square():
         raise DimensionMismatch("LTU factorization needs a square matrix")
-    n = m.rows
-    char = m.char
+    n, p = m.rows, m.char
     a = [list(row) for row in m.entries]
     pivot_of_col: list = [None] * n
-    pivoted_rows: set = set()
-    row_ops = []  # applied left factors, in time order
-    col_ops = []  # applied right factors, in time order
+    col_of_row: dict = {}  # pivoted row -> its pivot column
+    row_ops = []  # applied left factors, in time order: (i, r, c) or (r, None, c)
+    col_ops = []  # applied right factors I - c e_{jp, j}, in time order
 
     for j in range(n):
         # clear entries sitting in pivoted rows via earlier pivot columns
-        for r in sorted(pivoted_rows):
-            if a[r][j]:
-                jp = next(jj for jj, pr in enumerate(pivot_of_col) if pr == r)
-                c = a[r][j]
-                for i in range(n):
-                    a[i][j] = a[i][j] - c * a[i][jp]
-                col_ops.append((jp, j, -c))  # right factor I + (-c) e_{jp, j}
-        piv = next((i for i in range(n) if i not in pivoted_rows and a[i][j]), None)
+        for r in sorted(col_of_row):
+            c = a[r][j]
+            if c:
+                jp = col_of_row[r]
+                for row in a:
+                    row[j] = (row[j] - c * row[jp]) % p
+                col_ops.append((jp, j, c))
+        piv = next((i for i in range(n) if i not in col_of_row and a[i][j]), None)
         if piv is None:
             raise Singular("column %d is dependent on earlier columns" % j)
+        prow = a[piv]
+        pinv = pow(prow[j], p - 2, p)
         for i in range(piv + 1, n):
-            if i in pivoted_rows or not a[i][j]:
+            if i in col_of_row or not a[i][j]:
                 continue
-            c = a[i][j]
-            coeff = -c * a[piv][j].inverse()
-            for jj in range(n):
-                a[i][jj] = a[i][jj] + coeff * a[piv][jj]
-            row_ops.append(("add", i, piv, coeff))
-        if a[piv][j].value != 1:
-            c = a[piv][j]
-            inv = c.inverse()
-            for jj in range(n):
-                a[piv][jj] = a[piv][jj] * inv
-            row_ops.append(("scale", piv, inv))
+            coeff = -a[i][j] * pinv % p
+            a[i] = [(x + coeff * y) % p for x, y in zip(a[i], prow)]
+            row_ops.append((i, piv, coeff))
+        if prow[j] != 1:
+            a[piv] = [x * pinv % p for x in prow]
+            row_ops.append((piv, None, prow[j]))
         pivot_of_col[j] = piv
-        pivoted_rows.add(piv)
+        col_of_row[piv] = j
 
     # a is now the permutation matrix with 1 at (pivot_of_col[j], j)
     sigma = tuple(pivot_of_col)
     lower: list = []
-    for op in row_ops:
+    for i, r, c in row_ops:
         # L = (applied ops, newest leftmost)^-1 = inverses in time order
-        if op[0] == "add":
-            _, i, r, c = op
-            lower.extend(_general_addunit(i + 1, r + 1, -c))
+        if r is None:
+            lower.append(Scale(i + 1, FieldElem(c, p)))
         else:
-            _, r, c = op
-            lower.append(Scale(r + 1, c.inverse()))
+            lower.extend(_general_addunit(i + 1, r + 1, FieldElem(-c, p)))
     upper: list = []
     for jp, j, c in reversed(col_ops):
-        upper.extend(_general_addunit(jp + 1, j + 1, -c))
+        upper.extend(_general_addunit(jp + 1, j + 1, FieldElem(c, p)))
     return lower, sigma, upper
 
 
@@ -635,7 +651,7 @@ def companion(f: tuple, p: int) -> Matrix:
         rows[i + 1][i] = 1
     for i in range(m):
         rows[i][m - 1] = -f[i] % p
-    return Matrix.from_rows(rows, p)
+    return Matrix._wrap(tuple([tuple(row) for row in rows]), p)
 
 
 # ---------------------------------------------------------------------------
@@ -727,16 +743,11 @@ def _poly_snf(w: list, p: int, track_pinv: bool):
 
 
 def _char_matrix(a: Matrix) -> list:
-    n = a.rows
     p = a.char
-    w = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            lin = [-a[i, j].value % p, 1 if i == j else 0]
-            row.append(pnorm(lin, p))
-        w.append(row)
-    return w
+    return [
+        [pnorm([-e % p, int(i == j)], p) for j, e in enumerate(row)]
+        for i, row in enumerate(a.entries)
+    ]
 
 
 def invariant_factors(a: Matrix) -> tuple:
@@ -791,7 +802,7 @@ def primary_rational_form(a: Matrix):
             powers.append(powers[-1] * a)
         for k, c in enumerate(f):
             if c:
-                acc = acc + powers[k] * FieldElem(c, p)
+                acc = acc + powers[k] * c
         return acc
 
     chunks = []  # (sort key, [column vectors])
@@ -801,13 +812,12 @@ def primary_rational_form(a: Matrix):
             continue
         # generator of the cyclic summand F[x]/(d): column t of pinv, read
         # through the module structure (x acts as a)
-        v = [FieldElem(0, p)] * n
+        v = [0] * n
         for i in range(n):
             f = pinv[i][t]
             if not f:
                 continue
-            col = eval_at_a(f).column(i)
-            v = [x + y for x, y in zip(v, col)]
+            v = [(x + row[i]) % p for x, row in zip(v, eval_at_a(f).entries)]
         for q, e in factor_poly(d, p):
             qe = ppow(q, e, p)
             cof, rem = pdivmod(d, qe, p)

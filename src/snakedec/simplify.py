@@ -29,7 +29,7 @@ from .complexes import (
     quotient_u,
     quotient_v,
 )
-from .errors import CountMismatch
+from .errors import CountMismatch, ValidationError
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -106,8 +106,10 @@ def _one_step_change(c: Complex, rows: dict[int, dict[int, tuple]]) -> BasisChan
 
 def _simplify_quotient(c: Complex, direction: str) -> SimplifiedBasis:
     """Gaussian elimination making the quotient differential a matching."""
-    assert c.ring == RING_R1, "simplification works over the modulo-UV ring"
-    assert not has_length_zero_arrow(c), "strip zero complexes first"
+    if c.ring != RING_R1:
+        raise ValidationError("simplification works over the modulo-UV ring")
+    if has_length_zero_arrow(c):
+        raise ValidationError("strip zero complexes before simplifying")
     quot = quotient_u(c) if direction == VERTICAL else quotient_v(c)
     length = (lambda m: m.v_exp) if direction == VERTICAL else (lambda m: m.u_exp)
     power = (lambda k: (0, k)) if direction == VERTICAL else (lambda k: (k, 0))
@@ -169,9 +171,9 @@ def _simplify_quotient(c: Complex, direction: str) -> SimplifiedBasis:
         retired.update((si, ti))
 
     prefix = "x" if direction == VERTICAL else "y"
-    renamed = tuple(
+    renamed = tuple([
         Generator(f"{prefix}{i + 1}", g.gr_u, g.gr_v) for i, g in enumerate(cur.generators)
-    )
+    ])
     change = BasisChange.from_rows(c.ring, c.char, c.generators, renamed, total.rows)
     arrows = tuple(sorted((i, j, length(m)) for i, j, m in _quotient_arrows(cur)))
     sb = SimplifiedBasis(direction, renamed, arrows, change)
@@ -209,9 +211,9 @@ def align_gradings(
     if perm == sorted(perm):
         return xb, yb
     pos = {old: new for new, old in enumerate(perm)}
-    gens = tuple(yb.generators[j] for j in perm)
+    gens = tuple([yb.generators[j] for j in perm])
     arrows = tuple(sorted((pos[i], pos[j], a) for i, j, a in yb.arrows))
-    rows = tuple(yb.change.rows[j] for j in perm)
+    rows = tuple([yb.change.rows[j] for j in perm])
     change = BasisChange.from_rows(
         yb.change.ring, yb.change.char, yb.change.old_gens, gens, rows
     )
@@ -243,9 +245,10 @@ def normalize_transition(
     the y-basis via S^{-1} (S + P_V), the identity modulo V, leaves both
     quotient structures untouched and the new transition matrix is S.
     """
-    assert all(
-        gx.grading == gy.grading for gx, gy in zip(xb.generators, yb.generators)
-    ), "align the bases first"
+    if len(xb.generators) != len(yb.generators) or any(
+        gx.grading != gy.grading for gx, gy in zip(xb.generators, yb.generators)
+    ):
+        raise CountMismatch("bases are not aligned by bigrading; align them first")
     p_raw = xb.change.compose(yb.change.inverse())
     scalar, with_u, with_v = _split_by_variable(p_raw)
 
@@ -258,14 +261,14 @@ def normalize_transition(
     assert all(
         u == 0 and v == 0 for row in p_new.rows for _, u, v in row.values()
     ), "transition matrix still has nonscalar entries"
-    p_mat = gf.Matrix.from_rows(
-        [[row.get(j, (0,))[0] for j in range(c.rank)] for row in p_new.rows], c.char
+    p_mat = gf.Matrix._wrap(
+        tuple([tuple([row.get(j, (0,))[0] for j in range(c.rank)]) for row in p_new.rows]),
+        c.char,
     )
     q_mat = p_mat.inverse()
 
     # the adjustments are trivial on the respective quotients, so the
     # arrow data of both bases carries over verbatim
-    one = gf.FieldElem(1, c.char)
     for sb, change, quot in (
         (xb, x_change, quotient_u),
         (yb, y_change, quotient_v),
@@ -277,7 +280,7 @@ def normalize_transition(
             )
         )
         assert got == sb.arrows, "adjustment disturbed a simplified structure"
-        assert all(m.coeff == one for _, _, m in _quotient_arrows(moved))
+        assert all(m.coeff.value == 1 for _, _, m in _quotient_arrows(moved))
 
     xb2 = SimplifiedBasis(xb.direction, xb.generators, xb.arrows, x_change)
     yb2 = SimplifiedBasis(yb.direction, yb.generators, yb.arrows, y_change)

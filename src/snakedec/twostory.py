@@ -29,10 +29,8 @@ from dataclasses import dataclass
 
 from . import gf
 from .complexes import (
-    Arrow,
     BasisChange,
     Complex,
-    Generator,
     Monomial,
     RING_R1,
     add_row_multiple,
@@ -44,6 +42,7 @@ from .complexes import (
 )
 from .errors import (
     BoundExceeded,
+    InvariantViolation,
     Parallel,
     PatternMismatch,
     StrandsDiverge,
@@ -228,7 +227,7 @@ class TraversalSequence:
         return self.cycle[(k - len(self.prefix)) % len(self.cycle)]
 
     def realize(self, n: int) -> tuple:
-        return tuple(self.term(k) for k in range(n))
+        return tuple([self.term(k) for k in range(n)])
 
     def terms(self):
         """Infinite generator of the sequence's terms."""
@@ -324,28 +323,32 @@ class _ShaftState:
 
 
 def _ca_matrix(width, r, g, lam, char):
-    rows = [
-        [gf.FieldElem(1 if a == b else 0, char) for b in range(width)]
-        for a in range(width)
-    ]
-    rows[r][g] = lam
+    rows = [[int(a == b) for b in range(width)] for a in range(width)]
+    rows[r][g] = lam.value
     return gf.Matrix.from_rows(rows, char)
 
 
 def _state_matrix(state: _ShaftState, width: int, char: int) -> gf.Matrix:
-    out = gf.Matrix.identity(width, char)
-    for r, g, lam in state.lower:
-        out = out * _ca_matrix(width, r, g, lam, char)
-    one, zero = gf.FieldElem(1, char), gf.FieldElem(0, char)
-    diag = [
-        [state.dots.get(a, one) if a == b else zero for b in range(width)]
-        for a in range(width)
-    ]
-    out = out * gf.Matrix.from_rows(diag, char)
-    out = out * gf.perm_matrix(gf.perm_inverse(state.up), char)
+    """The shaft product L_1 ... L_k D P U_1 ... U_m by row and column ops.
+
+    Row a of D P is dots[a] times e_{up[a]}.  Each arrow [r, g, lam] is
+    I + lam e_{rg}: an upper one on the right adds lam times column r
+    into column g, a lower one on the left adds lam times row g into
+    row r, so upper arrows go in order and lower arrows in reverse.
+    """
+    rows = [[0] * width for _ in range(width)]
+    for a, q in enumerate(state.up):
+        lam = state.dots.get(a)
+        rows[a][q] = 1 if lam is None else lam.value
     for r, g, lam in state.upper:
-        out = out * _ca_matrix(width, r, g, lam, char)
-    return out
+        c = lam.value
+        for row in rows:
+            if row[r]:
+                row[g] = (row[g] + c * row[r]) % char
+    for r, g, lam in reversed(state.lower):
+        c = lam.value
+        rows[r] = [(x + c * y) % char for x, y in zip(rows[r], rows[g])]
+    return gf.Matrix._wrap(tuple([tuple(row) for row in rows]), char)
 
 
 def _state_tokens(state: _ShaftState, char: int) -> list:
@@ -416,8 +419,9 @@ def _ordered_ltu(mat: gf.Matrix, x_keys, y_keys, char: int) -> _ShaftState:
     w = mat.rows
     xorder = sorted(range(w), key=lambda p: x_keys[p], reverse=True)
     yorder = sorted(range(w), key=lambda q: (y_keys[q], q))
-    sub = gf.Matrix.from_rows(
-        [[mat[xorder[a], yorder[b]] for b in range(w)] for a in range(w)], char
+    ents = mat.entries
+    sub = gf.Matrix._wrap(
+        tuple([tuple([ents[x][y] for y in yorder]) for x in xorder]), char
     )
     lower_f, sigma, upper_f = gf.ltu_factorize(sub)
     local = _seed_state(lower_f, sigma, upper_f, char)
@@ -636,7 +640,8 @@ class TwoStoryComplex:
         t.y_gens = tuple(y_gens)
         slots: dict = {}
         for i, g in enumerate(t.x_gens):
-            assert t.y_gens[i].grading == g.grading, "floor gradings disagree"
+            if t.y_gens[i].grading != g.grading:
+                raise InvariantViolation("floor gradings disagree")
             slots.setdefault(g.grading, []).append(i)
         t._slots = slots
         t._pos = {
@@ -844,20 +849,21 @@ class TwoStoryComplex:
             for j, (_, u, v) in row.items():
                 gi, gj = self.x_gens[i].grading, self.x_gens[j].grading
                 if gi == gj:
-                    assert u == v == 0, "same-grading transition entry left the ground field"
-                else:
-                    du, dv = gi[0] - gj[0], gi[1] - gj[1]
-                    assert (-2 * u, -2 * v) == (du, dv), (
-                        "transition entry breaks grading homogeneity"
-                    )
+                    if u or v:
+                        raise InvariantViolation(
+                            "same-grading transition entry left the ground field"
+                        )
+                elif (-2 * u, -2 * v) != (gi[0] - gj[0], gi[1] - gj[1]):
+                    raise InvariantViolation("transition entry breaks grading homogeneity")
         for grading in self.gradings():
             members = self._slots[grading]
             # same-grading entries are scalars, checked above
-            block = gf.Matrix.from_rows(
-                [[p.rows[i].get(j, (0,))[0] for j in members] for i in members], self.char
+            block = tuple(
+                [tuple([p.rows[i].get(j, (0,))[0] for j in members]) for i in members]
             )
             want = _state_matrix(self._shafts[grading], len(members), self.char)
-            assert block == want, f"shaft product drifted at {grading}"
+            if block != want.entries:
+                raise InvariantViolation(f"shaft product drifted at {grading}")
 
     def _check_floor(self, moved: Complex, quot, table, label):
         q = quot(moved)
@@ -865,10 +871,12 @@ class TwoStoryComplex:
         got = {}
         for a in q.arrows:
             s, t = idx[a.src], idx[a.tgt]
-            assert s not in got, f"{label} floor source repeated"
+            if s in got:
+                raise InvariantViolation(f"{label} floor source repeated")
             got[s] = (t, a.mono.u_exp + a.mono.v_exp, a.mono.coeff)
         want = {s: (v[0], v[1], v[2]) for s, v in table.items()}
-        assert got == want, f"{label} floor drifted from the engine tables"
+        if got != want:
+            raise InvariantViolation(f"{label} floor drifted from the engine tables")
 
     def _verify_if_paranoid(self):
         if self.paranoid:
@@ -1122,8 +1130,9 @@ class TwoStoryComplex:
             idx = self._idx(grading, p)
             down = self._sequence(BOTTOM, idx).realize(terms)
             upw = self._sequence(TOP, idx).realize(terms)
-            x_keys.append(tuple(unusual_key(v) for v in down))
-            y_keys.append(tuple(unusual_key(v) for v in upw))
+            # tuple([...]), not tuple(<genexpr>): resized generator tuples raised peak RSS
+            x_keys.append(tuple([unusual_key(v) for v in down]))
+            y_keys.append(tuple([unusual_key(v) for v in upw]))
         return x_keys, y_keys
 
     def _reparametrize(self, grading, terms):
@@ -1297,83 +1306,18 @@ def build(c: Complex) -> TwoStoryComplex:
     t.original = c
     t._x0_change = td.x_basis.change
     t._y0_change = td.y_basis.change
-    zero = gf.FieldElem(0, c.char)
-    for i in range(td.matrix.rows):
-        for j in range(td.matrix.cols):
-            if t._pos[i][0] != t._pos[j][0]:
-                assert td.matrix[i, j] == zero, "transition crosses bigradings"
+    ents = td.matrix.entries
+    for i, row in enumerate(ents):
+        gi = t._pos[i][0]
+        if any(e and t._pos[j][0] != gi for j, e in enumerate(row)):
+            raise InvariantViolation("transition crosses bigradings")
     for grading in t.gradings():
         members = t._slots[grading]
-        block = gf.Matrix.from_rows(
-            [[td.matrix[i, j] for j in members] for i in members], c.char
+        block = gf.Matrix._wrap(
+            tuple([tuple([ents[i][j] for j in members]) for i in members]), c.char
         )
         lower, sigma, upper = gf.ltu_factorize(block)
         t._shafts[grading] = _seed_state(lower, sigma, upper, c.char)
-    t.verify()
-    return t
-
-
-def _from_parts(char, gradings, vert, horiz, shaft_tokens) -> TwoStoryComplex:
-    """Assemble a two-story complex from explicit floor and shaft data.
-
-    ``gradings`` lists one bigrading per strand slot; ``vert`` and
-    ``horiz`` map slot indices to (target, length) or (target, length,
-    coefficient) on the bottom and top index spaces; ``shaft_tokens``
-    maps bigradings to public token lists.  The underlying complex is
-    reconstructed on the bottom basis and everything is verified.
-    """
-    one = gf.FieldElem(1, char)
-    n = len(gradings)
-    x_gens = tuple(
-        Generator(f"x{i + 1}", gradings[i][0], gradings[i][1]) for i in range(n)
-    )
-    y_gens = tuple(
-        Generator(f"y{i + 1}", gradings[i][0], gradings[i][1]) for i in range(n)
-    )
-
-    def norm(table):
-        return {
-            s: (v[0], v[1], v[2] if len(v) > 2 else one) for s, v in table.items()
-        }
-
-    t = TwoStoryComplex._new(char, x_gens, y_gens, norm(vert), norm(horiz))
-    for grading in t.gradings():
-        w = t.width(grading)
-        mat = shaft_matrix(shaft_tokens.get(grading, ()), w, char)
-        lower, sigma, upper = gf.ltu_factorize(mat)
-        t._shafts[grading] = _seed_state(lower, sigma, upper, char)
-    p_blocks = {g: _state_matrix(t._shafts[g], t.width(g), char) for g in t.gradings()}
-    arrows = []
-    for s, (tg, l, mu) in t._vert.items():
-        arrows.append(Arrow(x_gens[s].id, x_gens[tg].id, Monomial(mu, 0, l)))
-    for s, (tg, l, mu) in t._horiz.items():
-        gs, ps = t._pos[s]
-        gt, pt = t._pos[tg]
-        msrc = p_blocks[gs]
-        minv = p_blocks[gt].inverse()
-        for a, ia in enumerate(t._slots[gs]):
-            lam1 = msrc[a, ps]
-            if not lam1:
-                continue
-            for b, jb in enumerate(t._slots[gt]):
-                coeff = lam1 * mu * minv[pt, b]
-                if not coeff:
-                    continue
-                arrows.append(
-                    Arrow(x_gens[ia].id, x_gens[jb].id, Monomial(coeff, l, 0))
-                )
-    c = Complex(RING_R1, char, x_gens, tuple(arrows))
-    t.original = c
-    t._x0_change = BasisChange.identity(c)
-    rows: list = [{} for _ in range(n)]
-    for g in t.gradings():
-        members = t._slots[g]
-        inv = p_blocks[g].inverse()
-        for a, ia in enumerate(members):
-            for b, jb in enumerate(members):
-                if inv[a, b]:
-                    rows[ia][jb] = (inv[a, b].value, 0, 0)
-    t._y0_change = BasisChange.from_rows(RING_R1, char, x_gens, y_gens, rows)
     t.verify()
     return t
 

@@ -130,6 +130,11 @@ def test_reduce_mod_uv():
     assert (r2.generators, r2.arrows) == (c2.generators, c2.arrows)
 
 
+def test_reduce_mod_uv_rejects_r1():
+    with pytest.raises(ValidationError, match="over R1"):
+        reduce_mod_uv(trefoil())
+
+
 def test_quotients():
     t = trefoil()
     qu = quotient_u(t)

@@ -90,6 +90,52 @@ def test_matrix_basics():
         a * M([[1], [0], [0]], 2)
 
 
+def test_matrix_stores_int_residues():
+    # ints are reduced mod p, same-field FieldElems are unboxed
+    a = M([[4, -1], [fe(2, 3), 0]], 3)
+    assert a.entries == ((1, 2), (2, 0))
+    assert all(type(e) is int for row in a.entries for e in row)
+    assert gf.Matrix(((4, -1), (fe(2, 3), 0)), 3) == a
+    # FieldElems appear only at the public accessors
+    assert a[0, 1] == fe(2, 3) and isinstance(a[0, 1], gf.FieldElem)
+    assert a.row(1) == (fe(2, 3), fe(0, 3))
+    assert a.column(0) == (fe(1, 3), fe(2, 3))
+    assert a.apply((1, fe(1, 3))) == (fe(0, 3), fe(2, 3))
+    assert a.to_lists() == [[1, 2], [2, 0]]
+    assert str(a) == "[1 2; 2 0]"
+    # however it was built, an equal matrix compares and hashes equal
+    for p in (2, 3, 5):
+        for rows in itertools.islice(itertools.product(range(p), repeat=4), 40):
+            ints = M([rows[:2], rows[2:]], p)
+            elems = M([[fe(v, p) for v in rows[:2]], [fe(v + p, p) for v in rows[2:]]], p)
+            shifted = M([[v - p for v in rows[:2]], list(rows[2:])], p)
+            assert ints == elems == shifted
+            assert hash(ints) == hash(elems) == hash(shifted)
+            assert len({ints, elems, shifted}) == 1
+
+
+def test_matrix_rejects_foreign_entries():
+    for bad in (fe(1, 5), 1.0, "1", None):
+        with pytest.raises(FieldMismatch):
+            M([[1, bad]], 3)
+        with pytest.raises(FieldMismatch):
+            gf.Matrix(((1, bad),), 3)
+    with pytest.raises(DimensionMismatch):
+        M([[1, 0], [1]], 3)
+    a3, a5 = gf.Matrix.identity(2, 3), gf.Matrix.identity(2, 5)
+    with pytest.raises(FieldMismatch):
+        a3 + a5
+    with pytest.raises(FieldMismatch):
+        a3 - a5
+    with pytest.raises(FieldMismatch):
+        a3 * a5
+    with pytest.raises(FieldMismatch):
+        a3 * fe(2, 5)
+    with pytest.raises(FieldMismatch):
+        a3.apply((fe(1, 5), fe(0, 5)))
+    assert a3 * fe(2, 3) == a3 * 2 == a3 * 5 == M([[2, 0], [0, 2]], 3)
+
+
 def test_invert_examples():
     assert gf.invert(gf.Matrix.identity(3, 2)) == gf.Matrix.identity(3, 2)
     a = M([[1, 1], [0, 1]], 2)

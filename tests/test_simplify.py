@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import chain_complex, figure_eight, random_complex, trefoil
+from gen import chain_complex, figure_eight, random_complex, trefoil, zero_pair
 from snakedec.complexes import (
     Arrow,
     Complex,
@@ -16,9 +16,10 @@ from snakedec.complexes import (
     quotient_u,
     quotient_v,
     strip_zero_complexes,
+    RING_FUV,
     RING_R1,
 )
-from snakedec.errors import CountMismatch
+from snakedec.errors import CountMismatch, ValidationError
 from snakedec.gf import FieldElem, Matrix
 from snakedec.simplify import (
     HORIZONTAL,
@@ -175,6 +176,27 @@ def test_align_count_mismatch():
     other = chain_complex([1], anchor=(5, 5))
     with pytest.raises(CountMismatch):
         align_gradings(vertical_simplify(other), horizontal_simplify(chain_complex([1])))
+
+
+@pytest.mark.parametrize("simplify", [vertical_simplify, horizontal_simplify])
+def test_simplify_rejects_complex_over_fuv(simplify):
+    with pytest.raises(ValidationError, match="modulo-UV"):
+        simplify(trefoil(ring=RING_FUV))
+
+
+@pytest.mark.parametrize("simplify", [vertical_simplify, horizontal_simplify])
+def test_simplify_rejects_length_zero_arrow(simplify):
+    with pytest.raises(ValidationError, match="strip zero complexes"):
+        simplify(direct_sum([trefoil(), zero_pair()]))
+
+
+def test_normalize_rejects_unaligned_bases():
+    c = trefoil()
+    xb, yb = vertical_simplify(c), horizontal_simplify(c)
+    with pytest.raises(CountMismatch, match="align"):
+        normalize_transition(c, xb, _permuted(yb, (2, 0, 1)))
+    with pytest.raises(CountMismatch, match="align"):
+        normalize_transition(c, xb, horizontal_simplify(figure_eight()))
 
 
 def test_transition_identity_for_trefoil():

@@ -2,10 +2,15 @@
 
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from gen import (
     _square_offenders,
@@ -30,15 +35,19 @@ from snakedec.complexes import (
     validate,
 )
 from snakedec.errors import (
+    InvariantViolation,
     Parallel,
     PatternMismatch,
     StrandsDiverge,
     ValidationError,
     WrongOrientation,
 )
-from snakedec.gf import AddUnit, FieldElem, Matrix, Scale, Transposition
+from snakedec.gf import AddUnit, FieldElem, Matrix, Scale, Transposition, ltu_factorize
 from snakedec.simplify import matching_violations
 from snakedec.twostory import (
+    _seed_state,
+    _state_matrix,
+    _state_tokens,
     BlackDot,
     Crossing,
     CrossoverArrow,
@@ -761,3 +770,92 @@ def test_shaft_views():
     assert isinstance(t.floor_arrows("bottom"), tuple)
     assert matching_violations(t.bottom) == []
     assert matching_violations(t.top) == []
+
+
+# ---------------------------------------------------------------------------
+# the shaft-product kernel against the dense token product
+
+
+def _check_states(t):
+    for g, st in t._shafts.items():
+        w = t.width(g)
+        assert _state_matrix(st, w, t.char) == shaft_matrix(_state_tokens(st, t.char), w, t.char)
+
+
+def test_state_matrix_matches_token_product():
+    for seed in range(40):
+        c, _, _ = strip_zero_complexes(random_messy(seed, max_rank=14))
+        if c.rank == 0:
+            continue
+        t = build(c)
+        _check_states(t)
+        run_to_depth_infinity(t)
+        _check_states(t)
+
+
+@hst.composite
+def invertible_blocks(draw):
+    p = draw(hst.sampled_from((2, 3, 5)))
+    n = draw(hst.integers(min_value=1, max_value=6))
+    cells = hst.integers(min_value=0, max_value=p - 1)
+    rows = draw(hst.lists(hst.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
+    m = Matrix.from_rows(rows, p)
+    if not m.is_invertible():
+        m = m + Matrix.identity(n, p)
+    return m
+
+
+@given(invertible_blocks())
+@settings(max_examples=150, deadline=None)
+def test_state_matrix_of_seeded_factorization(m):
+    assume(m.is_invertible())
+    n, p = m.rows, m.char
+    st = _seed_state(*ltu_factorize(m), p)
+    assert _state_matrix(st, n, p) == shaft_matrix(_state_tokens(st, p), n, p) == m
+
+
+# ---------------------------------------------------------------------------
+# typed invariants
+
+
+def _corrupt_a_dot(t):
+    """Flip the sign of one black dot's coefficient in the engine state."""
+    for st in t._shafts.values():
+        for pos, lam in st.dots.items():
+            st.dots[pos] = -lam
+            return
+    raise AssertionError("no black dot to corrupt")
+
+
+def test_verify_raises_invariant_violation():
+    t = build(figure_eight())  # over F_3, one shaft carries a dot of 2
+    t.verify()
+    _corrupt_a_dot(t)
+    with pytest.raises(InvariantViolation, match="shaft product drifted"):
+        t.verify()
+
+
+def test_verify_survives_python_optimize():
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    script = "\n".join([
+        "import sys",
+        "from gen import figure_eight",
+        "from snakedec.errors import InvariantViolation",
+        "from snakedec.twostory import build",
+        "assert False, 'asserts are live'",
+        "t = build(figure_eight())",
+        "st = next(s for s in t._shafts.values() if s.dots)",
+        "pos, lam = next(iter(st.dots.items()))",
+        "st.dots[pos] = -lam",
+        "try:",
+        "    t.verify()",
+        "except InvariantViolation as exc:",
+        "    print('raised', sys.flags.optimize, exc)",
+    ])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised 1 shaft product drifted"), out.stdout
