@@ -1,9 +1,10 @@
-"""Decomposition of free bigraded chain complexes over F[U,V]/(UV).
+"""Free bigraded chain complexes over F[U,V]/(UV) and their two-story form.
 
-The package splits such a complex into its unique direct sum of snake
-complexes, local systems and zero complexes, and computes the derived
-invariants (torsion orders, homology type, symmetry, essential
-infiniteness, simplified-basis obstruction).
+The package strips zero complexes off such a complex, builds vertically
+and horizontally simplified bases with a scalar transition between them,
+assembles the two-story complex and raises its depth to infinity.  The
+splitting into snake complexes and local systems, and the invariants
+read off it, are not built yet.
 """
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     FieldMismatch,
@@ -124,20 +124,21 @@ class Complex:
             dup = next(i for i in ids if ids.count(i) > 1)
             raise ValidationError(f"duplicate generator id {dup!r}")
         index = {g.id: k for k, g in enumerate(gens)}
-        merged: Dict[tuple, FieldElem] = {}
+        p = self.char
+        merged: Dict[tuple, int] = {}
         for a in tuple(self.arrows):
             if a.src not in index or a.tgt not in index:
                 raise ValidationError(f"arrow {a.src} -> {a.tgt} references unknown generator")
-            if a.mono.coeff.char != self.char:
-                raise ValidationError(f"arrow {a.src} -> {a.tgt} coefficient outside F_{self.char}")
+            if a.mono.coeff.char != p:
+                raise ValidationError(f"arrow {a.src} -> {a.tgt} coefficient outside F_{p}")
             if self.ring == RING_R1 and a.mono.u_exp > 0 and a.mono.v_exp > 0:
                 continue  # UV = 0: the term is zero in R1
             key = (a.src, a.tgt, a.mono.u_exp, a.mono.v_exp)
-            merged[key] = merged.get(key, FieldElem(0, self.char)) + a.mono.coeff
+            merged[key] = (merged.get(key, 0) + a.mono.coeff.value) % p
         canon = [
-            Arrow(s, t, Monomial(c, u, v))
+            Arrow(s, t, Monomial(FieldElem(c, p), u, v))
             for (s, t, u, v), c in merged.items()
-            if c.value
+            if c
         ]
         canon.sort(key=lambda a: (index[a.src], index[a.tgt], a.mono.u_exp, a.mono.v_exp))
         object.__setattr__(self, "generators", gens)
@@ -155,14 +156,8 @@ class Complex:
     def gen_map(self) -> Dict[str, Generator]:
         return {g.id: g for g in self.generators}
 
-    def grading(self, gen_id: str) -> tuple:
-        return self.gen_map()[gen_id].grading
-
     def terms_from(self, src: str) -> List[Arrow]:
         return [a for a in self.arrows if a.src == src]
-
-    def terms_into(self, tgt: str) -> List[Arrow]:
-        return [a for a in self.arrows if a.tgt == tgt]
 
     def __str__(self):
         lines = [f"Complex({self.ring}, F_{self.char}, rank {self.rank})"]
@@ -418,6 +413,77 @@ def apply_basis_change(c: Complex, b: BasisChange) -> Complex:
     return Complex(c.ring, c.char, b.new_gens, tuple(arrows))
 
 
+class Elimination:
+    """A differential D and a basis change, moved together by elementary steps.
+
+    ``d[s]`` is d(s) and ``rows[i]`` the current i-th basis element in the
+    starting basis, both sparse rows.  A change P turns D into P D P^-1 and
+    the change into P times it: one row and one column operation on D and
+    one row operation on the change per step, with no P^-1 formed.  The
+    complex and every step must respect the bigrading (GradingViolation
+    otherwise), so each cell stays a single monomial.
+    """
+
+    def __init__(self, c: Complex):
+        gens, index = c.generators, c.gen_index()
+        self.gens, self.p, self.r1 = gens, c.char, c.ring == RING_R1
+        self.d: List[dict] = [{} for _ in gens]
+        for a in c.arrows:
+            s, t, m = index[a.src], index[a.tgt], a.mono
+            if gens[t].grading != (gens[s].gr_u - 1 + 2 * m.u_exp, gens[s].gr_v - 1 + 2 * m.v_exp):
+                raise GradingViolation(f"term {a.src} -> {a.tgt} ({m}) breaks the bigrading")
+            self.d[s][t] = (m.coeff.value, m.u_exp, m.v_exp)
+        self.rows: List[dict] = [{i: (1, 0, 0)} for i in range(len(gens))]
+
+    def column(self, j: int) -> list:
+        """The cells of column j of D as (row, (coeff, u_exp, v_exp))."""
+        return [(i, row[j]) for i, row in enumerate(self.d) if j in row]
+
+    def live(self, retired: set) -> list:
+        """The cells (i, j, entry) of D with neither i nor j retired."""
+        return [
+            (i, j, e)
+            for i, row in enumerate(self.d) if i not in retired
+            for j, e in row.items() if j not in retired
+        ]
+
+    def add(self, r: int, g: int, m: tuple) -> None:
+        """e_r <- e_r + m e_g for a monomial m = (coeff, u_exp, v_exp), r != g."""
+        c, u, v = m
+        gr, gg = self.gens[r], self.gens[g]
+        if r == g or (self.r1 and u and v) or gr.grading != (gg.gr_u - 2 * u, gg.gr_v - 2 * v):
+            raise GradingViolation(f"step {gr.id} += (U^{u} V^{v}) {gg.id} breaks the bigrading")
+        p, r1 = self.p, self.r1
+        add_row_multiple(self.d[r], m, self.d[g], r1, p)
+        for i, e in self.column(r):
+            add_row_multiple(self.d[i], (-c % p, u, v), {g: e}, r1, p)
+        add_row_multiple(self.rows[r], m, self.rows[g], r1, p)
+
+    def scale(self, i: int, c: int) -> None:
+        """e_i <- c e_i for a scalar c that is nonzero mod p."""
+        p = self.p
+        inv = pow(c, p - 2, p)
+        self.d[i] = _scaled(self.d[i], c, p)
+        for k, (x, u, v) in self.column(i):
+            self.d[k][i] = (x * inv % p, u, v)
+        self.rows[i] = _scaled(self.rows[i], c, p)
+
+    def split_off(self, s: int, t: int) -> None:
+        """Check that s -> t, with coefficient 1, is the only arrow at s or t.
+
+        An elimination step on a chain complex leaves it so; otherwise
+        d^2 != 0 and ValidationError is raised.
+        """
+        alone = list(self.d[s]) == [t] and self.d[s][t][0] == 1 and not self.d[t]
+        if not alone or self.column(s) or len(self.column(t)) != 1:
+            ids = self.gens[s].id, self.gens[t].id
+            raise ValidationError(f"not a chain complex: {ids[0]} -> {ids[1]} does not split off")
+
+
+def _scaled(row: dict, c: int, p: int) -> dict:
+    return {k: (x * c % p, u, v) for k, (x, u, v) in row.items()}
+
+
 # ---------------------------------------------------------------------------
 # structural operations
 
@@ -428,7 +494,9 @@ def reduce_mod_uv(c: Complex) -> Complex:
         raise ValidationError("reduce_mod_uv needs a complex over F[U,V]; this one is over R1")
     kept = tuple([a for a in c.arrows if not (a.mono.u_exp > 0 and a.mono.v_exp > 0)])
     out = Complex(RING_R1, c.char, c.generators, kept)
-    assert not validate(out), "reduction mod UV left a non-complex"
+    problems = validate(out)
+    if problems:
+        raise ValidationError(f"not a chain complex after reduction mod UV: {problems[0]}")
     return out
 
 
@@ -496,83 +564,44 @@ def direct_sum(cs: Sequence[Complex]) -> Complex:
 # zero complex stripping
 
 
-def _strip_one(c: Complex, retired: set):
-    """Split off the minimal active length-0 arrow, or return None."""
-    index = c.gen_index()
-    cands = [
-        a
-        for a in c.arrows
-        if a.mono.is_scalar() and a.src not in retired and a.tgt not in retired
-    ]
-    if not cands:
-        return None
-    arrow = min(cands, key=lambda a: (index[a.src], index[a.tgt]))
-    s, t, lam = arrow.src, arrow.tgt, arrow.mono.coeff
-    p = c.char
-    rows = [{i: (1, 0, 0)} for i in range(c.rank)]
-    si, ti = index[s], index[t]
-    # row t becomes d(s) itself; its t-coefficient lam is an invertible scalar
-    rows[ti] = {}
-    for a in c.terms_from(s):
-        assert a.tgt not in retired, "arrow into a retired zero pair"
-        assert index[a.tgt] not in rows[ti]
-        rows[ti][index[a.tgt]] = (a.mono.coeff.value, a.mono.u_exp, a.mono.v_exp)
-    # every other generator absorbs its t-arrow: x' = x - (nu/lam) m s
-    lam_inv = pow(lam.value, p - 2, p)
-    for a in c.terms_into(t):
-        if a.src == s:
-            continue
-        assert a.src not in retired, "arrow out of a retired zero pair"
-        xi = index[a.src]
-        assert si not in rows[xi]
-        rows[xi][si] = (-a.mono.coeff.value * lam_inv % p, a.mono.u_exp, a.mono.v_exp)
-    change = BasisChange.from_rows(c.ring, c.char, c.generators, c.generators, rows)
-    moved = apply_basis_change(c, change)
-    # the pair must now be fully split: s -> t with unit coefficient, nothing else
-    for a in moved.arrows:
-        touches = {a.src, a.tgt} & {s, t}
-        if touches:
-            assert (a.src, a.tgt) == (s, t) and a.mono.is_scalar() and a.mono.coeff.value == 1, (
-                f"zero pair failed to split: {a}"
-            )
-    return moved, change, (s, t)
-
-
 def strip_zero_complexes(c: Complex):
     """Split off every zero complex (length-0 arrow pair).
 
     Returns (d, k, b): the stripped complex, the number of zero complexes,
     and the accumulated basis change.  b maps the input onto the direct sum
-    arrangement [survivors..., s_1, t_1, ..., s_k, t_k].
+    arrangement [survivors..., s_1, t_1, ..., s_k, t_k].  The input must be
+    a bigraded chain complex: a term that breaks the bigrading raises
+    GradingViolation before any step, and a pair that fails to split off
+    (d^2 != 0) raises ValidationError.
     """
-    cur = c
-    total = BasisChange.identity(c)
-    retired: set = set()
+    el = Elimination(c)
     pairs: List[tuple] = []
-    while True:
-        step = _strip_one(cur, retired)
-        if step is None:
-            break
-        cur, change, pair = step
-        total = change.compose(total)
-        retired.update(pair)
-        pairs.append(pair)
-    index = cur.gen_index()
-    survivors = [g for g in cur.generators if g.id not in retired]
-    order = [g.id for g in survivors] + [gid for pair in pairs for gid in pair]
-    gm = cur.gen_map()
-    new_gens = tuple([gm[gid] for gid in order])
-    perm_rows = tuple([{index[gid]: (1, 0, 0)} for gid in order])
-    reorder = BasisChange.from_rows(c.ring, c.char, cur.generators, new_gens, perm_rows)
-    total = reorder.compose(total)
-    d = Complex(
-        c.ring,
-        c.char,
-        tuple(survivors),
-        tuple([a for a in cur.arrows if a.src not in retired and a.tgt not in retired]),
-    )
-    assert not has_length_zero_arrow(d)
-    assert d.rank == c.rank - 2 * len(pairs)
+    retired: set = set()
+    while scalars := [(s, t) for s, t, (_, u, v) in el.live(retired) if not u and not v]:
+        s, t = min(scalars)
+        # t becomes d(s): scale by its scalar t-coefficient, then add the rest
+        ds = dict(el.d[s])
+        el.scale(t, ds.pop(t)[0])
+        for k, m in ds.items():
+            el.add(t, k, m)
+        # every other source of an arrow into t slides along s to drop it
+        for x, (coeff, u, v) in el.column(t):
+            if x != s:
+                el.add(x, s, (-coeff % c.char, u, v))
+        el.split_off(s, t)
+        retired.update((s, t))
+        pairs.append((s, t))
+    keep = [i for i in range(c.rank) if i not in retired]
+    order = keep + [i for pair in pairs for i in pair]
+    gens = c.generators
+    arrows = [
+        Arrow(gens[i].id, gens[j].id, Monomial(FieldElem(x, c.char), u, v))
+        for i in keep
+        for j, (x, u, v) in el.d[i].items()
+    ]
+    d = Complex(c.ring, c.char, tuple([gens[i] for i in keep]), tuple(arrows))
+    new_gens = tuple([gens[i] for i in order])
+    total = BasisChange.from_rows(c.ring, c.char, gens, new_gens, [el.rows[i] for i in order])
     return d, len(pairs), total
 
 

@@ -3,10 +3,13 @@
 Every error raised across module boundaries lives here, so callers can
 catch by category without importing the module that raised it.  These
 classes are for conditions a caller can trigger, and for the invariants
-that must survive ``python -O``: those of the sparse matrix kernel in
-``complexes`` (``GradingViolation``) and of the two-story engine's
-``verify`` (``InvariantViolation``).  Other internal checks still use
-plain ``assert``.
+that must survive ``python -O``: homogeneity in ``complexes`` and in the
+elimination behind strip and simplify (``GradingViolation``), malformed
+input to them (``ValidationError``), and the two-story engine's
+``verify`` (``InvariantViolation``).  ``assert`` is left only on checks
+of the program's own work: the ``gf`` polynomial and primary-form
+kernels, ``normalize_transition``'s result, and the two-story engine's
+moves, depth loop and convoy.
 """
 
 

@@ -443,20 +443,16 @@ def _perm_transpositions(sigma: Sequence[int]) -> list:
     return out
 
 
-def ltu_factorize(m: Matrix):
-    """Factor an invertible matrix as (lower) (permutation) (upper).
+def ltu_elimination(m: Matrix):
+    """The LTU sweep of an invertible matrix, as int operations in time order.
 
-    Returns ``(lower, sigma, upper)`` where ``lower`` and ``upper`` are lists
-    of elementary factors, ``sigma`` is a 0-based permutation tuple, and
-    factor_product(lower) * perm_matrix(sigma) * factor_product(upper)
-    reproduces the input.  Every AddUnit in ``lower`` has i > j, every
-    AddUnit in ``upper`` has i < j, scales may appear in either list, and
-    neither list contains a transposition.
-
-    The sweep is column by column: entries in already-pivoted rows are
-    cleared with column operations (upper factors), then the topmost
-    unpivoted nonzero row becomes the pivot and everything below it is
-    cleared with row operations (lower factors).
+    Returns ``(row_ops, sigma, col_ops)``: ``(i, r, c)`` in ``row_ops`` is
+    row i += c * row r (i > r) and ``(i, None, c)`` divides pivot row i by
+    c != 1, after the last operation touching it; ``(jp, j, c)`` in
+    ``col_ops`` is column j -= c * column jp (jp < j).  They leave the
+    permutation matrix with 1 at ``(sigma[j], j)``.  Column by column,
+    pivoted rows are cleared by column operations, then the topmost
+    unpivoted nonzero row is the pivot and clears the rows below it.
     """
     if not m.is_square():
         raise DimensionMismatch("LTU factorization needs a square matrix")
@@ -492,9 +488,22 @@ def ltu_factorize(m: Matrix):
             row_ops.append((piv, None, prow[j]))
         pivot_of_col[j] = piv
         col_of_row[piv] = j
+    return row_ops, tuple(pivot_of_col), col_ops
 
-    # a is now the permutation matrix with 1 at (pivot_of_col[j], j)
-    sigma = tuple(pivot_of_col)
+
+def ltu_factorize(m: Matrix):
+    """Factor an invertible matrix as (lower) (permutation) (upper).
+
+    Returns ``(lower, sigma, upper)`` where ``lower`` and ``upper`` are lists
+    of elementary factors, ``sigma`` is a 0-based permutation tuple, and
+    factor_product(lower) * perm_matrix(sigma) * factor_product(upper)
+    reproduces the input.  Every AddUnit in ``lower`` has i > j, every
+    AddUnit in ``upper`` has i < j, scales may appear in either list, and
+    neither list contains a transposition.  The factors invert the
+    operations of ``ltu_elimination``.
+    """
+    row_ops, sigma, col_ops = ltu_elimination(m)
+    p = m.char
     lower: list = []
     for i, r, c in row_ops:
         # L = (applied ops, newest leftmost)^-1 = inverses in time order

@@ -31,9 +31,9 @@ from . import gf
 from .complexes import (
     BasisChange,
     Complex,
+    Elimination,
     Monomial,
     RING_R1,
-    add_row_multiple,
     apply_basis_change,
     has_length_zero_arrow,
     quotient_u,
@@ -366,44 +366,24 @@ def _state_tokens(state: _ShaftState, char: int) -> list:
     return toks
 
 
-def _seed_state(lower_factors, sigma, upper_factors, char: int) -> _ShaftState:
-    """Normal form from a raw triangular factorization.
+def _ltu_state(mat: gf.Matrix) -> _ShaftState:
+    """Normal form of an invertible block, read off its LTU sweep.
 
-    Scale factors are bubbled into a single diagonal sitting between
-    the lower arrows and the permutation block, adjusting the
-    decoration of every crossover arrow they pass.
+    The sweep's row additions (i, r, c) invert to lower arrows [i, r, -c]
+    in time order and its column operations (jp, j, c) to upper arrows
+    [jp, j, c] in reverse.  A pivot row is divided by its pivot c only
+    after every operation touching it, so those scales become the dots.
     """
-    one = gf.FieldElem(1, char)
+    p = mat.char
+    row_ops, sigma, col_ops = gf.ltu_elimination(mat)
     lower: list = []
     dots: dict = {}
-    for f in reversed(lower_factors):
-        if isinstance(f, gf.Scale):
-            i0 = f.i - 1
-            for ca in lower:
-                if ca[0] == i0:
-                    ca[2] = ca[2] * f.lam
-                if ca[1] == i0:
-                    ca[2] = ca[2] / f.lam
-            dots[i0] = dots.get(i0, one) * f.lam
+    for i, r, c in row_ops:
+        if r is None:
+            dots[i] = gf.FieldElem(c, p)
         else:
-            lower.insert(0, [f.i - 1, f.j - 1, one])
-    upper: list = []
-    updots: dict = {}
-    for f in upper_factors:
-        if isinstance(f, gf.Scale):
-            i0 = f.i - 1
-            for ca in upper:
-                if ca[1] == i0:
-                    ca[2] = ca[2] * f.lam
-                if ca[0] == i0:
-                    ca[2] = ca[2] / f.lam
-            updots[i0] = updots.get(i0, one) * f.lam
-        else:
-            upper.append([f.i - 1, f.j - 1, one])
-    for q, lam in updots.items():
-        p = sigma[q]
-        dots[p] = dots.get(p, one) * lam
-    dots = {p: lam for p, lam in dots.items() if lam != one}
+            lower.append([i, r, gf.FieldElem(-c, p)])
+    upper = [[jp, j, gf.FieldElem(c, p)] for jp, j, c in reversed(col_ops)]
     return _ShaftState(lower, dots, tuple(gf.perm_inverse(sigma)), upper)
 
 
@@ -423,8 +403,7 @@ def _ordered_ltu(mat: gf.Matrix, x_keys, y_keys, char: int) -> _ShaftState:
     sub = gf.Matrix._wrap(
         tuple([tuple([ents[x][y] for y in yorder]) for x in xorder]), char
     )
-    lower_f, sigma, upper_f = gf.ltu_factorize(sub)
-    local = _seed_state(lower_f, sigma, upper_f, char)
+    local = _ltu_state(sub)
     lower = [[xorder[r], xorder[g], lam] for r, g, lam in local.lower]
     dots = {xorder[p]: lam for p, lam in local.dots.items()}
     up = [0] * w
@@ -436,8 +415,7 @@ def _ordered_ltu(mat: gf.Matrix, x_keys, y_keys, char: int) -> _ShaftState:
 
 def _refactor_tokens(mat: gf.Matrix, char: int) -> list:
     """Plain normal-form token word for an invertible scalar matrix."""
-    lower, sigma, upper = gf.ltu_factorize(mat)
-    return _state_tokens(_seed_state(lower, sigma, upper, char), char)
+    return _state_tokens(_ltu_state(mat), char)
 
 
 # ---------------------------------------------------------------------------
@@ -699,18 +677,15 @@ class TwoStoryComplex:
     def _fold_change(self, side) -> BasisChange:
         gens = self.x_gens if side == "x" else self.y_gens
         steps = self._xsteps if side == "x" else self._ysteps
-        char, ring = self.char, self.original.ring
-        rows = [{i: (1, 0, 0)} for i in range(len(gens))]
+        el = Elimination(Complex(self.original.ring, self.char, gens, ()))
         for step in steps:
             if step[0] == "add":
                 _, r, g, m = step
-                add_row_multiple(
-                    rows[r], (m.coeff.value, m.u_exp, m.v_exp), rows[g], ring == RING_R1, char
-                )
+                el.add(r, g, (m.coeff.value, m.u_exp, m.v_exp))
             else:
                 _, i, lam = step
-                rows[i] = {j: (c * lam.value % char, u, v) for j, (c, u, v) in rows[i].items()}
-        return BasisChange.from_rows(ring, char, gens, gens, rows)
+                el.scale(i, lam.value)
+        return BasisChange.from_rows(self.original.ring, self.char, gens, gens, el.rows)
 
     # -- views -------------------------------------------------------------
 
@@ -1316,8 +1291,7 @@ def build(c: Complex) -> TwoStoryComplex:
         block = gf.Matrix._wrap(
             tuple([tuple([ents[i][j] for j in members]) for i in members]), c.char
         )
-        lower, sigma, upper = gf.ltu_factorize(block)
-        t._shafts[grading] = _seed_state(lower, sigma, upper, c.char)
+        t._shafts[grading] = _ltu_state(block)
     t.verify()
     return t
 

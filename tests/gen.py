@@ -1,6 +1,10 @@
-"""Shared complex builders and randomizers for the test suite."""
+"""Shared complex builders and randomizers for the test suite, and a
+runner for scripts under ``python -O``."""
 
+import os
 import random
+import subprocess
+import sys
 
 from snakedec.complexes import (
     Arrow,
@@ -55,6 +59,31 @@ def interacting():
 def zero_pair(char=2, lam=1, ids=("x", "y"), at=(1, 1)):
     gens = (Generator(ids[0], at[0], at[1]), Generator(ids[1], at[0] - 1, at[1] - 1))
     return Complex(RING_R1, char, gens, (Arrow(ids[0], ids[1], mono(lam, 0, 0, char)),))
+
+
+def broken_chain(power="scalar"):
+    """a -> b -> c with unit arrows, bigraded but with d^2 != 0.
+
+    ``power`` is "scalar" (over F_2 at (0,0), (-1,-1), (-2,-2)) or "V"
+    (V-arrows at (0,0), (-1,1), (-2,2)).
+    """
+    v = int(power == "V")
+    gens = tuple(Generator(g, -k, k * (2 * v - 1)) for k, g in enumerate("abc"))
+    arrows = (Arrow("a", "b", mono(1, 0, v, 2)), Arrow("b", "c", mono(1, 0, v, 2)))
+    return Complex(RING_R1, 2, gens, arrows)
+
+
+def run_optimized(*lines):
+    """Run the script made of ``lines`` under ``python -O`` and return the
+    completed process; src/ and tests/ are on its path, and it first
+    checks that asserts are really off."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    script = "\n".join(["assert False, 'asserts are live'", *lines])
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def chain_complex(values, start=1, char=2, anchor=(0, 0), ring=RING_R1, prefix="x"):

@@ -38,10 +38,13 @@ from snakedec.gf import FieldElem, Matrix
 
 
 from gen import (
+    broken_chain,
     figure_eight,
     interacting,
     random_change as _random_change,
     random_complex as _random_complex,
+    random_messy,
+    run_optimized,
     trefoil,
     zero_pair,
 )
@@ -133,6 +136,12 @@ def test_reduce_mod_uv():
 def test_reduce_mod_uv_rejects_r1():
     with pytest.raises(ValidationError, match="over R1"):
         reduce_mod_uv(trefoil())
+
+
+def test_reduce_mod_uv_rejects_non_complex():
+    c = broken_chain("V")
+    with pytest.raises(ValidationError, match="not a chain complex"):
+        reduce_mod_uv(Complex(RING_FUV, c.char, c.generators, c.arrows))
 
 
 def test_quotients():
@@ -365,8 +374,9 @@ def test_strip_interacting_pairs():
 
 
 def test_strip_reassembles_exactly():
-    for seed in range(25):
-        c = _random_complex(seed)
+    inputs = [_random_complex(seed) for seed in range(25)]
+    inputs += [random_messy(seed, max_rank=24) for seed in range(40)]
+    for c in inputs:
         d, k, b = strip_zero_complexes(c)
         assert not has_length_zero_arrow(d)
         assert d.rank == c.rank - 2 * k
@@ -378,6 +388,36 @@ def test_strip_reassembles_exactly():
             expect_arrows.append(Arrow(s.id, t.id, Monomial(one, 0, 0)))
         expect = Complex(c.ring, c.char, moved.generators, tuple(expect_arrows))
         assert moved == expect
+
+
+def test_strip_rejects_non_complex():
+    # a -> b splits off as a zero pair, but b -> c is left hanging on it
+    with pytest.raises(ValidationError, match="not a chain complex"):
+        strip_zero_complexes(broken_chain())
+    out = run_optimized(
+        "import sys",
+        "from gen import broken_chain",
+        "from snakedec.complexes import strip_zero_complexes",
+        "from snakedec.errors import ValidationError",
+        "try:",
+        "    print('returned', strip_zero_complexes(broken_chain())[1])",
+        "except ValidationError as exc:",
+        "    print('raised', sys.flags.optimize, exc)",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised 1 not a chain complex"), out.stdout
+
+
+def test_strip_rejects_unbigraded_input():
+    # the zero pair a -> b is fine, but x -> y (U) would need y at (1, -1)
+    gens = (
+        Generator("a", 0, 0), Generator("b", -1, -1), Generator("x", 0, 0), Generator("y", 3, -1)
+    )
+    arrows = (Arrow("a", "b", mono(1, 0, 0, 2)), Arrow("x", "y", mono(1, 1, 0, 2)))
+    c = Complex(RING_R1, 2, gens, arrows)
+    assert validate(c)
+    with pytest.raises(GradingViolation, match="breaks the bigrading"):
+        strip_zero_complexes(c)
 
 
 # ---------------------------------------------------------------------------

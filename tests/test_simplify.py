@@ -1,10 +1,19 @@
 """Tests for vertical/horizontal simplification and transition normalization."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gen import chain_complex, figure_eight, random_complex, trefoil, zero_pair
+from gen import (
+    broken_chain,
+    chain_complex,
+    figure_eight,
+    random_complex,
+    random_messy,
+    run_optimized,
+    trefoil,
+    zero_pair,
+)
 from snakedec.complexes import (
     Arrow,
     Complex,
@@ -19,7 +28,7 @@ from snakedec.complexes import (
     RING_FUV,
     RING_R1,
 )
-from snakedec.errors import CountMismatch, ValidationError
+from snakedec.errors import CountMismatch, GradingViolation, ValidationError
 from snakedec.gf import FieldElem, Matrix
 from snakedec.simplify import (
     HORIZONTAL,
@@ -190,6 +199,32 @@ def test_simplify_rejects_length_zero_arrow(simplify):
         simplify(direct_sum([trefoil(), zero_pair()]))
 
 
+def test_simplify_rejects_non_complex():
+    # d(a) = V b and d(b) = V c: after a -> b is split off, b -> c is left over
+    with pytest.raises(ValidationError, match="not a chain complex"):
+        vertical_simplify(broken_chain("V"))
+    out = run_optimized(
+        "import sys",
+        "from gen import broken_chain",
+        "from snakedec.simplify import vertical_simplify",
+        "from snakedec.errors import ValidationError",
+        "try:",
+        "    print('returned', vertical_simplify(broken_chain('V')).arrows)",
+        "except ValidationError as exc:",
+        "    print('raised', sys.flags.optimize, exc)",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised 1 not a chain complex"), out.stdout
+
+
+@pytest.mark.parametrize("simplify", [vertical_simplify, horizontal_simplify])
+def test_simplify_rejects_unbigraded_input(simplify):
+    gens = (Generator("a", 0, 0), Generator("b", 5, -1), Generator("c", -1, 5))
+    arrows = (Arrow("a", "b", mono(1, 1, 0, 2)), Arrow("a", "c", mono(1, 0, 1, 2)))
+    with pytest.raises(GradingViolation, match="breaks the bigrading"):
+        simplify(Complex(RING_R1, 2, gens, arrows))
+
+
 def test_normalize_rejects_unaligned_bases():
     c = trefoil()
     xb, yb = vertical_simplify(c), horizontal_simplify(c)
@@ -233,10 +268,22 @@ def test_transition_rank_zero():
     assert td.matrix.rows == 0
 
 
-@given(st.integers(min_value=0, max_value=10_000))
+def _messy24(seed):
+    return random_messy(seed, max_rank=24)
+
+
+def _with_messy_seeds(test):
+    """Also run the test on random_messy seeds 0-39 at max_rank 24."""
+    for seed in range(40):
+        test = example(seed=seed, make=_messy24)(test)
+    return test
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), make=st.just(random_complex))
+@_with_messy_seeds
 @settings(max_examples=50, deadline=None)
-def test_simplification_properties(seed):
-    c, _, _ = strip_zero_complexes(random_complex(seed))
+def test_simplification_properties(seed, make):
+    c, _, _ = strip_zero_complexes(make(seed))
     td = simplified_transition(c)
     for sb in (td.x_basis, td.y_basis):
         assert matching_violations(sb) == []

@@ -2,10 +2,7 @@
 
 import hashlib
 import math
-import os
 import random
-import subprocess
-import sys
 from itertools import combinations
 
 import pytest
@@ -22,6 +19,7 @@ from gen import (
     octagon_sheets,
     random_complex,
     random_messy,
+    run_optimized,
     square_sheets,
     trefoil,
 )
@@ -35,6 +33,7 @@ from snakedec.complexes import (
     validate,
 )
 from snakedec.errors import (
+    BoundExceeded,
     InvariantViolation,
     Parallel,
     PatternMismatch,
@@ -42,10 +41,10 @@ from snakedec.errors import (
     ValidationError,
     WrongOrientation,
 )
-from snakedec.gf import AddUnit, FieldElem, Matrix, Scale, Transposition, ltu_factorize
+from snakedec.gf import AddUnit, FieldElem, Matrix, Scale, Transposition
 from snakedec.simplify import matching_violations
 from snakedec.twostory import (
-    _seed_state,
+    _ltu_state,
     _state_matrix,
     _state_tokens,
     BlackDot,
@@ -601,6 +600,17 @@ def test_depth_two_single_pass():
     t.verify()
 
 
+def test_round_bound_exceeded():
+    t = build(depth_two())
+    n = len(t.x_gens)
+    assert t.depth() < math.inf and n > 1
+    calls = []
+    t.increase_depth = calls.append  # a stub that never raises the depth
+    with pytest.raises(BoundExceeded, match=f"more than {n * (n - 1)} depth-raising rounds"):
+        t.run_to_depth_infinity()
+    assert t.rounds == len(calls) == n * (n - 1)
+
+
 def test_braided_full_run():
     t = build(braided())
     t.paranoid = True
@@ -766,8 +776,8 @@ def test_shaft_views():
     sh = t.shaft((-1, 1))
     assert sh.strands == t.width((-1, 1)) == 2
     assert sh.matrix() == shaft_matrix(sh.tokens, 2, 2)
-    bottom = dict((s, (tg, l)) for s, tg, l in ())  # placeholder shape check
-    assert isinstance(t.floor_arrows("bottom"), tuple)
+    one = FieldElem(1, t.char)
+    assert t.floor_arrows("bottom") == tuple((s, tg, l, one) for s, tg, l in t.bottom.arrows)
     assert matching_violations(t.bottom) == []
     assert matching_violations(t.top) == []
 
@@ -810,7 +820,7 @@ def invertible_blocks(draw):
 def test_state_matrix_of_seeded_factorization(m):
     assume(m.is_invertible())
     n, p = m.rows, m.char
-    st = _seed_state(*ltu_factorize(m), p)
+    st = _ltu_state(m)
     assert _state_matrix(st, n, p) == shaft_matrix(_state_tokens(st, p), n, p) == m
 
 
@@ -836,15 +846,11 @@ def test_verify_raises_invariant_violation():
 
 
 def test_verify_survives_python_optimize():
-    here = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
-    script = "\n".join([
+    out = run_optimized(
         "import sys",
         "from gen import figure_eight",
         "from snakedec.errors import InvariantViolation",
         "from snakedec.twostory import build",
-        "assert False, 'asserts are live'",
         "t = build(figure_eight())",
         "st = next(s for s in t._shafts.values() if s.dots)",
         "pos, lam = next(iter(st.dots.items()))",
@@ -853,9 +859,6 @@ def test_verify_survives_python_optimize():
         "    t.verify()",
         "except InvariantViolation as exc:",
         "    print('raised', sys.flags.optimize, exc)",
-    ])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised 1 shaft product drifted"), out.stdout
