@@ -460,8 +460,10 @@ class Elimination:
         add_row_multiple(self.rows[r], m, self.rows[g], r1, p)
 
     def scale(self, i: int, c: int) -> None:
-        """e_i <- c e_i for a scalar c that is nonzero mod p."""
+        """e_i <- c e_i for a scalar c that is nonzero mod p (ValueError otherwise)."""
         p = self.p
+        if not c % p:
+            raise ValueError("a basis element cannot be scaled by zero")
         inv = pow(c, p - 2, p)
         self.d[i] = _scaled(self.d[i], c, p)
         for k, (x, u, v) in self.column(i):
@@ -482,6 +484,30 @@ class Elimination:
 
 def _scaled(row: dict, c: int, p: int) -> dict:
     return {k: (x * c % p, u, v) for k, (x, u, v) in row.items()}
+
+
+def intertwines(c: Complex, change: BasisChange, arrows, k: int) -> bool:
+    """Whether ``change`` turns the quotient of c by U (k = 1) or V (k = 2)
+    into ``arrows``, given as (src, tgt, length, coeff) in the new basis.
+
+    Modulo U or V, with X the change, D the differential and T the arrow
+    matrix, X D X^-1 = T holds exactly when X D = T X, because X has an
+    invertible scalar part; the second form needs no inverse.  A cell of
+    either product that is not a single monomial means they differ.
+    """
+    p, r1 = c.char, c.ring == RING_R1
+    d = [{j: e for j, e in row.items() if not e[k]} for row in Elimination(c).d]
+    x = [{j: e for j, e in row.items() if not e[k]} for row in change.rows]
+    t: List[dict] = [{} for _ in x]
+    for s, tgt, length, coeff in arrows:
+        coeff %= p
+        if not coeff:
+            return False  # an arrow with coefficient zero is not in any quotient
+        t[s][tgt] = (coeff, 0, length) if k == 1 else (coeff, length, 0)
+    try:
+        return _mul_rows(x, d, r1, p) == _mul_rows(t, x, r1, p)
+    except GradingViolation:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,13 @@ from .complexes import (
     Complex,
     Elimination,
     Generator,
-    Monomial,
     RING_R1,
-    apply_basis_change,
     has_length_zero_arrow,
+    intertwines,
     quotient_u,
     quotient_v,
 )
-from .errors import CountMismatch, ValidationError
+from .errors import CountMismatch, InvariantViolation, ValidationError
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -91,11 +90,6 @@ def matching_violations(sb: SimplifiedBasis) -> list[str]:
         if i in targets:
             out.append(f"index {i} both emits and receives")
     return out
-
-
-def _quotient_arrows(c: Complex) -> list[tuple[int, int, Monomial]]:
-    idx = c.gen_index()
-    return [(idx[a.src], idx[a.tgt], a.mono) for a in c.arrows]
 
 
 def _simplify_quotient(c: Complex, direction: str) -> SimplifiedBasis:
@@ -188,71 +182,46 @@ def align_gradings(
     return xb, SimplifiedBasis(yb.direction, gens, arrows, change)
 
 
-def _split_by_variable(p: BasisChange) -> tuple[BasisChange, BasisChange, BasisChange]:
-    """Split a transition matrix into scalar, scalar+U and scalar+V parts."""
-
-    def filtered(keep):
-        rows = [{j: e for j, e in row.items() if keep(*e)} for row in p.rows]
-        return BasisChange.from_rows(p.ring, p.char, p.old_gens, p.new_gens, rows)
-
-    scalar = filtered(lambda c, u, v: u == 0 and v == 0)
-    with_u = filtered(lambda c, u, v: v == 0)
-    with_v = filtered(lambda c, u, v: u == 0)
-    return scalar, with_u, with_v
-
-
 def normalize_transition(
     c: Complex, xb: SimplifiedBasis, yb: SimplifiedBasis
 ) -> TransitionData:
     """Adjust both bases so the transition matrix lives in the ground field.
 
-    The raw transition P' between the aligned bases factors over the
-    modulo-UV ring as (S + P_U) S^{-1} (S + P_V) where S is its scalar
-    part: the cross terms P_U S^{-1} P_V die because UV = 0.  Replacing
-    the x-basis via S (S + P_U)^{-1}, which is the identity modulo U, and
-    the y-basis via S^{-1} (S + P_V), the identity modulo V, leaves both
-    quotient structures untouched and the new transition matrix is S.
+    The raw transition P' = X Y^{-1} between the aligned bases X and Y
+    factors over the modulo-UV ring as (S + P_U) S^{-1} (S + P_V), where S
+    is its scalar part: the cross terms P_U S^{-1} P_V die because UV = 0.
+    The new bases are X' = S (S + P_U)^{-1} X = (S + P_V) Y, which is X
+    moved by the identity modulo U, and Y' = S^{-1} X' = S^{-1} (S + P_V) Y,
+    Y moved by the identity modulo V; so both quotient structures are
+    untouched and the new transition matrix is S.  Y^{-1} is the one ring
+    inverse taken.  The result is checked without inverses: each new basis
+    must intertwine its quotient differential with the simplified arrows
+    (``complexes.intertwines``), else InvariantViolation is raised.
     """
     if len(xb.generators) != len(yb.generators) or any(
         gx.grading != gy.grading for gx, gy in zip(xb.generators, yb.generators)
     ):
         raise CountMismatch("bases are not aligned by bigrading; align them first")
     p_raw = xb.change.compose(yb.change.inverse())
-    scalar, with_u, with_v = _split_by_variable(p_raw)
-
-    x_adjust = scalar.compose(with_u.inverse())
-    y_adjust = scalar.inverse().compose(with_v)
-    x_change = x_adjust.compose(xb.change)
-    y_change = y_adjust.compose(yb.change)
-
-    p_new = x_change.compose(y_change.inverse())
-    assert all(
-        u == 0 and v == 0 for row in p_new.rows for _, u, v in row.values()
-    ), "transition matrix still has nonscalar entries"
+    y_gens, x_gens = p_raw.old_gens, p_raw.new_gens
+    with_v = [{j: e for j, e in row.items() if not e[1]} for row in p_raw.rows]
+    x_change = BasisChange.from_rows(c.ring, c.char, y_gens, x_gens, with_v).compose(yb.change)
+    scalar = [{j: e[0] for j, e in row.items() if e[1:] == (0, 0)} for row in p_raw.rows]
     p_mat = gf.Matrix._wrap(
-        tuple([tuple([row.get(j, (0,))[0] for j in range(c.rank)]) for row in p_new.rows]),
-        c.char,
+        tuple([tuple([row.get(j, 0) for j in range(c.rank)]) for row in scalar]), c.char
     )
     q_mat = p_mat.inverse()
+    q_rows = [{j: (x, 0, 0) for j, x in enumerate(row) if x} for row in q_mat.entries]
+    y_change = BasisChange.from_rows(c.ring, c.char, x_gens, y_gens, q_rows).compose(x_change)
 
-    # the adjustments are trivial on the respective quotients, so the
-    # arrow data of both bases carries over verbatim
-    for sb, change, quot in (
-        (xb, x_change, quotient_u),
-        (yb, y_change, quotient_v),
-    ):
-        moved = quot(apply_basis_change(c, change))
-        got = tuple(
-            sorted(
-                (i, j, m.u_exp + m.v_exp) for i, j, m in _quotient_arrows(moved)
-            )
-        )
-        assert got == sb.arrows, "adjustment disturbed a simplified structure"
-        assert all(m.coeff.value == 1 for _, _, m in _quotient_arrows(moved))
+    for sb, change, k in ((xb, x_change, 1), (yb, y_change, 2)):
+        if not intertwines(c, change, [(i, j, length, 1) for i, j, length in sb.arrows], k):
+            raise InvariantViolation("adjustment disturbed a simplified structure")
+    if p_mat * q_mat != gf.Matrix.identity(p_mat.rows, c.char):
+        raise InvariantViolation("scalar transition matrix was not inverted")
 
     xb2 = SimplifiedBasis(xb.direction, xb.generators, xb.arrows, x_change)
     yb2 = SimplifiedBasis(yb.direction, yb.generators, yb.arrows, y_change)
-    assert p_mat * q_mat == gf.Matrix.identity(p_mat.rows, c.char)
     return TransitionData(xb2, yb2, p_mat, q_mat)
 
 

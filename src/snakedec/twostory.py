@@ -34,10 +34,9 @@ from .complexes import (
     Elimination,
     Monomial,
     RING_R1,
-    apply_basis_change,
+    add_row_multiple,
     has_length_zero_arrow,
-    quotient_u,
-    quotient_v,
+    intertwines,
     validate,
 )
 from .errors import (
@@ -351,6 +350,10 @@ def _state_matrix(state: _ShaftState, width: int, char: int) -> gf.Matrix:
     return gf.Matrix._wrap(tuple([tuple(row) for row in rows]), char)
 
 
+def _scalar_entries(row: dict) -> dict:
+    return {j: e for j, e in row.items() if e[1:] == (0, 0)}
+
+
 def _state_tokens(state: _ShaftState, char: int) -> list:
     toks = []
     one = gf.FieldElem(1, char)
@@ -584,8 +587,11 @@ class TwoStoryComplex:
 
     Operations mutate the instance in place and return it; ``verify``
     replays the log against the stored input complex and checks every
-    structural invariant.  With ``paranoid`` set, sliding operations
-    re-verify after every step.
+    structural invariant by intertwining, without a ring inverse: each
+    floor basis must carry the input's quotient differential onto its
+    floor table, and the scalar parts of the two bases must differ by the
+    shaft blocks.  With ``paranoid`` set, sliding operations re-verify
+    after every step.
     """
 
     def __init__(self):
@@ -812,46 +818,38 @@ class TwoStoryComplex:
     # -- verification ----------------------------------------------------------------
 
     def verify(self) -> None:
-        """Replay the log on the input complex and recheck everything."""
-        x_change = self._fold_change("x").compose(self._x0_change)
-        y_change = self._fold_change("y").compose(self._y0_change)
-        cx = apply_basis_change(self.original, x_change)
-        cy = apply_basis_change(self.original, y_change)
-        self._check_floor(cx, quotient_u, self._vert, "bottom")
-        self._check_floor(cy, quotient_v, self._horiz, "top")
-        p = x_change.compose(y_change.inverse())
-        for i, row in enumerate(p.rows):
-            for j, (_, u, v) in row.items():
-                gi, gj = self.x_gens[i].grading, self.x_gens[j].grading
-                if gi == gj:
-                    if u or v:
-                        raise InvariantViolation(
-                            "same-grading transition entry left the ground field"
-                        )
-                elif (-2 * u, -2 * v) != (gi[0] - gj[0], gi[1] - gj[1]):
-                    raise InvariantViolation("transition entry breaks grading homogeneity")
+        """Replay the log on the input complex and recheck everything.
+
+        The replayed floor bases X and Y must be homogeneous.  Each floor
+        is checked by intertwining, with no ring inverse: X D = T X modulo
+        U for the bottom table T, and Y D = T' Y modulo V for the top table
+        T' (``complexes.intertwines``).  Every logged step is invertible,
+        so the transition P = X Y^-1 exists and is homogeneous too; its
+        scalar entries are its same-grading blocks, and each shaft block B
+        is checked as X_0 = B Y_0 on the scalar parts of the bases.  An
+        inhomogeneous basis raises GradingViolation, any other failure
+        InvariantViolation.
+        """
+        x = self._fold_change("x").compose(self._x0_change)
+        y = self._fold_change("y").compose(self._y0_change)
+        x.check_homogeneous()
+        y.check_homogeneous()
+        for change, floor, k in ((x, BOTTOM, 1), (y, TOP, 2)):
+            arrows = [(s, t, n, mu.value) for s, t, n, mu in self.floor_arrows(floor)]
+            if not intertwines(self.original, change, arrows, k):
+                raise InvariantViolation(f"{floor} floor drifted from the engine tables")
+        p = self.char
         for grading in self.gradings():
             members = self._slots[grading]
-            # same-grading entries are scalars, checked above
-            block = tuple(
-                [tuple([p.rows[i].get(j, (0,))[0] for j in members]) for i in members]
-            )
-            want = _state_matrix(self._shafts[grading], len(members), self.char)
-            if block != want.entries:
-                raise InvariantViolation(f"shaft product drifted at {grading}")
-
-    def _check_floor(self, moved: Complex, quot, table, label):
-        q = quot(moved)
-        idx = q.gen_index()
-        got = {}
-        for a in q.arrows:
-            s, t = idx[a.src], idx[a.tgt]
-            if s in got:
-                raise InvariantViolation(f"{label} floor source repeated")
-            got[s] = (t, a.mono.u_exp + a.mono.v_exp, a.mono.coeff)
-        want = {s: (v[0], v[1], v[2]) for s, v in table.items()}
-        if got != want:
-            raise InvariantViolation(f"{label} floor drifted from the engine tables")
+            block = _state_matrix(self._shafts[grading], len(members), p).entries
+            y0 = [_scalar_entries(y.rows[j]) for j in members]
+            for i, brow in zip(members, block):
+                want: dict = {}
+                for b, row in zip(brow, y0):
+                    if b:
+                        add_row_multiple(want, (b, 0, 0), row, False, p)
+                if want != _scalar_entries(x.rows[i]):
+                    raise InvariantViolation(f"shaft product drifted at {grading}")
 
     def _verify_if_paranoid(self):
         if self.paranoid:
@@ -1327,14 +1325,16 @@ def traversal_sequence(t: TwoStoryComplex, z: str, direction: str) -> TraversalS
 def strand_top(t: TwoStoryComplex, x_name: str) -> str:
     """Name of the top endpoint of the strand holding a bottom element."""
     floor, idx = t._name_index(x_name)
-    assert floor == BOTTOM, "expected a bottom basis element"
+    if floor != BOTTOM:
+        raise ValueError(f"expected a bottom basis element, got {x_name!r}")
     return t.y_gens[t._elevator(BOTTOM, idx)].id
 
 
 def strand_bottom(t: TwoStoryComplex, y_name: str) -> str:
     """Name of the bottom endpoint of the strand holding a top element."""
     floor, idx = t._name_index(y_name)
-    assert floor == TOP, "expected a top basis element"
+    if floor != TOP:
+        raise ValueError(f"expected a top basis element, got {y_name!r}")
     return t.x_gens[t._elevator(TOP, idx)].id
 
 

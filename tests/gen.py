@@ -1,5 +1,6 @@
-"""Shared complex builders and randomizers for the test suite, and a
-runner for scripts under ``python -O``."""
+"""Shared complex builders and randomizers for the test suite, a runner
+for scripts under ``python -O``, and a conjugation oracle for the
+two-story self-check."""
 
 import os
 import random
@@ -18,9 +19,13 @@ from snakedec.complexes import (
     infer_gradings,
     mono,
     mono_mul,
+    quotient_u,
+    quotient_v,
     validate,
 )
+from snakedec.errors import InvariantViolation
 from snakedec.gf import FieldElem
+from snakedec.twostory import _state_matrix
 
 
 def trefoil(ring=RING_R1, char=2):
@@ -458,3 +463,43 @@ def depth_two(char=2):
         Arrow("b0", "bd", mono(1, 0, 2, char)),
     )
     return Complex(RING_R1, char, gens, arrows)
+
+
+def conjugation_verify(t):
+    """TwoStoryComplex.verify by conjugation, with ring inverses.
+
+    Each floor is rebuilt as the quotient of X D X^-1 (Y D Y^-1) through
+    ``apply_basis_change`` and compared with the engine table; the
+    transition X Y^-1 must be homogeneous, scalar within a grading and
+    equal to every shaft block.  Raises what ``verify`` raised before it
+    checked by intertwining, so the two can be compared on any state.
+    """
+    x = t._fold_change("x").compose(t._x0_change)
+    y = t._fold_change("y").compose(t._y0_change)
+    for change, quot, table, label in (
+        (x, quotient_u, t._vert, "bottom"),
+        (y, quotient_v, t._horiz, "top"),
+    ):
+        q = quot(apply_basis_change(t.original, change))
+        idx = q.gen_index()
+        got = {}
+        for a in q.arrows:
+            s = idx[a.src]
+            if s in got:
+                raise InvariantViolation(f"{label} floor source repeated")
+            got[s] = (idx[a.tgt], a.mono.u_exp + a.mono.v_exp, a.mono.coeff)
+        if got != {s: tuple(v) for s, v in table.items()}:
+            raise InvariantViolation(f"{label} floor drifted from the engine tables")
+    p = x.compose(y.inverse())
+    for i, row in enumerate(p.rows):
+        for j, (_, u, v) in row.items():
+            gi, gj = t.x_gens[i].grading, t.x_gens[j].grading
+            if gi == gj and (u or v):
+                raise InvariantViolation("same-grading transition entry left the ground field")
+            if (-2 * u, -2 * v) != (gi[0] - gj[0], gi[1] - gj[1]):
+                raise InvariantViolation("transition entry breaks grading homogeneity")
+    for grading in t.gradings():
+        members = t._slots[grading]
+        block = tuple([tuple([p.rows[i].get(j, (0,))[0] for j in members]) for i in members])
+        if block != _state_matrix(t._shafts[grading], len(members), t.char).entries:
+            raise InvariantViolation(f"shaft product drifted at {grading}")

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snakedec import complexes as cx
@@ -293,6 +293,52 @@ def test_compose_rejects_two_monomial_cell():
     then = BasisChange(RING_FUV, 2, gens, gens, ((one, one), (None, one)))
     with pytest.raises(GradingViolation):
         then.compose(first)
+
+
+def _quotient_table(c, k):
+    """The arrows of c modulo U (k = 1) or V (k = 2), by cell: length, coeff."""
+    idx = c.gen_index()
+    out = {}
+    for a in c.arrows:
+        e = (a.mono.u_exp, a.mono.v_exp)
+        if not e[k - 1]:
+            out[idx[a.src], idx[a.tgt]] = (e[2 - k], a.mono.coeff.value)
+    return out
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from((1, 2)))
+@example(seed=189, k=1)  # the changed cell makes a product cell two monomials
+@example(seed=574, k=2)
+@settings(max_examples=150, deadline=None)
+def test_intertwines_checks_one_quotient(seed, k):
+    c = _random_complex(seed) if seed % 2 else random_messy(seed, max_rank=14)
+    b = _random_change(c, seed + 1, moves=2 * c.rank)
+    cells = _quotient_table(apply_basis_change(c, b), k)
+
+    def arrows():
+        return [(s, t, length, x) for (s, t), (length, x) in sorted(cells.items())]
+
+    assert cx.intertwines(c, b, arrows(), k)
+    # one cell changed: dropped, lengthened, rescaled or added
+    rng = random.Random(seed)
+    cell = (rng.randrange(c.rank), rng.randrange(c.rank))
+    if cell not in cells:
+        cells[cell] = (rng.randrange(3), rng.randrange(1, c.char))
+    elif rng.random() < 0.3:
+        del cells[cell]
+    elif c.char == 2 or rng.random() < 0.5:
+        cells[cell] = (cells[cell][0] + 1, cells[cell][1])
+    else:
+        cells[cell] = (cells[cell][0], cells[cell][1] % (c.char - 1) + 1)
+    assert not cx.intertwines(c, b, arrows(), k)
+
+
+def test_elimination_rejects_zero_scale():
+    el = cx.Elimination(figure_eight())  # over F_3
+    for c in (0, 3):
+        with pytest.raises(ValueError, match="scaled by zero"):
+            el.scale(0, c)
+    assert el.rows[0] == {0: (1, 0, 0)}
 
 
 # ---------------------------------------------------------------------------

@@ -293,3 +293,8 @@ def test_simplification_properties(seed, make):
         g.grading for g in td.y_basis.generators
     ]
     assert td.matrix * td.inverse == Matrix.identity(c.rank, c.char)
+    p = td.x_basis.change.compose(td.y_basis.change.inverse())
+    assert all(e[1:] == (0, 0) for row in p.rows for e in row.values())
+    assert [[row.get(j, (0,))[0] for j in range(c.rank)] for row in p.rows] == [
+        list(row) for row in td.matrix.entries
+    ]

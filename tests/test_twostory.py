@@ -1,5 +1,6 @@
 """Tests for the two-story engine: tokens, journeys, weights, slides, depth."""
 
+import copy
 import hashlib
 import math
 import random
@@ -13,6 +14,7 @@ from gen import (
     _square_offenders,
     braided,
     braided_wrong,
+    conjugation_verify,
     depth_two,
     figure_eight,
     octagon,
@@ -37,6 +39,7 @@ from snakedec.errors import (
     InvariantViolation,
     Parallel,
     PatternMismatch,
+    SnakedecError,
     StrandsDiverge,
     ValidationError,
     WrongOrientation,
@@ -862,3 +865,94 @@ def test_verify_survives_python_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised 1 shaft product drifted"), out.stdout
+
+
+@pytest.mark.parametrize(
+    "table, field, floor",
+    [
+        ("_vert", "coeff", "bottom"),
+        ("_vert", "length", "bottom"),
+        ("_horiz", "coeff", "top"),
+        ("_horiz", "length", "top"),
+    ],
+)
+def test_verify_catches_floor_drift(table, field, floor):
+    t = build(figure_eight())  # over F_3, two arrows on each floor
+    t.verify()
+    entry = getattr(t, table)[0]
+    if field == "coeff":
+        entry[2] = -entry[2]
+    else:
+        entry[1] += 1
+    with pytest.raises(InvariantViolation, match=f"{floor} floor drifted from the engine tables"):
+        t.verify()
+
+
+def _outcome(check, t):
+    try:
+        check(t)
+    except SnakedecError as exc:
+        return type(exc)
+    return None
+
+
+def _corrupted(t, rng):
+    """Copies of t with one dot, one floor entry and one log step corrupted."""
+    p = t.char
+    dot = copy.deepcopy(t)
+    grading = rng.choice(dot.gradings())
+    pos = rng.randrange(dot.width(grading))
+    dots = dot._shafts[grading].dots
+    dots[pos] = FieldElem(dots.get(pos, FieldElem(1, p)).value + 1, p)
+    out = [dot]
+    if t._vert or t._horiz:
+        floor = copy.deepcopy(t)
+        table = rng.choice([tb for tb in (floor._vert, floor._horiz) if tb])
+        entry = table[rng.choice(sorted(table))]
+        if p > 2 and rng.random() < 0.5:
+            entry[2] = FieldElem(entry[2].value + 1, p)
+        else:
+            entry[1] += 1
+        out.append(floor)
+    if t._xsteps or t._ysteps:
+        step = copy.deepcopy(t)
+        steps = rng.choice([s for s in (step._xsteps, step._ysteps) if s])
+        del steps[rng.randrange(len(steps))]
+        out.append(step)
+    return out
+
+
+def test_verify_agrees_with_conjugation_oracle():
+    caught = 0
+    for seed in range(40):
+        c, _, _ = strip_zero_complexes(random_messy(seed, max_rank=14))
+        if c.rank == 0:
+            continue
+        rng = random.Random(seed)
+        t = build(c)
+        for state in (t, run_to_depth_infinity(copy.deepcopy(t))):
+            assert _outcome(conjugation_verify, state) is None
+            assert _outcome(lambda s: s.verify(), state) is None
+            for bad in _corrupted(state, rng):
+                want = _outcome(conjugation_verify, bad)
+                assert _outcome(lambda s: s.verify(), bad) == want
+                caught += want is not None
+    assert caught > 150
+
+
+def test_strand_endpoints_reject_the_wrong_floor():
+    t = build(braided())
+    with pytest.raises(ValueError, match="expected a bottom basis element"):
+        strand_top(t, "y1")
+    with pytest.raises(ValueError, match="expected a top basis element"):
+        strand_bottom(t, "x1")
+    out = run_optimized(
+        "from gen import braided",
+        "from snakedec.twostory import build, strand_top",
+        "try:",
+        "    print(strand_top(build(braided()), 'y1'))",
+        "except ValueError as exc:",
+        "    print('raised', exc)",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised expected a bottom basis element"), out.stdout
