@@ -6,10 +6,10 @@ classes are for conditions a caller can trigger, and for the invariants
 that must survive ``python -O``: homogeneity in ``complexes`` and in the
 elimination behind strip and simplify (``GradingViolation``), malformed
 input to them (``ValidationError``), and the two-story engine's
-``verify`` and ``normalize_transition`` (``InvariantViolation``).
-``assert`` is left only on checks of the program's own work: the ``gf``
-polynomial and primary-form kernels, and the two-story engine's moves,
-depth loop and convoy.
+``verify``, moves and depth loop and ``normalize_transition``
+(``InvariantViolation``).  ``assert`` is left only on checks of the
+program's own work: the ``gf`` polynomial and primary-form kernels, and
+the two-story engine's convoy.
 """
 
 
@@ -68,10 +68,10 @@ class BoundExceeded(SnakedecError):
 class InvariantViolation(SnakedecError):
     """A structural invariant of the two-story engine failed to hold.
 
-    Raised by ``TwoStoryComplex.verify``, by ``build`` and by
-    ``normalize_transition`` when the program's own state disagrees with
-    the complex it claims to describe; unlike ``assert`` it survives
-    ``python -O``.
+    Raised by ``TwoStoryComplex.verify``, by ``build``, by the shaft
+    moves and the depth loop, and by ``normalize_transition`` when the
+    program's own state disagrees with the complex it claims to describe;
+    unlike ``assert`` it survives ``python -O``.
     """
 
 

@@ -1,23 +1,25 @@
 """Exact linear algebra over prime fields.
 
 Everything the decomposition engine needs from plain linear algebra lives
-here: field elements, dense matrices, elementary factorizations (the LTU
-form used to straighten shafts of crossover arrows), and rational canonical
-forms (the canonical representatives used to compare holonomy classes).
+here: field elements, dense matrices, the LTU factorization (the normal
+form of each shaft of the two-story engine), and rational canonical forms
+(the canonical representatives used to compare holonomy classes).
 
 Conventions
 -----------
-* Matrices act on column vectors; ``factor_product([f1, f2, f3], ...)``
-  is the matrix product M(f1) M(f2) M(f3).
-* ``ElementaryFactor`` indices are 1-based, matching the classical names
-  T_ij, E_ij, D_i.  Permutations are plain 0-based tuples ``sigma`` with
-  ``sigma[j]`` the image of j; their matrix has a 1 in row ``sigma[j]``
-  of column j, so perm_matrix(a) * perm_matrix(b) = perm_matrix(a o b).
+* Matrices act on column vectors; indices are 0-based throughout.
+* ``ltu_factorize(m)`` returns ``(lower, dots, up, upper)`` in ints: the
+  int triples ``(r, g, c)`` of ``lower`` and ``upper`` stand for
+  I + c e_rg in product order, ``dots`` maps a row to its scale, and row
+  a of the middle factor is ``dots.get(a, 1)`` times e_{up[a]}, so that
+  L_1 ... L_k D P U_1 ... U_m is the input.
+* Permutations are plain tuples ``sigma`` with ``sigma[j]`` the image of
+  j; their matrix has a 1 in row ``sigma[j]`` of column j, so
+  perm_matrix(a) * perm_matrix(b) = perm_matrix(a o b).
 * Field data is stored as int residues in [0, p).  ``Matrix`` keeps row
   tuples of ints and LTU factorization runs on ints; ``FieldElem`` is the
   public face of a single element and is created only where a caller
-  reads one out (``m[i, j]``, ``row``, ``column``, ``apply``, the
-  coefficients of elementary factors).
+  reads one out (``m[i, j]``, ``row``, ``column``, ``apply``).
 * Polynomials over F_p are tuples of int coefficients in ascending degree
   with no trailing zeros; the zero polynomial is the empty tuple.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SizeLimitExceeded, Singular
 
@@ -272,11 +274,6 @@ class Matrix:
         return "[" + "; ".join(" ".join(map(str, row)) for row in self.entries) + "]"
 
 
-def invert(m: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises Singular when none exists."""
-    return m.inverse()
-
-
 def block_diag(blocks: Sequence[Matrix], char: Optional[int] = None) -> Matrix:
     """Direct sum of square blocks along the diagonal."""
     if not blocks:
@@ -299,14 +296,6 @@ def block_diag(blocks: Sequence[Matrix], char: Optional[int] = None) -> Matrix:
 # ---------------------------------------------------------------------------
 # permutations (0-based image tuples)
 
-
-def perm_identity(n: int) -> tuple:
-    return tuple(range(n))
-
-
-def perm_compose(a: Sequence[int], b: Sequence[int]) -> tuple:
-    """Function composition a o b (apply b first)."""
-    return tuple([a[j] for j in b])
 
 def perm_inverse(a: Sequence[int]) -> tuple:
     out = [0] * len(a)
@@ -342,126 +331,34 @@ def cycle_type(sigma: Sequence[int]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# elementary factors (1-based indices, classical notation)
+# LTU factorization
 
 
-@dataclass(frozen=True, slots=True)
-class Transposition:
-    """T_ij: the permutation matrix swapping basis vectors i and j (1-based)."""
+def ltu_factorize(m: Matrix):
+    """Factor an invertible matrix as (lower) (dots) (permutation) (upper).
 
-    i: int
-    j: int
+    Returns ``(lower, dots, up, upper)`` in ints, 0-based.  An arrow
+    ``(r, g, c)`` in ``lower`` or ``upper`` is the matrix I + c e_rg, and
+    each list is in product order; ``dots`` maps a row to its nonzero
+    scale other than 1; row a of the middle factor is ``dots.get(a, 1)``
+    times e_{up[a]}.  Every lower arrow has r > g and every upper arrow
+    r < g.  The product of the four factors is the input.
 
-    def __post_init__(self):
-        if self.i < 1 or self.j < 1 or self.i == self.j:
-            raise ValueError("transposition needs two distinct 1-based indices")
-
-
-@dataclass(frozen=True, slots=True)
-class AddUnit:
-    """E_ij = I + e_ij (1-based): as a left factor, adds row j into row i."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.i < 1 or self.j < 1 or self.i == self.j:
-            raise ValueError("unit addition needs two distinct 1-based indices")
-
-
-@dataclass(frozen=True, slots=True)
-class Scale:
-    """D_i^lam (1-based): scales coordinate i by a nonzero field element."""
-
-    i: int
-    lam: FieldElem
-
-    def __post_init__(self):
-        if self.i < 1:
-            raise ValueError("scale index is 1-based")
-        if not self.lam.value:
-            raise ValueError("scale coefficient must be nonzero")
-
-
-ElementaryFactor = Union[Transposition, AddUnit, Scale]
-
-
-def factor_matrix(f: ElementaryFactor, n: int, char: int) -> Matrix:
-    """The n x n matrix of a single elementary factor."""
-    if max(f.i, getattr(f, "j", 1)) > n:
-        raise DimensionMismatch("factor index exceeds matrix size")
-    _check_prime(char)
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    if isinstance(f, Transposition):
-        i, j = f.i - 1, f.j - 1
-        rows[i][i] = rows[j][j] = 0
-        rows[i][j] = rows[j][i] = 1
-    elif isinstance(f, AddUnit):
-        rows[f.i - 1][f.j - 1] = 1
-    elif isinstance(f, Scale):
-        if f.lam.char != char:
-            raise FieldMismatch("scale coefficient outside F_%d" % char)
-        rows[f.i - 1][f.i - 1] = f.lam.value
-    else:
-        raise TypeError(f"not an elementary factor: {f!r}")
-    return Matrix._wrap(tuple([tuple(r) for r in rows]), char)
-
-
-def factor_product(factors: Iterable[ElementaryFactor], n: int, char: int) -> Matrix:
-    """Ordered product of elementary factors (identity for the empty list)."""
-    acc = Matrix.identity(n, char)
-    for f in factors:
-        acc = acc * factor_matrix(f, n, char)
-    return acc
-
-
-def _general_addunit(i: int, j: int, lam: FieldElem) -> list:
-    # E_ij^lam = D_i^lam E_ij^1 D_i^(1/lam); unit coefficient stays a single factor.
-    if not lam.value:
-        return []
-    if lam.value == 1:
-        return [AddUnit(i, j)]
-    return [Scale(i, lam), AddUnit(i, j), Scale(i, lam.inverse())]
-
-
-def _perm_transpositions(sigma: Sequence[int]) -> list:
-    # Each cycle (c0 c1 ... c_{m-1}) factors as T_{c0 c1} T_{c1 c2} ... in
-    # product order, using 1-based labels.
-    out = []
-    seen = [False] * len(sigma)
-    for s in range(len(sigma)):
-        if seen[s] or sigma[s] == s:
-            seen[s] = True
-            continue
-        cyc, j = [], s
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = sigma[j]
-        for a, b in zip(cyc, cyc[1:]):
-            out.append(Transposition(a + 1, b + 1))
-    return out
-
-
-def ltu_elimination(m: Matrix):
-    """The LTU sweep of an invertible matrix, as int operations in time order.
-
-    Returns ``(row_ops, sigma, col_ops)``: ``(i, r, c)`` in ``row_ops`` is
-    row i += c * row r (i > r) and ``(i, None, c)`` divides pivot row i by
-    c != 1, after the last operation touching it; ``(jp, j, c)`` in
-    ``col_ops`` is column j -= c * column jp (jp < j).  They leave the
-    permutation matrix with 1 at ``(sigma[j], j)``.  Column by column,
-    pivoted rows are cleared by column operations, then the topmost
-    unpivoted nonzero row is the pivot and clears the rows below it.
+    Column by column, pivoted rows are cleared by column operations, then
+    the topmost unpivoted nonzero row is the pivot and clears the rows
+    below it; the factors undo those operations.  A pivot row is divided
+    by its pivot only after every row operation touching it, so those
+    divisors are the dots.
     """
     if not m.is_square():
         raise DimensionMismatch("LTU factorization needs a square matrix")
     n, p = m.rows, m.char
     a = [list(row) for row in m.entries]
-    pivot_of_col: list = [None] * n
+    up = [0] * n
     col_of_row: dict = {}  # pivoted row -> its pivot column
-    row_ops = []  # applied left factors, in time order: (i, r, c) or (r, None, c)
-    col_ops = []  # applied right factors I - c e_{jp, j}, in time order
+    lower: list = []
+    dots: dict = {}
+    col_ops: list = []  # upper arrows, in time order (reversed at the end)
 
     for j in range(n):
         # clear entries sitting in pivoted rows via earlier pivot columns
@@ -480,48 +377,15 @@ def ltu_elimination(m: Matrix):
         for i in range(piv + 1, n):
             if i in col_of_row or not a[i][j]:
                 continue
-            coeff = -a[i][j] * pinv % p
-            a[i] = [(x + coeff * y) % p for x, y in zip(a[i], prow)]
-            row_ops.append((i, piv, coeff))
+            c = a[i][j] * pinv % p
+            a[i] = [(x - c * y) % p for x, y in zip(a[i], prow)]
+            lower.append((i, piv, c))
         if prow[j] != 1:
             a[piv] = [x * pinv % p for x in prow]
-            row_ops.append((piv, None, prow[j]))
-        pivot_of_col[j] = piv
+            dots[piv] = prow[j]
+        up[piv] = j
         col_of_row[piv] = j
-    return row_ops, tuple(pivot_of_col), col_ops
-
-
-def ltu_factorize(m: Matrix):
-    """Factor an invertible matrix as (lower) (permutation) (upper).
-
-    Returns ``(lower, sigma, upper)`` where ``lower`` and ``upper`` are lists
-    of elementary factors, ``sigma`` is a 0-based permutation tuple, and
-    factor_product(lower) * perm_matrix(sigma) * factor_product(upper)
-    reproduces the input.  Every AddUnit in ``lower`` has i > j, every
-    AddUnit in ``upper`` has i < j, scales may appear in either list, and
-    neither list contains a transposition.  The factors invert the
-    operations of ``ltu_elimination``.
-    """
-    row_ops, sigma, col_ops = ltu_elimination(m)
-    p = m.char
-    lower: list = []
-    for i, r, c in row_ops:
-        # L = (applied ops, newest leftmost)^-1 = inverses in time order
-        if r is None:
-            lower.append(Scale(i + 1, FieldElem(c, p)))
-        else:
-            lower.extend(_general_addunit(i + 1, r + 1, FieldElem(-c, p)))
-    upper: list = []
-    for jp, j, c in reversed(col_ops):
-        upper.extend(_general_addunit(jp + 1, j + 1, FieldElem(c, p)))
-    return lower, sigma, upper
-
-
-def elementary_factorize(m: Matrix) -> list:
-    """Write an invertible matrix as an ordered product of transpositions,
-    unit additions and scales."""
-    lower, sigma, upper = ltu_factorize(m)
-    return lower + _perm_transpositions(sigma) + upper
+    return lower, dots, tuple(up), col_ops[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,18 @@ the same for the horizontal quotient.  The pair of floors together with
 the scalar transition between the bases is a two-story complex.  Within
 each bigrading the transition block is drawn as a bundle of elevator
 strands wearing crossings, crossover arrows and black dots; this module
-stores that word per bigrading, traces strand journeys through the
-floors, measures how fast neighbouring journeys diverge, and slides
-crossover arrows along parallel stretches until every surviving arrow
-connects strands that stay parallel forever.
+stores that word's normal form per bigrading, traces strand journeys
+through the floors, measures how fast neighbouring journeys diverge,
+and slides crossover arrows along parallel stretches until every
+surviving arrow connects strands that stay parallel forever.
 
-Tokens are kept in a normal form per shaft: crossover arrows near the
-bottom, then black dots, then a permutation block of crossings, then
-crossover arrows near the top.  Public views regenerate the token list
-from the normal form, so equal engine states print identically.
+The engine stores no token words.  Each shaft is a ``_ShaftState``, the
+normal form read off ``gf.ltu_factorize``: crossover arrows near the
+bottom, then black dots, then a permutation, then crossover arrows near
+the top.  Tokens (``Crossing``, ``CrossoverArrow``, ``BlackDot``) are
+only a printed view of it, regenerated on demand, so equal engine states
+print identically; the pure shaft calculus (``apply_local_move``,
+``straighten``) works on such views.
 
 Floor arrows carry a coefficient internally (sliding a black dot out of
 a shaft rescales a basis element, which taints the adjacent floor
@@ -41,6 +44,8 @@ from .complexes import (
 )
 from .errors import (
     BoundExceeded,
+    DimensionMismatch,
+    FieldMismatch,
     InvariantViolation,
     Parallel,
     PatternMismatch,
@@ -114,13 +119,22 @@ class BlackDot:
 
 def token_matrix(token, width: int, char: int) -> gf.Matrix:
     """The elementary matrix a single token stands for."""
+    if not isinstance(token, (Crossing, CrossoverArrow, BlackDot)):
+        raise TypeError(f"not a token: {token!r}")
+    if max(_token_indices(token)) > width:
+        raise DimensionMismatch(f"{token} does not fit {width} strands")
+    if not isinstance(token, Crossing) and token.lam.char != char:
+        raise FieldMismatch(f"{token} lies outside F_{char}")
+    rows = [[int(a == b) for b in range(width)] for a in range(width)]
     if isinstance(token, Crossing):
-        return gf.factor_matrix(gf.Transposition(token.i, token.j), width, char)
-    if isinstance(token, BlackDot):
-        return gf.factor_matrix(gf.Scale(token.i, token.lam), width, char)
-    if isinstance(token, CrossoverArrow):
-        return _ca_matrix(width, token.j - 1, token.i - 1, token.lam, char)
-    raise TypeError(f"not a token: {token!r}")
+        i, j = token.i - 1, token.j - 1
+        rows[i][i] = rows[j][j] = 0
+        rows[i][j] = rows[j][i] = 1
+    elif isinstance(token, BlackDot):
+        rows[token.i - 1][token.i - 1] = token.lam.value
+    else:
+        rows[token.j - 1][token.i - 1] = token.lam.value
+    return gf.Matrix._wrap(tuple([tuple(row) for row in rows]), char)
 
 
 def shaft_matrix(tokens, width: int, char: int) -> gf.Matrix:
@@ -128,39 +142,6 @@ def shaft_matrix(tokens, width: int, char: int) -> gf.Matrix:
     out = gf.Matrix.identity(width, char)
     for t in tokens:
         out = out * token_matrix(t, width, char)
-    return out
-
-
-def tokens_from_factors(factors, char: int) -> list:
-    """Translate elementary factors into graphical tokens, order kept."""
-    out = []
-    for f in factors:
-        if isinstance(f, gf.Transposition):
-            out.append(Crossing(f.i, f.j))
-        elif isinstance(f, gf.Scale):
-            out.append(BlackDot(f.i, f.lam))
-        elif isinstance(f, gf.AddUnit):
-            out.append(CrossoverArrow(f.j, f.i, gf.FieldElem(1, char)))
-        else:
-            raise TypeError(f"not an elementary factor: {f!r}")
-    return out
-
-
-def factors_from_tokens(tokens) -> list:
-    """Translate tokens back into elementary factors, order kept."""
-    out = []
-    for t in tokens:
-        if isinstance(t, Crossing):
-            out.append(gf.Transposition(t.i, t.j))
-        elif isinstance(t, BlackDot):
-            out.append(gf.Scale(t.i, t.lam))
-        elif isinstance(t, CrossoverArrow):
-            if t.lam.value == 1:
-                out.append(gf.AddUnit(t.j, t.i))
-            else:
-                out.extend(gf._general_addunit(t.j, t.i, t.lam))
-        else:
-            raise TypeError(f"not a token: {t!r}")
     return out
 
 
@@ -321,12 +302,6 @@ class _ShaftState:
         self.upper = upper
 
 
-def _ca_matrix(width, r, g, lam, char):
-    rows = [[int(a == b) for b in range(width)] for a in range(width)]
-    rows[r][g] = lam.value
-    return gf.Matrix.from_rows(rows, char)
-
-
 def _state_matrix(state: _ShaftState, width: int, char: int) -> gf.Matrix:
     """The shaft product L_1 ... L_k D P U_1 ... U_m by row and column ops.
 
@@ -354,6 +329,25 @@ def _scalar_entries(row: dict) -> dict:
     return {j: e for j, e in row.items() if e[1:] == (0, 0)}
 
 
+def _perm_crossings(sigma) -> list:
+    # Each cycle (c0 c1 ... c_{m-1}) factors as crossings (c0 c1) (c1 c2)
+    # ... in product order.
+    out = []
+    seen = [False] * len(sigma)
+    for s in range(len(sigma)):
+        if seen[s] or sigma[s] == s:
+            seen[s] = True
+            continue
+        cyc, j = [], s
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j)
+            j = sigma[j]
+        for a, b in zip(cyc, cyc[1:]):
+            out.append(Crossing(a + 1, b + 1))
+    return out
+
+
 def _state_tokens(state: _ShaftState, char: int) -> list:
     toks = []
     one = gf.FieldElem(1, char)
@@ -362,32 +356,23 @@ def _state_tokens(state: _ShaftState, char: int) -> list:
     for p in sorted(state.dots):
         if state.dots[p] != one:
             toks.append(BlackDot(p + 1, state.dots[p]))
-    for t in gf._perm_transpositions(gf.perm_inverse(state.up)):
-        toks.append(Crossing(t.i, t.j))
+    toks.extend(_perm_crossings(gf.perm_inverse(state.up)))
     for r, g, lam in state.upper:
         toks.append(CrossoverArrow(g + 1, r + 1, lam))
     return toks
 
 
 def _ltu_state(mat: gf.Matrix) -> _ShaftState:
-    """Normal form of an invertible block, read off its LTU sweep.
-
-    The sweep's row additions (i, r, c) invert to lower arrows [i, r, -c]
-    in time order and its column operations (jp, j, c) to upper arrows
-    [jp, j, c] in reverse.  A pivot row is divided by its pivot c only
-    after every operation touching it, so those scales become the dots.
-    """
+    """Normal form of an invertible block: ``gf.ltu_factorize`` with
+    mutable arrows and FieldElem coefficients."""
     p = mat.char
-    row_ops, sigma, col_ops = gf.ltu_elimination(mat)
-    lower: list = []
-    dots: dict = {}
-    for i, r, c in row_ops:
-        if r is None:
-            dots[i] = gf.FieldElem(c, p)
-        else:
-            lower.append([i, r, gf.FieldElem(-c, p)])
-    upper = [[jp, j, gf.FieldElem(c, p)] for jp, j, c in reversed(col_ops)]
-    return _ShaftState(lower, dots, tuple(gf.perm_inverse(sigma)), upper)
+    lower, dots, up, upper = gf.ltu_factorize(mat)
+    return _ShaftState(
+        [[r, g, gf.FieldElem(c, p)] for r, g, c in lower],
+        {a: gf.FieldElem(c, p) for a, c in dots.items()},
+        up,
+        [[r, g, gf.FieldElem(c, p)] for r, g, c in upper],
+    )
 
 
 def _ordered_ltu(mat: gf.Matrix, x_keys, y_keys, char: int) -> _ShaftState:
@@ -414,11 +399,6 @@ def _ordered_ltu(mat: gf.Matrix, x_keys, y_keys, char: int) -> _ShaftState:
         up[xorder[a]] = yorder[local.up[a]]
     upper = [[yorder[r], yorder[g], lam] for r, g, lam in local.upper]
     return _ShaftState(lower, dots, tuple(up), upper)
-
-
-def _refactor_tokens(mat: gf.Matrix, char: int) -> list:
-    """Plain normal-form token word for an invertible scalar matrix."""
-    return _state_tokens(_ltu_state(mat), char)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +444,8 @@ def apply_local_move(shaft: Shaft, position: int, move_id: str) -> Shaft:
     def done(replacement):
         new = toks[:position] + list(replacement) + toks[position + 2 :]
         out = Shaft(shaft.bigrading, shaft.strands, tuple(new), char)
-        assert out.matrix() == shaft.matrix(), "local move changed the product"
+        if out.matrix() != shaft.matrix():
+            raise InvariantViolation("local move changed the product")
         return out
 
     if move_id == "merge_dots":
@@ -531,7 +512,7 @@ def apply_local_move(shaft: Shaft, position: int, move_id: str) -> Shaft:
         prod = token_matrix(a, shaft.strands, char) * token_matrix(
             b, shaft.strands, char
         )
-        return done(_refactor_tokens(prod, char))
+        return done(_state_tokens(_ltu_state(prod), char))
 
     # resolve_crossing
     kinds = {type(a), type(b)}
@@ -542,7 +523,7 @@ def apply_local_move(shaft: Shaft, position: int, move_id: str) -> Shaft:
             prod = token_matrix(a, shaft.strands, char) * token_matrix(
                 b, shaft.strands, char
             )
-            return done(_refactor_tokens(prod, char))
+            return done(_state_tokens(_ltu_state(prod), char))
     raise PatternMismatch("needs an arrow and a crossing on one pair")
 
 
@@ -574,12 +555,24 @@ def straighten(shaft: Shaft, order=None) -> Shaft:
     out = Shaft(
         shaft.bigrading, w, tuple(_state_tokens(state, shaft.char)), shaft.char
     )
-    assert out.matrix() == shaft.matrix(), "straightening changed the product"
+    if out.matrix() != shaft.matrix():
+        raise InvariantViolation("straightening changed the product")
     return out
 
 
 # ---------------------------------------------------------------------------
 # the two-story complex engine
+
+
+def _boundary_arrow(st: _ShaftState, tier, k) -> list:
+    """The arrow at (tier, k), which must sit at its exit boundary."""
+    if tier == LOWER:
+        if k != 0:
+            raise InvariantViolation("arrow must sit at the bottom boundary")
+        return st.lower[0]
+    if k != len(st.upper) - 1:
+        raise InvariantViolation("arrow must sit at the top boundary")
+    return st.upper[k]
 
 
 class TwoStoryComplex:
@@ -903,14 +896,8 @@ class TwoStoryComplex:
         through the floor.
         """
         st = self._shafts[grading]
-        if tier == LOWER:
-            assert k == 0, "arrow must sit at the bottom boundary"
-            r, g, lam = st.lower[0]
-            floor = BOTTOM
-        else:
-            assert k == len(st.upper) - 1, "arrow must sit at the top boundary"
-            r, g, lam = st.upper[k]
-            floor = TOP
+        r, g, lam = _boundary_arrow(st, tier, k)
+        floor = BOTTOM if tier == LOWER else TOP
         idx_r, idx_g = self._idx(grading, r), self._idx(grading, g)
         ar = self._floor_step(floor, idx_r)
         ag = self._floor_step(floor, idx_g)
@@ -933,7 +920,8 @@ class TwoStoryComplex:
             self._log_add("y", idx_r, idx_g, Monomial(lam, 0, 0))
             self._log_add("y", jr, jg, Monomial(coeff, 0, 0))
         g2 = self._pos[jr][0]
-        assert self._pos[jg][0] == g2, "parallel step lands in two bigradings"
+        if self._pos[jg][0] != g2:
+            raise InvariantViolation("parallel step lands in two bigradings")
         st2 = self._shafts[g2]
         p_r, p_g = self._pos[jr][1], self._pos[jg][1]
         ca = [p_r, p_g, -coeff]
@@ -949,14 +937,8 @@ class TwoStoryComplex:
     def _remove_turn(self, grading, tier, k):
         """Remove the boundary arrow at a floor where its pair diverges."""
         st = self._shafts[grading]
-        if tier == LOWER:
-            assert k == 0
-            r, g, lam = st.lower[0]
-            floor, side = BOTTOM, "x"
-        else:
-            assert k == len(st.upper) - 1
-            r, g, lam = st.upper[k]
-            floor, side = TOP, "y"
+        r, g, lam = _boundary_arrow(st, tier, k)
+        floor, side = (BOTTOM, "x") if tier == LOWER else (TOP, "y")
         idx_r, idx_g = self._idx(grading, r), self._idx(grading, g)
         ar = self._floor_step(floor, idx_r)
         ag = self._floor_step(floor, idx_g)
@@ -1205,12 +1187,13 @@ class TwoStoryComplex:
         arrow's weight components, so no far component at -m survives
         it.  The upper tier gets the mirrored treatment.  Finally the
         arrows whose far component equals +m are snowplowed out through
-        their far floors.
+        their far floors.  An m above the current depth raises ValueError.
         """
         d = self.depth()
-        if d > m:
+        if d > m or d == math.inf:
             return self
-        assert d == m, "depth drifted below the claimed value"
+        if d < m:
+            raise ValueError(f"m = {m} is above the current depth {d}")
         for g in self.gradings():
             self._reparametrize(g, m)
         self._verify_if_paranoid()
@@ -1228,7 +1211,8 @@ class TwoStoryComplex:
         self._remove_all(lambda w: w.w_check == m, UPPER, "down")
         self._remove_all(lambda w: w.w_check == m, LOWER, "up")
         self._verify_if_paranoid()
-        assert self.depth() >= m + 1, "depth pass fell short"
+        if self.depth() < m + 1:
+            raise InvariantViolation("depth pass fell short")
         return self
 
     def run_to_depth_infinity(self):

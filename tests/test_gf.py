@@ -137,14 +137,14 @@ def test_matrix_rejects_foreign_entries():
 
 
 def test_invert_examples():
-    assert gf.invert(gf.Matrix.identity(3, 2)) == gf.Matrix.identity(3, 2)
+    assert gf.Matrix.identity(3, 2).inverse() == gf.Matrix.identity(3, 2)
     a = M([[1, 1], [0, 1]], 2)
-    assert gf.invert(a) == a
-    assert gf.invert(M([[2]], 3)) == M([[2]], 3)
+    assert a.inverse() == a
+    assert M([[2]], 3).inverse() == M([[2]], 3)
     with pytest.raises(Singular):
-        gf.invert(M([[1, 1], [1, 1]], 2))
+        M([[1, 1], [1, 1]], 2).inverse()
     with pytest.raises(DimensionMismatch):
-        gf.invert(M([[1, 0]], 2))
+        M([[1, 0]], 2).inverse()
     # all of M_2(F_3): invertible exactly when the determinant is nonzero
     ident = gf.Matrix.identity(2, 3)
     for a, b, c, d in itertools.product(range(3), repeat=4):
@@ -166,11 +166,10 @@ def test_block_diag():
 def test_perm_matrix_is_a_homomorphism():
     for a in itertools.permutations(range(3)):
         for b in itertools.permutations(range(3)):
-            lhs = gf.perm_matrix(gf.perm_compose(a, b), 2)
-            rhs = gf.perm_matrix(a, 2) * gf.perm_matrix(b, 2)
-            assert lhs == rhs
+            a_after_b = tuple(a[j] for j in b)
+            assert gf.perm_matrix(a_after_b, 2) == gf.perm_matrix(a, 2) * gf.perm_matrix(b, 2)
     for a in itertools.permutations(range(4)):
-        assert gf.perm_compose(a, gf.perm_inverse(a)) == gf.perm_identity(4)
+        assert tuple(a[j] for j in gf.perm_inverse(a)) == tuple(range(4))
 
 
 def test_cycle_type():
@@ -180,78 +179,63 @@ def test_cycle_type():
 
 
 # ---------------------------------------------------------------------------
-# elementary factors and factorizations
+# LTU factorization
 
 
-def test_factor_matrix_shapes():
-    p = 3
-    assert gf.factor_matrix(gf.Transposition(1, 2), 2, p) == M([[0, 1], [1, 0]], p)
-    assert gf.factor_matrix(gf.AddUnit(1, 2), 2, p) == M([[1, 1], [0, 1]], p)
-    assert gf.factor_matrix(gf.Scale(2, fe(2, p)), 2, p) == M([[1, 0], [0, 2]], p)
-    with pytest.raises(DimensionMismatch):
-        gf.factor_matrix(gf.AddUnit(1, 3), 2, p)
-    with pytest.raises(ValueError):
-        gf.Transposition(1, 1)
-    with pytest.raises(ValueError):
-        gf.Scale(1, fe(0, 3))
+def _unit_plus(n, r, g, c, p):
+    """I + c e_rg as a dense matrix."""
+    return M([[int(i == j) + (c if (i, j) == (r, g) else 0) for j in range(n)] for i in range(n)], p)
+
+
+def _ltu_product(factors, n, p):
+    """Dense product L_1 ... L_k D P U_1 ... U_m of an ltu_factorize result."""
+    lower, dots, up, upper = factors
+    out = gf.Matrix.identity(n, p)
+    for r, g, c in lower:
+        out = out * _unit_plus(n, r, g, c, p)
+    out = out * M([[dots.get(a, 1) * (b == up[a]) for b in range(n)] for a in range(n)], p)
+    for r, g, c in upper:
+        out = out * _unit_plus(n, r, g, c, p)
+    return out
 
 
 def test_ltu_trivial_cases():
-    assert gf.ltu_factorize(gf.Matrix.identity(3, 2)) == ([], (0, 1, 2), [])
+    assert gf.ltu_factorize(gf.Matrix.identity(3, 2)) == ([], {}, (0, 1, 2), [])
     swap = gf.perm_matrix((1, 0), 2)
-    assert gf.ltu_factorize(swap) == ([], (1, 0), [])
+    assert gf.ltu_factorize(swap) == ([], {}, (1, 0), [])
 
 
 def test_ltu_mixed_example():
-    # the topmost-pivot sweep sends [[1,1],[1,0]] to L=E_21, T=id, U=E_12
+    # the topmost-pivot sweep sends [[1,1],[1,0]] to L = I + e_10, U = I + e_01
     a = M([[1, 1], [1, 0]], 2)
-    lower, sigma, upper = gf.ltu_factorize(a)
-    assert sigma == (0, 1)
-    assert lower == [gf.AddUnit(2, 1)]
-    assert upper == [gf.AddUnit(1, 2)]
-    reasm = (
-        gf.factor_product(lower, 2, 2)
-        * gf.perm_matrix(sigma, 2)
-        * gf.factor_product(upper, 2, 2)
-    )
-    assert reasm == a
+    factors = gf.ltu_factorize(a)
+    assert factors == ([(1, 0, 1)], {}, (0, 1), [(0, 1, 1)])
+    assert _ltu_product(factors, 2, 2) == a
+
+
+def test_ltu_dots_and_coefficients():
+    assert gf.ltu_factorize(M([[2, 0], [0, 1]], 3)) == ([], {0: 2}, (0, 1), [])
+    # coefficients other than 1 stay on the arrow
+    assert gf.ltu_factorize(M([[1, 2], [0, 1]], 3)) == ([], {}, (0, 1), [(0, 1, 2)])
+    assert gf.ltu_factorize(M([[1, 0], [2, 1]], 3)) == ([(1, 0, 2)], {}, (0, 1), [])
 
 
 def test_ltu_structure_and_reassembly_exhaustive_gl2():
     for p in (2, 3):
         for rows in _int_gl2(p):
             a = M(rows, p)
-            lower, sigma, upper = gf.ltu_factorize(a)
-            for f in lower:
-                assert isinstance(f, (gf.AddUnit, gf.Scale))
-                if isinstance(f, gf.AddUnit):
-                    assert f.i > f.j
-            for f in upper:
-                assert isinstance(f, (gf.AddUnit, gf.Scale))
-                if isinstance(f, gf.AddUnit):
-                    assert f.i < f.j
-            reasm = (
-                gf.factor_product(lower, 2, p)
-                * gf.perm_matrix(sigma, p)
-                * gf.factor_product(upper, 2, p)
-            )
-            assert reasm == a
+            factors = gf.ltu_factorize(a)
+            lower, dots, up, upper = factors
+            assert all(r > g and 0 < c < p for r, g, c in lower)
+            assert all(r < g and 0 < c < p for r, g, c in upper)
+            assert all(1 < c < p for c in dots.values())
+            assert sorted(up) == [0, 1]
+            assert _ltu_product(factors, 2, p) == a
 
 
 def test_ltu_rejects_singular():
     with pytest.raises(Singular):
         gf.ltu_factorize(M([[1, 1], [1, 1]], 2))
-
-
-def test_elementary_factorize_examples():
-    assert gf.elementary_factorize(gf.Matrix.identity(4, 3)) == []
-    assert gf.elementary_factorize(M([[2, 0], [0, 1]], 3)) == [gf.Scale(1, fe(2, 3))]
-    # unit-coefficient additions only: E_12^2 = D_1^2 E_12 D_1^(1/2)
-    assert gf.elementary_factorize(M([[1, 2], [0, 1]], 3)) == [
-        gf.Scale(1, fe(2, 3)),
-        gf.AddUnit(1, 2),
-        gf.Scale(1, fe(2, 3)),
-    ]
 
 
 @st.composite
@@ -277,15 +261,7 @@ def invertible_matrices(draw, max_n=5, chars=(2, 3, 5)):
 def test_factorizations_reassemble(m):
     if not m.is_invertible():
         return
-    n, p = m.rows, m.char
-    lower, sigma, upper = gf.ltu_factorize(m)
-    reasm = (
-        gf.factor_product(lower, n, p)
-        * gf.perm_matrix(sigma, p)
-        * gf.factor_product(upper, n, p)
-    )
-    assert reasm == m
-    assert gf.factor_product(gf.elementary_factorize(m), n, p) == m
+    assert _ltu_product(gf.ltu_factorize(m), m.rows, m.char) == m
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +371,16 @@ def _gl(n, p):
 
 
 def _gl_generators(n, p):
+    # adjacent transpositions, I + e_01 and diag(2, 1, ..., 1)
     gens = []
-    for i in range(1, n):
-        gens.append(gf.factor_matrix(gf.Transposition(i, i + 1), n, p))
+    for i in range(n - 1):
+        swap = list(range(n))
+        swap[i], swap[i + 1] = i + 1, i
+        gens.append(gf.perm_matrix(swap, p))
     if n >= 2:
-        gens.append(gf.factor_matrix(gf.AddUnit(1, 2), n, p))
+        gens.append(_unit_plus(n, 0, 1, 1, p))
     if p > 2:
-        gens.append(gf.factor_matrix(gf.Scale(1, fe(2, p)), n, p))
+        gens.append(M([[(2 if i == 0 else 1) * (i == j) for j in range(n)] for i in range(n)], p))
     return gens
 
 
