@@ -8,8 +8,7 @@ elimination behind strip and simplify (``GradingViolation``), malformed
 input to them (``ValidationError``), and the two-story engine's
 ``verify``, moves and depth loop and ``normalize_transition``
 (``InvariantViolation``).  ``assert`` is left only on checks of the
-program's own work: the ``gf`` polynomial and primary-form kernels, and
-the two-story engine's convoy.
+program's own work in the ``gf`` polynomial and primary-form kernels.
 """
 
 

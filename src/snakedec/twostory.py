@@ -22,7 +22,10 @@ print identically; the pure shaft calculus (``apply_local_move``,
 Floor arrows carry a coefficient internally (sliding a black dot out of
 a shaft rescales a basis element, which taints the adjacent floor
 arrows), while the structural views expose only (source, target,
-length).
+length).  The engine holds all field data as int residues mod p: shaft
+arrows and dots, floor coefficients, and the logged steps in
+``complexes.Elimination``'s form.  Only the tokens, ``floor_arrows``
+and ``log`` box them.
 """
 
 from __future__ import annotations
@@ -226,6 +229,17 @@ def _compare_window(s: TraversalSequence, t: TraversalSequence) -> int:
     return lead + math.lcm(len(s.cycle), len(t.cycle))
 
 
+def _divergence(s: TraversalSequence, t: TraversalSequence, window: int) -> int:
+    """Signed 1-based index of the first term where s and t differ within
+    the window, positive when s comes first in the unusual order; 0 when
+    they agree throughout."""
+    for k in range(window):
+        a, b = s.term(k), t.term(k)
+        if a != b:
+            return (k + 1) if unusual_key(a) < unusual_key(b) else -(k + 1)
+    return 0
+
+
 def _as_sequence(s) -> TraversalSequence:
     if isinstance(s, TraversalSequence):
         return s
@@ -241,11 +255,8 @@ def unusual_compare(s, t, limit=math.inf) -> str:
     """
     s, t = _as_sequence(s), _as_sequence(t)
     window = _compare_window(s, t) if limit == math.inf else int(limit)
-    for k in range(window):
-        a, b = s.term(k), t.term(k)
-        if a != b:
-            return "less" if unusual_key(a) < unusual_key(b) else "greater"
-    return "equal"
+    d = _divergence(s, t, window)
+    return "equal" if not d else "less" if d > 0 else "greater"
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +299,10 @@ class Weight:
 class _ShaftState:
     """Normal form of one shaft's word: lower, dots, crossings, upper.
 
-    Crossover arrows are mutable ``[r, g, lam]`` triples meaning the
-    matrix I + lam * e_{rg} (0-based strand positions, r receives);
-    ``up`` sends a bottom position to the top position of its strand.
+    Crossover arrows are mutable ``[r, g, c]`` triples meaning the
+    matrix I + c e_{rg} (0-based strand positions, r receives), dots map
+    a bottom position to its scale, and ``up`` sends a bottom position to
+    the top position of its strand.  Coefficients are int residues mod p.
     """
 
     __slots__ = ("lower", "dots", "up", "upper")
@@ -305,22 +317,19 @@ class _ShaftState:
 def _state_matrix(state: _ShaftState, width: int, char: int) -> gf.Matrix:
     """The shaft product L_1 ... L_k D P U_1 ... U_m by row and column ops.
 
-    Row a of D P is dots[a] times e_{up[a]}.  Each arrow [r, g, lam] is
-    I + lam e_{rg}: an upper one on the right adds lam times column r
-    into column g, a lower one on the left adds lam times row g into
-    row r, so upper arrows go in order and lower arrows in reverse.
+    Row a of D P is dots[a] times e_{up[a]}.  Each arrow [r, g, c] is
+    I + c e_{rg}: an upper one on the right adds c times column r into
+    column g, a lower one on the left adds c times row g into row r, so
+    upper arrows go in order and lower arrows in reverse.
     """
     rows = [[0] * width for _ in range(width)]
     for a, q in enumerate(state.up):
-        lam = state.dots.get(a)
-        rows[a][q] = 1 if lam is None else lam.value
-    for r, g, lam in state.upper:
-        c = lam.value
+        rows[a][q] = state.dots.get(a, 1)
+    for r, g, c in state.upper:
         for row in rows:
             if row[r]:
                 row[g] = (row[g] + c * row[r]) % char
-    for r, g, lam in reversed(state.lower):
-        c = lam.value
+    for r, g, c in reversed(state.lower):
         rows[r] = [(x + c * y) % char for x, y in zip(rows[r], rows[g])]
     return gf.Matrix._wrap(tuple([tuple(row) for row in rows]), char)
 
@@ -349,30 +358,20 @@ def _perm_crossings(sigma) -> list:
 
 
 def _state_tokens(state: _ShaftState, char: int) -> list:
-    toks = []
-    one = gf.FieldElem(1, char)
-    for r, g, lam in state.lower:
-        toks.append(CrossoverArrow(g + 1, r + 1, lam))
-    for p in sorted(state.dots):
-        if state.dots[p] != one:
-            toks.append(BlackDot(p + 1, state.dots[p]))
-    toks.extend(_perm_crossings(gf.perm_inverse(state.up)))
-    for r, g, lam in state.upper:
-        toks.append(CrossoverArrow(g + 1, r + 1, lam))
-    return toks
+    def arrows(seq):
+        return [CrossoverArrow(g + 1, r + 1, gf.FieldElem(c, char)) for r, g, c in seq]
+
+    dots = sorted((a, c) for a, c in state.dots.items() if c != 1)
+    middle = [BlackDot(a + 1, gf.FieldElem(c, char)) for a, c in dots]
+    middle += _perm_crossings(gf.perm_inverse(state.up))
+    return arrows(state.lower) + middle + arrows(state.upper)
 
 
 def _ltu_state(mat: gf.Matrix) -> _ShaftState:
     """Normal form of an invertible block: ``gf.ltu_factorize`` with
-    mutable arrows and FieldElem coefficients."""
-    p = mat.char
+    mutable arrows."""
     lower, dots, up, upper = gf.ltu_factorize(mat)
-    return _ShaftState(
-        [[r, g, gf.FieldElem(c, p)] for r, g, c in lower],
-        {a: gf.FieldElem(c, p) for a, c in dots.items()},
-        up,
-        [[r, g, gf.FieldElem(c, p)] for r, g, c in upper],
-    )
+    return _ShaftState([list(a) for a in lower], dots, up, [list(a) for a in upper])
 
 
 def _ordered_ltu(mat: gf.Matrix, x_keys, y_keys, char: int) -> _ShaftState:
@@ -392,12 +391,12 @@ def _ordered_ltu(mat: gf.Matrix, x_keys, y_keys, char: int) -> _ShaftState:
         tuple([tuple([ents[x][y] for y in yorder]) for x in xorder]), char
     )
     local = _ltu_state(sub)
-    lower = [[xorder[r], xorder[g], lam] for r, g, lam in local.lower]
-    dots = {xorder[p]: lam for p, lam in local.dots.items()}
+    lower = [[xorder[r], xorder[g], c] for r, g, c in local.lower]
+    dots = {xorder[p]: c for p, c in local.dots.items()}
     up = [0] * w
     for a in range(w):
         up[xorder[a]] = yorder[local.up[a]]
-    upper = [[yorder[r], yorder[g], lam] for r, g, lam in local.upper]
+    upper = [[yorder[r], yorder[g], c] for r, g, c in local.upper]
     return _ShaftState(lower, dots, tuple(up), upper)
 
 
@@ -564,6 +563,15 @@ def straighten(shaft: Shaft, order=None) -> Shaft:
 # the two-story complex engine
 
 
+def _index_of(seq: list, ca: list) -> int:
+    """Position of the arrow record ca itself in seq; an equal twin is
+    another arrow and does not count."""
+    for k, other in enumerate(seq):
+        if other is ca:
+            return k
+    raise InvariantViolation("arrow record left its tier")
+
+
 def _boundary_arrow(st: _ShaftState, tier, k) -> list:
     """The arrow at (tier, k), which must sit at its exit boundary."""
     if tier == LOWER:
@@ -659,31 +667,31 @@ class TwoStoryComplex:
 
     # -- logging ---------------------------------------------------------
 
-    def _log_add(self, side, r_idx, g_idx, mono: Monomial):
-        steps = self._xsteps if side == "x" else self._ysteps
-        steps.append(("add", r_idx, g_idx, mono))
-
-    def _log_scale(self, side, idx, lam: gf.FieldElem):
-        steps = self._xsteps if side == "x" else self._ysteps
-        steps.append(("scale", idx, lam))
+    def _log(self, side, *step):
+        """Record ("add", r, g, (c, u, v)) or ("scale", i, c) for a floor."""
+        (self._xsteps if side == "x" else self._ysteps).append(step)
 
     @property
     def log(self) -> tuple:
+        """The steps with boxed coefficients: ``Monomial`` and ``FieldElem``."""
+        p = self.char
+
+        def boxed(side, step):
+            if step[0] == "add":
+                _, r, g, (c, u, v) = step
+                return (side, "add", r, g, Monomial(gf.FieldElem(c, p), u, v))
+            return (side, "scale", step[1], gf.FieldElem(step[2], p))
+
         return tuple(
-            [("x",) + s for s in self._xsteps] + [("y",) + s for s in self._ysteps]
+            [boxed("x", s) for s in self._xsteps] + [boxed("y", s) for s in self._ysteps]
         )
 
     def _fold_change(self, side) -> BasisChange:
         gens = self.x_gens if side == "x" else self.y_gens
         steps = self._xsteps if side == "x" else self._ysteps
         el = Elimination(Complex(self.original.ring, self.char, gens, ()))
-        for step in steps:
-            if step[0] == "add":
-                _, r, g, m = step
-                el.add(r, g, (m.coeff.value, m.u_exp, m.v_exp))
-            else:
-                _, i, lam = step
-                el.scale(i, lam.value)
+        for op, *args in steps:
+            getattr(el, op)(*args)
         return BasisChange.from_rows(self.original.ring, self.char, gens, gens, el.rows)
 
     # -- views -------------------------------------------------------------
@@ -721,7 +729,8 @@ class TwoStoryComplex:
     def floor_arrows(self, floor) -> tuple:
         """Structural floor arrows with coefficients: (src, tgt, len, mu)."""
         table = self._vert if floor == BOTTOM else self._horiz
-        return tuple(sorted((s, v[0], v[1], v[2]) for s, v in table.items()))
+        p = self.char
+        return tuple(sorted((s, v[0], v[1], gf.FieldElem(v[2], p)) for s, v in table.items()))
 
     # -- journeys -------------------------------------------------------------
 
@@ -771,11 +780,7 @@ class TwoStoryComplex:
     def _component(self, floor, idx_r, idx_g):
         sr = self._sequence(floor, idx_r)
         sg = self._sequence(floor, idx_g)
-        for k in range(_compare_window(sr, sg)):
-            a, b = sr.term(k), sg.term(k)
-            if a != b:
-                return (k + 1) if unusual_key(a) < unusual_key(b) else -(k + 1)
-        return math.inf
+        return _divergence(sr, sg, _compare_window(sr, sg)) or math.inf
 
     def _arrow_weight(self, grading, tier, r, g) -> Weight:
         st = self._shafts[grading]
@@ -827,8 +832,8 @@ class TwoStoryComplex:
         y = self._fold_change("y").compose(self._y0_change)
         x.check_homogeneous()
         y.check_homogeneous()
-        for change, floor, k in ((x, BOTTOM, 1), (y, TOP, 2)):
-            arrows = [(s, t, n, mu.value) for s, t, n, mu in self.floor_arrows(floor)]
+        for change, table, floor, k in ((x, self._vert, BOTTOM, 1), (y, self._horiz, TOP, 2)):
+            arrows = [(s, t, n, mu) for s, (t, n, mu) in table.items()]
             if not intertwines(self.original, change, arrows, k):
                 raise InvariantViolation(f"{floor} floor drifted from the engine tables")
         p = self.char
@@ -854,88 +859,54 @@ class TwoStoryComplex:
         st = self._shafts[grading]
         if p not in st.dots:
             raise PatternMismatch("no dot to slide at this position")
+        if direction not in ("down", "up"):
+            raise ValueError(f"unknown slide direction {direction!r}")
+        char = self.char
         lam = st.dots.pop(p)
+        inv = pow(lam, -1, char)
         if direction == "down":
             for ca in st.lower:
                 if ca[1] == p:
-                    ca[2] = ca[2] * lam
+                    ca[2] = ca[2] * lam % char
                 if ca[0] == p:
-                    ca[2] = ca[2] / lam
+                    ca[2] = ca[2] * inv % char
             idx = self._idx(grading, p)
-            self._log_scale("x", idx, lam.inverse())
+            self._log("x", "scale", idx, inv)
             if idx in self._vert:
-                self._vert[idx][2] = self._vert[idx][2] / lam
+                self._vert[idx][2] = self._vert[idx][2] * inv % char
             if idx in self._vert_in:
                 src = self._vert_in[idx]
-                self._vert[src][2] = self._vert[src][2] * lam
-        elif direction == "up":
+                self._vert[src][2] = self._vert[src][2] * lam % char
+        else:
             q = st.up[p]
             for ca in st.upper:
                 if ca[0] == q:
-                    ca[2] = ca[2] * lam
+                    ca[2] = ca[2] * lam % char
                 if ca[1] == q:
-                    ca[2] = ca[2] / lam
+                    ca[2] = ca[2] * inv % char
             idx = self._idx(grading, q)
-            self._log_scale("y", idx, lam)
+            self._log("y", "scale", idx, lam)
             if idx in self._horiz:
-                self._horiz[idx][2] = self._horiz[idx][2] * lam
+                self._horiz[idx][2] = self._horiz[idx][2] * lam % char
             if idx in self._horiz_in:
                 src = self._horiz_in[idx]
-                self._horiz[src][2] = self._horiz[src][2] / lam
-        else:
-            raise ValueError(f"unknown slide direction {direction!r}")
+                self._horiz[src][2] = self._horiz[src][2] * inv % char
         self._dirty()
 
     # -- crossover arrow turns -------------------------------------------------------
 
-    def _one_turn(self, grading, tier, k):
-        """Slide the boundary arrow through the adjacent floor.
+    def _turn(self, grading, tier, k, remove=True):
+        """Carry the boundary arrow out through the adjacent floor.
 
-        Returns (handle, arrow record) for the arrow in its new shaft.
-        Raises StrandsDiverge when the strand pair does not run parallel
-        through the floor.
+        The arrow's basis step at the floor is undone.  Where both strands
+        continue along the floor on the same side, that forces a second
+        step between their neighbours, times the variable to the power by
+        which the two floor lengths differ.  A parallel pair has power 0:
+        the second step is an arrow in the neighbouring shaft, and
+        (handle, arrow record) there is returned.  A diverging pair loses
+        the arrow and None is returned; with ``remove`` off, StrandsDiverge
+        is raised instead, before any change.
         """
-        st = self._shafts[grading]
-        r, g, lam = _boundary_arrow(st, tier, k)
-        floor = BOTTOM if tier == LOWER else TOP
-        idx_r, idx_g = self._idx(grading, r), self._idx(grading, g)
-        ar = self._floor_step(floor, idx_r)
-        ag = self._floor_step(floor, idx_g)
-        if ar is None or ag is None or ar[0] != ag[0]:
-            raise StrandsDiverge(f"pair at {grading} splits at the {floor} floor")
-        table = self._vert if floor == BOTTOM else self._horiz
-        jr, jg = ar[1], ag[1]
-        if ar[0] < 0:
-            mu_r, mu_g = table[idx_r][2], table[idx_g][2]
-            coeff = lam * mu_g / mu_r
-        else:
-            mu_r, mu_g = table[jr][2], table[jg][2]
-            coeff = lam * mu_r / mu_g
-        if tier == LOWER:
-            st.lower.pop(0)
-            self._log_add("x", idx_r, idx_g, Monomial(-lam, 0, 0))
-            self._log_add("x", jr, jg, Monomial(-coeff, 0, 0))
-        else:
-            st.upper.pop()
-            self._log_add("y", idx_r, idx_g, Monomial(lam, 0, 0))
-            self._log_add("y", jr, jg, Monomial(coeff, 0, 0))
-        g2 = self._pos[jr][0]
-        if self._pos[jg][0] != g2:
-            raise InvariantViolation("parallel step lands in two bigradings")
-        st2 = self._shafts[g2]
-        p_r, p_g = self._pos[jr][1], self._pos[jg][1]
-        ca = [p_r, p_g, -coeff]
-        if tier == LOWER:
-            st2.lower.insert(0, ca)
-            handle = (g2, LOWER, 0)
-        else:
-            st2.upper.append(ca)
-            handle = (g2, UPPER, len(st2.upper) - 1)
-        self._dirty()
-        return handle, ca
-
-    def _remove_turn(self, grading, tier, k):
-        """Remove the boundary arrow at a floor where its pair diverges."""
         st = self._shafts[grading]
         r, g, lam = _boundary_arrow(st, tier, k)
         floor, side = (BOTTOM, "x") if tier == LOWER else (TOP, "y")
@@ -944,32 +915,37 @@ class TwoStoryComplex:
         ag = self._floor_step(floor, idx_g)
         vr = ar[0] if ar else 0
         vg = ag[0] if ag else 0
-        ends = ar is None and ag is None
-        if not ends and not unusual_key(vr) < unusual_key(vg):
-            raise WrongOrientation(
-                f"arrow at {grading} points up the divergence order"
-            )
-        table = self._vert if floor == BOTTOM else self._horiz
-        if tier == LOWER:
-            st.lower.pop(0)
-            self._log_add(side, idx_r, idx_g, Monomial(-lam, 0, 0))
-        else:
-            st.upper.pop()
-            self._log_add(side, idx_r, idx_g, Monomial(lam, 0, 0))
-        sign = gf.FieldElem(-1 if tier == LOWER else 1, self.char)
-        if vr < 0 and vg < 0:
-            nr, ng = ar[1], ag[1]
-            mu_r, mu_g = table[idx_r][2], table[idx_g][2]
-            delta = (-vg) - (-vr)
-            coeff = sign * lam * mu_g / mu_r
-            self._log_add(side, nr, ng, _power_mono(coeff, floor, delta))
-        elif vr > 0 and vg > 0:
-            ur, ug = ar[1], ag[1]
-            mu_r, mu_g = table[ur][2], table[ug][2]
-            delta = vr - vg
-            coeff = sign * lam * mu_r / mu_g
-            self._log_add(side, ur, ug, _power_mono(coeff, floor, delta))
+        parallel = vr == vg != 0
+        if parallel:
+            g2 = self._pos[ar[1]][0]
+            if self._pos[ag[1]][0] != g2:
+                raise InvariantViolation("parallel step lands in two bigradings")
+        elif not remove:
+            raise StrandsDiverge(f"pair at {grading} splits at the {floor} floor")
+        elif (ar or ag) and not unusual_key(vr) < unusual_key(vg):
+            raise WrongOrientation(f"arrow at {grading} points up the divergence order")
+        p = self.char
+        sign = -1 if tier == LOWER else 1
+        (st.lower if tier == LOWER else st.upper).pop(0 if tier == LOWER else -1)
         self._dirty()
+        self._log(side, "add", idx_r, idx_g, (sign * lam % p, 0, 0))
+        table = self._vert if floor == BOTTOM else self._horiz
+        if vr < 0 and vg < 0:
+            coeff = lam * table[idx_g][2] * pow(table[idx_r][2], -1, p) % p
+        elif vr > 0 and vg > 0:
+            coeff = lam * table[ar[1]][2] * pow(table[ag[1]][2], -1, p) % p
+        else:
+            return None
+        self._log(side, "add", ar[1], ag[1], _power_mono(sign * coeff % p, floor, vr - vg))
+        if not parallel:
+            return None
+        st2 = self._shafts[g2]
+        ca = [self._pos[ar[1]][1], self._pos[ag[1]][1], -coeff % p]
+        if tier == LOWER:
+            st2.lower.insert(0, ca)
+            return (g2, LOWER, 0), ca
+        st2.upper.append(ca)
+        return (g2, UPPER, len(st2.upper) - 1), ca
 
     # -- extraction and the snowplow ----------------------------------------------------
 
@@ -982,20 +958,17 @@ class TwoStoryComplex:
 
     def _cross_middle(self, grading, ca, upward):
         """Carry an arrow through the dot and crossing block."""
-        st = self._shafts[grading]
-        one = gf.FieldElem(1, self.char)
+        st, p = self._shafts[grading], self.char
         if upward:
-            dr = st.dots.get(ca[0], one)
-            dg = st.dots.get(ca[1], one)
-            ca[2] = ca[2] * dg / dr
+            dr, dg = st.dots.get(ca[0], 1), st.dots.get(ca[1], 1)
+            ca[2] = ca[2] * dg * pow(dr, -1, p) % p
             ca[0], ca[1] = st.up[ca[0]], st.up[ca[1]]
             st.upper.insert(0, ca)
         else:
             inv = gf.perm_inverse(st.up)
             ca[0], ca[1] = inv[ca[0]], inv[ca[1]]
-            dr = st.dots.get(ca[0], one)
-            dg = st.dots.get(ca[1], one)
-            ca[2] = ca[2] * dr / dg
+            dr, dg = st.dots.get(ca[0], 1), st.dots.get(ca[1], 1)
+            ca[2] = ca[2] * dr * pow(dg, -1, p) % p
             st.lower.append(ca)
 
     def _extract(self, grading, tier, k, side, convoy):
@@ -1010,7 +983,7 @@ class TwoStoryComplex:
         target_tier = LOWER if side == "down" else UPPER
         if tier != target_tier:
             while True:
-                k = seq.index(ca)
+                k = _index_of(seq, ca)
                 if tier == LOWER:
                     if k == len(seq) - 1:
                         break
@@ -1021,12 +994,12 @@ class TwoStoryComplex:
                         break
                     if not self._swap_adjacent(seq, k - 1):
                         self._displace(grading, tier, k - 1, side, convoy)
-            seq.remove(ca)
+            del seq[k]
             self._cross_middle(grading, ca, upward=(side == "up"))
             tier = target_tier
             seq = st.lower if tier == LOWER else st.upper
         while True:
-            k = seq.index(ca)
+            k = _index_of(seq, ca)
             if side == "down":
                 if k == 0:
                     return (grading, tier, 0)
@@ -1040,25 +1013,17 @@ class TwoStoryComplex:
 
     def _displace(self, grading, tier, k, side, convoy):
         """Push the blocking arrow at (tier, k) out through the exit floor."""
-        g_, tier_, k_ = self._extract(grading, tier, k, side, convoy)
-        try:
-            handle, ca = self._one_turn(g_, tier_, k_)
-        except StrandsDiverge:
-            # a blocker that cannot ride along leaves for good
-            self._remove_turn(g_, tier_, k_)
-            return
-        convoy.append((handle, ca))
+        moved = self._turn(*self._extract(grading, tier, k, side, convoy))
+        if moved is not None:  # a blocker that cannot ride along left for good
+            convoy.append(moved)
 
     def _restore_convoy(self, convoy):
+        # _turn raises InvariantViolation for an entry that drifted off
+        # its boundary
         for (grading, tier, _), ca in reversed(convoy):
             st = self._shafts[grading]
-            seq = st.lower if tier == LOWER else st.upper
-            k = seq.index(ca)
-            if tier == LOWER:
-                assert k == 0, "convoy entry drifted from the boundary"
-            else:
-                assert k == len(seq) - 1, "convoy entry drifted from the boundary"
-            self._one_turn(grading, tier, k)
+            k = _index_of(st.lower if tier == LOWER else st.upper, ca)
+            self._turn(grading, tier, k, remove=False)
 
     def _snowplow_remove(self, grading, tier, k, side):
         """Slide the arrow along parallel turns, remove it where the
@@ -1066,12 +1031,10 @@ class TwoStoryComplex:
         convoy: list = []
         handle = (grading, tier, k)
         while True:
-            g_, tier_, k_ = self._extract(*handle, side, convoy)
-            try:
-                handle, _ = self._one_turn(g_, tier_, k_)
-            except StrandsDiverge:
-                self._remove_turn(g_, tier_, k_)
+            moved = self._turn(*self._extract(*handle, side, convoy))
+            if moved is None:
                 break
+            handle = moved[0]
             side = "up" if side == "down" else "down"
         self._restore_convoy(convoy)
         self._dirty()
@@ -1079,51 +1042,36 @@ class TwoStoryComplex:
 
     # -- reparametrization ------------------------------------------------------------
 
-    def _journey_keys(self, grading, terms):
-        x_keys, y_keys = [], []
-        for p in range(self.width(grading)):
-            idx = self._idx(grading, p)
-            down = self._sequence(BOTTOM, idx).realize(terms)
-            upw = self._sequence(TOP, idx).realize(terms)
-            # tuple([...]), not tuple(<genexpr>): resized generator tuples raised peak RSS
-            x_keys.append(tuple([unusual_key(v) for v in down]))
-            y_keys.append(tuple([unusual_key(v) for v in upw]))
-        return x_keys, y_keys
-
-    def _reparametrize(self, grading, terms):
+    def _reparametrize(self, grading, terms, keep_upper=False):
         """Refactor one shaft so arrows respect the journey-prefix order.
 
         Bottom positions are keyed by prefixes of their downward
         journeys, top positions by prefixes of their upward ones; after
         the refactorization every arrow between strands that separate
         inside the window points in the removable direction.
+
+        With ``keep_upper`` only the word below the upper arrows is
+        refactored and fresh upper factors come out underneath the kept
+        ones.  That keeps every replacement strand parallel to the old
+        one for a full extra step downward, which is what lets one more
+        journey term survive the change of basis.
         """
         w = self.width(grading)
         if w <= 1:
             return
-        x_keys, y_keys = self._journey_keys(grading, terms)
-        mat = _state_matrix(self._shafts[grading], w, self.char)
-        self._shafts[grading] = _ordered_ltu(mat, x_keys, y_keys, self.char)
-        self._dirty()
-
-    def _reparametrize_lower_region(self, grading, terms):
-        """Refactor the shaft word below its upper arrows, keeping those.
-
-        Leaving the upper arrows out of the refactorization keeps every
-        replacement strand parallel to the old one for a full extra step
-        downward, which is what lets one more journey term survive the
-        change of basis.  Fresh upper factors come out underneath the
-        kept ones.
-        """
-        w = self.width(grading)
-        if w <= 1:
-            return
-        x_keys, y_keys = self._journey_keys(grading, terms)
+        x_keys, y_keys = [], []
+        for p in range(w):
+            idx = self._idx(grading, p)
+            down = self._sequence(BOTTOM, idx).realize(terms)
+            upw = self._sequence(TOP, idx).realize(terms)
+            # tuple([...]), not tuple(<genexpr>): resized generator tuples raised peak RSS
+            x_keys.append(tuple([unusual_key(v) for v in down]))
+            y_keys.append(tuple([unusual_key(v) for v in upw]))
         st = self._shafts[grading]
-        region = _ShaftState(st.lower, st.dots, st.up, [])
-        mat = _state_matrix(region, w, self.char)
-        new = _ordered_ltu(mat, x_keys, y_keys, self.char)
-        new.upper.extend(st.upper)
+        kept = st.upper if keep_upper else []
+        region = _ShaftState(st.lower, st.dots, st.up, [] if keep_upper else st.upper)
+        new = _ordered_ltu(_state_matrix(region, w, self.char), x_keys, y_keys, self.char)
+        new.upper.extend(kept)
         self._shafts[grading] = new
         self._dirty()
 
@@ -1167,11 +1115,7 @@ class TwoStoryComplex:
         st = self._shafts[grading]
         seq = st.lower if tier == LOWER else st.upper
         while seq:
-            k = 0 if tier == LOWER else len(seq) - 1
-            try:
-                self._one_turn(grading, tier, k)
-            except StrandsDiverge:
-                self._remove_turn(grading, tier, k)
+            self._turn(grading, tier, 0 if tier == LOWER else len(seq) - 1)
         self._dirty()
 
     def increase_depth(self, m: int):
@@ -1200,7 +1144,7 @@ class TwoStoryComplex:
         self._remove_all(lambda w: w.w_hat == m, UPPER, "up")
         self._remove_all(lambda w: w.w_hat == m, LOWER, "down")
         for g in self.gradings():
-            self._reparametrize_lower_region(g, m + 1)
+            self._reparametrize(g, m + 1, keep_upper=True)
             self._verify_if_paranoid()
             self._remove_all(lambda w: w.w_hat == m, UPPER, "up")
             self._slide_out(g, LOWER)
@@ -1234,10 +1178,8 @@ class TwoStoryComplex:
         return self
 
 
-def _power_mono(lam: gf.FieldElem, floor, delta: int) -> Monomial:
-    if floor == BOTTOM:
-        return Monomial(lam, 0, delta)
-    return Monomial(lam, delta, 0)
+def _power_mono(c: int, floor, delta: int) -> tuple:
+    return (c, 0, delta) if floor == BOTTOM else (c, delta, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1254,9 +1196,8 @@ def build(c: Complex) -> TwoStoryComplex:
     if has_length_zero_arrow(c):
         raise ValidationError("cancel length-zero arrows before building")
     td = simplified_transition(c)
-    one = gf.FieldElem(1, c.char)
-    vert = {s: (t, l, one) for s, t, l in td.x_basis.arrows}
-    horiz = {s: (t, l, one) for s, t, l in td.y_basis.arrows}
+    vert = {s: (t, l, 1) for s, t, l in td.x_basis.arrows}
+    horiz = {s: (t, l, 1) for s, t, l in td.y_basis.arrows}
     t = TwoStoryComplex._new(
         c.char, td.x_basis.generators, td.y_basis.generators, vert, horiz
     )
@@ -1372,7 +1313,7 @@ def slide_arrow_step(t: TwoStoryComplex, arrow, direction: str) -> TwoStoryCompl
             raise PatternMismatch("arrow is not at the top boundary")
     else:
         raise ValueError(f"unknown slide direction {direction!r}")
-    t._one_turn(grading, tier, k)
+    t._turn(grading, tier, k, remove=False)
     t._verify_if_paranoid()
     return t
 
@@ -1407,15 +1348,14 @@ def run_to_depth_infinity(t: TwoStoryComplex) -> TwoStoryComplex:
 def dump(t: TwoStoryComplex) -> str:
     """Deterministic structured text of floors, shafts and tokens."""
     lines = [f"two-story complex over F_{t.char}, rank {len(t.x_gens)}"]
-    one = gf.FieldElem(1, t.char)
 
     def floor_lines(label, gens, table, power):
         lines.append(f"{label}:")
         for s in sorted(table):
             tg, l, mu = table[s]
             text = f"  {gens[s].id} -{power}^{l}-> {gens[tg].id}"
-            if mu != one:
-                text += f"  (coefficient {mu.value})"
+            if mu != 1:
+                text += f"  (coefficient {mu})"
             lines.append(text)
 
     floor_lines("bottom floor", t.x_gens, t._vert, "V")

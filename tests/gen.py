@@ -487,7 +487,7 @@ def conjugation_verify(t):
             s = idx[a.src]
             if s in got:
                 raise InvariantViolation(f"{label} floor source repeated")
-            got[s] = (idx[a.tgt], a.mono.u_exp + a.mono.v_exp, a.mono.coeff)
+            got[s] = (idx[a.tgt], a.mono.u_exp + a.mono.v_exp, a.mono.coeff.value)
         if got != {s: tuple(v) for s, v in table.items()}:
             raise InvariantViolation(f"{label} floor drifted from the engine tables")
     p = x.compose(y.inverse())

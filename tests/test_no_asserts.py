@@ -12,10 +12,8 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "snakedec"
 
-# (module, function) -> asserts allowed there.  The two convoy-drift asserts
-# in _restore_convoy stay until the convoy is repaired (ROADMAP item 2): the
-# benchmark's messy smoke test matches their AssertionError message.
-ALLOWED = {("twostory.py", "_restore_convoy"): 2}
+# (module, function) -> asserts allowed there
+ALLOWED: dict = {}
 
 
 def _asserts_by_function(path):
@@ -39,5 +37,7 @@ def test_no_asserts_outside_the_allowlist(module):
     assert not extra, f"assert used where a typed error belongs: {extra}"
 
 
-def test_the_lint_sees_asserts():
-    assert _asserts_by_function(SRC / "twostory.py")[("twostory.py", "_restore_convoy")] == 2
+def test_the_lint_sees_asserts(tmp_path):
+    path = tmp_path / "checked.py"
+    path.write_text("def f(x):\n    assert x\n\n\nclass C:\n    def g(self):\n        assert self\n")
+    assert _asserts_by_function(path) == {("checked.py", "f"): 1, ("checked.py", "g"): 1}

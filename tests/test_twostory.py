@@ -7,7 +7,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from gen import (
@@ -544,6 +544,10 @@ def test_slide_round_trip():
 def test_slide_dot_dissolves():
     t = build(figure_eight())
     assert t.shaft((0, 0)).tokens == (BlackDot(2, f(2, 3)),)
+    before = dump(t)
+    with pytest.raises(ValueError, match="unknown slide direction"):
+        slide_arrow_step(t, ((0, 0), 0), "sideways")
+    assert dump(t) == before
     slide_arrow_step(t, ((0, 0), 0), "down")
     assert token_count(t) == 0
     assert "x2 -V^1-> x4  (coefficient 2)" in dump(t)
@@ -552,8 +556,10 @@ def test_slide_dot_dissolves():
 
 def test_slide_refuses_diverging_strands():
     t = build(braided())
+    before = (dump(t), t.log)
     with pytest.raises(StrandsDiverge):
         slide_arrow_step(t, ((-1, 1), 0), "up")
+    assert (dump(t), t.log) == before
 
 
 def test_slide_rejects_non_boundary():
@@ -664,6 +670,24 @@ def test_reparametrization_keeps_early_terms():
         t._reparametrize(grading, m)
     assert snapshot() == before
     t.verify()
+
+
+def test_reparametrization_can_keep_the_upper_arrows():
+    kept = 0
+    for seed in range(20):
+        c, _, _ = strip_zero_complexes(random_messy(seed, max_rank=24))
+        t = build(c)
+        for grading in t.gradings():
+            st = t._shafts[grading]
+            upper, w = list(st.upper), t.width(grading)
+            product = _state_matrix(st, w, t.char)
+            t._reparametrize(grading, 2, keep_upper=True)
+            new = t._shafts[grading].upper
+            assert all(a is b for a, b in zip(new[len(new) - len(upper):], upper))
+            assert _state_matrix(t._shafts[grading], w, t.char) == product
+            kept += len(upper)
+        t.verify()
+    assert kept > 0
 
 
 # ---------------------------------------------------------------------------
@@ -816,6 +840,37 @@ def test_state_matrix_matches_token_product():
         _check_states(t)
 
 
+def _engine_coefficients(t):
+    """Every field coefficient the engine state holds, by where it sits."""
+    for st in t._shafts.values():
+        yield from (("arrow", ca[2]) for ca in st.lower + st.upper)
+        yield from (("dot", c) for c in st.dots.values())
+    for table in (t._vert, t._horiz):
+        yield from (("floor", v[2]) for v in table.values())
+    for step in t._xsteps + t._ysteps:
+        yield ("log", step[3][0] if step[0] == "add" else step[2])
+
+
+def test_engine_state_holds_int_residues():
+    seen = set()
+    for seed in range(40):
+        c, _, _ = strip_zero_complexes(random_messy(seed, max_rank=14))
+        if c.rank == 0:
+            continue
+        t = build(c)
+        slid = copy.deepcopy(t)
+        for grading, st in slid._shafts.items():
+            for k, pos in enumerate(sorted(st.dots)):
+                slid._slide_dot(grading, pos, ("down", "up")[k % 2])
+        slid.verify()
+        at_build = list(_engine_coefficients(t)) + list(_engine_coefficients(slid))
+        run_to_depth_infinity(t)
+        for where, x in at_build + list(_engine_coefficients(t)):
+            assert type(x) is int and 1 <= x < t.char, (seed, where, x)
+            seen.add(where)
+    assert seen == {"arrow", "dot", "floor", "log"}
+
+
 @hst.composite
 def invertible_blocks(draw):
     p = draw(hst.sampled_from((2, 3, 5)))
@@ -845,7 +900,7 @@ def _corrupt_a_dot(t):
     """Flip the sign of one black dot's coefficient in the engine state."""
     for st in t._shafts.values():
         for pos, lam in st.dots.items():
-            st.dots[pos] = -lam
+            st.dots[pos] = -lam % t.char
             return
     raise AssertionError("no black dot to corrupt")
 
@@ -867,7 +922,7 @@ def test_verify_survives_python_optimize():
         "t = build(figure_eight())",
         "st = next(s for s in t._shafts.values() if s.dots)",
         "pos, lam = next(iter(st.dots.items()))",
-        "st.dots[pos] = -lam",
+        "st.dots[pos] = -lam % t.char",
         "try:",
         "    t.verify()",
         "except InvariantViolation as exc:",
@@ -913,14 +968,14 @@ def _corrupted(t, rng):
     grading = rng.choice(dot.gradings())
     pos = rng.randrange(dot.width(grading))
     dots = dot._shafts[grading].dots
-    dots[pos] = FieldElem(dots.get(pos, FieldElem(1, p)).value + 1, p)
+    dots[pos] = (dots.get(pos, 1) + 1) % p
     out = [dot]
     if t._vert or t._horiz:
         floor = copy.deepcopy(t)
         table = rng.choice([tb for tb in (floor._vert, floor._horiz) if tb])
         entry = table[rng.choice(sorted(table))]
         if p > 2 and rng.random() < 0.5:
-            entry[2] = FieldElem(entry[2].value + 1, p)
+            entry[2] = (entry[2] + 1) % p
         else:
             entry[1] += 1
         out.append(floor)
@@ -997,11 +1052,11 @@ def test_increase_depth_validates_m():
 def test_turns_reject_an_arrow_off_the_boundary():
     t = build(braided())
     grading = t.gradings()[0]
-    for turn in (t._one_turn, t._remove_turn):
+    for remove in (False, True):
         with pytest.raises(InvariantViolation, match="bottom boundary"):
-            turn(grading, "lower", 1)
+            t._turn(grading, "lower", 1, remove)
         with pytest.raises(InvariantViolation, match="top boundary"):
-            turn(grading, "upper", len(t._shafts[grading].upper))
+            t._turn(grading, "upper", len(t._shafts[grading].upper), remove)
     # a turn whose two strands land in different shafts
     t = build(square_sheets())
     t._pos = {i: ((i, i), p) for i, (_, p) in t._pos.items()}
@@ -1012,13 +1067,14 @@ def test_turns_reject_an_arrow_off_the_boundary():
         "from snakedec.errors import InvariantViolation",
         "from snakedec.twostory import build",
         "t = build(braided())",
-        "try:",
-        "    t._one_turn(t.gradings()[0], 'lower', 1)",
-        "except InvariantViolation as exc:",
-        "    print('raised', exc)",
+        "for remove in (False, True):",
+        "    try:",
+        "        t._turn(t.gradings()[0], 'lower', 1, remove)",
+        "    except InvariantViolation as exc:",
+        "        print('raised', exc)",
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised arrow must sit at the bottom boundary"), out.stdout
+    assert out.stdout == "raised arrow must sit at the bottom boundary\n" * 2, out.stdout
 
 
 def test_refactoring_moves_check_the_product(monkeypatch):
@@ -1048,27 +1104,28 @@ def test_depth_pass_checks_that_it_raised_the_depth(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# known failures of the depth loop (ROADMAP item 2), pinned to their errors
-
-_CONVOY_DRIFT = pytest.mark.xfail(
-    raises=AssertionError, strict=True, reason="convoy entry drifts from the boundary"
-)
-_DISPLACE_CYCLE = pytest.mark.xfail(
-    raises=RecursionError, strict=True, reason="two blockers displace each other in a cycle"
-)
+# the depth loop at larger ranks
 
 
-@pytest.mark.parametrize(
-    "seed, max_rank",
-    [
-        pytest.param(1, 24, marks=_CONVOY_DRIFT),
-        pytest.param(34, 24, marks=_CONVOY_DRIFT),
-        pytest.param(126, 24, marks=_CONVOY_DRIFT),
-        pytest.param(136, 24, marks=_CONVOY_DRIFT),
-        pytest.param(182, 40, marks=_DISPLACE_CYCLE),
-    ],
+# seeds 1, 34, 126 and 136 at max_rank 24 once failed with convoy drift and
+# seed 182 at max_rank 40 with a displacement cycle: arrow records were
+# looked up by value, so a tier holding two equal arrows sent the lookup to
+# the twin
+@given(
+    seed=hst.integers(min_value=0, max_value=10**6),
+    span=hst.sampled_from((2, 3)),
+    max_rank=hst.integers(min_value=24, max_value=60),
 )
-def test_depth_loop_finishes_on_messy_seed(seed, max_rank):
-    c, _, _ = strip_zero_complexes(random_messy(seed, max_rank=max_rank))
-    t = run_to_depth_infinity(build(c))
+@example(seed=1, span=2, max_rank=24)
+@example(seed=34, span=2, max_rank=24)
+@example(seed=126, span=2, max_rank=24)
+@example(seed=136, span=2, max_rank=24)
+@example(seed=182, span=2, max_rank=40)
+@settings(max_examples=25, deadline=None)
+def test_depth_loop_finishes_on_messy_seed(seed, span, max_rank):
+    c = random_messy(seed, span=span, max_rank=max_rank)
+    d, k, _ = strip_zero_complexes(c)
+    t = run_to_depth_infinity(build(d))
     assert t.depth() == math.inf
+    t.verify()
+    assert len(t.x_gens) == len(t.y_gens) == c.rank - 2 * k
