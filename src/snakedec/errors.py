@@ -5,10 +5,11 @@ catch by category without importing the module that raised it.  These
 classes are for conditions a caller can trigger, and for the invariants
 that must survive ``python -O``: homogeneity in ``complexes`` and in the
 elimination behind strip and simplify (``GradingViolation``), malformed
-input to them (``ValidationError``), and the two-story engine's
-``verify``, moves and depth loop and ``normalize_transition``
-(``InvariantViolation``).  ``assert`` is left only on checks of the
-program's own work in the ``gf`` polynomial and primary-form kernels.
+input to them and to the ``gf`` polynomial kernel (``ValidationError``),
+and the checks of the program's own work in the two-story engine's
+``verify``, moves and depth loop, in ``normalize_transition`` and in the
+``gf`` polynomial and primary-form kernels (``InvariantViolation``).  No
+module uses ``assert``.
 """
 
 
@@ -17,7 +18,8 @@ class SnakedecError(Exception):
 
 
 class Singular(SnakedecError):
-    """A matrix that must be invertible is not."""
+    """A matrix that must be invertible is not, or a polynomial divisor is
+    zero."""
 
 
 class DimensionMismatch(SnakedecError):
@@ -65,12 +67,13 @@ class BoundExceeded(SnakedecError):
 
 
 class InvariantViolation(SnakedecError):
-    """A structural invariant of the two-story engine failed to hold.
+    """A structural invariant of the program's own work failed to hold.
 
-    Raised by ``TwoStoryComplex.verify``, by ``build``, by the shaft
-    moves and the depth loop, and by ``normalize_transition`` when the
-    program's own state disagrees with the complex it claims to describe;
-    unlike ``assert`` it survives ``python -O``.
+    Raised by ``TwoStoryComplex.verify``, by ``build``, by the shaft moves
+    and the depth loop, and by ``normalize_transition`` when the program's
+    own state disagrees with the complex it claims to describe, and by the
+    ``gf`` polynomial and primary-form kernels when a result fails its
+    reassembly check; unlike ``assert`` it survives ``python -O``.
     """
 
 

@@ -30,7 +30,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, FieldMismatch, SizeLimitExceeded, Singular
+from .errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    InvariantViolation,
+    Singular,
+    SizeLimitExceeded,
+    ValidationError,
+)
 
 _PRIMES_SEEN: set[int] = set()
 
@@ -430,7 +437,8 @@ def pmul(f: tuple, g: tuple, p: int) -> tuple:
 
 def pdivmod(f: tuple, g: tuple, p: int) -> tuple:
     """Polynomial division with remainder; g must be nonzero."""
-    assert g, "division by the zero polynomial"
+    if not g:
+        raise Singular("division by the zero polynomial")
     inv_lead = pow(g[-1], p - 2, p)
     rem = list(f)
     q = [0] * max(len(f) - len(g) + 1, 0)
@@ -495,7 +503,8 @@ def factor_poly(f: tuple, p: int) -> list:
     """Factor a monic polynomial into [(irreducible, multiplicity)] pairs,
     sorted by (degree, coefficients)."""
     f = pmonic(f, p)
-    assert pdeg(f) >= 1
+    if pdeg(f) < 1:
+        raise ValidationError("only a nonconstant polynomial has factors")
     out = []
     for q in irreducibles(p, pdeg(f)):
         if pdeg(f) < 1:
@@ -510,7 +519,8 @@ def factor_poly(f: tuple, p: int) -> list:
             f, e = quo, e + 1
         if e:
             out.append((q, e))
-    assert f == PONE, "leftover non-unit factor"
+    if f != PONE:
+        raise InvariantViolation("leftover non-unit factor")
     return out
 
 
@@ -518,7 +528,8 @@ def companion(f: tuple, p: int) -> Matrix:
     """Companion matrix of a monic polynomial: ones on the subdiagonal,
     negated coefficients in the last column."""
     m = pdeg(f)
-    assert m >= 1 and f[-1] % p == 1
+    if m < 1 or f[-1] % p != 1:
+        raise ValidationError("companion matrix needs a monic nonconstant polynomial")
     rows = [[0] * m for _ in range(m)]
     for i in range(m - 1):
         rows[i + 1][i] = 1
@@ -630,7 +641,8 @@ def invariant_factors(a: Matrix) -> tuple:
         raise DimensionMismatch("invariant factors need a square matrix")
     diag, _ = _poly_snf(_char_matrix(a), a.char, track_pinv=False)
     facs = [d for d in diag if pdeg(d) >= 1]
-    assert sum(pdeg(d) for d in facs) == a.rows
+    if sum(pdeg(d) for d in facs) != a.rows:
+        raise InvariantViolation("invariant factors miss the matrix size")
     return tuple(facs)
 
 
@@ -694,7 +706,8 @@ def primary_rational_form(a: Matrix):
         for q, e in factor_poly(d, p):
             qe = ppow(q, e, p)
             cof, rem = pdivmod(d, qe, p)
-            assert not rem
+            if rem:
+                raise InvariantViolation("prime power does not divide its invariant factor")
             wvec = eval_at_a(cof).apply(v)
             cols = []
             cur = tuple(wvec)
@@ -706,11 +719,14 @@ def primary_rational_form(a: Matrix):
     chunks.sort(key=lambda ch: ch[0])
     pairs = tuple((key[1], key[2]) for key, _ in chunks)
     all_cols = [c for _, cols in chunks for c in cols]
-    assert len(all_cols) == n
+    if len(all_cols) != n:
+        raise InvariantViolation("primary basis has the wrong size")
     s = Matrix(tuple(zip(*all_cols)), p)
     target = block_diag([companion(ppow(q, e, p), p) for q, e in pairs], p)
-    assert s.is_invertible(), "primary basis failed to span"
-    assert s.inverse() * a * s == target, "primary form reassembly failed"
+    if not s.is_invertible():
+        raise InvariantViolation("primary basis failed to span")
+    if s.inverse() * a * s != target:
+        raise InvariantViolation("primary form reassembly failed")
     return s, pairs
 
 

@@ -59,17 +59,23 @@ class SimplifiedBasis:
 
 @dataclass(frozen=True)
 class TransitionData:
-    """Aligned simplified bases with a scalar transition matrix.
+    """Aligned simplified bases with a scalar transition, one block per
+    bigrading.
 
     x_basis[i] and y_basis[i] sit in the same bigrading, and
-    x_i = sum_j matrix[i][j] y_j with matrix over the ground field.
-    inverse is the transition matrix in the other direction.
+    x_i = sum_j S[i][j] y_j with S over the ground field.  S is homogeneous,
+    so it only joins elements of one bigrading: it is block-diagonal.
+    ``blocks`` holds one ``(members, block, inverse)`` triple per bigrading,
+    in ascending bigrading order: ``members`` is the ascending tuple of the
+    positions in that bigrading, ``block`` is S restricted to them (row and
+    column k stand for position members[k]), and ``inverse`` is the
+    block's inverse, the transition in the other direction.  A rank-zero
+    complex has no blocks.
     """
 
     x_basis: SimplifiedBasis
     y_basis: SimplifiedBasis
-    matrix: gf.Matrix
-    inverse: gf.Matrix
+    blocks: tuple[tuple[tuple[int, ...], gf.Matrix, gf.Matrix], ...]
 
 
 def matching_violations(sb: SimplifiedBasis) -> list[str]:
@@ -194,8 +200,11 @@ def normalize_transition(
     moved by the identity modulo U, and Y' = S^{-1} X' = S^{-1} (S + P_V) Y,
     Y moved by the identity modulo V; so both quotient structures are
     untouched and the new transition matrix is S.  Y^{-1} is the one ring
-    inverse taken.  The result is checked without inverses: each new basis
-    must intertwine its quotient differential with the simplified arrows
+    inverse taken.  S is homogeneous, hence block-diagonal by bigrading; it
+    is inverted block by block, each block checked as S_g S_g^{-1} = I, and
+    a scalar entry joining two bigradings raises InvariantViolation.  The
+    bases are checked without inverses: each new basis must intertwine its
+    quotient differential with the simplified arrows
     (``complexes.intertwines``), else InvariantViolation is raised.
     """
     if len(xb.generators) != len(yb.generators) or any(
@@ -206,23 +215,38 @@ def normalize_transition(
     y_gens, x_gens = p_raw.old_gens, p_raw.new_gens
     with_v = [{j: e for j, e in row.items() if not e[1]} for row in p_raw.rows]
     x_change = BasisChange.from_rows(c.ring, c.char, y_gens, x_gens, with_v).compose(yb.change)
-    scalar = [{j: e[0] for j, e in row.items() if e[1:] == (0, 0)} for row in p_raw.rows]
-    p_mat = gf.Matrix._wrap(
-        tuple([tuple([row.get(j, 0) for j in range(c.rank)]) for row in scalar]), c.char
-    )
-    q_mat = p_mat.inverse()
-    q_rows = [{j: (x, 0, 0) for j, x in enumerate(row) if x} for row in q_mat.entries]
+    slots: dict = {}
+    for i, g in enumerate(x_gens):
+        slots.setdefault(g.grading, []).append(i)
+    pos = {i: (gr, k) for gr, members in slots.items() for k, i in enumerate(members)}
+    blocks = []
+    q_rows: list = [{} for _ in range(c.rank)]
+    for grading in sorted(slots):
+        members = tuple(slots[grading])
+        rows = [[0] * len(members) for _ in members]
+        for row, i in zip(rows, members):
+            for j, e in p_raw.rows[i].items():
+                if e[1:] == (0, 0):
+                    gr, k = pos[j]
+                    if gr != grading:
+                        raise InvariantViolation("transition crosses bigradings")
+                    row[k] = e[0]
+        s_mat = gf.Matrix._wrap(tuple([tuple(row) for row in rows]), c.char)
+        s_inv = s_mat.inverse()
+        if s_mat * s_inv != gf.Matrix.identity(len(members), c.char):
+            raise InvariantViolation(f"scalar transition block at {grading} was not inverted")
+        for i, row in zip(members, s_inv.entries):
+            q_rows[i] = {members[k]: (x, 0, 0) for k, x in enumerate(row) if x}
+        blocks.append((members, s_mat, s_inv))
     y_change = BasisChange.from_rows(c.ring, c.char, x_gens, y_gens, q_rows).compose(x_change)
 
     for sb, change, k in ((xb, x_change, 1), (yb, y_change, 2)):
         if not intertwines(c, change, [(i, j, length, 1) for i, j, length in sb.arrows], k):
             raise InvariantViolation("adjustment disturbed a simplified structure")
-    if p_mat * q_mat != gf.Matrix.identity(p_mat.rows, c.char):
-        raise InvariantViolation("scalar transition matrix was not inverted")
 
     xb2 = SimplifiedBasis(xb.direction, xb.generators, xb.arrows, x_change)
     yb2 = SimplifiedBasis(yb.direction, yb.generators, yb.arrows, y_change)
-    return TransitionData(xb2, yb2, p_mat, q_mat)
+    return TransitionData(xb2, yb2, tuple(blocks))
 
 
 def simplified_transition(c: Complex) -> TransitionData:

@@ -593,6 +593,13 @@ class TwoStoryComplex:
     floor table, and the scalar parts of the two bases must differ by the
     shaft blocks.  With ``paranoid`` set, sliding operations re-verify
     after every step.
+
+    Journeys and the divergences between them are cached.  A journey
+    reads only the floor tables' targets and lengths and the elevators
+    ``up`` of the shafts.  After ``build`` the tables change only in their
+    coefficients, and an elevator changes only when ``_reparametrize``
+    installs a refactored shaft, so that is the one place where both
+    caches are cleared, and only when the new ``up`` differs from the old.
     """
 
     def __init__(self):
@@ -614,6 +621,7 @@ class TwoStoryComplex:
         self._xsteps: list = []
         self._ysteps: list = []
         self._seq_cache: dict = {}
+        self._div_cache: dict = {}
 
     # -- construction -------------------------------------------------
 
@@ -746,6 +754,13 @@ class TwoStoryComplex:
         return None
 
     def _sequence(self, floor, idx) -> TraversalSequence:
+        """Journey record of the element idx of one floor, walked along its
+        floor arrow first.
+
+        The walk reads the floor tables' targets and lengths, never their
+        coefficients, and the elevators ``up``.  The record is cached until
+        ``_reparametrize`` moves an elevator.
+        """
         key = (floor, idx)
         hit = self._seq_cache.get(key)
         if hit is not None:
@@ -772,15 +787,20 @@ class TwoStoryComplex:
         self._seq_cache[key] = seq
         return seq
 
-    def _dirty(self):
-        self._seq_cache.clear()
-
     # -- weights ------------------------------------------------------------------
 
     def _component(self, floor, idx_r, idx_g):
+        """Signed divergence of two journeys out of one floor, cached next
+        to the journeys themselves."""
+        key = (floor, idx_r, idx_g)
+        hit = self._div_cache.get(key)
+        if hit is not None:
+            return hit
         sr = self._sequence(floor, idx_r)
         sg = self._sequence(floor, idx_g)
-        return _divergence(sr, sg, _compare_window(sr, sg)) or math.inf
+        d = _divergence(sr, sg, _compare_window(sr, sg)) or math.inf
+        self._div_cache[key] = d
+        return d
 
     def _arrow_weight(self, grading, tier, r, g) -> Weight:
         st = self._shafts[grading]
@@ -891,7 +911,6 @@ class TwoStoryComplex:
             if idx in self._horiz_in:
                 src = self._horiz_in[idx]
                 self._horiz[src][2] = self._horiz[src][2] * inv % char
-        self._dirty()
 
     # -- crossover arrow turns -------------------------------------------------------
 
@@ -927,7 +946,6 @@ class TwoStoryComplex:
         p = self.char
         sign = -1 if tier == LOWER else 1
         (st.lower if tier == LOWER else st.upper).pop(0 if tier == LOWER else -1)
-        self._dirty()
         self._log(side, "add", idx_r, idx_g, (sign * lam % p, 0, 0))
         table = self._vert if floor == BOTTOM else self._horiz
         if vr < 0 and vg < 0:
@@ -1037,7 +1055,6 @@ class TwoStoryComplex:
             handle = moved[0]
             side = "up" if side == "down" else "down"
         self._restore_convoy(convoy)
-        self._dirty()
         self._verify_if_paranoid()
 
     # -- reparametrization ------------------------------------------------------------
@@ -1057,8 +1074,9 @@ class TwoStoryComplex:
         journey term survive the change of basis.
         """
         w = self.width(grading)
-        if w <= 1:
-            return
+        st = self._shafts[grading]
+        if w <= 1 or not (st.lower or (st.upper and not keep_upper)):
+            return  # a dot-and-crossing block is its own normal form
         x_keys, y_keys = [], []
         for p in range(w):
             idx = self._idx(grading, p)
@@ -1067,13 +1085,14 @@ class TwoStoryComplex:
             # tuple([...]), not tuple(<genexpr>): resized generator tuples raised peak RSS
             x_keys.append(tuple([unusual_key(v) for v in down]))
             y_keys.append(tuple([unusual_key(v) for v in upw]))
-        st = self._shafts[grading]
         kept = st.upper if keep_upper else []
         region = _ShaftState(st.lower, st.dots, st.up, [] if keep_upper else st.upper)
         new = _ordered_ltu(_state_matrix(region, w, self.char), x_keys, y_keys, self.char)
         new.upper.extend(kept)
         self._shafts[grading] = new
-        self._dirty()
+        if new.up != st.up:
+            self._seq_cache.clear()
+            self._div_cache.clear()
 
     # -- depth raising ----------------------------------------------------------------
 
@@ -1116,7 +1135,6 @@ class TwoStoryComplex:
         seq = st.lower if tier == LOWER else st.upper
         while seq:
             self._turn(grading, tier, 0 if tier == LOWER else len(seq) - 1)
-        self._dirty()
 
     def increase_depth(self, m: int):
         """Raise the depth of the complex past m.
@@ -1204,17 +1222,8 @@ def build(c: Complex) -> TwoStoryComplex:
     t.original = c
     t._x0_change = td.x_basis.change
     t._y0_change = td.y_basis.change
-    ents = td.matrix.entries
-    for i, row in enumerate(ents):
-        gi = t._pos[i][0]
-        if any(e and t._pos[j][0] != gi for j, e in enumerate(row)):
-            raise InvariantViolation("transition crosses bigradings")
-    for grading in t.gradings():
-        members = t._slots[grading]
-        block = gf.Matrix._wrap(
-            tuple([tuple([ents[i][j] for j in members]) for i in members]), c.char
-        )
-        t._shafts[grading] = _ltu_state(block)
+    for members, block, _ in td.blocks:
+        t._shafts[t._pos[members[0]][0]] = _ltu_state(block)
     t.verify()
     return t
 

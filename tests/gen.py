@@ -247,19 +247,6 @@ def octagon_sheets(char=2, glue=((0, 1), (1, 1))):
     return Complex(RING_R1, char, gens, tuple(arrows))
 
 
-def shifted(c, du, dv, rename=None):
-    """The same complex with every grading moved by (du, dv)."""
-    gens = tuple(
-        Generator(rename(g.id) if rename else g.id, g.gr_u + du, g.gr_v + dv)
-        for g in c.generators
-    )
-    if rename is None:
-        arrows = c.arrows
-    else:
-        arrows = tuple(Arrow(rename(a.src), rename(a.tgt), a.coeff) for a in c.arrows)
-    return Complex(c.ring, c.char, gens, arrows)
-
-
 def braided(char=2):
     """Two snakes of different arrow calibers sharing one basis line.
 
@@ -393,28 +380,6 @@ def square_sheets(char=2, glue=((1, 0), (1, 1))):
             if lam:
                 arrows.append(Arrow(nm + "d", names[t] + "b", mono(lam, 0, 1, char)))
     c = Complex(RING_R1, char, tuple(gens), tuple(arrows))
-    assert validate(c) == []
-    return c
-
-
-def concentric_squares(char):
-    """Two squares joined corner to corner by scalar arrows with alternating
-    signs of 2.  The scalar arrows die in characteristic 2 and become
-    invertible in characteristic 3, so the pieces split very differently."""
-    outer = square(char, "o")
-    inner = square(char, "i", (-1, -1))
-    signs = {"a": 2, "b": -2, "c": -2, "d": 2}
-    extra = []
-    for corner, s in signs.items():
-        lam = s % char
-        if lam:
-            extra.append(Arrow("o" + corner, "i" + corner, mono(lam, 0, 0, char)))
-    c = Complex(
-        RING_R1,
-        char,
-        outer.generators + inner.generators,
-        outer.arrows + inner.arrows + tuple(extra),
-    )
     assert validate(c) == []
     return c
 

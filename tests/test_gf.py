@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snakedec import gf
-from snakedec.errors import DimensionMismatch, FieldMismatch, SizeLimitExceeded, Singular
+from snakedec.errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    SizeLimitExceeded,
+    Singular,
+    ValidationError,
+)
 
 
 def M(rows, p):
@@ -280,6 +286,15 @@ def test_poly_helpers():
     assert gf.pgcd((1, 0, 1), (1, 1), 2) == (1, 1)
     assert gf.pmonic((2, 2), 3) == (1, 1)
     assert gf.ppow((1, 1), 2, 2) == (1, 0, 1)
+
+
+def test_poly_kernel_rejects_inputs_it_is_not_defined_on():
+    with pytest.raises(Singular, match="zero polynomial"):
+        gf.pdivmod((1, 1), (), 2)
+    with pytest.raises(ValidationError, match="nonconstant"):
+        gf.factor_poly((2,), 3)
+    with pytest.raises(ValidationError, match="monic"):
+        gf.companion((1,), 2)
 
 
 def test_irreducibles_and_factor_poly():

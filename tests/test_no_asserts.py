@@ -1,7 +1,7 @@
 """Invariant checks in the pipeline modules must survive ``python -O``.
 
-Every check in ``complexes``, ``simplify`` and ``twostory`` raises a typed
-``SnakedecError`` rather than using ``assert``, which ``-O`` strips.
+Every check in ``gf``, ``complexes``, ``simplify`` and ``twostory`` raises a
+typed ``SnakedecError`` rather than using ``assert``, which ``-O`` strips.
 """
 
 import ast
@@ -30,7 +30,7 @@ def _asserts_by_function(path):
     return found
 
 
-@pytest.mark.parametrize("module", ["complexes.py", "simplify.py", "twostory.py"])
+@pytest.mark.parametrize("module", ["gf.py", "complexes.py", "simplify.py", "twostory.py"])
 def test_no_asserts_outside_the_allowlist(module):
     found = _asserts_by_function(SRC / module)
     extra = {key: n for key, n in found.items() if n > ALLOWED.get(key, 0)}

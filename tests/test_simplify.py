@@ -16,6 +16,7 @@ from gen import (
 )
 from snakedec.complexes import (
     Arrow,
+    BasisChange,
     Complex,
     Generator,
     apply_basis_change,
@@ -28,7 +29,7 @@ from snakedec.complexes import (
     RING_FUV,
     RING_R1,
 )
-from snakedec.errors import CountMismatch, GradingViolation, ValidationError
+from snakedec.errors import CountMismatch, GradingViolation, InvariantViolation, ValidationError
 from snakedec.gf import FieldElem, Matrix
 from snakedec.simplify import (
     HORIZONTAL,
@@ -234,23 +235,67 @@ def test_normalize_rejects_unaligned_bases():
         normalize_transition(c, xb, horizontal_simplify(figure_eight()))
 
 
+def test_normalize_rejects_a_transition_that_crosses_bigradings():
+    c = figure_eight()
+    xb, yb = align_gradings(vertical_simplify(c), horizontal_simplify(c))
+    # a scalar entry from x_0 to an input element of another bigrading
+    j = next(j for j, g in enumerate(c.generators) if g.grading != xb.generators[0].grading)
+    rows = [dict(row) for row in xb.change.rows]
+    rows[0][j] = (1, 0, 0)
+    bad = BasisChange.from_rows(c.ring, c.char, c.generators, xb.generators, rows)
+    xb = SimplifiedBasis(xb.direction, xb.generators, xb.arrows, bad)
+    with pytest.raises(InvariantViolation, match="crosses bigradings"):
+        normalize_transition(c, xb, yb)
+
+
+def _check_blocks(c, td):
+    """The transition blocks against an independent X Y^-1 over the ring.
+
+    The recomputed transition must be scalar, agree with every block, be
+    zero off the blocks, and each block times its inverse must be I.  The
+    blocks partition the positions by bigrading.  Returns S assembled
+    densely from the blocks.
+    """
+    p = td.x_basis.change.compose(td.y_basis.change.inverse())
+    assert all(e[1:] == (0, 0) for row in p.rows for e in row.values())
+    dense = [[0] * c.rank for _ in range(c.rank)]
+    gradings = [g.grading for g in td.x_basis.generators]
+    seen = []
+    for members, block, inverse in td.blocks:
+        assert len({gradings[i] for i in members}) == 1
+        assert block * inverse == Matrix.identity(len(members), c.char)
+        assert [[p.rows[i].get(j, (0,))[0] for j in members] for i in members] == block.to_lists()
+        for i, row in zip(members, block.entries):
+            for j, x in zip(members, row):
+                dense[i][j] = x
+        seen.extend(members)
+    assert sorted(seen) == list(range(c.rank))
+    assert len(td.blocks) == len(set(gradings))
+    assert [[row.get(j, (0,))[0] for j in range(c.rank)] for row in p.rows] == dense
+    return dense
+
+
 def test_transition_identity_for_trefoil():
-    td = simplified_transition(trefoil())
-    assert td.matrix == Matrix.identity(3, 2)
-    assert td.inverse == Matrix.identity(3, 2)
+    c = trefoil()
+    td = simplified_transition(c)
+    assert _check_blocks(c, td) == Matrix.identity(3, 2).to_lists()
+    for members, block, inverse in td.blocks:
+        assert block == inverse == Matrix.identity(len(members), 2)
 
 
 def test_transition_scale_for_figure_eight():
-    td = simplified_transition(figure_eight())
-    got = td.matrix.to_lists()
-    assert got == [
+    c = figure_eight()
+    td = simplified_transition(c)
+    assert _check_blocks(c, td) == [
         [1, 0, 0, 0, 0],
         [0, 1, 0, 0, 0],
         [0, 0, 1, 0, 0],
         [0, 0, 0, 2, 0],
         [0, 0, 0, 0, 1],
     ]
-    assert (td.matrix * td.inverse) == Matrix.identity(5, 3)
+    # the 2 sits in the block of bigrading (0, 0), and 2 is its own inverse mod 3
+    diag = Matrix([[1, 0, 0], [0, 2, 0], [0, 0, 1]], 3)
+    assert [b for b in td.blocks if 3 in b[0]] == [((0, 3, 4), diag, diag)]
 
 
 def test_transition_eliminates_variable_entries():
@@ -265,7 +310,7 @@ def test_transition_eliminates_variable_entries():
 
 def test_transition_rank_zero():
     td = simplified_transition(empty_complex(RING_R1, 2))
-    assert td.matrix.rows == 0
+    assert td.blocks == ()
 
 
 def _messy24(seed):
@@ -292,9 +337,4 @@ def test_simplification_properties(seed, make):
     assert [g.grading for g in td.x_basis.generators] == [
         g.grading for g in td.y_basis.generators
     ]
-    assert td.matrix * td.inverse == Matrix.identity(c.rank, c.char)
-    p = td.x_basis.change.compose(td.y_basis.change.inverse())
-    assert all(e[1:] == (0, 0) for row in p.rows for e in row.values())
-    assert [[row.get(j, (0,))[0] for j in range(c.rank)] for row in p.rows] == [
-        list(row) for row in td.matrix.entries
-    ]
+    _check_blocks(c, td)

@@ -690,6 +690,60 @@ def test_reparametrization_can_keep_the_upper_arrows():
     assert kept > 0
 
 
+def _stale_cache_entries(t):
+    """Cached journeys and divergences that differ from a fresh computation."""
+    journeys, divergences = t._seq_cache, t._div_cache
+    t._seq_cache, t._div_cache = {}, {}
+    try:
+        stale = [k for k, seq in journeys.items() if t._sequence(*k) != seq]
+        stale += [k for k, d in divergences.items() if t._component(*k) != d]
+    finally:
+        t._seq_cache, t._div_cache = journeys, divergences
+    return stale
+
+
+def test_journey_cache_matches_fresh_journeys(monkeypatch):
+    # the cache is cleared only when a refactorization moves an elevator;
+    # after every engine step each cached entry must still be current
+    seen = {"checks": 0, "entries": 0, "arrow_free": 0, "moved_up": 0}
+
+    def check(t, name):
+        assert _stale_cache_entries(t) == [], f"stale cache after {name}"
+        seen["checks"] += 1
+        seen["entries"] += len(t._seq_cache) + len(t._div_cache)
+
+    def checked(name, original):
+        def wrapper(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            check(self, name)
+            return out
+
+        return wrapper
+
+    reparametrize = twostory.TwoStoryComplex._reparametrize
+
+    def checked_reparametrize(self, grading, terms, keep_upper=False):
+        before = self._shafts[grading]
+        arrow_free = not before.lower and (keep_upper or not before.upper)
+        reparametrize(self, grading, terms, keep_upper)
+        check(self, "_reparametrize")
+        after = self._shafts[grading]
+        if arrow_free:
+            assert after is before
+            seen["arrow_free"] += 1
+        seen["moved_up"] += after.up != before.up
+
+    for name in ("_turn", "_slide_dot", "_cross_middle", "_swap_adjacent", "_restore_convoy"):
+        original = getattr(twostory.TwoStoryComplex, name)
+        monkeypatch.setattr(twostory.TwoStoryComplex, name, checked(name, original))
+    monkeypatch.setattr(twostory.TwoStoryComplex, "_reparametrize", checked_reparametrize)
+    for seed in range(40):
+        c, _, _ = strip_zero_complexes(random_messy(seed, max_rank=24))
+        run_to_depth_infinity(build(c))
+    assert seen["checks"] > 0 and seen["entries"] > 0
+    assert seen["arrow_free"] > 0 and seen["moved_up"] > 0
+
+
 # ---------------------------------------------------------------------------
 # pipeline sweeps
 
