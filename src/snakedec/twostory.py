@@ -19,8 +19,20 @@ only a printed view of it, regenerated on demand, so equal engine states
 print identically; the pure shaft calculus (``apply_local_move``,
 ``straighten``) works on such views.
 
-Floor arrows carry a coefficient internally (sliding a black dot out of
-a shaft rescales a basis element, which taints the adjacent floor
+Each end of a shaft is named ``BOTTOM`` or ``TOP``, and that one name
+picks everything on the end: the floor there, the tier of crossover
+arrows next to it (``lower`` at the bottom, ``upper`` at the top) and
+the floor a dot or an arrow leaves through.  The ``bar`` symmetry swaps
+U with V and the bottom with the top, so each move is one code path
+taking an end.  In both tiers an arrow's index rises toward the top.
+Only the public surface keeps other words: ``slide_arrow_step`` takes
+"down" or "up", and ``log`` labels the bottom floor's steps "x" and the
+top floor's "y".
+
+Each floor's state is one ``_Floor`` record: its basis, its arrow
+table, the basis change ``build`` started from and the steps logged
+since.  Floor arrows carry a coefficient internally (sliding a black dot
+out of a shaft rescales a basis element, which taints the adjacent floor
 arrows), while the structural views expose only (source, target,
 length).  The engine holds all field data as int residues mod p: shaft
 arrows and dots, floor coefficients, and the logged steps in
@@ -65,8 +77,6 @@ from .simplify import (
 
 BOTTOM = "bottom"
 TOP = "top"
-LOWER = "lower"
-UPPER = "upper"
 TOWARD_FLOOR = "toward-floor"
 TOWARD_SHAFT = "toward-shaft"
 
@@ -312,6 +322,10 @@ class _ShaftState:
         self.dots = dots
         self.up = up
         self.upper = upper
+
+    def arrows(self, end) -> list:
+        """The tier next to the floor at ``end``: ``lower`` at the bottom."""
+        return self.lower if end == BOTTOM else self.upper
 
 
 def _state_matrix(state: _ShaftState, width: int, char: int) -> gf.Matrix:
@@ -563,6 +577,16 @@ def straighten(shaft: Shaft, order=None) -> Shaft:
 # the two-story complex engine
 
 
+def _other(end):
+    return TOP if end == BOTTOM else BOTTOM
+
+
+def _exit_index(seq: list, end) -> int:
+    """Index of a tier's arrow at its ``end`` boundary; in both tiers the
+    index rises toward the top."""
+    return 0 if end == BOTTOM else len(seq) - 1
+
+
 def _index_of(seq: list, ca: list) -> int:
     """Position of the arrow record ca itself in seq; an equal twin is
     another arrow and does not count."""
@@ -572,19 +596,42 @@ def _index_of(seq: list, ca: list) -> int:
     raise InvariantViolation("arrow record left its tier")
 
 
-def _boundary_arrow(st: _ShaftState, tier, k) -> list:
-    """The arrow at (tier, k), which must sit at its exit boundary."""
-    if tier == LOWER:
-        if k != 0:
-            raise InvariantViolation("arrow must sit at the bottom boundary")
-        return st.lower[0]
-    if k != len(st.upper) - 1:
-        raise InvariantViolation("arrow must sit at the top boundary")
-    return st.upper[k]
+def _boundary_arrow(st: _ShaftState, end, k) -> list:
+    """The arrow at (end, k), which must sit at the end's boundary."""
+    seq = st.arrows(end)
+    if k != _exit_index(seq, end):
+        raise InvariantViolation(f"arrow must sit at the {end} boundary")
+    return seq[k]
+
+
+class _Floor:
+    """One floor's state.
+
+    ``gens`` is the floor basis and ``table`` its arrows: a mutable
+    [target, length, coefficient] per source index, with ``into`` sending
+    each target back to its source.  ``start`` is the change from the
+    input's basis to the basis ``build`` found, and ``steps`` are the
+    elementary steps taken on the floor since, in ``Elimination``'s form:
+    ("add", r, g, (c, u, v)) or ("scale", i, c).
+    """
+
+    __slots__ = ("gens", "table", "into", "start", "steps")
+
+    def __init__(self, basis: SimplifiedBasis):
+        self.gens = tuple(basis.generators)
+        self.table = {s: [t, n, 1] for s, t, n in basis.arrows}
+        self.into = {t: s for s, t, _ in basis.arrows}
+        self.start = basis.change
+        self.steps: list = []
 
 
 class TwoStoryComplex:
     """Floors, shafts and the cumulative basis-change log of one complex.
+
+    Each floor's state is one ``_Floor`` record in ``_floors``, keyed by
+    its end, ``BOTTOM`` or ``TOP``; every move takes the end it acts on
+    instead of branching on it.  ``x_gens`` and ``y_gens`` read the
+    bottom and top bases.
 
     Operations mutate the instance in place and return it; ``verify``
     replays the log against the stored input complex and checks every
@@ -605,46 +652,24 @@ class TwoStoryComplex:
     def __init__(self):
         self.char: int = 0
         self.original: Complex = None
-        self.x_gens: tuple = ()
-        self.y_gens: tuple = ()
         self.paranoid: bool = False
         self.rounds: int = 0
-        self._x0_change: BasisChange = None
-        self._y0_change: BasisChange = None
+        self._floors: dict = {}
         self._slots: dict = {}
         self._pos: dict = {}
         self._shafts: dict = {}
-        self._vert: dict = {}
-        self._vert_in: dict = {}
-        self._horiz: dict = {}
-        self._horiz_in: dict = {}
-        self._xsteps: list = []
-        self._ysteps: list = []
         self._seq_cache: dict = {}
         self._div_cache: dict = {}
 
-    # -- construction -------------------------------------------------
+    @property
+    def x_gens(self) -> tuple:
+        """The bottom floor's basis."""
+        return self._floors[BOTTOM].gens
 
-    @classmethod
-    def _new(cls, char, x_gens, y_gens, vert, horiz):
-        t = cls()
-        t.char = char
-        t.x_gens = tuple(x_gens)
-        t.y_gens = tuple(y_gens)
-        slots: dict = {}
-        for i, g in enumerate(t.x_gens):
-            if t.y_gens[i].grading != g.grading:
-                raise InvariantViolation("floor gradings disagree")
-            slots.setdefault(g.grading, []).append(i)
-        t._slots = slots
-        t._pos = {
-            i: (gr, p) for gr, members in slots.items() for p, i in enumerate(members)
-        }
-        t._vert = {s: [tg, l, mu] for s, (tg, l, mu) in vert.items()}
-        t._vert_in = {v[0]: s for s, v in t._vert.items()}
-        t._horiz = {s: [tg, l, mu] for s, (tg, l, mu) in horiz.items()}
-        t._horiz_in = {v[0]: s for s, v in t._horiz.items()}
-        return t
+    @property
+    def y_gens(self) -> tuple:
+        """The top floor's basis."""
+        return self._floors[TOP].gens
 
     # -- addressing ---------------------------------------------------
 
@@ -657,50 +682,49 @@ class TwoStoryComplex:
     def _idx(self, grading, p) -> int:
         return self._slots[grading][p]
 
-    def _elevator(self, floor, idx) -> int:
+    def _elevator(self, end, idx) -> int:
+        """The other end of the strand whose ``end`` end is idx."""
         g, p = self._pos[idx]
         st = self._shafts[g]
-        if floor == BOTTOM:
+        if end == BOTTOM:
             return self._idx(g, st.up[p])
         return self._idx(g, st.up.index(p))
 
     def _name_index(self, name: str):
-        for i, g in enumerate(self.x_gens):
-            if g.id == name:
-                return BOTTOM, i
-        for i, g in enumerate(self.y_gens):
-            if g.id == name:
-                return TOP, i
+        for end in (BOTTOM, TOP):
+            for i, g in enumerate(self._floors[end].gens):
+                if g.id == name:
+                    return end, i
         raise KeyError(f"no floor basis element named {name!r}")
 
     # -- logging ---------------------------------------------------------
 
-    def _log(self, side, *step):
-        """Record ("add", r, g, (c, u, v)) or ("scale", i, c) for a floor."""
-        (self._xsteps if side == "x" else self._ysteps).append(step)
-
     @property
     def log(self) -> tuple:
-        """The steps with boxed coefficients: ``Monomial`` and ``FieldElem``."""
+        """The steps with boxed coefficients, ``Monomial`` and ``FieldElem``:
+        the bottom floor's, labelled "x", then the top floor's, "y"."""
         p = self.char
+        out = []
+        for end, side in ((BOTTOM, "x"), (TOP, "y")):
+            for step in self._floors[end].steps:
+                if step[0] == "add":
+                    _, r, g, (c, u, v) = step
+                    out.append((side, "add", r, g, Monomial(gf.FieldElem(c, p), u, v)))
+                else:
+                    out.append((side, "scale", step[1], gf.FieldElem(step[2], p)))
+        return tuple(out)
 
-        def boxed(side, step):
-            if step[0] == "add":
-                _, r, g, (c, u, v) = step
-                return (side, "add", r, g, Monomial(gf.FieldElem(c, p), u, v))
-            return (side, "scale", step[1], gf.FieldElem(step[2], p))
-
-        return tuple(
-            [boxed("x", s) for s in self._xsteps] + [boxed("y", s) for s in self._ysteps]
-        )
-
-    def _fold_change(self, side) -> BasisChange:
-        gens = self.x_gens if side == "x" else self.y_gens
-        steps = self._xsteps if side == "x" else self._ysteps
-        el = Elimination(Complex(self.original.ring, self.char, gens, ()))
-        for op, *args in steps:
+    def _basis(self, end) -> BasisChange:
+        """The floor basis over the input's: the logged steps replayed
+        on the change ``build`` started from."""
+        floor = self._floors[end]
+        el = Elimination(Complex(self.original.ring, self.char, floor.gens, ()))
+        el.rows = [dict(row) for row in floor.start.rows]
+        for op, *args in floor.steps:
             getattr(el, op)(*args)
-        return BasisChange.from_rows(self.original.ring, self.char, gens, gens, el.rows)
+        return BasisChange.from_rows(
+            self.original.ring, self.char, floor.start.old_gens, floor.gens, el.rows
+        )
 
     # -- views -------------------------------------------------------------
 
@@ -716,15 +740,11 @@ class TwoStoryComplex:
     def shafts(self) -> dict:
         return {g: self.shaft(g) for g in self.gradings()}
 
-    def _floor_view(self, floor) -> SimplifiedBasis:
-        if floor == BOTTOM:
-            gens, table, direction = self.x_gens, self._vert, VERTICAL
-            change = self._fold_change("x").compose(self._x0_change)
-        else:
-            gens, table, direction = self.y_gens, self._horiz, HORIZONTAL
-            change = self._fold_change("y").compose(self._y0_change)
-        arrows = tuple(sorted((s, v[0], v[1]) for s, v in table.items()))
-        return SimplifiedBasis(direction, gens, arrows, change)
+    def _floor_view(self, end) -> SimplifiedBasis:
+        floor = self._floors[end]
+        arrows = tuple(sorted((s, v[0], v[1]) for s, v in floor.table.items()))
+        direction = VERTICAL if end == BOTTOM else HORIZONTAL
+        return SimplifiedBasis(direction, floor.gens, arrows, self._basis(end))
 
     @property
     def bottom(self) -> SimplifiedBasis:
@@ -736,24 +756,23 @@ class TwoStoryComplex:
 
     def floor_arrows(self, floor) -> tuple:
         """Structural floor arrows with coefficients: (src, tgt, len, mu)."""
-        table = self._vert if floor == BOTTOM else self._horiz
         p = self.char
+        table = self._floors[floor].table
         return tuple(sorted((s, v[0], v[1], gf.FieldElem(v[2], p)) for s, v in table.items()))
 
     # -- journeys -------------------------------------------------------------
 
-    def _floor_step(self, floor, idx):
-        table = self._vert if floor == BOTTOM else self._horiz
-        rev = self._vert_in if floor == BOTTOM else self._horiz_in
-        if idx in table:
-            tgt, length, _ = table[idx]
+    def _floor_step(self, end, idx):
+        floor = self._floors[end]
+        if idx in floor.table:
+            tgt, length, _ = floor.table[idx]
             return (-length, tgt)
-        if idx in rev:
-            src = rev[idx]
-            return (table[src][1], src)
+        if idx in floor.into:
+            src = floor.into[idx]
+            return (floor.table[src][1], src)
         return None
 
-    def _sequence(self, floor, idx) -> TraversalSequence:
+    def _sequence(self, end, idx) -> TraversalSequence:
         """Journey record of the element idx of one floor, walked along its
         floor arrow first.
 
@@ -761,7 +780,7 @@ class TwoStoryComplex:
         coefficients, and the elevators ``up``.  The record is cached until
         ``_reparametrize`` moves an elevator.
         """
-        key = (floor, idx)
+        key = (end, idx)
         hit = self._seq_cache.get(key)
         if hit is not None:
             return hit
@@ -774,63 +793,49 @@ class TwoStoryComplex:
                 prefix, cycle = terms[:k], terms[k:]
                 break
             seen[state] = len(terms)
-            floor_, i = state
-            step = self._floor_step(floor_, i)
+            at, i = state
+            step = self._floor_step(at, i)
             if step is None:
                 prefix, cycle = terms, [0]
                 break
             term, j = step
             terms.append(term)
-            other = TOP if floor_ == BOTTOM else BOTTOM
-            state = (other, self._elevator(floor_, j))
+            state = (_other(at), self._elevator(at, j))
         seq = TraversalSequence(tuple(prefix), tuple(cycle))
         self._seq_cache[key] = seq
         return seq
 
     # -- weights ------------------------------------------------------------------
 
-    def _component(self, floor, idx_r, idx_g):
+    def _component(self, end, idx_r, idx_g):
         """Signed divergence of two journeys out of one floor, cached next
         to the journeys themselves."""
-        key = (floor, idx_r, idx_g)
+        key = (end, idx_r, idx_g)
         hit = self._div_cache.get(key)
         if hit is not None:
             return hit
-        sr = self._sequence(floor, idx_r)
-        sg = self._sequence(floor, idx_g)
+        sr = self._sequence(end, idx_r)
+        sg = self._sequence(end, idx_g)
         d = _divergence(sr, sg, _compare_window(sr, sg)) or math.inf
         self._div_cache[key] = d
         return d
 
-    def _arrow_weight(self, grading, tier, r, g) -> Weight:
-        st = self._shafts[grading]
-        if tier == LOWER:
-            near = (BOTTOM, self._idx(grading, r), self._idx(grading, g))
-            far = (TOP, self._idx(grading, st.up[r]), self._idx(grading, st.up[g]))
-        else:
-            near = (TOP, self._idx(grading, r), self._idx(grading, g))
-            inv = gf.perm_inverse(st.up)
-            far = (BOTTOM, self._idx(grading, inv[r]), self._idx(grading, inv[g]))
-        return Weight(self._component(*near), self._component(*far))
-
-    def _all_arrows(self):
-        out = []
-        for g in self.gradings():
-            st = self._shafts[g]
-            out.extend((g, LOWER, k) for k in range(len(st.lower)))
-            out.extend((g, UPPER, k) for k in range(len(st.upper)))
-        return out
-
-    def _arrow_at(self, grading, tier, k):
-        st = self._shafts[grading]
-        return (st.lower if tier == LOWER else st.upper)[k]
+    def _arrow_weight(self, grading, end, r, g) -> Weight:
+        """Weight of an arrow from g into r in the tier at ``end``: the
+        near component out of that floor, the far one out of the other."""
+        idx_r, idx_g = self._idx(grading, r), self._idx(grading, g)
+        far_r, far_g = self._elevator(end, idx_r), self._elevator(end, idx_g)
+        return Weight(
+            self._component(end, idx_r, idx_g), self._component(_other(end), far_r, far_g)
+        )
 
     def depth(self):
         best = math.inf
-        for g, tier, k in self._all_arrows():
-            ca = self._arrow_at(g, tier, k)
-            w = self._arrow_weight(g, tier, ca[0], ca[1])
-            best = min(best, w.depth)
+        for g in self.gradings():
+            st = self._shafts[g]
+            for end in (BOTTOM, TOP):
+                for r, giver, _ in st.arrows(end):
+                    best = min(best, self._arrow_weight(g, end, r, giver).depth)
         return best
 
     # -- verification ----------------------------------------------------------------
@@ -848,14 +853,13 @@ class TwoStoryComplex:
         inhomogeneous basis raises GradingViolation, any other failure
         InvariantViolation.
         """
-        x = self._fold_change("x").compose(self._x0_change)
-        y = self._fold_change("y").compose(self._y0_change)
+        x, y = self._basis(BOTTOM), self._basis(TOP)
         x.check_homogeneous()
         y.check_homogeneous()
-        for change, table, floor, k in ((x, self._vert, BOTTOM, 1), (y, self._horiz, TOP, 2)):
-            arrows = [(s, t, n, mu) for s, (t, n, mu) in table.items()]
+        for end, change, k in ((BOTTOM, x, 1), (TOP, y, 2)):
+            arrows = [(s, t, n, mu) for s, (t, n, mu) in self._floors[end].table.items()]
             if not intertwines(self.original, change, arrows, k):
-                raise InvariantViolation(f"{floor} floor drifted from the engine tables")
+                raise InvariantViolation(f"{end} floor drifted from the engine tables")
         p = self.char
         for grading in self.gradings():
             members = self._slots[grading]
@@ -875,47 +879,42 @@ class TwoStoryComplex:
 
     # -- black dot slides ----------------------------------------------------------
 
-    def _slide_dot(self, grading, p, direction):
+    def _slide_dot(self, grading, p, end):
+        """Dissolve the dot at bottom position p into the floor at ``end``.
+
+        The dot's strand meets that floor at position q: p itself at the
+        bottom, up[p] at the top.  The floor element there is scaled by f,
+        1/lam going down and lam going up.  In the tier at ``end`` an arrow
+        whose receiver is q is multiplied by f and one whose giver is q by
+        1/f; the floor arrow out of the element by f, the one into it by
+        1/f.
+        """
         st = self._shafts[grading]
         if p not in st.dots:
             raise PatternMismatch("no dot to slide at this position")
-        if direction not in ("down", "up"):
-            raise ValueError(f"unknown slide direction {direction!r}")
         char = self.char
         lam = st.dots.pop(p)
-        inv = pow(lam, -1, char)
-        if direction == "down":
-            for ca in st.lower:
-                if ca[1] == p:
-                    ca[2] = ca[2] * lam % char
-                if ca[0] == p:
-                    ca[2] = ca[2] * inv % char
-            idx = self._idx(grading, p)
-            self._log("x", "scale", idx, inv)
-            if idx in self._vert:
-                self._vert[idx][2] = self._vert[idx][2] * inv % char
-            if idx in self._vert_in:
-                src = self._vert_in[idx]
-                self._vert[src][2] = self._vert[src][2] * lam % char
-        else:
-            q = st.up[p]
-            for ca in st.upper:
-                if ca[0] == q:
-                    ca[2] = ca[2] * lam % char
-                if ca[1] == q:
-                    ca[2] = ca[2] * inv % char
-            idx = self._idx(grading, q)
-            self._log("y", "scale", idx, lam)
-            if idx in self._horiz:
-                self._horiz[idx][2] = self._horiz[idx][2] * lam % char
-            if idx in self._horiz_in:
-                src = self._horiz_in[idx]
-                self._horiz[src][2] = self._horiz[src][2] * inv % char
+        f = pow(lam, -1, char) if end == BOTTOM else lam
+        f_inv = pow(f, -1, char)
+        q = p if end == BOTTOM else st.up[p]
+        for ca in st.arrows(end):
+            if ca[0] == q:
+                ca[2] = ca[2] * f % char
+            if ca[1] == q:
+                ca[2] = ca[2] * f_inv % char
+        idx = self._idx(grading, q)
+        floor = self._floors[end]
+        floor.steps.append(("scale", idx, f))
+        if idx in floor.table:
+            floor.table[idx][2] = floor.table[idx][2] * f % char
+        if idx in floor.into:
+            src = floor.into[idx]
+            floor.table[src][2] = floor.table[src][2] * f_inv % char
 
     # -- crossover arrow turns -------------------------------------------------------
 
-    def _turn(self, grading, tier, k, remove=True):
-        """Carry the boundary arrow out through the adjacent floor.
+    def _turn(self, grading, end, k, remove=True):
+        """Carry the boundary arrow out through the floor at ``end``.
 
         The arrow's basis step at the floor is undone.  Where both strands
         continue along the floor on the same side, that forces a second
@@ -927,11 +926,10 @@ class TwoStoryComplex:
         is raised instead, before any change.
         """
         st = self._shafts[grading]
-        r, g, lam = _boundary_arrow(st, tier, k)
-        floor, side = (BOTTOM, "x") if tier == LOWER else (TOP, "y")
+        r, g, lam = _boundary_arrow(st, end, k)
         idx_r, idx_g = self._idx(grading, r), self._idx(grading, g)
-        ar = self._floor_step(floor, idx_r)
-        ag = self._floor_step(floor, idx_g)
+        ar = self._floor_step(end, idx_r)
+        ag = self._floor_step(end, idx_g)
         vr = ar[0] if ar else 0
         vg = ag[0] if ag else 0
         parallel = vr == vg != 0
@@ -940,30 +938,28 @@ class TwoStoryComplex:
             if self._pos[ag[1]][0] != g2:
                 raise InvariantViolation("parallel step lands in two bigradings")
         elif not remove:
-            raise StrandsDiverge(f"pair at {grading} splits at the {floor} floor")
+            raise StrandsDiverge(f"pair at {grading} splits at the {end} floor")
         elif (ar or ag) and not unusual_key(vr) < unusual_key(vg):
             raise WrongOrientation(f"arrow at {grading} points up the divergence order")
         p = self.char
-        sign = -1 if tier == LOWER else 1
-        (st.lower if tier == LOWER else st.upper).pop(0 if tier == LOWER else -1)
-        self._log(side, "add", idx_r, idx_g, (sign * lam % p, 0, 0))
-        table = self._vert if floor == BOTTOM else self._horiz
+        sign = -1 if end == BOTTOM else 1
+        st.arrows(end).pop(k)
+        floor = self._floors[end]
+        floor.steps.append(("add", idx_r, idx_g, (sign * lam % p, 0, 0)))
+        table = floor.table
         if vr < 0 and vg < 0:
             coeff = lam * table[idx_g][2] * pow(table[idx_r][2], -1, p) % p
         elif vr > 0 and vg > 0:
             coeff = lam * table[ar[1]][2] * pow(table[ag[1]][2], -1, p) % p
         else:
             return None
-        self._log(side, "add", ar[1], ag[1], _power_mono(sign * coeff % p, floor, vr - vg))
+        floor.steps.append(("add", ar[1], ag[1], _power_mono(sign * coeff % p, end, vr - vg)))
         if not parallel:
             return None
-        st2 = self._shafts[g2]
+        seq2 = self._shafts[g2].arrows(end)
         ca = [self._pos[ar[1]][1], self._pos[ag[1]][1], -coeff % p]
-        if tier == LOWER:
-            st2.lower.insert(0, ca)
-            return (g2, LOWER, 0), ca
-        st2.upper.append(ca)
-        return (g2, UPPER, len(st2.upper) - 1), ca
+        seq2.insert(0 if end == BOTTOM else len(seq2), ca)
+        return (g2, end, _exit_index(seq2, end)), ca
 
     # -- extraction and the snowplow ----------------------------------------------------
 
@@ -974,10 +970,11 @@ class TwoStoryComplex:
         seq[a], seq[a + 1] = cb, ca
         return True
 
-    def _cross_middle(self, grading, ca, upward):
-        """Carry an arrow through the dot and crossing block."""
+    def _cross_middle(self, grading, ca, through):
+        """Carry an arrow through the dot and crossing block into the tier
+        at ``through``."""
         st, p = self._shafts[grading], self.char
-        if upward:
+        if through == TOP:
             dr, dg = st.dots.get(ca[0], 1), st.dots.get(ca[1], 1)
             ca[2] = ca[2] * dg * pow(dr, -1, p) % p
             ca[0], ca[1] = st.up[ca[0]], st.up[ca[1]]
@@ -989,71 +986,58 @@ class TwoStoryComplex:
             ca[2] = ca[2] * dr * pow(dg, -1, p) % p
             st.lower.append(ca)
 
-    def _extract(self, grading, tier, k, side, convoy):
-        """Bring the arrow at (tier, k) to the exit boundary for side.
+    def _push(self, grading, end, ca, through, convoy) -> int:
+        """Move the record ca along the tier at ``end`` to its ``through``
+        boundary and return its index there.  An index-sharing blocker in
+        the way is pushed out through the floor at ``through`` first."""
+        seq = self._shafts[grading].arrows(end)
+        step = 1 if through == TOP else -1
+        while True:
+            k = _index_of(seq, ca)
+            j = k + step
+            if not 0 <= j < len(seq):
+                return k
+            if not self._swap_adjacent(seq, min(j, k)):
+                self._displace(grading, end, j, through, convoy)
+
+    def _extract(self, grading, end, k, through, convoy):
+        """Bring the arrow at (end, k) to the boundary of the floor at
+        ``through``, across the middle block if it lies in the other tier.
 
         Index-sharing blockers are pushed out through the exit floor
         first and recorded in the convoy for later restoration.
         """
         st = self._shafts[grading]
-        seq = st.lower if tier == LOWER else st.upper
-        ca = seq[k]
-        target_tier = LOWER if side == "down" else UPPER
-        if tier != target_tier:
-            while True:
-                k = _index_of(seq, ca)
-                if tier == LOWER:
-                    if k == len(seq) - 1:
-                        break
-                    if not self._swap_adjacent(seq, k):
-                        self._displace(grading, tier, k + 1, side, convoy)
-                else:
-                    if k == 0:
-                        break
-                    if not self._swap_adjacent(seq, k - 1):
-                        self._displace(grading, tier, k - 1, side, convoy)
-            del seq[k]
-            self._cross_middle(grading, ca, upward=(side == "up"))
-            tier = target_tier
-            seq = st.lower if tier == LOWER else st.upper
-        while True:
-            k = _index_of(seq, ca)
-            if side == "down":
-                if k == 0:
-                    return (grading, tier, 0)
-                if not self._swap_adjacent(seq, k - 1):
-                    self._displace(grading, tier, k - 1, side, convoy)
-            else:
-                if k == len(seq) - 1:
-                    return (grading, tier, k)
-                if not self._swap_adjacent(seq, k):
-                    self._displace(grading, tier, k + 1, side, convoy)
+        ca = st.arrows(end)[k]
+        if end != through:
+            del st.arrows(end)[self._push(grading, end, ca, through, convoy)]
+            self._cross_middle(grading, ca, through)
+        return (grading, through, self._push(grading, through, ca, through, convoy))
 
-    def _displace(self, grading, tier, k, side, convoy):
-        """Push the blocking arrow at (tier, k) out through the exit floor."""
-        moved = self._turn(*self._extract(grading, tier, k, side, convoy))
+    def _displace(self, grading, end, k, through, convoy):
+        """Push the blocking arrow at (end, k) out through the exit floor."""
+        moved = self._turn(*self._extract(grading, end, k, through, convoy))
         if moved is not None:  # a blocker that cannot ride along left for good
             convoy.append(moved)
 
     def _restore_convoy(self, convoy):
         # _turn raises InvariantViolation for an entry that drifted off
         # its boundary
-        for (grading, tier, _), ca in reversed(convoy):
-            st = self._shafts[grading]
-            k = _index_of(st.lower if tier == LOWER else st.upper, ca)
-            self._turn(grading, tier, k, remove=False)
+        for (grading, end, _), ca in reversed(convoy):
+            k = _index_of(self._shafts[grading].arrows(end), ca)
+            self._turn(grading, end, k, remove=False)
 
-    def _snowplow_remove(self, grading, tier, k, side):
+    def _snowplow_remove(self, grading, end, k, through):
         """Slide the arrow along parallel turns, remove it where the
         strands diverge, then send every displaced arrow back."""
         convoy: list = []
-        handle = (grading, tier, k)
+        handle = (grading, end, k)
         while True:
-            moved = self._turn(*self._extract(*handle, side, convoy))
+            moved = self._turn(*self._extract(*handle, through, convoy))
             if moved is None:
                 break
             handle = moved[0]
-            side = "up" if side == "down" else "down"
+            through = _other(through)
         self._restore_convoy(convoy)
         self._verify_if_paranoid()
 
@@ -1096,45 +1080,37 @@ class TwoStoryComplex:
 
     # -- depth raising ----------------------------------------------------------------
 
-    def _candidates(self, predicate, tier):
+    def _candidates(self, predicate, end):
         out = []
         for g in self.gradings():
-            st = self._shafts[g]
-            seq = st.lower if tier == LOWER else st.upper
-            for k, ca in enumerate(seq):
-                if predicate(self._arrow_weight(g, tier, ca[0], ca[1])):
-                    out.append((g, tier, k))
+            for k, ca in enumerate(self._shafts[g].arrows(end)):
+                if predicate(self._arrow_weight(g, end, ca[0], ca[1])):
+                    out.append((g, k))
         return out
 
-    def _remove_all(self, predicate, tier, side):
-        """Remove matching arrows one at a time, nearest the exit first."""
+    def _remove_all(self, predicate, end, through):
+        """Remove matching arrows of the tier at ``end`` one at a time
+        through the floor at ``through``: the first shaft's arrow nearest
+        that floor first."""
         while True:
-            found = self._candidates(predicate, tier)
+            found = self._candidates(predicate, end)
             if not found:
                 return
-            per_shaft: dict = {}
-            for g, _, k in found:
-                per_shaft.setdefault(g, []).append(k)
-            grading = sorted(per_shaft)[0]
-            ks = per_shaft[grading]
-            near_exit = (side == "down") == (tier == LOWER)
-            if tier == UPPER:
-                k = max(ks) if near_exit else min(ks)
-            else:
-                k = min(ks) if near_exit else max(ks)
-            self._snowplow_remove(grading, tier, k, side)
+            grading = min(g for g, _ in found)
+            ks = [k for g, k in found if g == grading]
+            k = max(ks) if through == TOP else min(ks)
+            self._snowplow_remove(grading, end, k, through)
 
-    def _slide_out(self, grading, tier):
+    def _slide_out(self, grading, end):
         """Turn every arrow of one tier out into the neighbouring shafts.
 
         The arrow at the exit boundary always goes first, so nothing is
         ever displaced.  A pair whose journeys have both already ended
         falls off for free instead of turning.
         """
-        st = self._shafts[grading]
-        seq = st.lower if tier == LOWER else st.upper
+        seq = self._shafts[grading].arrows(end)
         while seq:
-            self._turn(grading, tier, 0 if tier == LOWER else len(seq) - 1)
+            self._turn(grading, end, _exit_index(seq, end))
 
     def increase_depth(self, m: int):
         """Raise the depth of the complex past m.
@@ -1159,19 +1135,19 @@ class TwoStoryComplex:
         for g in self.gradings():
             self._reparametrize(g, m)
         self._verify_if_paranoid()
-        self._remove_all(lambda w: w.w_hat == m, UPPER, "up")
-        self._remove_all(lambda w: w.w_hat == m, LOWER, "down")
+        self._remove_all(lambda w: w.w_hat == m, TOP, TOP)
+        self._remove_all(lambda w: w.w_hat == m, BOTTOM, BOTTOM)
         for g in self.gradings():
             self._reparametrize(g, m + 1, keep_upper=True)
             self._verify_if_paranoid()
-            self._remove_all(lambda w: w.w_hat == m, UPPER, "up")
-            self._slide_out(g, LOWER)
+            self._remove_all(lambda w: w.w_hat == m, TOP, TOP)
+            self._slide_out(g, BOTTOM)
             self._reparametrize(g, m + 1)
             self._verify_if_paranoid()
-            self._remove_all(lambda w: w.w_hat == m, LOWER, "down")
-            self._slide_out(g, UPPER)
-        self._remove_all(lambda w: w.w_check == m, UPPER, "down")
-        self._remove_all(lambda w: w.w_check == m, LOWER, "up")
+            self._remove_all(lambda w: w.w_hat == m, BOTTOM, BOTTOM)
+            self._slide_out(g, TOP)
+        self._remove_all(lambda w: w.w_check == m, TOP, BOTTOM)
+        self._remove_all(lambda w: w.w_check == m, BOTTOM, TOP)
         self._verify_if_paranoid()
         if self.depth() < m + 1:
             raise InvariantViolation("depth pass fell short")
@@ -1196,8 +1172,8 @@ class TwoStoryComplex:
         return self
 
 
-def _power_mono(c: int, floor, delta: int) -> tuple:
-    return (c, 0, delta) if floor == BOTTOM else (c, delta, 0)
+def _power_mono(c: int, end, delta: int) -> tuple:
+    return (c, 0, delta) if end == BOTTOM else (c, delta, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1214,14 +1190,18 @@ def build(c: Complex) -> TwoStoryComplex:
     if has_length_zero_arrow(c):
         raise ValidationError("cancel length-zero arrows before building")
     td = simplified_transition(c)
-    vert = {s: (t, l, 1) for s, t, l in td.x_basis.arrows}
-    horiz = {s: (t, l, 1) for s, t, l in td.y_basis.arrows}
-    t = TwoStoryComplex._new(
-        c.char, td.x_basis.generators, td.y_basis.generators, vert, horiz
-    )
-    t.original = c
-    t._x0_change = td.x_basis.change
-    t._y0_change = td.y_basis.change
+    t = TwoStoryComplex()
+    t.char, t.original = c.char, c
+    t._floors = {BOTTOM: _Floor(td.x_basis), TOP: _Floor(td.y_basis)}
+    slots: dict = {}
+    for i, (g, h) in enumerate(zip(t.x_gens, t.y_gens)):
+        if h.grading != g.grading:
+            raise InvariantViolation("floor gradings disagree")
+        slots.setdefault(g.grading, []).append(i)
+    t._slots = slots
+    t._pos = {
+        i: (gr, p) for gr, members in slots.items() for p, i in enumerate(members)
+    }
     for members, block, _ in td.blocks:
         t._shafts[t._pos[members[0]][0]] = _ltu_state(block)
     t.verify()
@@ -1249,31 +1229,31 @@ def traversal_sequence(t: TwoStoryComplex, z: str, direction: str) -> TraversalS
     strand's other endpoint.
     """
     d = _normalize_direction(direction)
-    floor, idx = t._name_index(z)
+    end, idx = t._name_index(z)
     if d == TOWARD_FLOOR:
-        return t._sequence(floor, idx)
-    other = TOP if floor == BOTTOM else BOTTOM
-    return t._sequence(other, t._elevator(floor, idx))
+        return t._sequence(end, idx)
+    return t._sequence(_other(end), t._elevator(end, idx))
 
 
 def strand_top(t: TwoStoryComplex, x_name: str) -> str:
     """Name of the top endpoint of the strand holding a bottom element."""
-    floor, idx = t._name_index(x_name)
-    if floor != BOTTOM:
+    end, idx = t._name_index(x_name)
+    if end != BOTTOM:
         raise ValueError(f"expected a bottom basis element, got {x_name!r}")
     return t.y_gens[t._elevator(BOTTOM, idx)].id
 
 
 def strand_bottom(t: TwoStoryComplex, y_name: str) -> str:
     """Name of the bottom endpoint of the strand holding a top element."""
-    floor, idx = t._name_index(y_name)
-    if floor != TOP:
+    end, idx = t._name_index(y_name)
+    if end != TOP:
         raise ValueError(f"expected a top basis element, got {y_name!r}")
     return t.x_gens[t._elevator(TOP, idx)].id
 
 
 def _resolve_arrow(t: TwoStoryComplex, arrow):
-    """Map a public (bigrading, token index) handle to engine terms."""
+    """Map a public (bigrading, token index) handle to (bigrading, end,
+    index in that end's tier, token); a dot or crossing has end "middle"."""
     grading, pos = arrow
     grading = tuple(grading)
     if grading not in t._shafts:
@@ -1284,45 +1264,41 @@ def _resolve_arrow(t: TwoStoryComplex, arrow):
         raise PatternMismatch("token index out of range")
     token = view[pos]
     if pos < len(st.lower):
-        return grading, LOWER, pos, token
+        return grading, BOTTOM, pos, token
     offset = len(view) - len(st.upper)
     if pos >= offset:
-        return grading, UPPER, pos - offset, token
+        return grading, TOP, pos - offset, token
     return grading, "middle", pos, token
 
 
 def weight_of(t: TwoStoryComplex, arrow) -> Weight:
     """Weight of the crossover arrow named by (bigrading, token index)."""
-    grading, tier, k, token = _resolve_arrow(t, arrow)
+    grading, end, k, token = _resolve_arrow(t, arrow)
     if not isinstance(token, CrossoverArrow):
         raise PatternMismatch("weights are defined for crossover arrows")
-    ca = t._arrow_at(grading, tier, k)
-    return t._arrow_weight(grading, tier, ca[0], ca[1])
+    r, g, _ = t._shafts[grading].arrows(end)[k]
+    return t._arrow_weight(grading, end, r, g)
 
 
 def slide_arrow_step(t: TwoStoryComplex, arrow, direction: str) -> TwoStoryComplex:
-    """Transport a boundary token across one floor segment.
+    """Transport a boundary token across one floor segment, "down" through
+    the bottom floor or "up" through the top one.
 
     Black dots dissolve into a rescaling of the floor element they exit
     through; crossover arrows reappear in the neighbouring shaft.
     """
-    grading, tier, k, token = _resolve_arrow(t, arrow)
-    if isinstance(token, BlackDot):
-        t._slide_dot(grading, token.i - 1, direction)
-        t._verify_if_paranoid()
-        return t
-    if not isinstance(token, CrossoverArrow):
+    grading, end, k, token = _resolve_arrow(t, arrow)
+    if not isinstance(token, (BlackDot, CrossoverArrow)):
         raise PatternMismatch("only arrows and dots slide through floors")
-    st = t._shafts[grading]
-    if direction == "down":
-        if tier != LOWER or k != 0:
-            raise PatternMismatch("arrow is not at the bottom boundary")
-    elif direction == "up":
-        if tier != UPPER or k != len(st.upper) - 1:
-            raise PatternMismatch("arrow is not at the top boundary")
-    else:
+    through = {"down": BOTTOM, "up": TOP}.get(direction)
+    if through is None:
         raise ValueError(f"unknown slide direction {direction!r}")
-    t._turn(grading, tier, k, remove=False)
+    if isinstance(token, BlackDot):
+        t._slide_dot(grading, token.i - 1, through)
+    elif end != through or k != _exit_index(t._shafts[grading].arrows(end), end):
+        raise PatternMismatch(f"arrow is not at the {through} boundary")
+    else:
+        t._turn(grading, end, k, remove=False)
     t._verify_if_paranoid()
     return t
 
@@ -1330,17 +1306,16 @@ def slide_arrow_step(t: TwoStoryComplex, arrow, direction: str) -> TwoStoryCompl
 def remove_diverging_arrow(t: TwoStoryComplex, arrow) -> TwoStoryComplex:
     """Slide an arrow out along its near floor and remove it at the
     point of divergence, restoring every other displaced arrow."""
-    grading, tier, k, token = _resolve_arrow(t, arrow)
+    grading, end, k, token = _resolve_arrow(t, arrow)
     if not isinstance(token, CrossoverArrow):
         raise PatternMismatch("only crossover arrows are removable")
-    ca = t._arrow_at(grading, tier, k)
-    w = t._arrow_weight(grading, tier, ca[0], ca[1])
+    r, g, _ = t._shafts[grading].arrows(end)[k]
+    w = t._arrow_weight(grading, end, r, g)
     if w.w_hat == math.inf:
         raise Parallel("the strand pair never diverges")
     if w.w_hat < 0:
         raise WrongOrientation("the arrow points up the divergence order")
-    side = "down" if tier == LOWER else "up"
-    t._snowplow_remove(grading, tier, k, side)
+    t._snowplow_remove(grading, end, k, end)
     return t
 
 
@@ -1357,18 +1332,16 @@ def run_to_depth_infinity(t: TwoStoryComplex) -> TwoStoryComplex:
 def dump(t: TwoStoryComplex) -> str:
     """Deterministic structured text of floors, shafts and tokens."""
     lines = [f"two-story complex over F_{t.char}, rank {len(t.x_gens)}"]
-
-    def floor_lines(label, gens, table, power):
-        lines.append(f"{label}:")
-        for s in sorted(table):
-            tg, l, mu = table[s]
-            text = f"  {gens[s].id} -{power}^{l}-> {gens[tg].id}"
+    for end in (BOTTOM, TOP):
+        floor = t._floors[end]
+        power = "V" if end == BOTTOM else "U"
+        lines.append(f"{end} floor:")
+        for s in sorted(floor.table):
+            tg, l, mu = floor.table[s]
+            text = f"  {floor.gens[s].id} -{power}^{l}-> {floor.gens[tg].id}"
             if mu != 1:
                 text += f"  (coefficient {mu})"
             lines.append(text)
-
-    floor_lines("bottom floor", t.x_gens, t._vert, "V")
-    floor_lines("top floor", t.y_gens, t._horiz, "U")
     lines.append("shafts:")
     for grading in t.gradings():
         shaft = t.shaft(grading)

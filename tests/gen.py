@@ -439,12 +439,9 @@ def conjugation_verify(t):
     equal to every shaft block.  Raises what ``verify`` raised before it
     checked by intertwining, so the two can be compared on any state.
     """
-    x = t._fold_change("x").compose(t._x0_change)
-    y = t._fold_change("y").compose(t._y0_change)
-    for change, quot, table, label in (
-        (x, quotient_u, t._vert, "bottom"),
-        (y, quotient_v, t._horiz, "top"),
-    ):
+    x, y = t._basis("bottom"), t._basis("top")
+    for change, quot, label in ((x, quotient_u, "bottom"), (y, quotient_v, "top")):
+        table = t._floors[label].table
         q = quot(apply_basis_change(t.original, change))
         idx = q.gen_index()
         got = {}
