@@ -38,6 +38,12 @@ length).  The engine holds all field data as int residues mod p: shaft
 arrows and dots, floor coefficients, and the logged steps in
 ``complexes.Elimination``'s form.  Only the tokens, ``floor_arrows``
 and ``log`` box them.
+
+One rule says when the engine checks itself: a public call that changes
+a two-story complex ends with exactly one ``verify()``, and a call that
+changes nothing verifies nothing.  So ``build``, a depth pass that ran,
+``slide_arrow_step`` and ``remove_diverging_arrow`` each return a
+checked state, and no public call returns an unchecked one.
 """
 
 from __future__ import annotations
@@ -221,13 +227,6 @@ class TraversalSequence:
 
     def realize(self, n: int) -> tuple:
         return tuple([self.term(k) for k in range(n)])
-
-    def terms(self):
-        """Infinite generator of the sequence's terms."""
-        k = 0
-        while True:
-            yield self.term(k)
-            k += 1
 
     def __repr__(self):
         head = ", ".join(str(v) for v in self.prefix + self.cycle)
@@ -638,8 +637,8 @@ class TwoStoryComplex:
     structural invariant by intertwining, without a ring inverse: each
     floor basis must carry the input's quotient differential onto its
     floor table, and the scalar parts of the two bases must differ by the
-    shaft blocks.  With ``paranoid`` set, sliding operations re-verify
-    after every step.
+    shaft blocks.  A public operation that changes the state ends with
+    one ``verify``; one that changes nothing does not verify.
 
     Journeys and the divergences between them are cached.  A journey
     reads only the floor tables' targets and lengths and the elevators
@@ -652,7 +651,6 @@ class TwoStoryComplex:
     def __init__(self):
         self.char: int = 0
         self.original: Complex = None
-        self.paranoid: bool = False
         self.rounds: int = 0
         self._floors: dict = {}
         self._slots: dict = {}
@@ -852,6 +850,9 @@ class TwoStoryComplex:
         is checked as X_0 = B Y_0 on the scalar parts of the bases.  An
         inhomogeneous basis raises GradingViolation, any other failure
         InvariantViolation.
+
+        Every public call that changes the complex ends here, once; a
+        call that changes nothing does not come here.
         """
         x, y = self._basis(BOTTOM), self._basis(TOP)
         x.check_homogeneous()
@@ -872,10 +873,6 @@ class TwoStoryComplex:
                         add_row_multiple(want, (b, 0, 0), row, False, p)
                 if want != _scalar_entries(x.rows[i]):
                     raise InvariantViolation(f"shaft product drifted at {grading}")
-
-    def _verify_if_paranoid(self):
-        if self.paranoid:
-            self.verify()
 
     # -- black dot slides ----------------------------------------------------------
 
@@ -1039,7 +1036,6 @@ class TwoStoryComplex:
             handle = moved[0]
             through = _other(through)
         self._restore_convoy(convoy)
-        self._verify_if_paranoid()
 
     # -- reparametrization ------------------------------------------------------------
 
@@ -1126,6 +1122,10 @@ class TwoStoryComplex:
         it.  The upper tier gets the mirrored treatment.  Finally the
         arrows whose far component equals +m are snowplowed out through
         their far floors.  An m above the current depth raises ValueError.
+
+        A pass that ran ends with one ``verify``.  When the depth is
+        already above m, or infinite, nothing changes and nothing is
+        checked.
         """
         d = self.depth()
         if d > m or d == math.inf:
@@ -1134,27 +1134,29 @@ class TwoStoryComplex:
             raise ValueError(f"m = {m} is above the current depth {d}")
         for g in self.gradings():
             self._reparametrize(g, m)
-        self._verify_if_paranoid()
         self._remove_all(lambda w: w.w_hat == m, TOP, TOP)
         self._remove_all(lambda w: w.w_hat == m, BOTTOM, BOTTOM)
         for g in self.gradings():
             self._reparametrize(g, m + 1, keep_upper=True)
-            self._verify_if_paranoid()
             self._remove_all(lambda w: w.w_hat == m, TOP, TOP)
             self._slide_out(g, BOTTOM)
             self._reparametrize(g, m + 1)
-            self._verify_if_paranoid()
             self._remove_all(lambda w: w.w_hat == m, BOTTOM, BOTTOM)
             self._slide_out(g, TOP)
         self._remove_all(lambda w: w.w_check == m, TOP, BOTTOM)
         self._remove_all(lambda w: w.w_check == m, BOTTOM, TOP)
-        self._verify_if_paranoid()
+        self.verify()
         if self.depth() < m + 1:
             raise InvariantViolation("depth pass fell short")
         return self
 
     def run_to_depth_infinity(self):
-        """Iterate depth raising until every weight is (inf, inf)."""
+        """Iterate depth raising until every weight is (inf, inf).
+
+        Each round is an ``increase_depth`` pass, which verifies what it
+        changed, so the loop adds no check of its own: with no round run,
+        the state is the one its producer already verified.
+        """
         n = len(self.x_gens)
         bound = max(1, n * (n - 1))
         self.rounds = 0
@@ -1168,7 +1170,6 @@ class TwoStoryComplex:
                 )
             self.increase_depth(d)
             self.rounds += 1
-        self.verify()
         return self
 
 
@@ -1193,17 +1194,11 @@ def build(c: Complex) -> TwoStoryComplex:
     t = TwoStoryComplex()
     t.char, t.original = c.char, c
     t._floors = {BOTTOM: _Floor(td.x_basis), TOP: _Floor(td.y_basis)}
-    slots: dict = {}
-    for i, (g, h) in enumerate(zip(t.x_gens, t.y_gens)):
-        if h.grading != g.grading:
-            raise InvariantViolation("floor gradings disagree")
-        slots.setdefault(g.grading, []).append(i)
-    t._slots = slots
-    t._pos = {
-        i: (gr, p) for gr, members in slots.items() for p, i in enumerate(members)
-    }
     for members, block, _ in td.blocks:
-        t._shafts[t._pos[members[0]][0]] = _ltu_state(block)
+        grading = t.x_gens[members[0]].grading
+        t._slots[grading] = members
+        t._pos.update((i, (grading, p)) for p, i in enumerate(members))
+        t._shafts[grading] = _ltu_state(block)
     t.verify()
     return t
 
@@ -1212,25 +1207,17 @@ def build(c: Complex) -> TwoStoryComplex:
 # public operations
 
 
-def _normalize_direction(direction: str) -> str:
-    d = direction.replace("_", "-").lower()
-    if d in (TOWARD_FLOOR, "floor"):
-        return TOWARD_FLOOR
-    if d in (TOWARD_SHAFT, "shaft"):
-        return TOWARD_SHAFT
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 def traversal_sequence(t: TwoStoryComplex, z: str, direction: str) -> TraversalSequence:
     """Journey record of a floor basis element in the given direction.
 
     ``toward-floor`` starts with the element's own floor arrow;
     ``toward-shaft`` crosses the elevator first and continues from the
-    strand's other endpoint.
+    strand's other endpoint.  Any other direction raises ValueError.
     """
-    d = _normalize_direction(direction)
+    if direction not in (TOWARD_FLOOR, TOWARD_SHAFT):
+        raise ValueError(f"unknown direction {direction!r}")
     end, idx = t._name_index(z)
-    if d == TOWARD_FLOOR:
+    if direction == TOWARD_FLOOR:
         return t._sequence(end, idx)
     return t._sequence(_other(end), t._elevator(end, idx))
 
@@ -1285,7 +1272,9 @@ def slide_arrow_step(t: TwoStoryComplex, arrow, direction: str) -> TwoStoryCompl
     the bottom floor or "up" through the top one.
 
     Black dots dissolve into a rescaling of the floor element they exit
-    through; crossover arrows reappear in the neighbouring shaft.
+    through; crossover arrows reappear in the neighbouring shaft.  The
+    moved state is verified once; a refused slide changes nothing and
+    verifies nothing.
     """
     grading, end, k, token = _resolve_arrow(t, arrow)
     if not isinstance(token, (BlackDot, CrossoverArrow)):
@@ -1299,13 +1288,15 @@ def slide_arrow_step(t: TwoStoryComplex, arrow, direction: str) -> TwoStoryCompl
         raise PatternMismatch(f"arrow is not at the {through} boundary")
     else:
         t._turn(grading, end, k, remove=False)
-    t._verify_if_paranoid()
+    t.verify()
     return t
 
 
 def remove_diverging_arrow(t: TwoStoryComplex, arrow) -> TwoStoryComplex:
     """Slide an arrow out along its near floor and remove it at the
-    point of divergence, restoring every other displaced arrow."""
+    point of divergence, restoring every other displaced arrow.  The
+    result is verified once; a refused removal changes nothing and
+    verifies nothing."""
     grading, end, k, token = _resolve_arrow(t, arrow)
     if not isinstance(token, CrossoverArrow):
         raise PatternMismatch("only crossover arrows are removable")
@@ -1316,6 +1307,7 @@ def remove_diverging_arrow(t: TwoStoryComplex, arrow) -> TwoStoryComplex:
     if w.w_hat < 0:
         raise WrongOrientation("the arrow points up the divergence order")
     t._snowplow_remove(grading, end, k, end)
+    t.verify()
     return t
 
 

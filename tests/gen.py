@@ -1,6 +1,7 @@
 """Shared complex builders and randomizers for the test suite, a runner
-for scripts under ``python -O``, and a conjugation oracle for the
-two-story self-check."""
+for scripts under ``python -O``, a conjugation oracle for the two-story
+self-check, and a hook that runs that self-check after every inner step
+of the depth loop."""
 
 import os
 import random
@@ -465,3 +466,19 @@ def conjugation_verify(t):
         block = tuple([tuple([p.rows[i].get(j, (0,))[0] for j in members]) for i in members])
         if block != _state_matrix(t._shafts[grading], len(members), t.char).entries:
             raise InvariantViolation(f"shaft product drifted at {grading}")
+
+
+def verify_every_step(t):
+    """Make t run ``verify()`` after each of its snowplow removals,
+    shaft refactorizations and tier slide-outs, the depth loop's inner
+    steps, so a test sees the first step that breaks an invariant rather
+    than the pass that contains it.  Returns t."""
+    for name in ("_snowplow_remove", "_reparametrize", "_slide_out"):
+
+        def checked(*args, _step=getattr(t, name), **kwargs):
+            out = _step(*args, **kwargs)
+            t.verify()
+            return out
+
+        setattr(t, name, checked)
+    return t

@@ -24,6 +24,7 @@ from gen import (
     run_optimized,
     square_sheets,
     trefoil,
+    verify_every_step,
 )
 from snakedec import twostory
 from snakedec.complexes import (
@@ -57,6 +58,7 @@ from snakedec.twostory import (
     Crossing,
     CrossoverArrow,
     Shaft,
+    TwoStoryComplex,
     apply_local_move,
     build,
     dump,
@@ -481,6 +483,13 @@ def test_terminating_journeys():
     assert walk.terminating
 
 
+@pytest.mark.parametrize("direction", ["sideways", "floor", "toward_shaft"])
+def test_traversal_rejects_unknown_directions(direction):
+    t = build(braided())
+    with pytest.raises(ValueError, match="unknown direction"):
+        traversal_sequence(t, "x1", direction)
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -621,8 +630,7 @@ def test_infinite_depth_is_stable():
 
 
 def test_depth_two_single_pass():
-    t = build(depth_two())
-    t.paranoid = True
+    t = verify_every_step(build(depth_two()))
     assert t.depth() == 2
     t.increase_depth(2)
     assert t.depth() > 2
@@ -641,8 +649,7 @@ def test_round_bound_exceeded():
 
 
 def test_braided_full_run():
-    t = build(braided())
-    t.paranoid = True
+    t = verify_every_step(build(braided()))
     assert t.depth() == 1
     run_to_depth_infinity(t)
     assert t.rounds == 1
@@ -807,8 +814,7 @@ def test_exhaustive_small_rank_sweep():
                             c, _, _ = strip_zero_complexes(c)
                             if c.rank == 0:
                                 continue
-                            t = build(c)
-                            t.paranoid = True
+                            t = verify_every_step(build(c))
                             run_to_depth_infinity(t)
                             assert t.depth() == math.inf
                             assert t.rounds <= max(1, c.rank * (c.rank - 1))
@@ -836,7 +842,8 @@ def test_random_messy_pipeline():
         if c.rank == 0:
             continue
         t = build(c)
-        t.paranoid = c.rank <= 10
+        if c.rank <= 10:
+            verify_every_step(t)
         had_tokens = token_count(t) > 0
         run_to_depth_infinity(t)
         assert t.depth() == math.inf
@@ -859,7 +866,8 @@ def test_random_sum_pipeline():
         if c.rank == 0:
             continue
         t = build(c)
-        t.paranoid = c.rank <= 10
+        if c.rank <= 10:
+            verify_every_step(t)
         run_to_depth_infinity(t)
         assert t.depth() == math.inf
         t.verify()
@@ -988,6 +996,60 @@ def test_verify_survives_python_optimize():
         "st.dots[pos] = -lam % t.char",
         "try:",
         "    t.verify()",
+        "except InvariantViolation as exc:",
+        "    print('raised', sys.flags.optimize, exc)",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised 1 shaft product drifted"), out.stdout
+
+
+def test_each_changing_call_verifies_once(monkeypatch):
+    calls = []
+    check = TwoStoryComplex.verify
+    monkeypatch.setattr(TwoStoryComplex, "verify", lambda t: calls.append(t) or check(t))
+
+    def verified(step):
+        before = len(calls)
+        step()
+        return len(calls) - before
+
+    assert verified(lambda: build(trefoil())) == 1
+    t = build(trefoil())
+    assert verified(lambda: run_to_depth_infinity(t)) == 0 and t.rounds == 0
+    t = build(braided())
+    with pytest.raises(ValueError):
+        verified(lambda: increase_depth(t, 4))
+    with pytest.raises(StrandsDiverge):
+        verified(lambda: slide_arrow_step(t, ((-1, 1), 0), "up"))
+    assert len(calls) == 3  # the builds only: the refused calls changed nothing
+    assert verified(lambda: run_to_depth_infinity(t)) == 1 and t.rounds == 1
+    assert verified(lambda: increase_depth(t, math.inf)) == 0
+    t = build(figure_eight())
+    assert verified(lambda: slide_arrow_step(t, ((0, 0), 0), "down")) == 1
+    t = build(braided())
+    assert verified(lambda: remove_diverging_arrow(t, arrow_handles(t)[0])) == 1
+
+
+def _corrupt_and_slide_a_dot():
+    """Corrupt the one black dot of messy seed 24 (over F_5) and slide it
+    out through the bottom floor; the slide must not return."""
+    c, _, _ = strip_zero_complexes(random_messy(24))
+    t = build(c)
+    _corrupt_a_dot(t)
+    (grading,) = [g for g in t.gradings() if t._shafts[g].dots]
+    assert isinstance(t.shaft(grading).tokens[0], BlackDot)
+    slide_arrow_step(t, (grading, 0), "down")
+
+
+def test_slide_verifies_what_it_moved():
+    with pytest.raises(InvariantViolation, match="shaft product drifted"):
+        _corrupt_and_slide_a_dot()
+    out = run_optimized(
+        "import sys",
+        "import test_twostory",
+        "from snakedec.errors import InvariantViolation",
+        "try:",
+        "    test_twostory._corrupt_and_slide_a_dot()",
         "except InvariantViolation as exc:",
         "    print('raised', sys.flags.optimize, exc)",
     )
