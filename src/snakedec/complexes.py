@@ -421,7 +421,9 @@ class Elimination:
     the change into P times it: one row and one column operation on D and
     one row operation on the change per step, with no P^-1 formed.  The
     complex and every step must respect the bigrading (GradingViolation
-    otherwise), so each cell stays a single monomial.
+    otherwise), so each cell stays a single monomial.  ``cancel`` is the
+    one Gaussian cancellation step; the zero-pair strip and the quotient
+    simplifier only pick the arrow it splits off.
     """
 
     def __init__(self, c: Complex):
@@ -470,14 +472,27 @@ class Elimination:
             self.d[k][i] = (x * inv % p, u, v)
         self.rows[i] = _scaled(self.rows[i], c, p)
 
-    def split_off(self, s: int, t: int) -> None:
-        """Check that s -> t, with coefficient 1, is the only arrow at s or t.
+    def cancel(self, s: int, t: int) -> None:
+        """Split the arrow s -> t off, leaving it with coefficient 1.
 
-        An elimination step on a chain complex leaves it so; otherwise
-        d^2 != 0 and ValidationError is raised.
+        d(s) is folded into t, each term with its exponents taken relative
+        to the pivot's own, so that d(s) hits t alone; every other source
+        of an arrow into t slides along s to drop it; t is scaled to make
+        the coefficient 1.  On a chain complex s -> t is then the only
+        arrow at s or t; otherwise d^2 != 0 and ValidationError is raised.
         """
-        alone = list(self.d[s]) == [t] and self.d[s][t][0] == 1 and not self.d[t]
-        if not alone or self.column(s) or len(self.column(t)) != 1:
+        p = self.p
+        piv, pu, pv = self.d[s][t]
+        piv_inv = pow(piv, p - 2, p)
+        for j, (x, u, v) in list(self.d[s].items()):
+            if j != t:
+                self.add(t, j, (x * piv_inv % p, u - pu, v - pv))
+        for i, (x, u, v) in self.column(t):
+            if i != s:
+                self.add(i, s, (-x * piv_inv % p, u - pu, v - pv))
+        if piv != 1:
+            self.scale(t, piv)
+        if self.d[s] != {t: (1, pu, pv)} or self.d[t] or self.column(s) or len(self.column(t)) != 1:
             ids = self.gens[s].id, self.gens[t].id
             raise ValidationError(f"not a chain complex: {ids[0]} -> {ids[1]} does not split off")
 
@@ -605,16 +620,7 @@ def strip_zero_complexes(c: Complex):
     retired: set = set()
     while scalars := [(s, t) for s, t, (_, u, v) in el.live(retired) if not u and not v]:
         s, t = min(scalars)
-        # t becomes d(s): scale by its scalar t-coefficient, then add the rest
-        ds = dict(el.d[s])
-        el.scale(t, ds.pop(t)[0])
-        for k, m in ds.items():
-            el.add(t, k, m)
-        # every other source of an arrow into t slides along s to drop it
-        for x, (coeff, u, v) in el.column(t):
-            if x != s:
-                el.add(x, s, (-coeff % c.char, u, v))
-        el.split_off(s, t)
+        el.cancel(s, t)
         retired.update((s, t))
         pairs.append((s, t))
     keep = [i for i in range(c.rank) if i not in retired]
@@ -649,6 +655,8 @@ def infer_gradings(
     """
     neighbors: Dict[str, List[tuple]] = {g: [] for g in gen_ids}
     for src, tgt, u, v in arrows:
+        if src not in neighbors or tgt not in neighbors:
+            raise ValidationError(f"arrow {src} -> {tgt} names an unknown generator")
         delta = (2 * u - 1, 2 * v - 1)
         neighbors[src].append((tgt, delta))
         neighbors[tgt].append((src, (-delta[0], -delta[1])))

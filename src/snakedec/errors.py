@@ -7,9 +7,9 @@ that must survive ``python -O``: homogeneity in ``complexes`` and in the
 elimination behind strip and simplify (``GradingViolation``), malformed
 input to them and to the ``gf`` polynomial kernel (``ValidationError``),
 and the checks of the program's own work in the two-story engine's
-``verify``, moves and depth loop, in ``normalize_transition`` and in the
-``gf`` polynomial and primary-form kernels (``InvariantViolation``).  No
-module uses ``assert``.
+``verify``, moves and depth loop, in ``normalize_transition``'s
+bigrading check and in the ``gf`` polynomial and primary-form kernels
+(``InvariantViolation``).  No module uses ``assert``.
 """
 
 
@@ -70,10 +70,11 @@ class InvariantViolation(SnakedecError):
     """A structural invariant of the program's own work failed to hold.
 
     Raised by ``TwoStoryComplex.verify``, by ``build``, by the shaft moves
-    and the depth loop, and by ``normalize_transition`` when the program's
-    own state disagrees with the complex it claims to describe, and by the
-    ``gf`` polynomial and primary-form kernels when a result fails its
-    reassembly check; unlike ``assert`` it survives ``python -O``.
+    and the depth loop when the program's own state disagrees with the
+    complex it claims to describe, by ``normalize_transition`` only for a
+    transition that crosses bigradings, and by the ``gf`` polynomial and
+    primary-form kernels when a result fails its reassembly check; unlike
+    ``assert`` it survives ``python -O``.
     """
 
 

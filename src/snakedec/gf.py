@@ -294,6 +294,8 @@ def block_diag(blocks: Sequence[Matrix], char: Optional[int] = None) -> Matrix:
     for b in blocks:
         if b.char != char:
             raise FieldMismatch("blocks over different fields")
+        if not b.is_square():
+            raise DimensionMismatch(f"block of shape {b.rows}x{b.cols} is not square")
         for row in b.entries:
             rows.append((0,) * off + row + (0,) * (n - off - b.cols))
         off += b.rows

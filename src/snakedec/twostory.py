@@ -1182,7 +1182,11 @@ def _power_mono(c: int, end, delta: int) -> tuple:
 
 
 def build(c: Complex) -> TwoStoryComplex:
-    """Simplify both quotients of a complex and assemble its two-story form."""
+    """Simplify both quotients of a complex and assemble its two-story form.
+
+    The one ``verify`` here is the only check of the adjusted bases and
+    the transition blocks that ``normalize_transition`` returns.
+    """
     if c.ring != RING_R1:
         raise ValidationError("two-story complexes live over the modulo-UV ring")
     problems = validate(c)

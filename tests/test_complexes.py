@@ -493,3 +493,5 @@ def test_infer_gradings_unreachable():
         infer_gradings(["a", "b"], [], {"a": (0, 0)})
     with pytest.raises(ValidationError):
         infer_gradings(["a"], [], {"zz": (0, 0)})
+    with pytest.raises(ValidationError, match="unknown generator"):
+        infer_gradings(["a", "b"], [("a", "z", 1, 0)], {"a": (0, 0)})

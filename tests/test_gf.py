@@ -163,6 +163,8 @@ def test_invert_examples():
 def test_block_diag():
     b = gf.block_diag([M([[2]], 3), gf.Matrix.identity(2, 3)])
     assert b == M([[2, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+    with pytest.raises(DimensionMismatch, match="not square"):
+        gf.block_diag([M([[1], [2]], 3), M([[1]], 3)])
 
 
 # ---------------------------------------------------------------------------

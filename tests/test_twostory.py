@@ -26,7 +26,7 @@ from gen import (
     trefoil,
     verify_every_step,
 )
-from snakedec import twostory
+from snakedec import complexes, simplify, twostory
 from snakedec.complexes import (
     Arrow,
     Complex,
@@ -1007,6 +1007,16 @@ def test_each_changing_call_verifies_once(monkeypatch):
     calls = []
     check = TwoStoryComplex.verify
     monkeypatch.setattr(TwoStoryComplex, "verify", lambda t: calls.append(t) or check(t))
+    floor_checks = []
+    intertwines = complexes.intertwines
+
+    def counted(*args):
+        floor_checks.append(args)
+        return intertwines(*args)
+
+    for module in (complexes, simplify, twostory):
+        if getattr(module, "intertwines", None) is intertwines:
+            monkeypatch.setattr(module, "intertwines", counted)
 
     def verified(step):
         before = len(calls)
@@ -1014,6 +1024,7 @@ def test_each_changing_call_verifies_once(monkeypatch):
         return len(calls) - before
 
     assert verified(lambda: build(trefoil())) == 1
+    assert len(floor_checks) == 2  # once per floor, inside build's one verify
     t = build(trefoil())
     assert verified(lambda: run_to_depth_infinity(t)) == 0 and t.rounds == 0
     t = build(braided())
@@ -1050,6 +1061,36 @@ def test_slide_verifies_what_it_moved():
         "from snakedec.errors import InvariantViolation",
         "try:",
         "    test_twostory._corrupt_and_slide_a_dot()",
+        "except InvariantViolation as exc:",
+        "    print('raised', sys.flags.optimize, exc)",
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised 1 shaft product drifted"), out.stdout
+
+
+def _build_with_doubled_block_inverses():
+    """Build stripped messy seed 24 (over F_5) while ``gf.Matrix.inverse``
+    returns twice the true inverse; the build must not return."""
+    c, _, _ = strip_zero_complexes(random_messy(24))
+    inverse = Matrix.inverse
+    Matrix.inverse = lambda m: inverse(m) * 2
+    try:
+        build(c)
+    finally:
+        Matrix.inverse = inverse
+
+
+def test_build_verifies_the_block_inverses():
+    # Y' = 2 S^-1 X' keeps both floors intertwined, so only the shaft
+    # check X'_0 = S Y'_0 can see the wrong inverse
+    with pytest.raises(InvariantViolation, match="shaft product drifted"):
+        _build_with_doubled_block_inverses()
+    out = run_optimized(
+        "import sys",
+        "import test_twostory",
+        "from snakedec.errors import InvariantViolation",
+        "try:",
+        "    test_twostory._build_with_doubled_block_inverses()",
         "except InvariantViolation as exc:",
         "    print('raised', sys.flags.optimize, exc)",
     )
