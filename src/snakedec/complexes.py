@@ -501,17 +501,19 @@ def _scaled(row: dict, c: int, p: int) -> dict:
     return {k: (x * c % p, u, v) for k, (x, u, v) in row.items()}
 
 
-def intertwines(c: Complex, change: BasisChange, arrows, k: int) -> bool:
-    """Whether ``change`` turns the quotient of c by U (k = 1) or V (k = 2)
-    into ``arrows``, given as (src, tgt, length, coeff) in the new basis.
+def intertwines(d: List[dict], change: BasisChange, arrows, k: int) -> bool:
+    """Whether ``change`` turns d modulo U (k = 1) or V (k = 2) into
+    ``arrows``, given as (src, tgt, length, coeff) in the new basis.
 
-    Modulo U or V, with X the change, D the differential and T the arrow
-    matrix, X D X^-1 = T holds exactly when X D = T X, because X has an
-    invertible scalar part; the second form needs no inverse.  A cell of
-    either product that is not a single monomial means they differ.
+    d is a differential's sparse rows, as in ``Elimination(c).d``; p and
+    the ring are read from ``change``.  Modulo U or V, with X the change,
+    D the differential and T the arrow matrix, X D X^-1 = T holds exactly
+    when X D = T X, because X has an invertible scalar part; the second
+    form needs no inverse.  A cell of either product that is not a single
+    monomial means they differ.
     """
-    p, r1 = c.char, c.ring == RING_R1
-    d = [{j: e for j, e in row.items() if not e[k]} for row in Elimination(c).d]
+    p, r1 = change.char, change.ring == RING_R1
+    d = [{j: e for j, e in row.items() if not e[k]} for row in d]
     x = [{j: e for j, e in row.items() if not e[k]} for row in change.rows]
     t: List[dict] = [{} for _ in x]
     for s, tgt, length, coeff in arrows:

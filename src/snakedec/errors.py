@@ -43,7 +43,7 @@ class GradingViolation(SnakedecError):
 
 
 class CountMismatch(SnakedecError):
-    """Two simplified bases disagree in size and cannot be aligned."""
+    """Two simplified bases differ in rank, or in bigrading at some position."""
 
 
 class PatternMismatch(SnakedecError):

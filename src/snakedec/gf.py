@@ -317,6 +317,8 @@ def perm_matrix(sigma: Sequence[int], char: int) -> Matrix:
     """Permutation matrix sending basis vector j to basis vector sigma[j]."""
     n = len(sigma)
     _check_prime(char)
+    if sorted(sigma) != list(range(n)):
+        raise ValidationError(f"not a permutation of 0..{n - 1}: {tuple(sigma)}")
     rows = [[0] * n for _ in range(n)]
     for j, i in enumerate(sigma):
         rows[i][j] = 1
@@ -658,12 +660,13 @@ def charpoly(a: Matrix) -> tuple:
 
 def rational_canonical_form(a: Matrix) -> Matrix:
     """Frobenius normal form: companion blocks of the invariant factors in
-    divisibility order.  Conjugate inputs give identical outputs."""
-    if not a.is_square():
-        raise DimensionMismatch("canonical form needs a square matrix")
-    if not a.is_invertible():
+    divisibility order.  Conjugate inputs give identical outputs.  A
+    matrix is singular exactly when x divides its last invariant factor,
+    the minimal polynomial, which then has constant term zero."""
+    facs = invariant_factors(a)  # DimensionMismatch unless a is square
+    if facs and not facs[-1][0]:
         raise Singular("canonical form restricted to invertible matrices")
-    return block_diag([companion(d, a.char) for d in invariant_factors(a)], a.char)
+    return block_diag([companion(d, a.char) for d in facs], a.char)
 
 
 def primary_rational_form(a: Matrix):

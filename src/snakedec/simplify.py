@@ -7,9 +7,11 @@ A horizontally simplified basis does the same for C/V and powers of U.
 Both always exist; a basis doing both jobs at once generally does not.
 
 The two bases are produced by graded Gaussian elimination on the quotient
-complexes, pivoting on the shortest arrow first.  `normalize_transition`
-then adjusts them, without disturbing either quotient structure, so that
-the transition matrix between them has all entries in the ground field.
+complexes, pivoting on the shortest arrow first.  Elimination keeps the
+input's generator order, so position i of either basis sits in the input
+generator i's bigrading.  `normalize_transition` then adjusts them,
+without disturbing either quotient structure, so that the transition
+matrix between them has all entries in the ground field.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class TransitionData:
     column k stand for position members[k]), and ``inverse`` is the
     block's inverse, the transition in the other direction.  A rank-zero
     complex has no blocks.  ``normalize_transition`` returns it unchecked;
-    ``twostory.build`` verifies the bases and blocks it is built from.
+    the ``TwoStoryComplex`` built from it verifies its bases and blocks.
     """
 
     x_basis: SimplifiedBasis
@@ -144,35 +146,6 @@ def horizontal_simplify(c: Complex) -> SimplifiedBasis:
     return _simplify_quotient(c, HORIZONTAL)
 
 
-def align_gradings(
-    xb: SimplifiedBasis, yb: SimplifiedBasis
-) -> tuple[SimplifiedBasis, SimplifiedBasis]:
-    """Reorder the y-basis so that positions match the x-basis bigradings."""
-    if len(xb.generators) != len(yb.generators):
-        raise CountMismatch("bases have different ranks")
-    pools: dict[tuple[int, int], list[int]] = {}
-    for j, g in enumerate(yb.generators):
-        pools.setdefault(g.grading, []).append(j)
-    perm = []
-    for g in xb.generators:
-        pool = pools.get(g.grading)
-        if not pool:
-            raise CountMismatch(f"no spare y-basis element in bigrading {g.grading}")
-        perm.append(pool.pop(0))
-    if any(pools.values()):
-        raise CountMismatch("y-basis has leftover bigradings")
-    if perm == sorted(perm):
-        return xb, yb
-    pos = {old: new for new, old in enumerate(perm)}
-    gens = tuple([yb.generators[j] for j in perm])
-    arrows = tuple(sorted((pos[i], pos[j], a) for i, j, a in yb.arrows))
-    rows = tuple([yb.change.rows[j] for j in perm])
-    change = BasisChange.from_rows(
-        yb.change.ring, yb.change.char, yb.change.old_gens, gens, rows
-    )
-    return xb, SimplifiedBasis(yb.direction, gens, arrows, change)
-
-
 def normalize_transition(
     c: Complex, xb: SimplifiedBasis, yb: SimplifiedBasis
 ) -> TransitionData:
@@ -187,15 +160,17 @@ def normalize_transition(
     untouched and the new transition matrix is S.  Y^{-1} is the one ring
     inverse taken.  S is homogeneous, hence block-diagonal by bigrading; it
     is inverted block by block, and a scalar entry joining two bigradings
-    raises InvariantViolation.  Nothing else is checked here: ``build``'s
-    ``verify`` checks that each new basis intertwines its quotient
-    differential with the simplified arrows and that X'_0 = S_g Y'_0 on
-    every block, which fails exactly when some S_g S_g^{-1} != I.
+    raises InvariantViolation; unaligned bases raise CountMismatch.
+    Nothing else is checked here: the ``verify`` ending
+    ``TwoStoryComplex(c, td)`` checks that each new basis intertwines its
+    quotient differential with the simplified arrows and that
+    X'_0 = S_g Y'_0 on every block, which fails exactly when some
+    S_g S_g^{-1} != I.
     """
     if len(xb.generators) != len(yb.generators) or any(
         gx.grading != gy.grading for gx, gy in zip(xb.generators, yb.generators)
     ):
-        raise CountMismatch("bases are not aligned by bigrading; align them first")
+        raise CountMismatch("bases are not aligned by bigrading")
     p_raw = xb.change.compose(yb.change.inverse())
     y_gens, x_gens = p_raw.old_gens, p_raw.new_gens
     with_v = [{j: e for j, e in row.items() if not e[1]} for row in p_raw.rows]
@@ -228,8 +203,6 @@ def normalize_transition(
 
 
 def simplified_transition(c: Complex) -> TransitionData:
-    """Convenience pipeline: simplify both quotients, align, normalize."""
-    xb = vertical_simplify(c)
-    yb = horizontal_simplify(c)
-    xb, yb = align_gradings(xb, yb)
-    return normalize_transition(c, xb, yb)
+    """Simplify both quotients and normalize the transition between them;
+    both simplifiers keep the input's order, so the bases arrive aligned."""
+    return normalize_transition(c, vertical_simplify(c), horizontal_simplify(c))

@@ -39,11 +39,11 @@ arrows and dots, floor coefficients, and the logged steps in
 ``complexes.Elimination``'s form.  Only the tokens, ``floor_arrows``
 and ``log`` box them.
 
-One rule says when the engine checks itself: a public call that changes
-a two-story complex ends with exactly one ``verify()``, and a call that
-changes nothing verifies nothing.  So ``build``, a depth pass that ran,
-``slide_arrow_step`` and ``remove_diverging_arrow`` each return a
-checked state, and no public call returns an unchecked one.
+One rule says when the engine checks itself: a public call that creates
+or changes a two-story complex ends with exactly one ``verify()``, and a
+call that changes nothing verifies nothing.  So the constructor (hence
+``build``), a depth pass that ran, ``slide_arrow_step`` and
+``remove_diverging_arrow`` each end with it: none returns unchecked state.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ from .errors import (
 from .simplify import (
     HORIZONTAL,
     SimplifiedBasis,
+    TransitionData,
     VERTICAL,
     simplified_transition,
 )
@@ -204,6 +205,8 @@ class TraversalSequence:
 
     def __post_init__(self):
         cycle = _min_cycle(tuple(self.cycle))
+        if not cycle:
+            raise ValueError("a traversal sequence needs a nonempty cycle")
         prefix = tuple(self.prefix)
         while prefix and prefix[-1] == cycle[-1]:
             cycle = (cycle[-1],) + cycle[:-1]
@@ -637,27 +640,31 @@ class TwoStoryComplex:
     structural invariant by intertwining, without a ring inverse: each
     floor basis must carry the input's quotient differential onto its
     floor table, and the scalar parts of the two bases must differ by the
-    shaft blocks.  A public operation that changes the state ends with
-    one ``verify``; one that changes nothing does not verify.
+    shaft blocks.  The constructor, which assembles the state from a
+    complex and its normalized transition, and every public operation
+    that changes the state end with one ``verify``; one that changes
+    nothing does not verify.
 
     Journeys and the divergences between them are cached.  A journey
     reads only the floor tables' targets and lengths and the elevators
-    ``up`` of the shafts.  After ``build`` the tables change only in their
+    ``up`` of the shafts.  After construction the tables change only in their
     coefficients, and an elevator changes only when ``_reparametrize``
     installs a refactored shaft, so that is the one place where both
     caches are cleared, and only when the new ``up`` differs from the old.
     """
 
-    def __init__(self):
-        self.char: int = 0
-        self.original: Complex = None
-        self.rounds: int = 0
-        self._floors: dict = {}
-        self._slots: dict = {}
-        self._pos: dict = {}
-        self._shafts: dict = {}
-        self._seq_cache: dict = {}
-        self._div_cache: dict = {}
+    def __init__(self, c: Complex, td: TransitionData):
+        self.char, self.original, self.rounds = c.char, c, 0
+        self._d = Elimination(c).d  # the input's rows, converted once for every verify
+        self._floors = {BOTTOM: _Floor(td.x_basis), TOP: _Floor(td.y_basis)}
+        self._slots, self._pos, self._shafts = {}, {}, {}
+        for members, block, _ in td.blocks:
+            grading = self.x_gens[members[0]].grading
+            self._slots[grading] = members
+            self._pos.update((i, (grading, p)) for p, i in enumerate(members))
+            self._shafts[grading] = _ltu_state(block)
+        self._seq_cache, self._div_cache = {}, {}
+        self.verify()
 
     @property
     def x_gens(self) -> tuple:
@@ -851,15 +858,15 @@ class TwoStoryComplex:
         inhomogeneous basis raises GradingViolation, any other failure
         InvariantViolation.
 
-        Every public call that changes the complex ends here, once; a
-        call that changes nothing does not come here.
+        The constructor and every public call that changes the complex
+        end here, once; a call that changes nothing does not come here.
         """
         x, y = self._basis(BOTTOM), self._basis(TOP)
         x.check_homogeneous()
         y.check_homogeneous()
         for end, change, k in ((BOTTOM, x, 1), (TOP, y, 2)):
             arrows = [(s, t, n, mu) for s, (t, n, mu) in self._floors[end].table.items()]
-            if not intertwines(self.original, change, arrows, k):
+            if not intertwines(self._d, change, arrows, k):
                 raise InvariantViolation(f"{end} floor drifted from the engine tables")
         p = self.char
         for grading in self.gradings():
@@ -1184,8 +1191,8 @@ def _power_mono(c: int, end, delta: int) -> tuple:
 def build(c: Complex) -> TwoStoryComplex:
     """Simplify both quotients of a complex and assemble its two-story form.
 
-    The one ``verify`` here is the only check of the adjusted bases and
-    the transition blocks that ``normalize_transition`` returns.
+    The constructor's one ``verify`` is the only check of the adjusted
+    bases and the transition blocks that ``normalize_transition`` returns.
     """
     if c.ring != RING_R1:
         raise ValidationError("two-story complexes live over the modulo-UV ring")
@@ -1194,17 +1201,7 @@ def build(c: Complex) -> TwoStoryComplex:
         raise ValidationError(problems[0])
     if has_length_zero_arrow(c):
         raise ValidationError("cancel length-zero arrows before building")
-    td = simplified_transition(c)
-    t = TwoStoryComplex()
-    t.char, t.original = c.char, c
-    t._floors = {BOTTOM: _Floor(td.x_basis), TOP: _Floor(td.y_basis)}
-    for members, block, _ in td.blocks:
-        grading = t.x_gens[members[0]].grading
-        t._slots[grading] = members
-        t._pos.update((i, (grading, p)) for p, i in enumerate(members))
-        t._shafts[grading] = _ltu_state(block)
-    t.verify()
-    return t
+    return TwoStoryComplex(c, simplified_transition(c))
 
 
 # ---------------------------------------------------------------------------

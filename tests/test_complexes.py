@@ -318,7 +318,8 @@ def test_intertwines_checks_one_quotient(seed, k):
     def arrows():
         return [(s, t, length, x) for (s, t), (length, x) in sorted(cells.items())]
 
-    assert cx.intertwines(c, b, arrows(), k)
+    d = cx.Elimination(c).d
+    assert cx.intertwines(d, b, arrows(), k)
     # one cell changed: dropped, lengthened, rescaled or added
     rng = random.Random(seed)
     cell = (rng.randrange(c.rank), rng.randrange(c.rank))
@@ -330,7 +331,7 @@ def test_intertwines_checks_one_quotient(seed, k):
         cells[cell] = (cells[cell][0] + 1, cells[cell][1])
     else:
         cells[cell] = (cells[cell][0], cells[cell][1] % (c.char - 1) + 1)
-    assert not cx.intertwines(c, b, arrows(), k)
+    assert not cx.intertwines(d, b, arrows(), k)
 
 
 def test_elimination_rejects_zero_scale():

@@ -180,6 +180,12 @@ def test_perm_matrix_is_a_homomorphism():
         assert tuple(a[j] for j in gf.perm_inverse(a)) == tuple(range(4))
 
 
+def test_perm_matrix_rejects_a_non_permutation():
+    for sigma in ((0, 0), (1, 2), (0, 2, 1, 1)):
+        with pytest.raises(ValidationError, match="not a permutation"):
+            gf.perm_matrix(sigma, 2)
+
+
 def test_cycle_type():
     assert gf.cycle_type((1, 0, 2)) == (1, 2)
     assert gf.cycle_type((1, 2, 0)) == (3,)
@@ -356,6 +362,24 @@ def test_rcf_idempotent(m):
         return
     r = gf.rational_canonical_form(m)
     assert gf.rational_canonical_form(r) == r
+
+
+def test_rcf_singular_from_the_invariant_factors(monkeypatch):
+    calls = []
+    check = gf.Matrix.is_invertible
+    monkeypatch.setattr(gf.Matrix, "is_invertible", lambda m: calls.append(m) or check(m))
+    # every 2x2 matrix over F_3: Singular exactly when the determinant is 0
+    for e in itertools.product(range(3), repeat=4):
+        m = M([e[:2], e[2:]], 3)
+        if (e[0] * e[3] - e[1] * e[2]) % 3:
+            assert gf.rational_canonical_form(m).rows == 2
+        else:
+            with pytest.raises(Singular):
+                gf.rational_canonical_form(m)
+    with pytest.raises(Singular):
+        gf.rational_canonical_form(gf.Matrix.zeros(3, 3, 5))
+    assert gf.rational_canonical_form(gf.Matrix.zeros(0, 0, 2)).rows == 0
+    assert calls == []  # invertibility is read off the invariant factors
 
 
 def test_conjugate_test_examples():

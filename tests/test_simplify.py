@@ -35,7 +35,6 @@ from snakedec.simplify import (
     HORIZONTAL,
     SimplifiedBasis,
     VERTICAL,
-    align_gradings,
     horizontal_simplify,
     matching_violations,
     normalize_transition,
@@ -159,35 +158,6 @@ def _permuted(sb, perm):
     return SimplifiedBasis(sb.direction, gens, arrows, change)
 
 
-def test_align_restores_shuffled_order():
-    c = trefoil()
-    xb = vertical_simplify(c)
-    yb = horizontal_simplify(c)
-    shuffled = _permuted(yb, (2, 0, 1))
-    xb2, yb2 = align_gradings(xb, shuffled)
-    assert xb2 is xb
-    assert [g.grading for g in yb2.generators] == [g.grading for g in xb.generators]
-    assert yb2.arrows == yb.arrows
-    assert replay(c, yb2) == yb.arrows
-
-
-def test_align_leaves_aligned_input_alone():
-    c = figure_eight()
-    xb, yb = vertical_simplify(c), horizontal_simplify(c)
-    xb2, yb2 = align_gradings(xb, yb)
-    assert (xb2, yb2) == (xb, yb)
-
-
-def test_align_count_mismatch():
-    xb = vertical_simplify(trefoil())
-    yb = horizontal_simplify(figure_eight())
-    with pytest.raises(CountMismatch):
-        align_gradings(xb, yb)
-    other = chain_complex([1], anchor=(5, 5))
-    with pytest.raises(CountMismatch):
-        align_gradings(vertical_simplify(other), horizontal_simplify(chain_complex([1])))
-
-
 @pytest.mark.parametrize("simplify", [vertical_simplify, horizontal_simplify])
 def test_simplify_rejects_complex_over_fuv(simplify):
     with pytest.raises(ValidationError, match="modulo-UV"):
@@ -237,7 +207,7 @@ def test_normalize_rejects_unaligned_bases():
 
 def test_normalize_rejects_a_transition_that_crosses_bigradings():
     c = figure_eight()
-    xb, yb = align_gradings(vertical_simplify(c), horizontal_simplify(c))
+    xb, yb = vertical_simplify(c), horizontal_simplify(c)
     # a scalar entry from x_0 to an input element of another bigrading
     j = next(j for j, g in enumerate(c.generators) if g.grading != xb.generators[0].grading)
     rows = [dict(row) for row in xb.change.rows]
@@ -333,8 +303,9 @@ def test_simplification_properties(seed, make):
     for sb in (td.x_basis, td.y_basis):
         assert matching_violations(sb) == []
         assert replay(c, sb) == sb.arrows
-    # positions are grading-aligned and the transition matrix is scalar
-    assert [g.grading for g in td.x_basis.generators] == [
-        g.grading for g in td.y_basis.generators
-    ]
+    # both bases keep the input's order, so positions are grading-aligned
+    # with c.generators, and the transition matrix is scalar
+    want = [g.grading for g in c.generators]
+    assert [g.grading for g in td.x_basis.generators] == want
+    assert [g.grading for g in td.y_basis.generators] == want
     _check_blocks(c, td)

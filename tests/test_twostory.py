@@ -481,6 +481,10 @@ def test_terminating_journeys():
     walk = traversal_sequence(t, "x6", "toward-floor")
     assert walk.realize(6) == (-2, -2, 0, 0, 0, 0)
     assert walk.terminating
+    # a journey record always repeats something: an empty cycle is refused
+    for prefix in ((1,), ()):
+        with pytest.raises(ValueError, match="nonempty cycle"):
+            twostory.TraversalSequence(prefix, ())
 
 
 @pytest.mark.parametrize("direction", ["sideways", "floor", "toward_shaft"])
@@ -1039,6 +1043,21 @@ def test_each_changing_call_verifies_once(monkeypatch):
     assert verified(lambda: slide_arrow_step(t, ((0, 0), 0), "down")) == 1
     t = build(braided())
     assert verified(lambda: remove_diverging_arrow(t, arrow_handles(t)[0])) == 1
+
+
+def test_the_input_is_converted_once(monkeypatch):
+    made = []
+    init = complexes.Elimination.__init__
+
+    def counted(el, c):
+        made.append(c)
+        init(el, c)
+
+    monkeypatch.setattr(complexes.Elimination, "__init__", counted)
+    t = build(braided())
+    run_to_depth_infinity(t)
+    assert t.rounds == 1  # two verifies: the constructor's and the pass's
+    assert sum(c is t.original for c in made) == 1
 
 
 def _corrupt_and_slide_a_dot():
