@@ -181,7 +181,8 @@ def validate(c: Complex) -> list:
 
     Violations are human-readable strings naming offending generators:
     every differential term must have bidegree (-1,-1), and d^2 must
-    vanish (computed with UV = 0 when the ring is R1).
+    vanish (computed with UV = 0 when the ring is R1).  ``reduce_mod_uv``
+    uses it; ``twostory.build`` runs the same checks on sparse rows.
     """
     out = []
     gm = c.gen_map()
@@ -413,28 +414,42 @@ def apply_basis_change(c: Complex, b: BasisChange) -> Complex:
     return Complex(c.ring, c.char, b.new_gens, tuple(arrows))
 
 
+def differential_rows(c: Complex) -> List[dict]:
+    """The differential as sparse rows, ``d[s]`` mapping t to the term
+    s -> t; the one conversion from a ``Complex``.  A term that breaks the
+    bigrading raises GradingViolation."""
+    gens, index = c.generators, c.gen_index()
+    d: List[dict] = [{} for _ in gens]
+    for a in c.arrows:
+        s, t, m = index[a.src], index[a.tgt], a.mono
+        if gens[t].grading != (gens[s].gr_u - 1 + 2 * m.u_exp, gens[s].gr_v - 1 + 2 * m.v_exp):
+            raise GradingViolation(f"term {a.src} -> {a.tgt} ({m}) breaks the bigrading")
+        d[s][t] = (m.coeff.value, m.u_exp, m.v_exp)
+    return d
+
+
+def quotient_rows(d: List[dict], k: int) -> List[dict]:
+    """Sparse rows modulo U (k = 1) or V (k = 2)."""
+    return [{j: e for j, e in row.items() if not e[k]} for row in d]
+
+
 class Elimination:
     """A differential D and a basis change, moved together by elementary steps.
 
     ``d[s]`` is d(s) and ``rows[i]`` the current i-th basis element in the
-    starting basis, both sparse rows.  A change P turns D into P D P^-1 and
-    the change into P times it: one row and one column operation on D and
-    one row operation on the change per step, with no P^-1 formed.  The
-    complex and every step must respect the bigrading (GradingViolation
+    starting basis, both sparse rows; D starts as a copy of the rows it is
+    handed, the change as the identity.  A change P turns D into P D P^-1
+    and the change into P times it: one row and one column operation on D
+    and one row operation on the change per step, with no P^-1 formed.
+    Every step must respect the bigrading of ``gens`` (GradingViolation
     otherwise), so each cell stays a single monomial.  ``cancel`` is the
     one Gaussian cancellation step; the zero-pair strip and the quotient
     simplifier only pick the arrow it splits off.
     """
 
-    def __init__(self, c: Complex):
-        gens, index = c.generators, c.gen_index()
-        self.gens, self.p, self.r1 = gens, c.char, c.ring == RING_R1
-        self.d: List[dict] = [{} for _ in gens]
-        for a in c.arrows:
-            s, t, m = index[a.src], index[a.tgt], a.mono
-            if gens[t].grading != (gens[s].gr_u - 1 + 2 * m.u_exp, gens[s].gr_v - 1 + 2 * m.v_exp):
-                raise GradingViolation(f"term {a.src} -> {a.tgt} ({m}) breaks the bigrading")
-            self.d[s][t] = (m.coeff.value, m.u_exp, m.v_exp)
+    def __init__(self, gens: Tuple[Generator, ...], char: int, ring: str, d: List[dict]):
+        self.gens, self.p, self.r1 = gens, char, ring == RING_R1
+        self.d = [dict(row) for row in d]
         self.rows: List[dict] = [{i: (1, 0, 0)} for i in range(len(gens))]
 
     def column(self, j: int) -> list:
@@ -505,16 +520,15 @@ def intertwines(d: List[dict], change: BasisChange, arrows, k: int) -> bool:
     """Whether ``change`` turns d modulo U (k = 1) or V (k = 2) into
     ``arrows``, given as (src, tgt, length, coeff) in the new basis.
 
-    d is a differential's sparse rows, as in ``Elimination(c).d``; p and
-    the ring are read from ``change``.  Modulo U or V, with X the change,
-    D the differential and T the arrow matrix, X D X^-1 = T holds exactly
-    when X D = T X, because X has an invertible scalar part; the second
-    form needs no inverse.  A cell of either product that is not a single
-    monomial means they differ.
+    d holds the quotient's sparse rows (``quotient_rows``), which the
+    caller keeps across checks; p and the ring are read from ``change``.
+    Modulo U or V, with X the change, D the differential and T the arrow
+    matrix, X D X^-1 = T holds exactly when X D = T X, because X has an
+    invertible scalar part; the second form needs no inverse.  A cell of
+    either product that is not a single monomial means they differ.
     """
     p, r1 = change.char, change.ring == RING_R1
-    d = [{j: e for j, e in row.items() if not e[k]} for row in d]
-    x = [{j: e for j, e in row.items() if not e[k]} for row in change.rows]
+    x = quotient_rows(change.rows, k)
     t: List[dict] = [{} for _ in x]
     for s, tgt, length, coeff in arrows:
         coeff %= p
@@ -541,22 +555,6 @@ def reduce_mod_uv(c: Complex) -> Complex:
     if problems:
         raise ValidationError(f"not a chain complex after reduction mod UV: {problems[0]}")
     return out
-
-
-def quotient_u(c: Complex) -> Complex:
-    """Set U = 0: drop every term with a positive U power.
-
-    The result only carries V-power arrows and is read as a complex of
-    free graded F[V]-modules; the container type is unchanged.
-    """
-    kept = tuple([a for a in c.arrows if a.mono.u_exp == 0])
-    return Complex(c.ring, c.char, c.generators, kept)
-
-
-def quotient_v(c: Complex) -> Complex:
-    """Set V = 0: drop every term with a positive V power."""
-    kept = tuple([a for a in c.arrows if a.mono.v_exp == 0])
-    return Complex(c.ring, c.char, c.generators, kept)
 
 
 def bar(c: Complex) -> Complex:
@@ -617,7 +615,7 @@ def strip_zero_complexes(c: Complex):
     GradingViolation before any step, and a pair that fails to split off
     (d^2 != 0) raises ValidationError.
     """
-    el = Elimination(c)
+    el = Elimination(c.generators, c.char, c.ring, differential_rows(c))
     pairs: List[tuple] = []
     retired: set = set()
     while scalars := [(s, t) for s, t, (_, u, v) in el.live(retired) if not u and not v]:

@@ -6,12 +6,15 @@ d(x_i) = V^a x_j, or is closed and receives at most one such arrow.
 A horizontally simplified basis does the same for C/V and powers of U.
 Both always exist; a basis doing both jobs at once generally does not.
 
-The two bases are produced by graded Gaussian elimination on the quotient
-complexes, pivoting on the shortest arrow first.  Elimination keeps the
-input's generator order, so position i of either basis sits in the input
-generator i's bigrading.  `normalize_transition` then adjusts them,
-without disturbing either quotient structure, so that the transition
-matrix between them has all entries in the ground field.
+The two bases are produced by graded Gaussian elimination on the sparse
+rows of each quotient differential, pivoting on the shortest arrow
+first.  The simplifiers check and convert their input; ``twostory.build``
+does both once and hands each quotient's rows to the same core.
+Elimination keeps the input's generator order, so position i of either
+basis sits in the input generator i's bigrading.  `normalize_transition`
+then adjusts them, without disturbing either quotient structure, so
+that the transition matrix between them has all entries in the ground
+field.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .complexes import (
     Elimination,
     Generator,
     RING_R1,
+    differential_rows,
     has_length_zero_arrow,
-    quotient_u,
-    quotient_v,
+    quotient_rows,
 )
 from .errors import CountMismatch, InvariantViolation, ValidationError
 
@@ -100,13 +103,11 @@ def matching_violations(sb: SimplifiedBasis) -> list[str]:
     return out
 
 
-def _simplify_quotient(c: Complex, direction: str) -> SimplifiedBasis:
-    """Gaussian elimination making the quotient differential a matching."""
-    if c.ring != RING_R1:
-        raise ValidationError("simplification works over the modulo-UV ring")
-    if has_length_zero_arrow(c):
-        raise ValidationError("strip zero complexes before simplifying")
-    el = Elimination(quotient_u(c) if direction == VERTICAL else quotient_v(c))
+def _simplify_quotient(c: Complex, d: list, direction: str) -> SimplifiedBasis:
+    """Gaussian elimination making the quotient differential a matching:
+    d holds its sparse rows (modulo U for the vertical direction, modulo V
+    for the horizontal one), c only the generators and the field."""
+    el = Elimination(c.generators, c.char, c.ring, d)
     axis = 2 if direction == VERTICAL else 1  # the exponent that is the length
     retired: set[int] = set()
     while live := el.live(retired):
@@ -127,15 +128,24 @@ def _simplify_quotient(c: Complex, direction: str) -> SimplifiedBasis:
     return sb
 
 
+def _simplify(c: Complex, direction: str) -> SimplifiedBasis:
+    if c.ring != RING_R1:
+        raise ValidationError("simplification works over the modulo-UV ring")
+    if has_length_zero_arrow(c):
+        raise ValidationError("strip zero complexes before simplifying")
+    d = quotient_rows(differential_rows(c), 1 if direction == VERTICAL else 2)
+    return _simplify_quotient(c, d, direction)
+
+
 def vertical_simplify(c: Complex) -> SimplifiedBasis:
     """A basis making the differential of C/U a partial matching.
 
     The input must be a bigraded chain complex over the modulo-UV ring
-    without length-zero arrows.  A term of the quotient that breaks the
-    bigrading raises GradingViolation before any step; a step that fails
-    to split its arrow off (d^2 != 0) raises ValidationError.
+    without length-zero arrows.  A term that breaks the bigrading raises
+    GradingViolation before any step; a step that fails to split its
+    arrow off (d^2 != 0) raises ValidationError.
     """
-    return _simplify_quotient(c, VERTICAL)
+    return _simplify(c, VERTICAL)
 
 
 def horizontal_simplify(c: Complex) -> SimplifiedBasis:
@@ -143,7 +153,7 @@ def horizontal_simplify(c: Complex) -> SimplifiedBasis:
 
     Same input requirements as vertical_simplify.
     """
-    return _simplify_quotient(c, HORIZONTAL)
+    return _simplify(c, HORIZONTAL)
 
 
 def normalize_transition(
@@ -161,9 +171,9 @@ def normalize_transition(
     inverse taken.  S is homogeneous, hence block-diagonal by bigrading; it
     is inverted block by block, and a scalar entry joining two bigradings
     raises InvariantViolation; unaligned bases raise CountMismatch.
-    Nothing else is checked here: the ``verify`` ending
-    ``TwoStoryComplex(c, td)`` checks that each new basis intertwines its
-    quotient differential with the simplified arrows and that
+    Nothing else is checked here: the ``verify`` ending the
+    ``TwoStoryComplex`` constructor checks that each new basis intertwines
+    its quotient differential with the simplified arrows and that
     X'_0 = S_g Y'_0 on every block, which fails exactly when some
     S_g S_g^{-1} != I.
     """

@@ -58,15 +58,18 @@ from .complexes import (
     Elimination,
     Monomial,
     RING_R1,
+    _mul_rows,
+    _scaled,
     add_row_multiple,
-    has_length_zero_arrow,
+    differential_rows,
     intertwines,
-    validate,
+    quotient_rows,
 )
 from .errors import (
     BoundExceeded,
     DimensionMismatch,
     FieldMismatch,
+    GradingViolation,
     InvariantViolation,
     Parallel,
     PatternMismatch,
@@ -79,7 +82,8 @@ from .simplify import (
     SimplifiedBasis,
     TransitionData,
     VERTICAL,
-    simplified_transition,
+    _simplify_quotient,
+    normalize_transition,
 )
 
 BOTTOM = "bottom"
@@ -330,24 +334,23 @@ class _ShaftState:
         return self.lower if end == BOTTOM else self.upper
 
 
-def _state_matrix(state: _ShaftState, width: int, char: int) -> gf.Matrix:
-    """The shaft product L_1 ... L_k D P U_1 ... U_m by row and column ops.
-
-    Row a of D P is dots[a] times e_{up[a]}.  Each arrow [r, g, c] is
-    I + c e_{rg}: an upper one on the right adds c times column r into
-    column g, a lower one on the left adds c times row g into row r, so
-    upper arrows go in order and lower arrows in reverse.
-    """
-    rows = [[0] * width for _ in range(width)]
-    for a, q in enumerate(state.up):
-        rows[a][q] = state.dots.get(a, 1)
-    for r, g, c in state.upper:
-        for row in rows:
-            if row[r]:
-                row[g] = (row[g] + c * row[r]) % char
+def _shaft_times(state: _ShaftState, rows: list, char: int) -> list:
+    """L_1 ... L_k D P U_1 ... U_m times sparse scalar rows, by row ops in
+    place: an arrow [r, g, c] adds c times row g into row r, upper arrows
+    first, each tier in reverse; D P makes row a dots[a] times row up[a]."""
+    for r, g, c in reversed(state.upper):
+        add_row_multiple(rows[r], (c, 0, 0), rows[g], False, char)
+    rows = [_scaled(rows[q], state.dots.get(a, 1), char) for a, q in enumerate(state.up)]
     for r, g, c in reversed(state.lower):
-        rows[r] = [(x + c * y) % char for x, y in zip(rows[r], rows[g])]
-    return gf.Matrix._wrap(tuple([tuple(row) for row in rows]), char)
+        add_row_multiple(rows[r], (c, 0, 0), rows[g], False, char)
+    return rows
+
+
+def _state_matrix(state: _ShaftState, width: int, char: int) -> gf.Matrix:
+    """The shaft product as a dense block: ``_shaft_times`` on the identity."""
+    rows = _shaft_times(state, [{j: (1, 0, 0)} for j in range(width)], char)
+    dense = [tuple([row[j][0] if j in row else 0 for j in range(width)]) for row in rows]
+    return gf.Matrix._wrap(tuple(dense), char)
 
 
 def _scalar_entries(row: dict) -> dict:
@@ -614,17 +617,17 @@ class _Floor:
     each target back to its source.  ``start`` is the change from the
     input's basis to the basis ``build`` found, and ``steps`` are the
     elementary steps taken on the floor since, in ``Elimination``'s form:
-    ("add", r, g, (c, u, v)) or ("scale", i, c).
+    ("add", r, g, (c, u, v)) or ("scale", i, c).  ``d`` holds the sparse
+    rows of the input's differential modulo U (bottom) or V (top).
     """
 
-    __slots__ = ("gens", "table", "into", "start", "steps")
+    __slots__ = ("gens", "table", "into", "start", "steps", "d")
 
-    def __init__(self, basis: SimplifiedBasis):
+    def __init__(self, basis: SimplifiedBasis, d: list):
         self.gens = tuple(basis.generators)
         self.table = {s: [t, n, 1] for s, t, n in basis.arrows}
         self.into = {t: s for s, t, _ in basis.arrows}
-        self.start = basis.change
-        self.steps: list = []
+        self.start, self.steps, self.d = basis.change, [], d
 
 
 class TwoStoryComplex:
@@ -636,14 +639,14 @@ class TwoStoryComplex:
     bottom and top bases.
 
     Operations mutate the instance in place and return it; ``verify``
-    replays the log against the stored input complex and checks every
-    structural invariant by intertwining, without a ring inverse: each
-    floor basis must carry the input's quotient differential onto its
-    floor table, and the scalar parts of the two bases must differ by the
-    shaft blocks.  The constructor, which assembles the state from a
-    complex and its normalized transition, and every public operation
-    that changes the state end with one ``verify``; one that changes
-    nothing does not verify.
+    replays the log and checks every structural invariant by
+    intertwining, without a ring inverse: each floor basis must carry the
+    input's quotient differential onto its floor table, and the scalar
+    parts of the two bases must differ by the shaft blocks.  The
+    constructor takes a complex, its normalized transition and the rows
+    of its differential modulo U and V, kept for every ``verify``; it
+    reads no arrow of ``c``.  It and every public operation that changes
+    the state end with one ``verify``; one that changes nothing does not.
 
     Journeys and the divergences between them are cached.  A journey
     reads only the floor tables' targets and lengths and the elevators
@@ -653,16 +656,16 @@ class TwoStoryComplex:
     caches are cleared, and only when the new ``up`` differs from the old.
     """
 
-    def __init__(self, c: Complex, td: TransitionData):
+    def __init__(self, c: Complex, td: TransitionData, d_mod_u: list, d_mod_v: list):
         self.char, self.original, self.rounds = c.char, c, 0
-        self._d = Elimination(c).d  # the input's rows, converted once for every verify
-        self._floors = {BOTTOM: _Floor(td.x_basis), TOP: _Floor(td.y_basis)}
+        self._floors = {BOTTOM: _Floor(td.x_basis, d_mod_u), TOP: _Floor(td.y_basis, d_mod_v)}
         self._slots, self._pos, self._shafts = {}, {}, {}
         for members, block, _ in td.blocks:
             grading = self.x_gens[members[0]].grading
             self._slots[grading] = members
             self._pos.update((i, (grading, p)) for p, i in enumerate(members))
             self._shafts[grading] = _ltu_state(block)
+        self._gradings = tuple(self._slots)  # td.blocks ascend by bigrading
         self._seq_cache, self._div_cache = {}, {}
         self.verify()
 
@@ -679,7 +682,7 @@ class TwoStoryComplex:
     # -- addressing ---------------------------------------------------
 
     def gradings(self) -> tuple:
-        return tuple(sorted(self._slots))
+        return self._gradings
 
     def width(self, grading) -> int:
         return len(self._slots[grading])
@@ -723,7 +726,7 @@ class TwoStoryComplex:
         """The floor basis over the input's: the logged steps replayed
         on the change ``build`` started from."""
         floor = self._floors[end]
-        el = Elimination(Complex(self.original.ring, self.char, floor.gens, ()))
+        el = Elimination(floor.gens, self.char, self.original.ring, [{} for _ in floor.gens])
         el.rows = [dict(row) for row in floor.start.rows]
         for op, *args in floor.steps:
             getattr(el, op)(*args)
@@ -846,17 +849,18 @@ class TwoStoryComplex:
     # -- verification ----------------------------------------------------------------
 
     def verify(self) -> None:
-        """Replay the log on the input complex and recheck everything.
+        """Replay the log on sparse rows and recheck everything.
 
         The replayed floor bases X and Y must be homogeneous.  Each floor
         is checked by intertwining, with no ring inverse: X D = T X modulo
         U for the bottom table T, and Y D = T' Y modulo V for the top table
-        T' (``complexes.intertwines``).  Every logged step is invertible,
-        so the transition P = X Y^-1 exists and is homogeneous too; its
-        scalar entries are its same-grading blocks, and each shaft block B
-        is checked as X_0 = B Y_0 on the scalar parts of the bases.  An
+        T' (``complexes.intertwines``), on the floors' quotient rows.
+        Every logged step is invertible, so the transition P = X Y^-1
+        exists and is homogeneous too; its scalar entries are its
+        same-grading blocks, and each shaft block B is checked as
+        X_0 = B Y_0 by row operations on Y_0 (``_shaft_times``).  An
         inhomogeneous basis raises GradingViolation, any other failure
-        InvariantViolation.
+        InvariantViolation.  ``build`` alone checks the input.
 
         The constructor and every public call that changes the complex
         end here, once; a call that changes nothing does not come here.
@@ -865,21 +869,15 @@ class TwoStoryComplex:
         x.check_homogeneous()
         y.check_homogeneous()
         for end, change, k in ((BOTTOM, x, 1), (TOP, y, 2)):
-            arrows = [(s, t, n, mu) for s, (t, n, mu) in self._floors[end].table.items()]
-            if not intertwines(self._d, change, arrows, k):
+            floor = self._floors[end]
+            arrows = [(s, t, n, mu) for s, (t, n, mu) in floor.table.items()]
+            if not intertwines(floor.d, change, arrows, k):
                 raise InvariantViolation(f"{end} floor drifted from the engine tables")
-        p = self.char
-        for grading in self.gradings():
-            members = self._slots[grading]
-            block = _state_matrix(self._shafts[grading], len(members), p).entries
-            y0 = [_scalar_entries(y.rows[j]) for j in members]
-            for i, brow in zip(members, block):
-                want: dict = {}
-                for b, row in zip(brow, y0):
-                    if b:
-                        add_row_multiple(want, (b, 0, 0), row, False, p)
-                if want != _scalar_entries(x.rows[i]):
-                    raise InvariantViolation(f"shaft product drifted at {grading}")
+        for grading in self._gradings:
+            members, st = self._slots[grading], self._shafts[grading]
+            want = _shaft_times(st, [_scalar_entries(y.rows[j]) for j in members], self.char)
+            if any(row != _scalar_entries(x.rows[i]) for i, row in zip(members, want)):
+                raise InvariantViolation(f"shaft product drifted at {grading}")
 
     # -- black dot slides ----------------------------------------------------------
 
@@ -1191,17 +1189,32 @@ def _power_mono(c: int, end, delta: int) -> tuple:
 def build(c: Complex) -> TwoStoryComplex:
     """Simplify both quotients of a complex and assemble its two-story form.
 
-    The constructor's one ``verify`` is the only check of the adjusted
-    bases and the transition blocks that ``normalize_transition`` returns.
+    The input is converted to sparse rows once; on them every term must
+    have bidegree (-1, -1), d^2 must vanish and no term may have length
+    zero, over R1 (ValidationError otherwise).  Both simplifiers and the
+    constructor get the two quotients' rows.  The constructor's one
+    ``verify`` is the only check of the adjusted bases and the transition
+    blocks that ``normalize_transition`` returns.
     """
     if c.ring != RING_R1:
         raise ValidationError("two-story complexes live over the modulo-UV ring")
-    problems = validate(c)
-    if problems:
-        raise ValidationError(problems[0])
-    if has_length_zero_arrow(c):
-        raise ValidationError("cancel length-zero arrows before building")
-    return TwoStoryComplex(c, simplified_transition(c))
+    try:
+        d = differential_rows(c)
+    except GradingViolation as exc:
+        raise ValidationError(str(exc)) from None
+    gens, p = c.generators, c.char
+    for s, row in enumerate(_mul_rows(d, d, True, p)):
+        if row:
+            t, (x, u, v) = min(row.items())
+            term = Monomial(gf.FieldElem(x, p), u, v)
+            raise ValidationError(f"d^2 != 0 at {gens[s].id}: term {term} -> {gens[t].id}")
+    zero = [(s, t) for s, row in enumerate(d) for t, e in row.items() if e[1:] == (0, 0)]
+    if zero:
+        ids = " -> ".join(gens[i].id for i in zero[0])
+        raise ValidationError(f"cancel length-zero arrows before building: {ids}")
+    d_u, d_v = quotient_rows(d, 1), quotient_rows(d, 2)
+    xb, yb = _simplify_quotient(c, d_u, VERTICAL), _simplify_quotient(c, d_v, HORIZONTAL)
+    return TwoStoryComplex(c, normalize_transition(c, xb, yb), d_u, d_v)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from gen import (
+    _dense_shaft,
     _square_offenders,
     braided,
     braided_wrong,
+    broken_chain,
     conjugation_verify,
     depth_two,
     figure_eight,
@@ -31,6 +33,7 @@ from snakedec.complexes import (
     Arrow,
     Complex,
     Generator,
+    RING_FUV,
     RING_R1,
     mono,
     strip_zero_complexes,
@@ -412,27 +415,35 @@ def test_build_braided_dump():
     )
 
 
+def _build_refusals():
+    """build's ValidationError message for each input it must refuse: a
+    term off bidegree (-1, -1), d^2 != 0, a length-zero arrow and a
+    complex over F[U,V]."""
+    u = Generator("u", 0, 0)
+    off_degree = Complex(RING_R1, 2, (u, Generator("w", 0, 0)), (Arrow("u", "w", mono(1, 1, 0, 2)),))
+    scalar = Complex(RING_R1, 2, (u, Generator("w", -1, -1)), (Arrow("u", "w", mono(1, 0, 0, 2)),))
+    out = []
+    for c in (off_degree, broken_chain("V"), scalar, Complex(RING_FUV, 2, (u,), ())):
+        try:
+            build(c)
+        except ValidationError as exc:
+            out.append(str(exc))
+    return out
+
+
+BUILD_REFUSALS = [
+    "term u -> w (U) breaks the bigrading",
+    "d^2 != 0 at a: term V^2 -> c",
+    "cancel length-zero arrows before building: u -> w",
+    "two-story complexes live over the modulo-UV ring",
+]
+
+
 def test_build_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        build(
-            Complex(
-                RING_R1,
-                2,
-                (Generator("u", 0, 0), Generator("w", 0, 0)),
-                (Arrow("u", "w", mono(1, 1, 0, 2)),),
-            )
-        )
-    with pytest.raises(ValidationError):
-        build(
-            Complex(
-                RING_R1,
-                2,
-                (Generator("u", 0, 0), Generator("w", -1, -1)),
-                (Arrow("u", "w", mono(1, 0, 0, 2)),),
-            )
-        )
-    with pytest.raises(ValidationError):
-        build(Complex("F[U,V]", 2, (Generator("u", 0, 0),), ()))
+    assert _build_refusals() == BUILD_REFUSALS
+    out = run_optimized("import test_twostory", "print(test_twostory._build_refusals())")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"{BUILD_REFUSALS!r}\n", out.stdout
 
 
 def test_build_parallel_sheets():
@@ -965,6 +976,7 @@ def test_state_matrix_of_seeded_factorization(m):
     n, p = m.rows, m.char
     st = _ltu_state(m)
     assert _state_matrix(st, n, p) == shaft_matrix(_state_tokens(st, p), n, p) == m
+    assert _dense_shaft(st, n, p) == m.entries  # the conjugation oracle's own product
 
 
 # ---------------------------------------------------------------------------
@@ -1046,18 +1058,35 @@ def test_each_changing_call_verifies_once(monkeypatch):
 
 
 def test_the_input_is_converted_once(monkeypatch):
-    made = []
-    init = complexes.Elimination.__init__
+    converted, made, dense, per_verify = [], [], [], []
+    rows = complexes.differential_rows
 
-    def counted(el, c):
-        made.append(c)
-        init(el, c)
+    def counted(c):
+        converted.append(c)
+        return rows(c)
 
-    monkeypatch.setattr(complexes.Elimination, "__init__", counted)
-    t = build(braided())
+    for module in (complexes, simplify, twostory):
+        if getattr(module, "differential_rows", None) is rows:
+            monkeypatch.setattr(module, "differential_rows", counted)
+    state_matrix = twostory._state_matrix
+    monkeypatch.setattr(twostory, "_state_matrix", lambda *a: dense.append(a) or state_matrix(*a))
+    verify = TwoStoryComplex.verify
+
+    def watched(t):
+        before = len(dense)
+        verify(t)
+        per_verify.append(len(dense) - before)
+
+    monkeypatch.setattr(TwoStoryComplex, "verify", watched)
+    c = braided()
+    post_init = Complex.__post_init__
+    monkeypatch.setattr(Complex, "__post_init__", lambda cx: made.append(cx) or post_init(cx))
+    t = build(c)
     run_to_depth_infinity(t)
     assert t.rounds == 1  # two verifies: the constructor's and the pass's
-    assert sum(c is t.original for c in made) == 1
+    assert len(converted) == 1 and converted[0] is c  # the simplifiers included
+    assert made == []  # no Complex inside build, the depth loop or verify
+    assert dense and per_verify == [0, 0]  # the pass refactors; verify forms no dense block
 
 
 def _corrupt_and_slide_a_dot():
@@ -1183,6 +1212,45 @@ def test_verify_agrees_with_conjugation_oracle():
                 assert _outcome(lambda s: s.verify(), bad) == want
                 caught += want is not None
     assert caught > 150
+
+
+def _corrupt_each_shaft_entry(t):
+    """Corrupt one shaft entry of t in place, yield its kind, undo it, and
+    go on to the next: each lower and upper arrow's coefficient (over F_2,
+    where the coefficient has no other value, its two ends are swapped
+    instead) and the first two entries of each elevator ``up``."""
+    p = t.char
+    for st in t._shafts.values():
+        for ca in st.lower + st.upper:
+            saved = list(ca)
+            if p == 2:
+                ca[0], ca[1] = ca[1], ca[0]
+            else:
+                ca[2] = ca[2] % (p - 1) + 1
+            yield "arrow"
+            ca[:] = saved
+        if len(st.up) > 1:
+            saved = st.up
+            st.up = (saved[1], saved[0]) + saved[2:]
+            yield "up"
+            st.up = saved
+
+
+def test_verify_catches_shaft_corruption():
+    caught = {"arrow": 0, "up": 0}
+    for seed in range(40):
+        c, _, _ = strip_zero_complexes(random_messy(seed, max_rank=14))
+        if c.rank == 0:
+            continue
+        t = build(c)
+        for state in (t, run_to_depth_infinity(copy.deepcopy(t))):
+            for kind in _corrupt_each_shaft_entry(state):
+                for check in (TwoStoryComplex.verify, conjugation_verify):
+                    with pytest.raises(InvariantViolation, match="shaft product drifted"):
+                        check(state)
+                caught[kind] += 1
+            state.verify()
+    assert caught["arrow"] >= 30 and caught["up"] >= 100
 
 
 def test_strand_endpoints_reject_the_wrong_floor():
