@@ -679,10 +679,10 @@ def primary_rational_form(a: Matrix):
     """
     if not a.is_square():
         raise DimensionMismatch("primary form needs a square matrix")
-    if not a.is_invertible():
-        raise Singular("primary form restricted to invertible matrices")
     n, p = a.rows, a.char
     diag, pinv = _poly_snf(_char_matrix(a), p, track_pinv=True)
+    if diag and not diag[-1][0]:  # x divides the minimal polynomial
+        raise Singular("primary form restricted to invertible matrices")
 
     powers = [Matrix.identity(n, p)]
 
@@ -728,9 +728,10 @@ def primary_rational_form(a: Matrix):
         raise InvariantViolation("primary basis has the wrong size")
     s = Matrix(tuple(zip(*all_cols)), p)
     target = block_diag([companion(ppow(q, e, p), p) for q, e in pairs], p)
-    if not s.is_invertible():
+    s_inv = s._gauss_inverse()
+    if s_inv is None:
         raise InvariantViolation("primary basis failed to span")
-    if s.inverse() * a * s != target:
+    if Matrix(s_inv, p) * a * s != target:
         raise InvariantViolation("primary form reassembly failed")
     return s, pairs
 

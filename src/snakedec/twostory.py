@@ -922,13 +922,14 @@ class TwoStoryComplex:
         continue along the floor on the same side, that forces a second
         step between their neighbours, times the variable to the power by
         which the two floor lengths differ.  A parallel pair has power 0:
-        the second step is an arrow in the neighbouring shaft, and
-        (handle, arrow record) there is returned.  A diverging pair loses
-        the arrow and None is returned; with ``remove`` off, StrandsDiverge
-        is raised instead, before any change.
+        the second step is the same arrow record, overwritten in place in
+        the neighbouring shaft, and its handle there is returned.  A
+        diverging pair loses the arrow and None is returned; with ``remove``
+        off, StrandsDiverge is raised instead, before any change.
         """
         st = self._shafts[grading]
-        r, g, lam = _boundary_arrow(st, end, k)
+        ca = _boundary_arrow(st, end, k)
+        r, g, lam = ca
         idx_r, idx_g = self._idx(grading, r), self._idx(grading, g)
         ar = self._floor_step(end, idx_r)
         ag = self._floor_step(end, idx_g)
@@ -959,9 +960,9 @@ class TwoStoryComplex:
         if not parallel:
             return None
         seq2 = self._shafts[g2].arrows(end)
-        ca = [self._pos[ar[1]][1], self._pos[ag[1]][1], -coeff % p]
+        ca[:] = [self._pos[ar[1]][1], self._pos[ag[1]][1], -coeff % p]
         seq2.insert(0 if end == BOTTOM else len(seq2), ca)
-        return (g2, end, _exit_index(seq2, end)), ca
+        return (g2, end, _exit_index(seq2, end))
 
     # -- extraction and the snowplow ----------------------------------------------------
 
@@ -1017,28 +1018,38 @@ class TwoStoryComplex:
         return (grading, through, self._push(grading, through, ca, through, convoy))
 
     def _displace(self, grading, end, k, through, convoy):
-        """Push the blocking arrow at (end, k) out through the exit floor."""
+        """Push the blocking arrow at (end, k) out through the exit floor
+        and add (record, shaft it landed in, tier it left, exit floor) to
+        the convoy.  A blocker that cannot ride along left for good, and
+        so do its earlier entries."""
+        ca = self._shafts[grading].arrows(end)[k]
         moved = self._turn(*self._extract(grading, end, k, through, convoy))
-        if moved is not None:  # a blocker that cannot ride along left for good
-            convoy.append(moved)
+        if moved is None:
+            convoy[:] = [entry for entry in convoy if entry[0] is not ca]
+        else:
+            convoy.append((ca, moved[0], end, through))
 
     def _restore_convoy(self, convoy):
-        # _turn raises InvariantViolation for an entry that drifted off
-        # its boundary
-        for (grading, end, _), ca in reversed(convoy):
-            k = _index_of(self._shafts[grading].arrows(end), ca)
-            self._turn(grading, end, k, remove=False)
+        """Undo each displacement, the latest first: carry the record to
+        the floor it came in by, turn it back and, if it left the other
+        tier, carry it back across the middle.  Blockers met on the way
+        form a fresh convoy, restored by the same rule."""
+        for ca, landed, tier, through in reversed(convoy):
+            fresh: list = []
+            k = _index_of(self._shafts[landed].arrows(through), ca)
+            handle = self._turn(*self._extract(landed, through, k, through, fresh), remove=False)
+            if tier != through:
+                self._extract(*handle, tier, fresh)
+            self._restore_convoy(fresh)
 
     def _snowplow_remove(self, grading, end, k, through):
         """Slide the arrow along parallel turns, remove it where the
-        strands diverge, then send every displaced arrow back."""
+        strands diverge, and send every displaced arrow back to the shaft
+        and tier it left: no other arrow moves."""
         convoy: list = []
         handle = (grading, end, k)
-        while True:
-            moved = self._turn(*self._extract(*handle, through, convoy))
-            if moved is None:
-                break
-            handle = moved[0]
+        while handle is not None:
+            handle = self._turn(*self._extract(*handle, through, convoy))
             through = _other(through)
         self._restore_convoy(convoy)
 
@@ -1308,9 +1319,9 @@ def slide_arrow_step(t: TwoStoryComplex, arrow, direction: str) -> TwoStoryCompl
 
 def remove_diverging_arrow(t: TwoStoryComplex, arrow) -> TwoStoryComplex:
     """Slide an arrow out along its near floor and remove it at the
-    point of divergence, restoring every other displaced arrow.  The
-    result is verified once; a refused removal changes nothing and
-    verifies nothing."""
+    point of divergence, restoring every other displaced arrow to its
+    shaft and tier.  The result is verified once; a refused removal
+    changes nothing and verifies nothing."""
     grading, end, k, token = _resolve_arrow(t, arrow)
     if not isinstance(token, CrossoverArrow):
         raise PatternMismatch("only crossover arrows are removable")

@@ -12,10 +12,12 @@ from snakedec.complexes import (
     Arrow,
     BasisChange,
     Complex,
+    Elimination,
     Generator,
     Monomial,
     RING_R1,
     apply_basis_change,
+    differential_rows,
     direct_sum,
     infer_gradings,
     mono,
@@ -335,6 +337,44 @@ def random_messy(seed, span=2, max_rank=14, density=0.6):
     c = Complex(RING_R1, char, gens, tuple(arrows))
     assert validate(c) == []
     return c
+
+
+def mixed_sum(seed, parts):
+    """Direct sum of ``parts`` ``random_messy(max_rank=24)`` pieces, mixed.
+
+    The pieces share the first one's field; a drawn piece over another
+    field is passed over.  The sum is mixed by 2 * rank random
+    ``Elimination.add`` steps, each adding a scalar, U^k or V^k (k <= 2)
+    times one generator to another whose bigrading matches, and the
+    complex is read back from the mixed differential.
+    """
+    rng = random.Random(seed)
+    pieces = [random_messy(rng.randrange(10**6), max_rank=24)]
+    while len(pieces) < parts:
+        piece = random_messy(rng.randrange(10**6), max_rank=24)
+        if piece.char == pieces[0].char:
+            pieces.append(piece)
+    c = direct_sum(pieces)
+    gens, p = c.generators, c.char
+    by_grading = {}
+    for i, g in enumerate(gens):
+        by_grading.setdefault(g.grading, []).append(i)
+    el = Elimination(gens, p, RING_R1, differential_rows(c))
+    steps = 0
+    while steps < 2 * c.rank:
+        r, k = rng.randrange(c.rank), rng.randrange(1, 3)
+        u, v = rng.choice([(0, 0), (k, 0), (0, k)])
+        gr_u, gr_v = gens[r].grading
+        givers = [g for g in by_grading.get((gr_u + 2 * u, gr_v + 2 * v), ()) if g != r]
+        if givers:
+            el.add(r, rng.choice(givers), (rng.randrange(1, p), u, v))
+            steps += 1
+    arrows = [
+        Arrow(gens[s].id, gens[t].id, mono(x, u, v, p))
+        for s, row in enumerate(el.d)
+        for t, (x, u, v) in row.items()
+    ]
+    return Complex(RING_R1, p, gens, tuple(arrows))
 
 
 def square(char=2, prefix="s", anchor=(0, 0)):

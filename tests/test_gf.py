@@ -467,6 +467,28 @@ def test_primary_form_reassembles(m):
     assert gf.elementary_divisors(m) == tuple(sorted(pairs, key=lambda qe: (gf.pdeg(qe[0]), qe[0], qe[1])))
 
 
+def test_primary_form_singular_from_the_smith_form(monkeypatch):
+    calls, passes = [], []
+    check, gauss = gf.Matrix.is_invertible, gf.Matrix._gauss_inverse
+    monkeypatch.setattr(gf.Matrix, "is_invertible", lambda m: calls.append(m) or check(m))
+    monkeypatch.setattr(gf.Matrix, "_gauss_inverse", lambda m: passes.append(m) or gauss(m))
+    # every 2x2 matrix over F_3: Singular exactly when the determinant is 0
+    invertible = 0
+    for e in itertools.product(range(3), repeat=4):
+        m = M([e[:2], e[2:]], 3)
+        if (e[0] * e[3] - e[1] * e[2]) % 3:
+            s, _ = gf.primary_rational_form(m)
+            assert s.rows == 2
+            invertible += 1
+        else:
+            with pytest.raises(Singular):
+                gf.primary_rational_form(m)
+    with pytest.raises(Singular):
+        gf.primary_rational_form(gf.Matrix.zeros(3, 3, 5))
+    assert calls == []  # invertibility is read off the Smith form
+    assert len(passes) == invertible == 48  # one Gauss-Jordan pass, on the conjugator
+
+
 def test_elementary_divisors_split_semisimple():
     assert gf.elementary_divisors(M([[2, 0], [0, 2]], 3)) == (((1, 1), 1), ((1, 1), 1))
     assert gf.invariant_factors(M([[2, 0], [0, 2]], 3)) == ((1, 1), (1, 1))
