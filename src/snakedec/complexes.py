@@ -340,6 +340,7 @@ class BasisChange:
         plain Gauss-Jordan on the scalar part S would.  A scalar pivot thus
         exists in every column exactly when S is invertible; otherwise
         NotInvertible is raised.  Each step keeps the rows homogeneous.
+        Off the pipeline path: ``apply_basis_change`` and test oracles use it.
         """
         self.check_homogeneous()
         n, p, r1 = len(self.old_gens), self.char, self.ring == RING_R1
@@ -369,7 +370,8 @@ class BasisChange:
         return BasisChange.from_rows(self.ring, self.char, self.new_gens, self.old_gens, inv)
 
     def compose(self, first: "BasisChange") -> "BasisChange":
-        """The change performing ``first`` and then this one."""
+        """The change performing ``first`` and then this one.  Off the
+        pipeline path: input generators and test oracles use it."""
         if self.old_gens != first.new_gens:
             raise ValidationError("composition bases do not line up")
         rows = _mul_rows(self.rows, first.rows, self.ring == RING_R1, self.char)

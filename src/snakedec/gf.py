@@ -248,20 +248,9 @@ class Matrix:
 
     def _gauss_inverse(self) -> Optional[list]:
         # Gauss-Jordan on [A | I]; None when a pivot is missing.
-        n, p = self.rows, self.char
+        n = self.rows
         aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.entries)]
-        for j in range(n):
-            piv = next((i for i in range(j, n) if aug[i][j]), None)
-            if piv is None:
-                return None
-            aug[j], aug[piv] = aug[piv], aug[j]
-            inv = pow(aug[j][j], p - 2, p)
-            pivot_row = aug[j] = [e * inv % p for e in aug[j]]
-            for i in range(n):
-                c = aug[i][j]
-                if i != j and c:
-                    aug[i] = [(a - c * b) % p for a, b in zip(aug[i], pivot_row)]
-        return [row[n:] for row in aug]
+        return [row[n:] for row in aug] if gauss_jordan(aug, n, self.char) else None
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -279,6 +268,24 @@ class Matrix:
 
     def __str__(self):
         return "[" + "; ".join(" ".join(map(str, row)) for row in self.entries) + "]"
+
+
+def gauss_jordan(aug: list, n: int, p: int) -> bool:
+    """Reduce the n x n left part of the int rows ``aug`` to the identity
+    by row operations mod p, in place, carrying the columns to its right
+    along; False, with ``aug`` half reduced, when a pivot is missing."""
+    for j in range(n):
+        piv = next((i for i in range(j, n) if aug[i][j]), None)
+        if piv is None:
+            return False
+        aug[j], aug[piv] = aug[piv], aug[j]
+        inv = pow(aug[j][j], p - 2, p)
+        pivot_row = aug[j] = [e * inv % p for e in aug[j]]
+        for i in range(n):
+            c = aug[i][j]
+            if i != j and c:
+                aug[i] = [(a - c * b) % p for a, b in zip(aug[i], pivot_row)]
+    return True
 
 
 def block_diag(blocks: Sequence[Matrix], char: Optional[int] = None) -> Matrix:

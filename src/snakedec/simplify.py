@@ -14,7 +14,9 @@ Elimination keeps the input's generator order, so position i of either
 basis sits in the input generator i's bigrading.  `normalize_transition`
 then adjusts them, without disturbing either quotient structure, so
 that the transition matrix between them has all entries in the ground
-field.
+field.  It works in closed form, one bigrading block at a time, and
+takes no ring inverse and no dense inverse: each block is solved for and
+factored once, and the factors stand in for the inverse.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ from .complexes import (
     Elimination,
     Generator,
     RING_R1,
+    _scaled,
+    add_row_multiple,
     differential_rows,
     has_length_zero_arrow,
     quotient_rows,
 )
-from .errors import CountMismatch, InvariantViolation, ValidationError
+from .errors import CountMismatch, InvariantViolation, Singular, ValidationError
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -69,13 +73,14 @@ class TransitionData:
     x_basis[i] and y_basis[i] sit in the same bigrading, and
     x_i = sum_j S[i][j] y_j with S over the ground field.  S is homogeneous,
     so it only joins elements of one bigrading: it is block-diagonal.
-    ``blocks`` holds one ``(members, block, inverse)`` triple per bigrading,
+    ``blocks`` holds one ``(members, block, factors)`` triple per bigrading,
     in ascending bigrading order: ``members`` is the ascending tuple of the
     positions in that bigrading, ``block`` is S restricted to them (row and
-    column k stand for position members[k]), and ``inverse`` is the
-    block's inverse, the transition in the other direction.  A rank-zero
-    complex has no blocks.  ``normalize_transition`` returns it unchecked;
-    the ``TwoStoryComplex`` built from it verifies its bases and blocks.
+    column k stand for position members[k]), and ``factors`` is
+    ``gf.ltu_factorize(block)``, the block's shaft normal form, which the
+    ``TwoStoryComplex`` constructor installs as it is.  A rank-zero complex
+    has no blocks.  ``normalize_transition`` returns it unchecked; the
+    ``TwoStoryComplex`` built from it verifies its bases and factors.
     """
 
     x_basis: SimplifiedBasis
@@ -161,53 +166,82 @@ def normalize_transition(
 ) -> TransitionData:
     """Adjust both bases so the transition matrix lives in the ground field.
 
-    The raw transition P' = X Y^{-1} between the aligned bases X and Y
-    factors over the modulo-UV ring as (S + P_U) S^{-1} (S + P_V), where S
-    is its scalar part: the cross terms P_U S^{-1} P_V die because UV = 0.
-    The new bases are X' = S (S + P_U)^{-1} X = (S + P_V) Y, which is X
-    moved by the identity modulo U, and Y' = S^{-1} X' = S^{-1} (S + P_V) Y,
-    Y moved by the identity modulo V; so both quotient structures are
-    untouched and the new transition matrix is S.  Y^{-1} is the one ring
-    inverse taken.  S is homogeneous, hence block-diagonal by bigrading; it
-    is inverted block by block, and a scalar entry joining two bigradings
-    raises InvariantViolation; unaligned bases raise CountMismatch.
-    Nothing else is checked here: the ``verify`` ending the
-    ``TwoStoryComplex`` constructor checks that each new basis intertwines
-    its quotient differential with the simplified arrows and that
-    X'_0 = S_g Y'_0 on every block, which fails exactly when some
-    S_g S_g^{-1} != I.
+    Split the aligned bases X and Y into scalar, U and V parts, X = X_0 +
+    X_U + X_V.  The raw transition P = X Y^{-1} has scalar part S with
+    S Y_0 = X_0, and the adjusted bases are
+    X' = X_0 + X_V + S Y_U, which is X moved by the identity modulo U, and
+    Y' = Y_0 + Y_U + S^{-1} X_V, Y moved by the identity modulo V; so both
+    quotient structures are untouched, and X' = S Y' because UV = 0.  S is
+    homogeneous, hence block-diagonal by bigrading, and each block is
+    handled alone: S_g from one Gauss-Jordan pass on [Y_0^T | X_0^T], one
+    ``gf.ltu_factorize`` of S_g, and S_g^{-1} X_V by the inverse factors as
+    row operations (the lower arrows in order, then D P undone, then the
+    upper arrows in order).  No ring inverse and no dense inverse is
+    formed.  Unaligned bases raise CountMismatch, a scalar entry joining
+    two bigradings InvariantViolation, and a singular scalar part Singular
+    naming its bigrading.
+
+    Nothing else is checked here.  The ``verify`` ending the
+    ``TwoStoryComplex`` constructor checks each new basis modulo its own
+    variable, which sees X_V and Y_U but neither S Y_U nor S^{-1} X_V, and
+    checks X'_0 = B Y'_0 on every block, with B the product of its
+    factors; as X'_0 = X_0 and Y'_0 = Y_0, that checks S and its factors.
     """
-    if len(xb.generators) != len(yb.generators) or any(
-        gx.grading != gy.grading for gx, gy in zip(xb.generators, yb.generators)
+    x_gens = xb.generators
+    if len(x_gens) != len(yb.generators) or any(
+        gx.grading != gy.grading for gx, gy in zip(x_gens, yb.generators)
     ):
         raise CountMismatch("bases are not aligned by bigrading")
-    p_raw = xb.change.compose(yb.change.inverse())
-    y_gens, x_gens = p_raw.old_gens, p_raw.new_gens
-    with_v = [{j: e for j, e in row.items() if not e[1]} for row in p_raw.rows]
-    x_change = BasisChange.from_rows(c.ring, c.char, y_gens, x_gens, with_v).compose(yb.change)
+    p, r1 = c.char, c.ring == RING_R1
     slots: dict = {}
     for i, g in enumerate(x_gens):
         slots.setdefault(g.grading, []).append(i)
     pos = {i: (gr, k) for gr, members in slots.items() for k, i in enumerate(members)}
+    x_rows = [{j: e for j, e in row.items() if not e[1]} for row in xb.change.rows]
+    y_rows = [{j: e for j, e in row.items() if not e[2]} for row in yb.change.rows]
     blocks = []
-    q_rows: list = [{} for _ in range(c.rank)]
     for grading in sorted(slots):
         members = tuple(slots[grading])
-        rows = [[0] * len(members) for _ in members]
-        for row, i in zip(rows, members):
-            for j, e in p_raw.rows[i].items():
-                if e[1:] == (0, 0):
-                    gr, k = pos[j]
-                    if gr != grading:
-                        raise InvariantViolation("transition crosses bigradings")
-                    row[k] = e[0]
-        s_mat = gf.Matrix._wrap(tuple([tuple(row) for row in rows]), c.char)
-        s_inv = s_mat.inverse()
-        for i, row in zip(members, s_inv.entries):
-            q_rows[i] = {members[k]: (x, 0, 0) for k, x in enumerate(row) if x}
-        blocks.append((members, s_mat, s_inv))
-    y_change = BasisChange.from_rows(c.ring, c.char, x_gens, y_gens, q_rows).compose(x_change)
-    xb2 = SimplifiedBasis(xb.direction, xb.generators, xb.arrows, x_change)
+        w = len(members)
+        aug = [[0] * (2 * w) for _ in members]  # [Y_0^T | X_0^T]
+        for off, rows in ((0, y_rows), (w, x_rows)):
+            for k, i in enumerate(members):
+                for j, (x, u, v) in rows[i].items():
+                    if not u and not v:
+                        gr, col = pos[j]
+                        if gr != grading:
+                            raise InvariantViolation("transition crosses bigradings")
+                        aug[col][off + k] = x
+        if not gf.gauss_jordan(aug, w, p):
+            raise Singular(f"the y-basis has a singular scalar part at bigrading {grading}")
+        s_rows = tuple([tuple([aug[j][w + k] for j in range(w)]) for k in range(w)])
+        block = gf.Matrix._wrap(s_rows, p)
+        try:
+            lower, dots, up, upper = factors = gf.ltu_factorize(block)
+        except Singular:
+            raise Singular(
+                f"the x-basis has a singular scalar part at bigrading {grading}"
+            ) from None
+        y_u = [{j: e for j, e in yb.change.rows[i].items() if e[1]} for i in members]
+        for i, row in zip(members, s_rows):
+            for k, f in enumerate(row):
+                if f:
+                    add_row_multiple(x_rows[i], (f, 0, 0), y_u[k], r1, p)
+        x_v = [{j: e for j, e in xb.change.rows[i].items() if e[2]} for i in members]
+        for r, g, f in lower:
+            add_row_multiple(x_v[r], (p - f, 0, 0), x_v[g], r1, p)
+        back: list = [None] * w
+        for a, q in enumerate(up):
+            back[q] = _scaled(x_v[a], pow(dots[a], p - 2, p), p) if a in dots else x_v[a]
+        for r, g, f in upper:
+            add_row_multiple(back[r], (p - f, 0, 0), back[g], r1, p)
+        for i, row in zip(members, back):
+            add_row_multiple(y_rows[i], (1, 0, 0), row, r1, p)
+        blocks.append((members, block, factors))
+    old = xb.change.old_gens
+    x_change = BasisChange.from_rows(c.ring, p, old, x_gens, x_rows)
+    y_change = BasisChange.from_rows(c.ring, p, old, yb.generators, y_rows)
+    xb2 = SimplifiedBasis(xb.direction, x_gens, xb.arrows, x_change)
     yb2 = SimplifiedBasis(yb.direction, yb.generators, yb.arrows, y_change)
     return TransitionData(xb2, yb2, tuple(blocks))
 

@@ -386,11 +386,16 @@ def _state_tokens(state: _ShaftState, char: int) -> list:
     return arrows(state.lower) + middle + arrows(state.upper)
 
 
+def _factored_state(factors) -> _ShaftState:
+    """A shaft state from ``gf.ltu_factorize``'s factors: mutable arrows
+    and its own dots, so the engine's moves leave the factors as they are."""
+    lower, dots, up, upper = factors
+    return _ShaftState([list(a) for a in lower], dict(dots), up, [list(a) for a in upper])
+
+
 def _ltu_state(mat: gf.Matrix) -> _ShaftState:
-    """Normal form of an invertible block: ``gf.ltu_factorize`` with
-    mutable arrows."""
-    lower, dots, up, upper = gf.ltu_factorize(mat)
-    return _ShaftState([list(a) for a in lower], dots, up, [list(a) for a in upper])
+    """Normal form of an invertible block."""
+    return _factored_state(gf.ltu_factorize(mat))
 
 
 def _ordered_ltu(mat: gf.Matrix, x_keys, y_keys, char: int) -> _ShaftState:
@@ -645,8 +650,10 @@ class TwoStoryComplex:
     parts of the two bases must differ by the shaft blocks.  The
     constructor takes a complex, its normalized transition and the rows
     of its differential modulo U and V, kept for every ``verify``; it
-    reads no arrow of ``c``.  It and every public operation that changes
-    the state end with one ``verify``; one that changes nothing does not.
+    reads no arrow of ``c``, and installs each block's factors from the
+    transition as that shaft's state, factoring nothing again.  It and
+    every public operation that changes the state end with one
+    ``verify``; one that changes nothing does not.
 
     Journeys and the divergences between them are cached.  A journey
     reads only the floor tables' targets and lengths and the elevators
@@ -660,11 +667,11 @@ class TwoStoryComplex:
         self.char, self.original, self.rounds = c.char, c, 0
         self._floors = {BOTTOM: _Floor(td.x_basis, d_mod_u), TOP: _Floor(td.y_basis, d_mod_v)}
         self._slots, self._pos, self._shafts = {}, {}, {}
-        for members, block, _ in td.blocks:
+        for members, _, factors in td.blocks:
             grading = self.x_gens[members[0]].grading
             self._slots[grading] = members
             self._pos.update((i, (grading, p)) for p, i in enumerate(members))
-            self._shafts[grading] = _ltu_state(block)
+            self._shafts[grading] = _factored_state(factors)
         self._gradings = tuple(self._slots)  # td.blocks ascend by bigrading
         self._seq_cache, self._div_cache = {}, {}
         self.verify()
@@ -1204,8 +1211,8 @@ def build(c: Complex) -> TwoStoryComplex:
     have bidegree (-1, -1), d^2 must vanish and no term may have length
     zero, over R1 (ValidationError otherwise).  Both simplifiers and the
     constructor get the two quotients' rows.  The constructor's one
-    ``verify`` is the only check of the adjusted bases and the transition
-    blocks that ``normalize_transition`` returns.
+    ``verify`` is the only check of the adjusted bases and the factored
+    transition blocks that ``normalize_transition`` returns.
     """
     if c.ring != RING_R1:
         raise ValidationError("two-story complexes live over the modulo-UV ring")

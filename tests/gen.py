@@ -1,7 +1,8 @@
 """Shared complex builders and randomizers for the test suite, a runner
-for scripts under ``python -O``, a conjugation oracle for the two-story
-self-check, and a hook that runs that self-check after every inner step
-of the depth loop."""
+for scripts under ``python -O``, a ring-inverse oracle for the transition
+normalization, a conjugation oracle for the two-story self-check, and a
+hook that runs that self-check after every inner step of the depth
+loop."""
 
 import os
 import random
@@ -24,8 +25,8 @@ from snakedec.complexes import (
     mono_mul,
     validate,
 )
-from snakedec.errors import InvariantViolation
-from snakedec.gf import FieldElem
+from snakedec.errors import CountMismatch, InvariantViolation
+from snakedec.gf import FieldElem, Matrix
 
 
 def trefoil(ring=RING_R1, char=2):
@@ -477,6 +478,47 @@ def quotient_u(c):
 def quotient_v(c):
     """Set V = 0: drop every term with a positive V power."""
     return Complex(c.ring, c.char, c.generators, tuple([a for a in c.arrows if not a.mono.v_exp]))
+
+
+def transition_by_ring_inverse(c, xb, yb):
+    """``normalize_transition`` by the raw transition P = X Y^-1 over the ring.
+
+    P factors as (S + P_U) S^-1 (S + P_V) with S its scalar part, because
+    UV = 0, so X' = (S + P_V) Y and Y' = S^-1 X'.  Takes the ring inverse
+    Y^-1, a dense inverse of each block and three ring products.  Returns
+    (X', Y', blocks): the two adjusted changes and one (members, S block)
+    pair per bigrading, in ascending bigrading order.
+    """
+    if len(xb.generators) != len(yb.generators) or any(
+        gx.grading != gy.grading for gx, gy in zip(xb.generators, yb.generators)
+    ):
+        raise CountMismatch("bases are not aligned by bigrading")
+    p_raw = xb.change.compose(yb.change.inverse())
+    y_gens, x_gens = p_raw.old_gens, p_raw.new_gens
+    with_v = [{j: e for j, e in row.items() if not e[1]} for row in p_raw.rows]
+    x_change = BasisChange.from_rows(c.ring, c.char, y_gens, x_gens, with_v).compose(yb.change)
+    slots = {}
+    for i, g in enumerate(x_gens):
+        slots.setdefault(g.grading, []).append(i)
+    pos = {i: (gr, k) for gr, members in slots.items() for k, i in enumerate(members)}
+    blocks = []
+    q_rows = [{} for _ in range(c.rank)]
+    for grading in sorted(slots):
+        members = tuple(slots[grading])
+        rows = [[0] * len(members) for _ in members]
+        for row, i in zip(rows, members):
+            for j, e in p_raw.rows[i].items():
+                if e[1:] == (0, 0):
+                    gr, k = pos[j]
+                    if gr != grading:
+                        raise InvariantViolation("transition crosses bigradings")
+                    row[k] = e[0]
+        s_mat = Matrix(rows, c.char)
+        for i, row in zip(members, s_mat.inverse().entries):
+            q_rows[i] = {members[k]: (x, 0, 0) for k, x in enumerate(row) if x}
+        blocks.append((members, s_mat))
+    y_change = BasisChange.from_rows(c.ring, c.char, x_gens, y_gens, q_rows).compose(x_change)
+    return x_change, y_change, tuple(blocks)
 
 
 def _dense_shaft(st, width, p):

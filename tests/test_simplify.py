@@ -8,14 +8,17 @@ from gen import (
     broken_chain,
     chain_complex,
     figure_eight,
+    mixed_sum,
     random_complex,
     quotient_u,
     quotient_v,
     random_messy,
     run_optimized,
+    transition_by_ring_inverse,
     trefoil,
     zero_pair,
 )
+from test_gf import _ltu_product
 from snakedec.complexes import (
     Arrow,
     BasisChange,
@@ -29,7 +32,13 @@ from snakedec.complexes import (
     RING_FUV,
     RING_R1,
 )
-from snakedec.errors import CountMismatch, GradingViolation, InvariantViolation, ValidationError
+from snakedec.errors import (
+    CountMismatch,
+    GradingViolation,
+    InvariantViolation,
+    Singular,
+    ValidationError,
+)
 from snakedec.gf import FieldElem, Matrix
 from snakedec.simplify import (
     HORIZONTAL,
@@ -220,22 +229,38 @@ def test_normalize_rejects_a_transition_that_crosses_bigradings():
         normalize_transition(c, xb, yb)
 
 
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_normalize_names_the_bigrading_of_a_singular_block(side):
+    # the bigrading (0, 0) holds positions 0, 3 and 4; copying the scalar
+    # row 0 onto row 3 makes that block of the chosen basis singular
+    c = figure_eight()
+    xb, yb = vertical_simplify(c), horizontal_simplify(c)
+    sb = xb if side == "x" else yb
+    rows = [dict(row) for row in sb.change.rows]
+    rows[3] = {j: e for j, e in rows[0].items() if e[1:] == (0, 0)}
+    change = BasisChange.from_rows(c.ring, c.char, c.generators, sb.generators, rows)
+    bad = SimplifiedBasis(sb.direction, sb.generators, sb.arrows, change)
+    xb, yb = (bad, yb) if side == "x" else (xb, bad)
+    with pytest.raises(Singular, match=rf"the {side}-basis .* singular .* bigrading \(0, 0\)"):
+        normalize_transition(c, xb, yb)
+
+
 def _check_blocks(c, td):
     """The transition blocks against an independent X Y^-1 over the ring.
 
-    The recomputed transition must be scalar, agree with every block, be
-    zero off the blocks, and each block times its inverse must be I.  The
-    blocks partition the positions by bigrading.  Returns S assembled
-    densely from the blocks.
+    The recomputed transition must be scalar, agree with every block and
+    be zero off the blocks, and the dense product of each block's factors
+    must be the block.  The blocks partition the positions by bigrading.
+    Returns S assembled densely from the blocks.
     """
     p = td.x_basis.change.compose(td.y_basis.change.inverse())
     assert all(e[1:] == (0, 0) for row in p.rows for e in row.values())
     dense = [[0] * c.rank for _ in range(c.rank)]
     gradings = [g.grading for g in td.x_basis.generators]
     seen = []
-    for members, block, inverse in td.blocks:
+    for members, block, factors in td.blocks:
         assert len({gradings[i] for i in members}) == 1
-        assert block * inverse == Matrix.identity(len(members), c.char)
+        assert _ltu_product(factors, len(members), c.char) == block
         assert [[p.rows[i].get(j, (0,))[0] for j in members] for i in members] == block.to_lists()
         for i, row in zip(members, block.entries):
             for j, x in zip(members, row):
@@ -251,8 +276,9 @@ def test_transition_identity_for_trefoil():
     c = trefoil()
     td = simplified_transition(c)
     assert _check_blocks(c, td) == Matrix.identity(3, 2).to_lists()
-    for members, block, inverse in td.blocks:
-        assert block == inverse == Matrix.identity(len(members), 2)
+    for members, block, factors in td.blocks:
+        assert block == Matrix.identity(len(members), 2)
+        assert factors == ([], {}, tuple(range(len(members))), [])
 
 
 def test_transition_scale_for_figure_eight():
@@ -265,9 +291,10 @@ def test_transition_scale_for_figure_eight():
         [0, 0, 0, 2, 0],
         [0, 0, 0, 0, 1],
     ]
-    # the 2 sits in the block of bigrading (0, 0), and 2 is its own inverse mod 3
+    # the 2 sits in the block of bigrading (0, 0): one black dot, no arrows
     diag = Matrix([[1, 0, 0], [0, 2, 0], [0, 0, 1]], 3)
-    assert [b for b in td.blocks if 3 in b[0]] == [((0, 3, 4), diag, diag)]
+    dot = ([], {1: 2}, (0, 1, 2), [])
+    assert [b for b in td.blocks if 3 in b[0]] == [((0, 3, 4), diag, dot)]
 
 
 def test_transition_eliminates_variable_entries():
@@ -311,3 +338,18 @@ def test_simplification_properties(seed, make):
     assert [g.grading for g in td.x_basis.generators] == want
     assert [g.grading for g in td.y_basis.generators] == want
     _check_blocks(c, td)
+
+
+def test_normalize_transition_matches_the_ring_inverse_route():
+    """Equal bases and blocks to the X Y^-1 oracle on messy, sum and mixed inputs."""
+    cases = [random_messy(seed, max_rank=24) for seed in range(60)]
+    cases += [random_complex(seed) for seed in range(60)]
+    cases.append(mixed_sum(0, 10))
+    for c in cases:
+        c, _, _ = strip_zero_complexes(c)
+        xb, yb = vertical_simplify(c), horizontal_simplify(c)
+        td = normalize_transition(c, xb, yb)
+        x_change, y_change, blocks = transition_by_ring_inverse(c, xb, yb)
+        assert td.x_basis.change.rows == x_change.rows
+        assert td.y_basis.change.rows == y_change.rows
+        assert [(members, block) for members, block, _ in td.blocks] == list(blocks)

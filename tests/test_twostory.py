@@ -30,7 +30,7 @@ from gen import (
     trefoil,
     verify_every_step,
 )
-from snakedec import complexes, simplify, twostory
+from snakedec import complexes, gf, simplify, twostory
 from snakedec.complexes import (
     Arrow,
     Complex,
@@ -1091,6 +1091,21 @@ def test_the_input_is_converted_once(monkeypatch):
     assert dense and per_verify == [0, 0]  # the pass refactors; verify forms no dense block
 
 
+def test_build_takes_no_inverse_and_factors_each_block_once(monkeypatch):
+    def refused(*args):
+        raise AssertionError("build took a ring inverse, a ring product or a dense inverse")
+
+    monkeypatch.setattr(complexes.BasisChange, "inverse", refused)
+    monkeypatch.setattr(complexes.BasisChange, "compose", refused)
+    monkeypatch.setattr(Matrix, "inverse", refused)
+    factored = []
+    factorize = gf.ltu_factorize
+    monkeypatch.setattr(gf, "ltu_factorize", lambda m: factored.append(m) or factorize(m))
+    c, _, _ = strip_zero_complexes(random_messy(24))
+    t = build(c)
+    assert len(factored) == len(t.gradings()) > 1
+
+
 def _corrupt_and_slide_a_dot():
     """Corrupt the one black dot of messy seed 24 (over F_5) and slide it
     out through the bottom floor; the slide must not return."""
@@ -1118,29 +1133,36 @@ def test_slide_verifies_what_it_moved():
     assert out.stdout.startswith("raised 1 shaft product drifted"), out.stdout
 
 
-def _build_with_doubled_block_inverses():
-    """Build stripped messy seed 24 (over F_5) while ``gf.Matrix.inverse``
-    returns twice the true inverse; the build must not return."""
+def _build_with_doubled_dots():
+    """Build stripped messy seed 24 (over F_5) while the ``ltu_factorize``
+    that ``normalize_transition`` calls doubles every dot of the middle
+    factor, 1s included; the build must not return."""
     c, _, _ = strip_zero_complexes(random_messy(24))
-    inverse = Matrix.inverse
-    Matrix.inverse = lambda m: inverse(m) * 2
+    factorize = simplify.gf.ltu_factorize
+
+    def doubled(m):
+        lower, dots, up, upper = factorize(m)
+        dots = {a: 2 * dots.get(a, 1) % m.char for a in range(m.rows)}
+        return lower, dots, up, upper
+
+    simplify.gf.ltu_factorize = doubled
     try:
         build(c)
     finally:
-        Matrix.inverse = inverse
+        simplify.gf.ltu_factorize = factorize
 
 
-def test_build_verifies_the_block_inverses():
-    # Y' = 2 S^-1 X' keeps both floors intertwined, so only the shaft
-    # check X'_0 = S Y'_0 can see the wrong inverse
+def test_build_verifies_the_block_factors():
+    # X'_0 = X_0 and Y'_0 = Y_0 leave both floors intertwined, so only the
+    # shaft check X'_0 = B Y'_0 can see factors whose product B is not S
     with pytest.raises(InvariantViolation, match="shaft product drifted"):
-        _build_with_doubled_block_inverses()
+        _build_with_doubled_dots()
     out = run_optimized(
         "import sys",
         "import test_twostory",
         "from snakedec.errors import InvariantViolation",
         "try:",
-        "    test_twostory._build_with_doubled_block_inverses()",
+        "    test_twostory._build_with_doubled_dots()",
         "except InvariantViolation as exc:",
         "    print('raised', sys.flags.optimize, exc)",
     )
