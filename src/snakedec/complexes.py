@@ -13,6 +13,7 @@ helper walks along.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -444,27 +445,23 @@ class Elimination:
     and the change into P times it: one row and one column operation on D
     and one row operation on the change per step, with no P^-1 formed.
     Every step must respect the bigrading of ``gens`` (GradingViolation
-    otherwise), so each cell stays a single monomial.  ``cancel`` is the
-    one Gaussian cancellation step; the zero-pair strip and the quotient
-    simplifier only pick the arrow it splits off.
+    otherwise), so each cell stays a single monomial.  ``touched`` gathers
+    the rows of D the steps write (all rows at first): row r and the rows
+    of column r for ``add``, row i and the rows of column i for ``scale``.
+    ``cancel`` is the one Gaussian cancellation step and
+    ``cancel_in_order`` the one pivot loop; the zero-pair strip and the
+    quotient simplifier only rank the cells.
     """
 
     def __init__(self, gens: Tuple[Generator, ...], char: int, ring: str, d: List[dict]):
         self.gens, self.p, self.r1 = gens, char, ring == RING_R1
         self.d = [dict(row) for row in d]
         self.rows: List[dict] = [{i: (1, 0, 0)} for i in range(len(gens))]
+        self.touched = set(range(len(gens)))
 
     def column(self, j: int) -> list:
         """The cells of column j of D as (row, (coeff, u_exp, v_exp))."""
         return [(i, row[j]) for i, row in enumerate(self.d) if j in row]
-
-    def live(self, retired: set) -> list:
-        """The cells (i, j, entry) of D with neither i nor j retired."""
-        return [
-            (i, j, e)
-            for i, row in enumerate(self.d) if i not in retired
-            for j, e in row.items() if j not in retired
-        ]
 
     def add(self, r: int, g: int, m: tuple) -> None:
         """e_r <- e_r + m e_g for a monomial m = (coeff, u_exp, v_exp), r != g."""
@@ -474,8 +471,10 @@ class Elimination:
             raise GradingViolation(f"step {gr.id} += (U^{u} V^{v}) {gg.id} breaks the bigrading")
         p, r1 = self.p, self.r1
         add_row_multiple(self.d[r], m, self.d[g], r1, p)
+        self.touched.add(r)
         for i, e in self.column(r):
             add_row_multiple(self.d[i], (-c % p, u, v), {g: e}, r1, p)
+            self.touched.add(i)
         add_row_multiple(self.rows[r], m, self.rows[g], r1, p)
 
     def scale(self, i: int, c: int) -> None:
@@ -485,8 +484,10 @@ class Elimination:
             raise ValueError("a basis element cannot be scaled by zero")
         inv = pow(c, p - 2, p)
         self.d[i] = _scaled(self.d[i], c, p)
+        self.touched.add(i)
         for k, (x, u, v) in self.column(i):
             self.d[k][i] = (x * inv % p, u, v)
+            self.touched.add(k)
         self.rows[i] = _scaled(self.rows[i], c, p)
 
     def cancel(self, s: int, t: int) -> None:
@@ -512,6 +513,34 @@ class Elimination:
         if self.d[s] != {t: (1, pu, pv)} or self.d[t] or self.column(s) or len(self.column(t)) != 1:
             ids = self.gens[s].id, self.gens[t].id
             raise ValidationError(f"not a chain complex: {ids[0]} -> {ids[1]} does not split off")
+
+    def cancel_in_order(self, rank) -> List[tuple]:
+        """Cancel the least live cell of D until none is left, and return
+        the (s, t) pairs in order.  A cell (i, j, e) is live while i and j
+        are in no cancelled pair and rank(e) is not None; it is ordered by
+        (rank(e), i, j).  A min-heap gets the cells of the touched rows
+        before each pop, and a popped entry counts only if it is still live
+        and still in D.  Every changed cell lies in a touched row, so each
+        pivot is the one a rescan of every cell would pick.
+        """
+        heap: list = []
+        retired: set = set()
+        pairs: List[tuple] = []
+        while True:
+            for i in self.touched - retired:
+                for j, e in self.d[i].items():
+                    if j not in retired and (k := rank(e)) is not None:
+                        heapq.heappush(heap, (k, i, j, e))
+            self.touched.clear()
+            while heap:
+                _, s, t, e = heapq.heappop(heap)
+                if s not in retired and t not in retired and self.d[s].get(t) == e:
+                    break
+            else:
+                return pairs
+            self.cancel(s, t)
+            retired.update((s, t))
+            pairs.append((s, t))
 
 
 def _scaled(row: dict, c: int, p: int) -> dict:
@@ -615,18 +644,14 @@ def strip_zero_complexes(c: Complex):
     arrangement [survivors..., s_1, t_1, ..., s_k, t_k].  The input must be
     a bigraded chain complex: a term that breaks the bigrading raises
     GradingViolation before any step, and a pair that fails to split off
-    (d^2 != 0) raises ValidationError.
+    (d^2 != 0) raises ValidationError.  The least scalar cell (s, t) left
+    is cancelled first, popped off ``Elimination.cancel_in_order``'s heap.
     """
     el = Elimination(c.generators, c.char, c.ring, differential_rows(c))
-    pairs: List[tuple] = []
-    retired: set = set()
-    while scalars := [(s, t) for s, t, (_, u, v) in el.live(retired) if not u and not v]:
-        s, t = min(scalars)
-        el.cancel(s, t)
-        retired.update((s, t))
-        pairs.append((s, t))
-    keep = [i for i in range(c.rank) if i not in retired]
-    order = keep + [i for pair in pairs for i in pair]
+    pairs = el.cancel_in_order(lambda e: None if e[1] or e[2] else 0)
+    cancelled = [i for pair in pairs for i in pair]
+    keep = sorted(set(range(c.rank)).difference(cancelled))
+    order = keep + cancelled
     gens = c.generators
     arrows = [
         Arrow(gens[i].id, gens[j].id, Monomial(FieldElem(x, c.char), u, v))

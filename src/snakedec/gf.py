@@ -332,22 +332,6 @@ def perm_matrix(sigma: Sequence[int], char: int) -> Matrix:
     return Matrix._wrap(tuple([tuple(row) for row in rows]), char)
 
 
-def cycle_type(sigma: Sequence[int]) -> tuple:
-    """Sorted cycle lengths of a permutation."""
-    seen = [False] * len(sigma)
-    lens = []
-    for s in range(len(sigma)):
-        if seen[s]:
-            continue
-        ln, j = 0, s
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            ln += 1
-        lens.append(ln)
-    return tuple(sorted(lens))
-
-
 # ---------------------------------------------------------------------------
 # LTU factorization
 
@@ -762,17 +746,27 @@ def conjugate_test(a: Matrix, b: Matrix) -> bool:
     return rational_canonical_form(a) == rational_canonical_form(b)
 
 
-_PERMUTATION_BOUND = 8
+_PERMUTATION_BOUND = 20
+
+
+def _partitions(n: int, most: int) -> Iterable[tuple]:
+    """The partitions of n into parts of at most ``most``, largest first."""
+    if not n:
+        yield ()
+    for k in range(min(n, most), 0, -1):
+        yield from ((k,) + rest for rest in _partitions(n - k, k))
 
 
 def class_contains_permutation(a: Matrix) -> bool:
     """Whether the conjugacy class of an invertible matrix contains a
     permutation matrix.
 
-    Decided by conjugate_test against size-w permutation matrices; the w!
-    enumeration caps at w = 8 and raises SizeLimitExceeded beyond.  A
-    characteristic-polynomial comparison (cycle lengths give x^l - 1
-    factors) skips candidates that cannot match.
+    A permutation's class is fixed by its cycle type lambda: it holds the
+    block sum of the companions of x^lambda_i - 1, itself a permutation
+    matrix, with characteristic polynomial prod (x^lambda_i - 1).  So one
+    conjugate_test per partition lambda of w whose product matches a's
+    characteristic polynomial decides it.  w = 20 has 627 partitions;
+    beyond that SizeLimitExceeded is raised.
     """
     if not a.is_square():
         raise DimensionMismatch("needs a square matrix")
@@ -782,16 +776,11 @@ def class_contains_permutation(a: Matrix) -> bool:
     if not a.is_invertible():
         raise Singular("conjugacy classes taken inside GL only")
     cp = charpoly(a)
-    verdict_by_type: dict = {}
-    for sigma in itertools.permutations(range(n)):
-        ct = cycle_type(sigma)
+    for lam in _partitions(n, n):
+        cycles = [pnorm([-1] + [0] * (ln - 1) + [1], p) for ln in lam]
         perm_cp = PONE
-        for ln in ct:
-            perm_cp = pmul(perm_cp, pnorm([-1] + [0] * (ln - 1) + [1], p), p)
-        if perm_cp != cp:
-            continue
-        if ct not in verdict_by_type:
-            verdict_by_type[ct] = conjugate_test(a, perm_matrix(sigma, p))
-        if verdict_by_type[ct]:
+        for f in cycles:
+            perm_cp = pmul(perm_cp, f, p)
+        if perm_cp == cp and conjugate_test(a, block_diag([companion(f, p) for f in cycles], p)):
             return True
     return False

@@ -8,15 +8,18 @@ Both always exist; a basis doing both jobs at once generally does not.
 
 The two bases are produced by graded Gaussian elimination on the sparse
 rows of each quotient differential, pivoting on the shortest arrow
-first.  The simplifiers check and convert their input; ``twostory.build``
-does both once and hands each quotient's rows to the same core.
-Elimination keeps the input's generator order, so position i of either
-basis sits in the input generator i's bigrading.  `normalize_transition`
-then adjusts them, without disturbing either quotient structure, so
-that the transition matrix between them has all entries in the ground
-field.  It works in closed form, one bigrading block at a time, and
-takes no ring inverse and no dense inverse: each block is solved for and
-factored once, and the factors stand in for the inverse.
+first, with the pivots taken from a heap that is refreshed from the rows
+each step wrote.  The simplifiers check and convert their input;
+``twostory.build`` does both once and hands each quotient's rows to the
+same core.  Elimination keeps the input's generator order, so position i
+of either basis sits in the input generator i's bigrading.
+`normalize_transition` then adjusts them, without disturbing either
+quotient structure, so that the transition matrix between them has all
+entries in the ground field.  It works in closed form, one bigrading
+block at a time, and takes no ring inverse and no dense inverse: a block
+where both bases have identity scalar parts is the identity, with no
+solve and no factorization; every other block is solved for and factored
+once, and the factors stand in for the inverse.
 """
 
 from __future__ import annotations
@@ -78,9 +81,11 @@ class TransitionData:
     positions in that bigrading, ``block`` is S restricted to them (row and
     column k stand for position members[k]), and ``factors`` is
     ``gf.ltu_factorize(block)``, the block's shaft normal form, which the
-    ``TwoStoryComplex`` constructor installs as it is.  A rank-zero complex
-    has no blocks.  ``normalize_transition`` returns it unchecked; the
-    ``TwoStoryComplex`` built from it verifies its bases and factors.
+    ``TwoStoryComplex`` constructor installs as it is.  An identity block
+    carries the identity's factors ([], {}, (0, ..., w - 1), []), written
+    down without factoring.  A rank-zero complex has no blocks.
+    ``normalize_transition`` returns it unchecked; the ``TwoStoryComplex``
+    built from it verifies its bases and factors.
     """
 
     x_basis: SimplifiedBasis
@@ -114,11 +119,7 @@ def _simplify_quotient(c: Complex, d: list, direction: str) -> SimplifiedBasis:
     for the horizontal one), c only the generators and the field."""
     el = Elimination(c.generators, c.char, c.ring, d)
     axis = 2 if direction == VERTICAL else 1  # the exponent that is the length
-    retired: set[int] = set()
-    while live := el.live(retired):
-        _, s, t = min((e[axis], i, j) for i, j, e in live)
-        el.cancel(s, t)
-        retired.update((s, t))
+    el.cancel_in_order(lambda e: e[axis])
 
     prefix = "x" if direction == VERTICAL else "y"
     renamed = tuple([
@@ -173,13 +174,17 @@ def normalize_transition(
     Y' = Y_0 + Y_U + S^{-1} X_V, Y moved by the identity modulo V; so both
     quotient structures are untouched, and X' = S Y' because UV = 0.  S is
     homogeneous, hence block-diagonal by bigrading, and each block is
-    handled alone: S_g from one Gauss-Jordan pass on [Y_0^T | X_0^T], one
+    handled alone.  If the scalar parts of X and Y are both e_i on every
+    member i, S_g = I and X'_i = (X_i mod U) + Y_U,i,
+    Y'_i = (Y_i mod V) + X_V,i, with nothing solved or factored.  Any other
+    block gets S_g from one Gauss-Jordan pass on [Y_0^T | X_0^T], one
     ``gf.ltu_factorize`` of S_g, and S_g^{-1} X_V by the inverse factors as
     row operations (the lower arrows in order, then D P undone, then the
     upper arrows in order).  No ring inverse and no dense inverse is
     formed.  Unaligned bases raise CountMismatch, a scalar entry joining
     two bigradings InvariantViolation, and a singular scalar part Singular
-    naming its bigrading.
+    naming its bigrading; a block with either is not the identity, so the
+    identity case skips no check.
 
     Nothing else is checked here.  The ``verify`` ending the
     ``TwoStoryComplex`` constructor checks each new basis modulo its own
@@ -203,27 +208,34 @@ def normalize_transition(
     for grading in sorted(slots):
         members = tuple(slots[grading])
         w = len(members)
-        aug = [[0] * (2 * w) for _ in members]  # [Y_0^T | X_0^T]
-        for off, rows in ((0, y_rows), (w, x_rows)):
-            for k, i in enumerate(members):
-                for j, (x, u, v) in rows[i].items():
-                    if not u and not v:
-                        gr, col = pos[j]
-                        if gr != grading:
-                            raise InvariantViolation("transition crosses bigradings")
-                        aug[col][off + k] = x
-        if not gf.gauss_jordan(aug, w, p):
-            raise Singular(f"the y-basis has a singular scalar part at bigrading {grading}")
-        s_rows = tuple([tuple([aug[j][w + k] for j in range(w)]) for k in range(w)])
-        block = gf.Matrix._wrap(s_rows, p)
-        try:
-            lower, dots, up, upper = factors = gf.ltu_factorize(block)
-        except Singular:
-            raise Singular(
-                f"the x-basis has a singular scalar part at bigrading {grading}"
-            ) from None
+        if all(
+            {j: e for j, e in rows[i].items() if not e[1] and not e[2]} == {i: (1, 0, 0)}
+            for rows in (x_rows, y_rows) for i in members
+        ):  # X_0 = Y_0 = I on the block, so S_g = I
+            block, factors = gf.Matrix.identity(w, p), ([], {}, tuple(range(w)), [])
+        else:
+            aug = [[0] * (2 * w) for _ in members]  # [Y_0^T | X_0^T]
+            for off, rows in ((0, y_rows), (w, x_rows)):
+                for k, i in enumerate(members):
+                    for j, (x, u, v) in rows[i].items():
+                        if not u and not v:
+                            gr, col = pos[j]
+                            if gr != grading:
+                                raise InvariantViolation("transition crosses bigradings")
+                            aug[col][off + k] = x
+            if not gf.gauss_jordan(aug, w, p):
+                raise Singular(f"the y-basis has a singular scalar part at bigrading {grading}")
+            s_g = tuple([tuple([aug[j][w + k] for j in range(w)]) for k in range(w)])
+            block = gf.Matrix._wrap(s_g, p)
+            try:
+                factors = gf.ltu_factorize(block)
+            except Singular:
+                raise Singular(
+                    f"the x-basis has a singular scalar part at bigrading {grading}"
+                ) from None
+        lower, dots, up, upper = factors
         y_u = [{j: e for j, e in yb.change.rows[i].items() if e[1]} for i in members]
-        for i, row in zip(members, s_rows):
+        for i, row in zip(members, block.entries):
             for k, f in enumerate(row):
                 if f:
                     add_row_multiple(x_rows[i], (f, 0, 0), y_u[k], r1, p)

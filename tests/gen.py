@@ -1,9 +1,11 @@
 """Shared complex builders and randomizers for the test suite, a runner
 for scripts under ``python -O``, a ring-inverse oracle for the transition
-normalization, a conjugation oracle for the two-story self-check, and a
-hook that runs that self-check after every inner step of the depth
-loop."""
+normalization, a full-scan oracle for the elimination's pivot order, an
+enumeration oracle for permutation classes, a conjugation oracle for the
+two-story self-check, and a hook that runs that self-check after every
+inner step of the depth loop."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -26,7 +28,16 @@ from snakedec.complexes import (
     validate,
 )
 from snakedec.errors import CountMismatch, InvariantViolation
-from snakedec.gf import FieldElem, Matrix
+from snakedec.gf import (
+    PONE,
+    FieldElem,
+    Matrix,
+    charpoly,
+    conjugate_test,
+    perm_matrix,
+    pmul,
+    pnorm,
+)
 
 
 def trefoil(ring=RING_R1, char=2):
@@ -519,6 +530,59 @@ def transition_by_ring_inverse(c, xb, yb):
         blocks.append((members, s_mat))
     y_change = BasisChange.from_rows(c.ring, c.char, x_gens, y_gens, q_rows).compose(x_change)
     return x_change, y_change, tuple(blocks)
+
+
+def cancel_by_full_scan(el, rank):
+    """``Elimination.cancel_in_order`` by rescanning every cell of D for
+    each pivot: the least (rank(e), i, j) over the cells with neither
+    index cancelled and a rank that is not None."""
+    retired, pairs = set(), []
+    while live := [
+        (k, i, j)
+        for i, row in enumerate(el.d) if i not in retired
+        for j, e in row.items() if j not in retired and (k := rank(e)) is not None
+    ]:
+        _, s, t = min(live)
+        el.cancel(s, t)
+        retired.update((s, t))
+        pairs.append((s, t))
+    return pairs
+
+
+def cycle_type(sigma):
+    """Sorted cycle lengths of a permutation."""
+    seen = [False] * len(sigma)
+    lens = []
+    for s in range(len(sigma)):
+        if seen[s]:
+            continue
+        ln, j = 0, s
+        while not seen[j]:
+            seen[j] = True
+            j = sigma[j]
+            ln += 1
+        lens.append(ln)
+    return tuple(sorted(lens))
+
+
+def permutation_by_enumeration(a):
+    """``gf.class_contains_permutation`` by walking all w! permutations,
+    with one ``conjugate_test`` per cycle type whose characteristic
+    polynomial matches a's."""
+    p, cp = a.char, charpoly(a)
+    verdict_by_type = {}
+    for sigma in itertools.permutations(range(a.rows)):
+        ct = cycle_type(sigma)
+        perm_cp = PONE
+        for ln in ct:
+            perm_cp = pmul(perm_cp, pnorm([-1] + [0] * (ln - 1) + [1], p), p)
+        if perm_cp != cp:
+            continue
+        if ct not in verdict_by_type:
+            verdict_by_type[ct] = conjugate_test(a, perm_matrix(sigma, p))
+        if verdict_by_type[ct]:
+            return True
+    return False
 
 
 def _dense_shaft(st, width, p):

@@ -339,6 +339,43 @@ def test_intertwines_checks_one_quotient(seed, k):
     assert not cx.intertwines(d, b, arrows(), k)
 
 
+def test_elimination_touches_every_row_it_writes():
+    rng = random.Random(0)
+    changed_any = 0
+    for seed in range(10):
+        c = random_messy(seed, max_rank=24)
+        gens, p = c.generators, c.char
+        el = cx.Elimination(gens, p, c.ring, cx.differential_rows(c))
+        retired = set()
+        for _ in range(60):
+            before = [dict(row) for row in el.d]
+            el.touched.clear()
+            scalars = [
+                (s, t)
+                for s, row in enumerate(el.d) if s not in retired
+                for t, e in row.items() if t not in retired and e[1:] == (0, 0)
+            ]
+            roll = rng.random()
+            if roll < 0.2 and scalars:
+                el.cancel(*min(scalars))
+                retired.update(min(scalars))
+            elif roll < 0.4:
+                el.scale(rng.randrange(c.rank), rng.randrange(1, p))
+            else:
+                r, k = rng.randrange(c.rank), rng.randrange(1, 3)
+                u, v = rng.choice([(0, 0), (k, 0), (0, k)])
+                givers = [
+                    g for g in range(c.rank)
+                    if g != r and gens[g].grading == (gens[r].gr_u + 2 * u, gens[r].gr_v + 2 * v)
+                ]
+                if givers:
+                    el.add(r, rng.choice(givers), (rng.randrange(1, p), u, v))
+            changed = {i for i, (old, new) in enumerate(zip(before, el.d)) if old != new}
+            assert changed <= el.touched
+            changed_any += len(changed)
+    assert changed_any
+
+
 def test_elimination_rejects_zero_scale():
     c = figure_eight()  # over F_3
     el = cx.Elimination(c.generators, c.char, c.ring, cx.differential_rows(c))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gen import cycle_type, permutation_by_enumeration
 from snakedec import gf
 from snakedec.errors import (
     DimensionMismatch,
@@ -187,9 +188,9 @@ def test_perm_matrix_rejects_a_non_permutation():
 
 
 def test_cycle_type():
-    assert gf.cycle_type((1, 0, 2)) == (1, 2)
-    assert gf.cycle_type((1, 2, 0)) == (3,)
-    assert gf.cycle_type(()) == ()
+    assert cycle_type((1, 0, 2)) == (1, 2)
+    assert cycle_type((1, 2, 0)) == (3,)
+    assert cycle_type(()) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +503,9 @@ def test_class_contains_permutation_examples():
     assert gf.class_contains_permutation(gf.Matrix.identity(3, 2))
     assert gf.class_contains_permutation(M([[1, 1], [0, 1]], 2))
     assert not gf.class_contains_permutation(M([[1, 1], [1, 0]], 2))
+    assert gf.class_contains_permutation(gf.Matrix.identity(9, 2))
     with pytest.raises(SizeLimitExceeded):
-        gf.class_contains_permutation(gf.Matrix.identity(9, 2))
+        gf.class_contains_permutation(gf.Matrix.identity(21, 2))
     with pytest.raises(Singular):
         gf.class_contains_permutation(M([[1, 1], [1, 1]], 2))
 
@@ -518,3 +520,38 @@ def test_class_contains_permutation_scaled_identity():
     # 2I over F_3 has charpoly (x+1)^2; permutations with that charpoly do
     # not exist, so the class contains none
     assert not gf.class_contains_permutation(M([[2, 0], [0, 2]], 3))
+
+
+def _class_representatives(n, p):
+    """One matrix per conjugacy class of GL_n(F_p): the block sum of the
+    companions of each chain d_1 | ... | d_k of monic invariant factors
+    with nonzero constant terms and degrees summing to n."""
+    monic = [
+        (*tail, 1)
+        for deg in range(1, n + 1)
+        for tail in itertools.product(range(p), repeat=deg)
+        if tail[0]
+    ]
+
+    def chains(rest, last):
+        if not rest:
+            yield ()
+        for f in monic:
+            if gf.pdeg(f) <= rest and not gf.pdivmod(f, last, p)[1]:
+                for tail in chains(rest - gf.pdeg(f), f):
+                    yield (f,) + tail
+
+    return [gf.block_diag([gf.companion(f, p) for f in ch], p) for ch in chains(n, gf.PONE)]
+
+
+def test_class_contains_permutation_matches_the_enumeration():
+    for n, p in ((3, 3), (2, 5)):
+        reps = _class_representatives(n, p)
+        assert len({gf.rational_canonical_form(m) for m in reps}) == len(reps) == 24
+        verdicts = [gf.class_contains_permutation(m) for m in reps]
+        assert verdicts == [permutation_by_enumeration(m) for m in reps]
+        assert set(verdicts) == {True, False}
+    for n in range(1, 6):
+        for sigma in itertools.permutations(range(n)):
+            m = gf.perm_matrix(sigma, 2)
+            assert gf.class_contains_permutation(m) is permutation_by_enumeration(m) is True

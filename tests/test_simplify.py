@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gen import (
     broken_chain,
+    cancel_by_full_scan,
     chain_complex,
     figure_eight,
     mixed_sum,
@@ -23,6 +24,7 @@ from snakedec.complexes import (
     Arrow,
     BasisChange,
     Complex,
+    Elimination,
     Generator,
     apply_basis_change,
     direct_sum,
@@ -39,6 +41,7 @@ from snakedec.errors import (
     Singular,
     ValidationError,
 )
+from snakedec import gf
 from snakedec.gf import FieldElem, Matrix
 from snakedec.simplify import (
     HORIZONTAL,
@@ -353,3 +356,27 @@ def test_normalize_transition_matches_the_ring_inverse_route():
         assert td.x_basis.change.rows == x_change.rows
         assert td.y_basis.change.rows == y_change.rows
         assert [(members, block) for members, block, _ in td.blocks] == list(blocks)
+        for _, block, factors in td.blocks:  # the identity's triple included
+            assert factors == gf.ltu_factorize(block)
+
+
+def test_pivot_heap_matches_the_full_scan(monkeypatch):
+    """The strip and both simplifiers give what a rescan of every cell
+    for each pivot gives."""
+    cases = [random_messy(seed, max_rank=24) for seed in range(40)]
+    cases += [random_complex(seed) for seed in range(40)]
+    cases += [mixed_sum(0, 10), mixed_sum(28, 10)]
+
+    def run():
+        out = []
+        for c in cases:
+            d, k, b = strip_zero_complexes(c)
+            out.append((d, k, b.rows))
+            for sb in (vertical_simplify(d), horizontal_simplify(d)):
+                out.append((sb.change.rows, sb.arrows))
+        return out
+
+    by_heap = run()
+    assert sum(k for _, k, _ in by_heap[::3]) > 0
+    monkeypatch.setattr(Elimination, "cancel_in_order", cancel_by_full_scan)
+    assert run() == by_heap

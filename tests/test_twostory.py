@@ -1091,19 +1091,32 @@ def test_the_input_is_converted_once(monkeypatch):
     assert dense and per_verify == [0, 0]  # the pass refactors; verify forms no dense block
 
 
-def test_build_takes_no_inverse_and_factors_each_block_once(monkeypatch):
+def _non_identity_blocks(c):
+    """The bigradings where X_0 or Y_0 is not the identity, read off the
+    rows of both simplified bases."""
+    return {
+        c.generators[i].grading
+        for sb in (simplify.vertical_simplify(c), simplify.horizontal_simplify(c))
+        for i, row in enumerate(sb.change.rows)
+        if {j: e for j, e in row.items() if e[1:] == (0, 0)} != {i: (1, 0, 0)}
+    }
+
+
+def test_build_takes_no_inverse_and_factors_each_non_identity_block_once(monkeypatch):
     def refused(*args):
         raise AssertionError("build took a ring inverse, a ring product or a dense inverse")
 
+    c, _, _ = strip_zero_complexes(random_messy(24))
+    want = len(_non_identity_blocks(c))
     monkeypatch.setattr(complexes.BasisChange, "inverse", refused)
     monkeypatch.setattr(complexes.BasisChange, "compose", refused)
     monkeypatch.setattr(Matrix, "inverse", refused)
     factored = []
     factorize = gf.ltu_factorize
     monkeypatch.setattr(gf, "ltu_factorize", lambda m: factored.append(m) or factorize(m))
-    c, _, _ = strip_zero_complexes(random_messy(24))
     t = build(c)
-    assert len(factored) == len(t.gradings()) > 1
+    assert len(factored) == want
+    assert 0 < len(factored) < len(t.gradings())
 
 
 def _corrupt_and_slide_a_dot():
@@ -1138,6 +1151,7 @@ def _build_with_doubled_dots():
     that ``normalize_transition`` calls doubles every dot of the middle
     factor, 1s included; the build must not return."""
     c, _, _ = strip_zero_complexes(random_messy(24))
+    assert _non_identity_blocks(c)  # a block that ``ltu_factorize`` sees
     factorize = simplify.gf.ltu_factorize
 
     def doubled(m):
