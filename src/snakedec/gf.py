@@ -43,7 +43,7 @@ _PRIMES_SEEN: set[int] = set()
 
 
 def _check_prime(p: int) -> None:
-    if p in _PRIMES_SEEN:
+    if isinstance(p, int) and p in _PRIMES_SEEN:  # the type first: 2.0 == 2
         return
     if not isinstance(p, int) or p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise ValueError(f"characteristic {p} is not prime")
@@ -464,11 +464,15 @@ def pgcd(f: tuple, g: tuple, p: int) -> tuple:
     return pmonic(f, p)
 
 
-def ppow(f: tuple, e: int, p: int) -> tuple:
+def pprod(fs: Iterable[tuple], p: int) -> tuple:
     out = PONE
-    for _ in range(e):
+    for f in fs:
         out = pmul(out, f, p)
     return out
+
+
+def ppow(f: tuple, e: int, p: int) -> tuple:
+    return pprod([f] * e, p)
 
 
 _IRR_CACHE: dict = {}
@@ -643,10 +647,7 @@ def invariant_factors(a: Matrix) -> tuple:
 
 def charpoly(a: Matrix) -> tuple:
     """Characteristic polynomial (monic, as a coefficient tuple)."""
-    out = PONE
-    for d in invariant_factors(a):
-        out = pmul(out, d, a.char)
-    return out
+    return pprod(invariant_factors(a), a.char)
 
 
 def rational_canonical_form(a: Matrix) -> Matrix:
@@ -763,24 +764,25 @@ def class_contains_permutation(a: Matrix) -> bool:
 
     A permutation's class is fixed by its cycle type lambda: it holds the
     block sum of the companions of x^lambda_i - 1, itself a permutation
-    matrix, with characteristic polynomial prod (x^lambda_i - 1).  So one
-    conjugate_test per partition lambda of w whose product matches a's
-    characteristic polynomial decides it.  w = 20 has 627 partitions;
-    beyond that SizeLimitExceeded is raised.
+    matrix, with characteristic polynomial prod (x^lambda_i - 1).  a's
+    invariant factors, computed once, give its singularity, that product
+    and its class, compared with the block sum's for each partition
+    lambda of w whose product matches.  w = 20 has 627 partitions;
+    beyond that SizeLimitExceeded is raised, before any Smith form.
     """
     if not a.is_square():
         raise DimensionMismatch("needs a square matrix")
     n, p = a.rows, a.char
     if n > _PERMUTATION_BOUND:
         raise SizeLimitExceeded(f"permutation search beyond size {_PERMUTATION_BOUND}")
-    if not a.is_invertible():
+    facs = invariant_factors(a)
+    if facs and not facs[-1][0]:
         raise Singular("conjugacy classes taken inside GL only")
-    cp = charpoly(a)
+    cp = pprod(facs, p)
     for lam in _partitions(n, n):
         cycles = [pnorm([-1] + [0] * (ln - 1) + [1], p) for ln in lam]
-        perm_cp = PONE
-        for f in cycles:
-            perm_cp = pmul(perm_cp, f, p)
-        if perm_cp == cp and conjugate_test(a, block_diag([companion(f, p) for f in cycles], p)):
+        if pprod(cycles, p) != cp:
+            continue
+        if invariant_factors(block_diag([companion(f, p) for f in cycles], p)) == facs:
             return True
     return False

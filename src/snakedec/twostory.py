@@ -661,6 +661,7 @@ class TwoStoryComplex:
     coefficients, and an elevator changes only when ``_reparametrize``
     installs a refactored shaft, so that is the one place where both
     caches are cleared, and only when the new ``up`` differs from the old.
+    A snowplow changes no journey, so the arrows it leaves keep their weights.
     """
 
     def __init__(self, c: Complex, td: TransitionData, d_mod_u: list, d_mod_v: list):
@@ -1099,26 +1100,20 @@ class TwoStoryComplex:
 
     # -- depth raising ----------------------------------------------------------------
 
-    def _candidates(self, predicate, end):
-        out = []
-        for g in self.gradings():
-            for k, ca in enumerate(self._shafts[g].arrows(end)):
-                if predicate(self._arrow_weight(g, end, ca[0], ca[1])):
-                    out.append((g, k))
-        return out
-
     def _remove_all(self, predicate, end, through):
         """Remove matching arrows of the tier at ``end`` one at a time
         through the floor at ``through``: the first shaft's arrow nearest
-        that floor first."""
-        while True:
-            found = self._candidates(predicate, end)
-            if not found:
-                return
-            grading = min(g for g, _ in found)
-            ks = [k for g, k in found if g == grading]
-            k = max(ks) if through == TOP else min(ks)
-            self._snowplow_remove(grading, end, k, through)
+        that floor first.  A snowplow changes no weight and moves no arrow
+        but those it removes, so the matches are found once, by record."""
+        found: dict = {}
+        for g in self.gradings():
+            for ca in self._shafts[g].arrows(end):
+                if predicate(self._arrow_weight(g, end, ca[0], ca[1])):
+                    found.setdefault(g, {})[id(ca)] = ca  # held, so no id is reused
+        for g, ids in found.items():
+            seq = self._shafts[g].arrows(end)
+            while ks := [k for k, ca in enumerate(seq) if id(ca) in ids]:
+                self._snowplow_remove(g, end, max(ks) if through == TOP else min(ks), through)
 
     def _slide_out(self, grading, end):
         """Turn every arrow of one tier out into the neighbouring shafts.

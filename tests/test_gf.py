@@ -81,6 +81,21 @@ def test_field_elem_validation():
     assert fe(7, 5).value == 2
 
 
+@pytest.mark.parametrize("seen_first", [False, True])
+def test_a_float_characteristic_is_refused_in_either_order(monkeypatch, seen_first):
+    # 2.0 == 2, so a prime already seen must not let its float twin through
+    monkeypatch.setattr(gf, "_PRIMES_SEEN", set())
+    if seen_first:
+        assert fe(1, 2).value == 1 and M([[1]], 3).entries == ((1,),)
+    with pytest.raises(ValueError):
+        gf.FieldElem(1, 2.0)
+    with pytest.raises(ValueError):
+        gf.Matrix([[1]], 3.0)
+    with pytest.raises(ValueError):
+        gf.Matrix.identity(2, 2.0)
+    assert gf._PRIMES_SEEN == ({2, 3} if seen_first else set())
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -520,6 +535,22 @@ def test_class_contains_permutation_scaled_identity():
     # 2I over F_3 has charpoly (x+1)^2; permutations with that charpoly do
     # not exist, so the class contains none
     assert not gf.class_contains_permutation(M([[2, 0], [0, 2]], 3))
+
+
+def test_class_contains_permutation_reads_a_once(monkeypatch):
+    # J_20(1) over F_2: (x + 1)^20 matches every partition into powers of
+    # two, and a single Jordan block is conjugate to none of them
+    seen, factors = [], gf.invariant_factors
+    monkeypatch.setattr(gf, "invariant_factors", lambda m: seen.append(m) or factors(m))
+    for name in ("rational_canonical_form", "charpoly"):
+        monkeypatch.setattr(gf, name, lambda m: pytest.fail("a's class is read off its factors"))
+    monkeypatch.setattr(gf.Matrix, "is_invertible", lambda m: pytest.fail("no Gauss-Jordan pass"))
+    n = 20
+    j = M([[int(k in (i, i + 1)) for k in range(n)] for i in range(n)], 2)
+    assert gf.class_contains_permutation(j) is False
+    assert seen[0] is j and all(m is not j for m in seen[1:])
+    matching = [lam for lam in gf._partitions(n, n) if all(part & (part - 1) == 0 for part in lam)]
+    assert len(seen) == 1 + len(matching)
 
 
 def _class_representatives(n, p):

@@ -1445,9 +1445,10 @@ PINNED_MESSY = [
 
 
 def _arrow_places(t):
-    """Every arrow record of t's tiers, by id, with its (shaft, tier)."""
+    """Every arrow record of t's tiers, by id, with its (shaft, tier), its
+    strands (r, g) as they are now and its weight."""
     return {
-        id(ca): (ca, (g, end))
+        id(ca): (ca, (g, end), (ca[0], ca[1]), t._arrow_weight(g, end, ca[0], ca[1]))
         for g, st in t._shafts.items()
         for end in (twostory.BOTTOM, twostory.TOP)
         for ca in st.arrows(end)
@@ -1455,7 +1456,9 @@ def _arrow_places(t):
 
 
 def test_a_snowplow_moves_only_the_arrow_it_removes(monkeypatch):
-    # records are held by the maps, so no id is reused within one snowplow
+    # records are held by the maps, so no id is reused within one snowplow;
+    # a removal sweep weighs each tier once, which needs every record that
+    # survives a snowplow to keep its strands and its weight
     seen = {"snowplows": 0, "displaced": 0}
     snowplow, displace = TwoStoryComplex._snowplow_remove, TwoStoryComplex._displace
 
@@ -1464,8 +1467,12 @@ def test_a_snowplow_moves_only_the_arrow_it_removes(monkeypatch):
         snowplow(self, *args)
         after = _arrow_places(self)
         assert after.keys() <= before.keys(), "a snowplow made an arrow record"
-        moved = [place for key, (_, place) in after.items() if before[key][1] != place]
+        moved = [v[1] for key, v in after.items() if before[key][1] != v[1]]
         assert moved == [], f"a snowplow moved arrows at {moved}"
+        restrung = [v[1] for key, v in after.items() if before[key][2] != v[2]]
+        assert restrung == [], f"a snowplow changed the strands of arrows at {restrung}"
+        reweighed = [v[1] for key, v in after.items() if before[key][3] != v[3]]
+        assert reweighed == [], f"a snowplow changed the weight of arrows at {reweighed}"
         seen["snowplows"] += 1
 
     def counted(self, *args):
@@ -1479,6 +1486,53 @@ def test_a_snowplow_moves_only_the_arrow_it_removes(monkeypatch):
         d, _, _ = strip_zero_complexes(_messy(seed, span=span, max_rank=max_rank))
         run_to_depth_infinity(build(d))
     assert seen["snowplows"] > 100 and seen["displaced"] > 10
+
+
+def test_a_removal_sweep_weighs_each_arrow_once(monkeypatch):
+    seen = {"weights": 0, "sweeps": 0, "busy": 0}
+    remove_all, weight = TwoStoryComplex._remove_all, TwoStoryComplex._arrow_weight
+
+    def held(t, end):
+        return sum(len(t._shafts[g].arrows(end)) for g in t.gradings())
+
+    def sweep(self, predicate, end, through):
+        at_start, weights = held(self, end), seen["weights"]
+        remove_all(self, predicate, end, through)
+        assert seen["weights"] - weights <= at_start, "a sweep weighed an arrow twice"
+        seen["sweeps"] += 1
+        seen["busy"] += 0 < held(self, end) < at_start  # removed some, kept some
+
+    def counted(self, *args):
+        seen["weights"] += 1
+        return weight(self, *args)
+
+    monkeypatch.setattr(TwoStoryComplex, "_remove_all", sweep)
+    monkeypatch.setattr(TwoStoryComplex, "_arrow_weight", counted)
+    inputs = [random_messy(seed, max_rank=24) for seed in (1, 7, 34)] + [mixed_sum(0, 10)]
+    for c in inputs:
+        d, _, _ = strip_zero_complexes(c)
+        run_to_depth_infinity(build(d))
+    assert seen["sweeps"] > 50 and seen["busy"] > 5
+
+
+# SHA-256 over dump(), repr(log) and rounds after the depth loop; the same
+# under every PYTHONHASHSEED, so any change to the engine's output shows
+DEPTH_LOOP_DIGEST = "afaef9c6e3e5dbe3c47ab98fad1ceda704fc0ff3d970c96e6c03a42fd0f174e8"
+
+
+def test_depth_loop_output_matches_the_recorded_digest():
+    inputs = (
+        [random_messy(seed, max_rank=24) for seed in range(20)]
+        + [random_complex(seed, max_parts=12) for seed in range(20)]
+        + [mixed_sum(seed, 10) for seed in (0, 28)]
+    )
+    h = hashlib.sha256()
+    for c in inputs:
+        d, _, _ = strip_zero_complexes(c)
+        t = run_to_depth_infinity(build(d))
+        _fingerprint(h, t)
+        h.update(f"rounds {t.rounds}\n".encode())
+    assert h.hexdigest() == DEPTH_LOOP_DIGEST
 
 
 # consecutive seeds from 0: sums of 10 pieces reach rank 141-200, the one
