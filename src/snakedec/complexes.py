@@ -436,6 +436,23 @@ def quotient_rows(d: List[dict], k: int) -> List[dict]:
     return [{j: e for j, e in row.items() if not e[k]} for row in d]
 
 
+def apply_step(rows: List[dict], gens: Sequence[Generator], step: tuple, r1: bool, p: int) -> None:
+    """Apply one logged step to basis rows in place: ("add", r, g, (c, u, v))
+    is e_r <- e_r + c U^u V^v e_g, ("scale", i, c) is e_i <- c e_i.  Before
+    any row changes, an add with r == g, a mixed monomial over R1 or off the
+    bigrading of ``gens`` raises GradingViolation, a zero scale ValueError."""
+    if step[0] == "add":
+        _, r, g, (_, u, v) = step
+        gr, gg = gens[r], gens[g]
+        if r == g or (r1 and u and v) or gr.grading != (gg.gr_u - 2 * u, gg.gr_v - 2 * v):
+            raise GradingViolation(f"step {gr.id} += (U^{u} V^{v}) {gg.id} breaks the bigrading")
+        add_row_multiple(rows[r], step[3], rows[g], r1, p)
+    elif step[2] % p:
+        rows[step[1]] = _scaled(rows[step[1]], step[2], p)
+    else:
+        raise ValueError("a basis element cannot be scaled by zero")
+
+
 class Elimination:
     """A differential D and a basis change, moved together by elementary steps.
 
@@ -444,8 +461,8 @@ class Elimination:
     handed, the change as the identity.  A change P turns D into P D P^-1
     and the change into P times it: one row and one column operation on D
     and one row operation on the change per step, with no P^-1 formed.
-    Every step must respect the bigrading of ``gens`` (GradingViolation
-    otherwise), so each cell stays a single monomial.  ``touched`` gathers
+    Each step's row half, with its checks, is ``apply_step`` on ``gens``,
+    so each cell stays a single monomial.  ``touched`` gathers
     the rows of D the steps write (all rows at first): row r and the rows
     of column r for ``add``, row i and the rows of column i for ``scale``.
     ``cancel`` is the one Gaussian cancellation step and
@@ -465,30 +482,25 @@ class Elimination:
 
     def add(self, r: int, g: int, m: tuple) -> None:
         """e_r <- e_r + m e_g for a monomial m = (coeff, u_exp, v_exp), r != g."""
+        apply_step(self.rows, self.gens, ("add", r, g, m), self.r1, self.p)
         c, u, v = m
-        gr, gg = self.gens[r], self.gens[g]
-        if r == g or (self.r1 and u and v) or gr.grading != (gg.gr_u - 2 * u, gg.gr_v - 2 * v):
-            raise GradingViolation(f"step {gr.id} += (U^{u} V^{v}) {gg.id} breaks the bigrading")
         p, r1 = self.p, self.r1
         add_row_multiple(self.d[r], m, self.d[g], r1, p)
         self.touched.add(r)
         for i, e in self.column(r):
             add_row_multiple(self.d[i], (-c % p, u, v), {g: e}, r1, p)
             self.touched.add(i)
-        add_row_multiple(self.rows[r], m, self.rows[g], r1, p)
 
     def scale(self, i: int, c: int) -> None:
         """e_i <- c e_i for a scalar c that is nonzero mod p (ValueError otherwise)."""
+        apply_step(self.rows, self.gens, ("scale", i, c), self.r1, self.p)
         p = self.p
-        if not c % p:
-            raise ValueError("a basis element cannot be scaled by zero")
         inv = pow(c, p - 2, p)
         self.d[i] = _scaled(self.d[i], c, p)
         self.touched.add(i)
         for k, (x, u, v) in self.column(i):
             self.d[k][i] = (x * inv % p, u, v)
             self.touched.add(k)
-        self.rows[i] = _scaled(self.rows[i], c, p)
 
     def cancel(self, s: int, t: int) -> None:
         """Split the arrow s -> t off, leaving it with coefficient 1.

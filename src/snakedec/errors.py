@@ -3,13 +3,14 @@
 Every error raised across module boundaries lives here, so callers can
 catch by category without importing the module that raised it.  These
 classes are for conditions a caller can trigger, and for the invariants
-that must survive ``python -O``: homogeneity in ``complexes`` and in the
-elimination behind strip and simplify (``GradingViolation``), malformed
-input to them and to the ``gf`` polynomial kernel (``ValidationError``),
-and the checks of the program's own work in the two-story engine's
-``verify``, moves and depth loop, in ``normalize_transition``'s
-bigrading check and in the ``gf`` polynomial and primary-form kernels
-(``InvariantViolation``).  No module uses ``assert``.
+that must survive ``python -O``: homogeneity in ``complexes``, in the
+elimination behind strip and simplify and in ``verify``'s replay of the
+two-story log (``GradingViolation``), malformed input to them and to the
+``gf`` polynomial kernel (``ValidationError``), and the checks of the
+program's own work in the two-story engine's ``verify``, moves and depth
+loop, in ``normalize_transition``'s bigrading check and in the ``gf``
+polynomial and primary-form kernels (``InvariantViolation``).  No module
+uses ``assert``.
 """
 
 

@@ -36,7 +36,7 @@ out of a shaft rescales a basis element, which taints the adjacent floor
 arrows), while the structural views expose only (source, target,
 length).  The engine holds all field data as int residues mod p: shaft
 arrows and dots, floor coefficients, and the logged steps in
-``complexes.Elimination``'s form.  Only the tokens, ``floor_arrows``
+``complexes.apply_step``'s form.  Only the tokens, ``floor_arrows``
 and ``log`` box them.
 
 One rule says when the engine checks itself: a public call that creates
@@ -55,12 +55,12 @@ from . import gf
 from .complexes import (
     BasisChange,
     Complex,
-    Elimination,
     Monomial,
     RING_R1,
     _mul_rows,
     _scaled,
     add_row_multiple,
+    apply_step,
     differential_rows,
     intertwines,
     quotient_rows,
@@ -621,7 +621,7 @@ class _Floor:
     [target, length, coefficient] per source index, with ``into`` sending
     each target back to its source.  ``start`` is the change from the
     input's basis to the basis ``build`` found, and ``steps`` are the
-    elementary steps taken on the floor since, in ``Elimination``'s form:
+    elementary steps taken on the floor since, in ``apply_step``'s form:
     ("add", r, g, (c, u, v)) or ("scale", i, c).  ``d`` holds the sparse
     rows of the input's differential modulo U (bottom) or V (top).
     """
@@ -732,15 +732,12 @@ class TwoStoryComplex:
 
     def _basis(self, end) -> BasisChange:
         """The floor basis over the input's: the logged steps replayed
-        on the change ``build`` started from."""
-        floor = self._floors[end]
-        el = Elimination(floor.gens, self.char, self.original.ring, [{} for _ in floor.gens])
-        el.rows = [dict(row) for row in floor.start.rows]
-        for op, *args in floor.steps:
-            getattr(el, op)(*args)
-        return BasisChange.from_rows(
-            self.original.ring, self.char, floor.start.old_gens, floor.gens, el.rows
-        )
+        on the change ``build`` started from, by ``apply_step``."""
+        floor, ring = self._floors[end], self.original.ring
+        rows = [dict(row) for row in floor.start.rows]
+        for step in floor.steps:
+            apply_step(rows, floor.gens, step, ring == RING_R1, self.char)
+        return BasisChange.from_rows(ring, self.char, floor.start.old_gens, floor.gens, rows)
 
     # -- views -------------------------------------------------------------
 

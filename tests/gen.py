@@ -2,14 +2,16 @@
 for scripts under ``python -O``, a ring-inverse oracle for the transition
 normalization, a full-scan oracle for the elimination's pivot order, an
 enumeration oracle for permutation classes, a conjugation oracle for the
-two-story self-check, and a hook that runs that self-check after every
-inner step of the depth loop."""
+two-story self-check, the strand-journey multiset of a two-story complex,
+and a hook that runs that self-check after every inner step of the depth
+loop."""
 
 import itertools
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 from snakedec.complexes import (
     Arrow,
@@ -351,6 +353,21 @@ def random_messy(seed, span=2, max_rank=14, density=0.6):
     return c
 
 
+def _draw_pieces(rng, parts):
+    pieces = [random_messy(rng.randrange(10**6), max_rank=24)]
+    while len(pieces) < parts:
+        piece = random_messy(rng.randrange(10**6), max_rank=24)
+        if piece.char == pieces[0].char:
+            pieces.append(piece)
+    return pieces
+
+
+def mixed_sum_pieces(seed, parts):
+    """The pieces whose direct sum ``mixed_sum(seed, parts)`` mixes, drawn
+    by the same ``rng`` calls."""
+    return _draw_pieces(random.Random(seed), parts)
+
+
 def mixed_sum(seed, parts):
     """Direct sum of ``parts`` ``random_messy(max_rank=24)`` pieces, mixed.
 
@@ -361,12 +378,7 @@ def mixed_sum(seed, parts):
     complex is read back from the mixed differential.
     """
     rng = random.Random(seed)
-    pieces = [random_messy(rng.randrange(10**6), max_rank=24)]
-    while len(pieces) < parts:
-        piece = random_messy(rng.randrange(10**6), max_rank=24)
-        if piece.char == pieces[0].char:
-            pieces.append(piece)
-    c = direct_sum(pieces)
+    c = direct_sum(_draw_pieces(rng, parts))
     gens, p = c.generators, c.char
     by_grading = {}
     for i, g in enumerate(gens):
@@ -637,6 +649,17 @@ def conjugation_verify(t):
         block = tuple([tuple([p.rows[i].get(j, (0,))[0] for j in members]) for i in members])
         if block != _dense_shaft(t._shafts[grading], len(members), t.char):
             raise InvariantViolation(f"shaft product drifted at {grading}")
+
+
+def journey_multiset(t):
+    """The strands of a two-story complex counted by (bigrading, journey
+    out of the bottom floor, journey out of the top floor).  After the
+    depth loop it is an invariant of the input complex, if its splitting
+    into snakes and local systems is unique."""
+    return Counter(
+        (g.grading, t._sequence("bottom", i), t._sequence("top", t._elevator("bottom", i)))
+        for i, g in enumerate(t.x_gens)
+    )
 
 
 def verify_every_step(t):

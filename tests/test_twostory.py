@@ -5,6 +5,8 @@ import functools
 import hashlib
 import math
 import random
+import re
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -20,9 +22,12 @@ from gen import (
     conjugation_verify,
     depth_two,
     figure_eight,
+    journey_multiset,
     mixed_sum,
+    mixed_sum_pieces,
     octagon,
     octagon_sheets,
+    random_change,
     random_complex,
     random_messy,
     run_optimized,
@@ -37,6 +42,8 @@ from snakedec.complexes import (
     Generator,
     RING_FUV,
     RING_R1,
+    apply_basis_change,
+    bar,
     mono,
     strip_zero_complexes,
     validate,
@@ -45,6 +52,7 @@ from snakedec.errors import (
     BoundExceeded,
     DimensionMismatch,
     FieldMismatch,
+    GradingViolation,
     InvariantViolation,
     Parallel,
     PatternMismatch,
@@ -1252,6 +1260,41 @@ def test_verify_agrees_with_conjugation_oracle():
     assert caught > 150
 
 
+def test_verify_refuses_a_malformed_logged_step():
+    d, _, _ = strip_zero_complexes(random_messy(3, max_rank=14))
+    t = build(d)
+    gens, p = t.x_gens, t.char
+    pairs = list(combinations(range(len(gens)), 2))
+    apart = next((r, g) for r, g in pairs if gens[r].grading != gens[g].grading)
+    # U V e_g has e_r's bigrading here, so only UV = 0 in R1 rules the step out
+    mixed = next((r, g) for r, g in pairs if gens[r].grading == (gens[g].gr_u - 2, gens[g].gr_v - 2))
+
+    def replayed(step):
+        bad = copy.deepcopy(t)
+        bad._floors["bottom"].steps.append(step)
+        bad.verify()
+
+    for (r, g), m in ((apart, (1, 0, 0)), ((0, 0), (p - 1, 0, 0)), (mixed, (1, 1, 1))):
+        msg = f"step {gens[r].id} += (U^{m[1]} V^{m[2]}) {gens[g].id} breaks the bigrading"
+        with pytest.raises(GradingViolation, match=f"^{re.escape(msg)}$"):
+            replayed(("add", r, g, m))
+    with pytest.raises(ValueError, match="^a basis element cannot be scaled by zero$"):
+        replayed(("scale", 0, p))
+
+
+def test_the_log_replay_builds_no_elimination(monkeypatch):
+    built = [build(strip_zero_complexes(random_messy(seed, max_rank=24))[0]) for seed in (1, 5, 11)]
+
+    def refuse(*args):
+        raise AssertionError("the log replay scanned a column of an Elimination")
+
+    monkeypatch.setattr(complexes.Elimination, "column", refuse)
+    for t in built:
+        run_to_depth_infinity(t)
+        assert t.rounds > 0 and t.log
+        t.verify()
+
+
 def _corrupt_each_shaft_entry(t):
     """Corrupt one shaft entry of t in place, yield its kind, undo it, and
     go on to the next: each lower and upper arrow's coefficient (over F_2,
@@ -1548,3 +1591,22 @@ def test_depth_loop_finishes_on_a_mixed_sum(seed, parts):
     t.verify()
     assert len(t.x_gens) == len(t.y_gens) == c.rank - 2 * k
     conjugation_verify(t)
+    pieces = [_depth_infinity(piece) for piece in mixed_sum_pieces(seed, parts)]
+    assert journey_multiset(t) == sum(map(journey_multiset, pieces), Counter())
+
+
+def _depth_infinity(c):
+    return run_to_depth_infinity(build(strip_zero_complexes(c)[0]))
+
+
+def test_strand_journeys_are_invariants_of_the_complex():
+    for seed in range(60):
+        c = random_messy(seed, max_rank=24)
+        want = journey_multiset(_depth_infinity(c))
+        for k in range(2):
+            moved = apply_basis_change(c, random_change(c, 100 * seed + k, moves=c.rank))
+            assert journey_multiset(_depth_infinity(moved)) == want, (seed, k)
+        mirrored = Counter(
+            {((gr[1], gr[0]), top, bottom): n for (gr, bottom, top), n in want.items()}
+        )
+        assert journey_multiset(_depth_infinity(bar(c))) == mirrored, seed
