@@ -462,7 +462,9 @@ class Elimination:
     and the change into P times it: one row and one column operation on D
     and one row operation on the change per step, with no P^-1 formed.
     Each step's row half, with its checks, is ``apply_step`` on ``gens``,
-    so each cell stays a single monomial.  ``touched`` gathers
+    so each cell stays a single monomial.  ``cols[j]`` is the set of rows
+    i with j in ``d[i]``, kept by every step, so ``column`` reads a column
+    without scanning D, in ascending row order.  ``touched`` gathers
     the rows of D the steps write (all rows at first): row r and the rows
     of column r for ``add``, row i and the rows of column i for ``scale``.
     ``cancel`` is the one Gaussian cancellation step and
@@ -475,10 +477,21 @@ class Elimination:
         self.d = [dict(row) for row in d]
         self.rows: List[dict] = [{i: (1, 0, 0)} for i in range(len(gens))]
         self.touched = set(range(len(gens)))
+        self.cols: List[set] = [set() for _ in gens]
+        for i, row in enumerate(self.d):
+            for j in row:
+                self.cols[j].add(i)
 
     def column(self, j: int) -> list:
-        """The cells of column j of D as (row, (coeff, u_exp, v_exp))."""
-        return [(i, row[j]) for i, row in enumerate(self.d) if j in row]
+        """Column j of D as (row, (coeff, u_exp, v_exp)) cells, rows ascending."""
+        return [(i, self.d[i][j]) for i in sorted(self.cols[j])]
+
+    def _reindex(self, i: int, j: int) -> None:
+        """Bring ``cols[j]`` in line with whether row i of D holds j."""
+        if j in self.d[i]:
+            self.cols[j].add(i)
+        else:
+            self.cols[j].discard(i)
 
     def add(self, r: int, g: int, m: tuple) -> None:
         """e_r <- e_r + m e_g for a monomial m = (coeff, u_exp, v_exp), r != g."""
@@ -486,9 +499,12 @@ class Elimination:
         c, u, v = m
         p, r1 = self.p, self.r1
         add_row_multiple(self.d[r], m, self.d[g], r1, p)
+        for j in self.d[g]:
+            self._reindex(r, j)
         self.touched.add(r)
         for i, e in self.column(r):
             add_row_multiple(self.d[i], (-c % p, u, v), {g: e}, r1, p)
+            self._reindex(i, g)
             self.touched.add(i)
 
     def scale(self, i: int, c: int) -> None:
@@ -522,7 +538,7 @@ class Elimination:
                 self.add(i, s, (-x * piv_inv % p, u - pu, v - pv))
         if piv != 1:
             self.scale(t, piv)
-        if self.d[s] != {t: (1, pu, pv)} or self.d[t] or self.column(s) or len(self.column(t)) != 1:
+        if self.d[s] != {t: (1, pu, pv)} or self.d[t] or self.cols[s] or len(self.cols[t]) != 1:
             ids = self.gens[s].id, self.gens[t].id
             raise ValidationError(f"not a chain complex: {ids[0]} -> {ids[1]} does not split off")
 

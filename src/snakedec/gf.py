@@ -26,6 +26,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -164,8 +165,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, char: int) -> "Matrix":
+        """The n x n identity, one shared instance per (n, char); char is checked first."""
         _check_prime(char)
-        return cls._wrap(tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]), char)
+        return _identity(n, char)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, char: int) -> "Matrix":
@@ -268,6 +270,11 @@ class Matrix:
 
     def __str__(self):
         return "[" + "; ".join(" ".join(map(str, row)) for row in self.entries) + "]"
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _identity(n: int, char: int) -> Matrix:
+    return Matrix._wrap(tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]), char)
 
 
 def gauss_jordan(aug: list, n: int, p: int) -> bool:

@@ -17,9 +17,9 @@ of either basis sits in the input generator i's bigrading.
 quotient structure, so that the transition matrix between them has all
 entries in the ground field.  It works in closed form, one bigrading
 block at a time, and takes no ring inverse and no dense inverse: a block
-where both bases have identity scalar parts is the identity, with no
-solve and no factorization; every other block is solved for and factored
-once, and the factors stand in for the inverse.
+where both bases have identity scalar parts is the identity, two row
+merges per member and no solve or factorization; every other block is
+solved for and factored once, and the factors stand in for the inverse.
 """
 
 from __future__ import annotations
@@ -175,8 +175,8 @@ def normalize_transition(
     quotient structures are untouched, and X' = S Y' because UV = 0.  S is
     homogeneous, hence block-diagonal by bigrading, and each block is
     handled alone.  If the scalar parts of X and Y are both e_i on every
-    member i, S_g = I and X'_i = (X_i mod U) + Y_U,i,
-    Y'_i = (Y_i mod V) + X_V,i, with nothing solved or factored.  Any other
+    member i, S_g = I and two row merges per member, X'_i = (X_i mod U) +
+    Y_U,i and Y'_i = (Y_i mod V) + X_V,i, do the whole block.  Any other
     block gets S_g from one Gauss-Jordan pass on [Y_0^T | X_0^T], one
     ``gf.ltu_factorize`` of S_g, and S_g^{-1} X_V by the inverse factors as
     row operations (the lower arrows in order, then D P undone, then the
@@ -211,28 +211,33 @@ def normalize_transition(
         if all(
             {j: e for j, e in rows[i].items() if not e[1] and not e[2]} == {i: (1, 0, 0)}
             for rows in (x_rows, y_rows) for i in members
-        ):  # X_0 = Y_0 = I on the block, so S_g = I
-            block, factors = gf.Matrix.identity(w, p), ([], {}, tuple(range(w)), [])
-        else:
-            aug = [[0] * (2 * w) for _ in members]  # [Y_0^T | X_0^T]
-            for off, rows in ((0, y_rows), (w, x_rows)):
-                for k, i in enumerate(members):
-                    for j, (x, u, v) in rows[i].items():
-                        if not u and not v:
-                            gr, col = pos[j]
-                            if gr != grading:
-                                raise InvariantViolation("transition crosses bigradings")
-                            aug[col][off + k] = x
-            if not gf.gauss_jordan(aug, w, p):
-                raise Singular(f"the y-basis has a singular scalar part at bigrading {grading}")
-            s_g = tuple([tuple([aug[j][w + k] for j in range(w)]) for k in range(w)])
-            block = gf.Matrix._wrap(s_g, p)
-            try:
-                factors = gf.ltu_factorize(block)
-            except Singular:
-                raise Singular(
-                    f"the x-basis has a singular scalar part at bigrading {grading}"
-                ) from None
+        ):  # X_0 = Y_0 = I on the block, so S_g = I: two row merges per member
+            for i in members:
+                y_u = {j: e for j, e in yb.change.rows[i].items() if e[1]}
+                add_row_multiple(x_rows[i], (1, 0, 0), y_u, r1, p)
+                x_v = {j: e for j, e in xb.change.rows[i].items() if e[2]}
+                add_row_multiple(y_rows[i], (1, 0, 0), x_v, r1, p)
+            blocks.append((members, gf.Matrix.identity(w, p), ([], {}, tuple(range(w)), [])))
+            continue
+        aug = [[0] * (2 * w) for _ in members]  # [Y_0^T | X_0^T]
+        for off, rows in ((0, y_rows), (w, x_rows)):
+            for k, i in enumerate(members):
+                for j, (x, u, v) in rows[i].items():
+                    if not u and not v:
+                        gr, col = pos[j]
+                        if gr != grading:
+                            raise InvariantViolation("transition crosses bigradings")
+                        aug[col][off + k] = x
+        if not gf.gauss_jordan(aug, w, p):
+            raise Singular(f"the y-basis has a singular scalar part at bigrading {grading}")
+        s_g = tuple([tuple([aug[j][w + k] for j in range(w)]) for k in range(w)])
+        block = gf.Matrix._wrap(s_g, p)
+        try:
+            factors = gf.ltu_factorize(block)
+        except Singular:
+            raise Singular(
+                f"the x-basis has a singular scalar part at bigrading {grading}"
+            ) from None
         lower, dots, up, upper = factors
         y_u = [{j: e for j, e in yb.change.rows[i].items() if e[1]} for i in members]
         for i, row in zip(members, block.entries):

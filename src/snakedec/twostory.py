@@ -337,10 +337,12 @@ class _ShaftState:
 def _shaft_times(state: _ShaftState, rows: list, char: int) -> list:
     """L_1 ... L_k D P U_1 ... U_m times sparse scalar rows, by row ops in
     place: an arrow [r, g, c] adds c times row g into row r, upper arrows
-    first, each tier in reverse; D P makes row a dots[a] times row up[a]."""
+    first, each tier in reverse; row a of D P is row up[a], copied only if dots[a] scales it."""
     for r, g, c in reversed(state.upper):
         add_row_multiple(rows[r], (c, 0, 0), rows[g], False, char)
-    rows = [_scaled(rows[q], state.dots.get(a, 1), char) for a, q in enumerate(state.up)]
+    rows = [rows[q] for q in state.up]
+    for a, c in state.dots.items():
+        rows[a] = _scaled(rows[a], c, char)
     for r, g, c in reversed(state.lower):
         add_row_multiple(rows[r], (c, 0, 0), rows[g], False, char)
     return rows
@@ -863,9 +865,10 @@ class TwoStoryComplex:
         Every logged step is invertible, so the transition P = X Y^-1
         exists and is homogeneous too; its scalar entries are its
         same-grading blocks, and each shaft block B is checked as
-        X_0 = B Y_0 by row operations on Y_0 (``_shaft_times``).  An
-        inhomogeneous basis raises GradingViolation, any other failure
-        InvariantViolation.  ``build`` alone checks the input.
+        X_0 = B Y_0 by row operations on Y_0 (``_shaft_times``), or row for
+        row, X_0 = Y_0, where its state is the identity: no arrow, no dot,
+        ``up`` the identity.  An inhomogeneous basis raises GradingViolation,
+        any other failure InvariantViolation.  ``build`` alone checks the input.
 
         The constructor and every public call that changes the complex
         end here, once; a call that changes nothing does not come here.
@@ -880,7 +883,9 @@ class TwoStoryComplex:
                 raise InvariantViolation(f"{end} floor drifted from the engine tables")
         for grading in self._gradings:
             members, st = self._slots[grading], self._shafts[grading]
-            want = _shaft_times(st, [_scalar_entries(y.rows[j]) for j in members], self.char)
+            want = [_scalar_entries(y.rows[j]) for j in members]
+            if st.lower or st.upper or st.dots or st.up != tuple(range(len(members))):
+                want = _shaft_times(st, want, self.char)
             if any(row != _scalar_entries(x.rows[i]) for i, row in zip(members, want)):
                 raise InvariantViolation(f"shaft product drifted at {grading}")
 
@@ -1000,13 +1005,15 @@ class TwoStoryComplex:
         the way is pushed out through the floor at ``through`` first."""
         seq = self._shafts[grading].arrows(end)
         step = 1 if through == TOP else -1
-        while True:
-            k = _index_of(seq, ca)
+        k = _index_of(seq, ca)
+        while 0 <= k + step < len(seq):
             j = k + step
-            if not 0 <= j < len(seq):
-                return k
-            if not self._swap_adjacent(seq, min(j, k)):
+            if self._swap_adjacent(seq, min(j, k)):
+                k = j
+            else:  # a displacement may move any record of the tier
                 self._displace(grading, end, j, through, convoy)
+                k = _index_of(seq, ca)
+        return k
 
     def _extract(self, grading, end, k, through, convoy):
         """Bring the arrow at (end, k) to the boundary of the floor at

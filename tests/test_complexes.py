@@ -340,6 +340,8 @@ def test_intertwines_checks_one_quotient(seed, k):
 
 
 def test_elimination_touches_every_row_it_writes():
+    """Random steps write only touched rows, and ``column`` reads every
+    column as a scan of D would, in the same order."""
     rng = random.Random(0)
     changed_any = 0
     for seed in range(10):
@@ -373,6 +375,8 @@ def test_elimination_touches_every_row_it_writes():
             changed = {i for i, (old, new) in enumerate(zip(before, el.d)) if old != new}
             assert changed <= el.touched
             changed_any += len(changed)
+            for j in range(c.rank):  # the column index against a scan of D
+                assert el.column(j) == [(i, row[j]) for i, row in enumerate(el.d) if j in row]
     assert changed_any
 
 

@@ -96,6 +96,16 @@ def test_a_float_characteristic_is_refused_in_either_order(monkeypatch, seen_fir
     assert gf._PRIMES_SEEN == ({2, 3} if seen_first else set())
 
 
+def test_the_shared_identity_still_refuses_a_float_characteristic():
+    # one identity instance per (n, p); the cached F_2 identity must not
+    # answer for its float twin 2.0 == 2
+    a = gf.Matrix.identity(2, 2)
+    assert gf.Matrix.identity(2, 2) is a and a.entries == ((1, 0), (0, 1))
+    assert gf.Matrix.identity(2, 3).char == 3 and gf.Matrix.identity(3, 2).rows == 3
+    with pytest.raises(ValueError):
+        gf.Matrix.identity(2, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # matrices
 

@@ -1154,42 +1154,57 @@ def test_slide_verifies_what_it_moved():
     assert out.stdout.startswith("raised 1 shaft product drifted"), out.stdout
 
 
-def _build_with_doubled_dots():
+def _build_with_fake_factors(fake):
     """Build stripped messy seed 24 (over F_5) while the ``ltu_factorize``
-    that ``normalize_transition`` calls doubles every dot of the middle
-    factor, 1s included; the build must not return."""
+    that ``normalize_transition`` calls returns ``fake(ltu_factorize, m)``
+    for each block m it sees; the build must not return."""
     c, _, _ = strip_zero_complexes(random_messy(24))
     assert _non_identity_blocks(c)  # a block that ``ltu_factorize`` sees
     factorize = simplify.gf.ltu_factorize
-
-    def doubled(m):
-        lower, dots, up, upper = factorize(m)
-        dots = {a: 2 * dots.get(a, 1) % m.char for a in range(m.rows)}
-        return lower, dots, up, upper
-
-    simplify.gf.ltu_factorize = doubled
+    simplify.gf.ltu_factorize = functools.partial(fake, factorize)
     try:
         build(c)
     finally:
         simplify.gf.ltu_factorize = factorize
 
 
-def test_build_verifies_the_block_factors():
-    # X'_0 = X_0 and Y'_0 = Y_0 leave both floors intertwined, so only the
-    # shaft check X'_0 = B Y'_0 can see factors whose product B is not S
+def _doubled_dots(factorize, m):
+    """m's factors with every dot of the middle factor doubled, 1s included."""
+    lower, dots, up, upper = factorize(m)
+    return lower, {a: 2 * dots.get(a, 1) % m.char for a in range(m.rows)}, up, upper
+
+
+def _identity_factors(factorize, m):
+    """The identity's factors, which the build writes down for S = I."""
+    return [], {}, tuple(range(m.rows)), []
+
+
+def _assert_build_sees_shaft_drift(fake):
     with pytest.raises(InvariantViolation, match="shaft product drifted"):
-        _build_with_doubled_dots()
+        _build_with_fake_factors(fake)
     out = run_optimized(
         "import sys",
-        "import test_twostory",
+        "import test_twostory as t",
         "from snakedec.errors import InvariantViolation",
         "try:",
-        "    test_twostory._build_with_doubled_dots()",
+        f"    t._build_with_fake_factors(t.{fake.__name__})",
         "except InvariantViolation as exc:",
         "    print('raised', sys.flags.optimize, exc)",
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised 1 shaft product drifted"), out.stdout
+
+
+def test_build_verifies_the_block_factors():
+    # X'_0 = X_0 and Y'_0 = Y_0 leave both floors intertwined, so only the
+    # shaft check X'_0 = B Y'_0 can see factors whose product B is not S
+    _assert_build_sees_shaft_drift(_doubled_dots)
+
+
+def test_build_catches_a_false_identity_shaft():
+    # the installed state is the identity, so verify compares X_0 and Y_0
+    # row for row, and they differ where S is not I
+    _assert_build_sees_shaft_drift(_identity_factors)
 
 
 @pytest.mark.parametrize("floor", ["bottom", "top"])
