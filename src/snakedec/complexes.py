@@ -3,7 +3,10 @@
 The data model is a finite ordered basis of bigraded generators together
 with a differential whose matrix entries are monomials lambda U^a V^b.
 Over R1 every mixed monomial is zero, so differentials there carry pure
-U-powers, pure V-powers and scalars only.
+U-powers, pure V-powers and scalars only.  A ``Complex`` holds its
+differential as int terms (s, t, a, b, lambda) on generator positions,
+with lambda in [1, p); ``Arrow``s with boxed coefficients are a view
+built on demand.
 
 Grading conventions: gr(U) = (-2, 0), gr(V) = (0, -2), gr(d) = (-1, -1).
 An arrow src -> tgt labelled U^a V^b therefore forces
@@ -14,7 +17,6 @@ helper walks along.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -102,48 +104,60 @@ class Arrow(NamedTuple):
     mono: Monomial
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Complex:
     """A finitely generated free bigraded chain complex.
 
-    ``arrows`` is kept canonical: terms merged per (src, tgt, exponents),
-    zero and ring-zero terms dropped, sorted by generator order.  Over R1
-    a stored mixed monomial is the zero element, so it is dropped silently.
+    The differential is held as ``terms``: int tuples (s, t, u, v, c), the
+    term c U^u V^v of d(generators[s]) at generators[t], with c in [1, p),
+    one per (s, t, u, v) and sorted.  Over R1 a mixed monomial is the zero
+    element, so the constructor drops one silently.  The constructor merges
+    and sorts the ``Arrow``s it is handed; ``from_terms`` wraps terms that
+    are canonical already.  ``arrows`` is the differential as ``Arrow``s,
+    built on each read and in the same order.
     """
 
     ring: str
     char: int
     generators: Tuple[Generator, ...]
-    arrows: Tuple[Arrow, ...]
+    terms: Tuple[tuple, ...]
 
-    def __post_init__(self):
-        if self.ring not in _RINGS:
-            raise ValidationError(f"unknown ring tag {self.ring!r}")
-        gens = tuple(self.generators)
+    def __init__(self, ring, char, generators, arrows):
+        if ring not in _RINGS:
+            raise ValidationError(f"unknown ring tag {ring!r}")
+        gens = tuple(generators)
         ids = [g.id for g in gens]
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
             raise ValidationError(f"duplicate generator id {dup!r}")
         index = {g.id: k for k, g in enumerate(gens)}
-        p = self.char
         merged: Dict[tuple, int] = {}
-        for a in tuple(self.arrows):
+        for a in arrows:
             if a.src not in index or a.tgt not in index:
                 raise ValidationError(f"arrow {a.src} -> {a.tgt} references unknown generator")
-            if a.mono.coeff.char != p:
-                raise ValidationError(f"arrow {a.src} -> {a.tgt} coefficient outside F_{p}")
-            if self.ring == RING_R1 and a.mono.u_exp > 0 and a.mono.v_exp > 0:
+            if a.mono.coeff.char != char:
+                raise ValidationError(f"arrow {a.src} -> {a.tgt} coefficient outside F_{char}")
+            if ring == RING_R1 and a.mono.u_exp > 0 and a.mono.v_exp > 0:
                 continue  # UV = 0: the term is zero in R1
-            key = (a.src, a.tgt, a.mono.u_exp, a.mono.v_exp)
-            merged[key] = (merged.get(key, 0) + a.mono.coeff.value) % p
-        canon = [
-            Arrow(s, t, Monomial(FieldElem(c, p), u, v))
-            for (s, t, u, v), c in merged.items()
-            if c
-        ]
-        canon.sort(key=lambda a: (index[a.src], index[a.tgt], a.mono.u_exp, a.mono.v_exp))
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "arrows", tuple(canon))
+            key = (index[a.src], index[a.tgt], a.mono.u_exp, a.mono.v_exp)
+            merged[key] = (merged.get(key, 0) + a.mono.coeff.value) % char
+        terms = sorted([(*key, c) for key, c in merged.items() if c])
+        _set_fields(self, ring, char, gens, tuple(terms))
+
+    @classmethod
+    def from_terms(cls, ring, char, generators, terms) -> "Complex":
+        """Wrap canonical terms as they are; the caller hands them over."""
+        c = object.__new__(cls)
+        _set_fields(c, ring, char, tuple(generators), tuple(terms))
+        return c
+
+    @property
+    def arrows(self) -> Tuple[Arrow, ...]:
+        gens, p = self.generators, self.char
+        return tuple([
+            Arrow(gens[s].id, gens[t].id, Monomial(FieldElem(c, p), u, v))
+            for s, t, u, v, c in self.terms
+        ])
 
     # -- accessors ---------------------------------------------------------
 
@@ -153,9 +167,6 @@ class Complex:
 
     def gen_index(self) -> Dict[str, int]:
         return {g.id: k for k, g in enumerate(self.generators)}
-
-    def gen_map(self) -> Dict[str, Generator]:
-        return {g.id: g for g in self.generators}
 
     def terms_from(self, src: str) -> List[Arrow]:
         return [a for a in self.arrows if a.src == src]
@@ -185,37 +196,31 @@ def validate(c: Complex) -> list:
     vanish (computed with UV = 0 when the ring is R1).  ``reduce_mod_uv``
     uses it; ``twostory.build`` runs the same checks on sparse rows.
     """
-    out = []
-    gm = c.gen_map()
-    for a in c.arrows:
-        src, tgt = gm[a.src], gm[a.tgt]
-        got = (tgt.gr_u - 2 * a.mono.u_exp, tgt.gr_v - 2 * a.mono.v_exp)
-        want = (src.gr_u - 1, src.gr_v - 1)
+    out, gens, p, r1 = [], c.generators, c.char, c.ring == RING_R1
+    by_src: List[list] = [[] for _ in gens]
+    for s, t, u, v, x in c.terms:
+        got = (gens[t].gr_u - 2 * u, gens[t].gr_v - 2 * v)
+        want = (gens[s].gr_u - 1, gens[s].gr_v - 1)
         if got != want:
-            out.append(
-                f"term {a.src} -> {a.tgt} ({a.mono}) lands in bidegree {got}, expected {want}"
-            )
-    by_src: Dict[str, List[Arrow]] = {}
-    for a in c.arrows:
-        by_src.setdefault(a.src, []).append(a)
-    for s in (g.id for g in c.generators):
-        acc: Dict[tuple, FieldElem] = {}
-        for a1 in by_src.get(s, ()):
-            for a2 in by_src.get(a1.tgt, ()):
-                m = mono_mul(a1.mono, a2.mono, c.ring)
-                if m is None:
-                    continue
-                key = (a2.tgt, m.u_exp, m.v_exp)
-                acc[key] = acc.get(key, FieldElem(0, c.char)) + m.coeff
-        for (t, u, v), coeff in sorted(acc.items()):
-            if coeff.value:
-                out.append(f"d^2 != 0 at {s}: term {Monomial(coeff, u, v)} -> {t}")
+            m, ids = Monomial(FieldElem(x, p), u, v), (gens[s].id, gens[t].id)
+            out.append(f"term {ids[0]} -> {ids[1]} ({m}) lands in bidegree {got}, expected {want}")
+        by_src[s].append((t, u, v, x))
+    for g, firsts in zip(gens, by_src):
+        acc: Dict[tuple, int] = {}
+        for t, u, v, x in firsts:
+            for t2, u2, v2, x2 in by_src[t]:
+                if not (r1 and u + u2 and v + v2):
+                    key = (gens[t2].id, u + u2, v + v2)
+                    acc[key] = (acc.get(key, 0) + x * x2) % p
+        for (t, u, v), x in sorted(acc.items()):
+            if x:
+                out.append(f"d^2 != 0 at {g.id}: term {Monomial(FieldElem(x, p), u, v)} -> {t}")
     return out
 
 
 def has_length_zero_arrow(c: Complex) -> bool:
     """True when some differential term is a plain scalar (length 0)."""
-    return any(a.mono.is_scalar() for a in c.arrows)
+    return any(not u and not v for _, _, u, v, _ in c.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +384,19 @@ class BasisChange:
         return BasisChange.from_rows(self.ring, self.char, first.old_gens, self.new_gens, rows)
 
 
-def _set_fields(b: BasisChange, *values) -> None:
-    for name, value in zip(BasisChange.__slots__, values):
-        object.__setattr__(b, name, value)
+def _set_fields(obj, *values) -> None:
+    for name, value in zip(type(obj).__slots__, values):
+        object.__setattr__(obj, name, value)
 
 
 def apply_basis_change(c: Complex, b: BasisChange) -> Complex:
     """Rewrite the differential in a new basis: D_new = P D P^-1.
 
-    The products run on sparse int rows.  Arrows are grouped by bidegree
+    The products run on sparse int rows.  Terms are grouped by bidegree
     first, so each cell holds a single monomial within a group; a complex
-    whose arrows break the bigrading still gets every term of a cell.
+    whose terms break the bigrading still gets every term of a cell.  A
+    homogeneous P keeps each group's bidegree, so no two groups give the
+    same (i, j, u, v) and the sorted products are canonical terms.
     """
     if b.char != c.char or b.ring != c.ring:
         raise FieldMismatch("basis change over a different ring or field")
@@ -397,37 +404,31 @@ def apply_basis_change(c: Complex, b: BasisChange) -> Complex:
         raise GradingViolation("basis change source basis does not match the complex")
     b_inv = b.inverse()  # checks homogeneity; raises NotInvertible when singular
     n, p, r1 = c.rank, c.char, c.ring == RING_R1
-    index = c.gen_index()
     gens = c.generators
     by_degree: Dict[tuple, list] = {}
-    for a in c.arrows:
-        s, t, m = index[a.src], index[a.tgt], a.mono
-        du = gens[t].gr_u - gens[s].gr_u - 2 * m.u_exp
-        dv = gens[t].gr_v - gens[s].gr_v - 2 * m.v_exp
-        d = by_degree.setdefault((du, dv), [{} for _ in range(n)])
-        d[s][t] = (m.coeff.value, m.u_exp, m.v_exp)
-    arrows = []
+    for s, t, u, v, x in c.terms:
+        du = gens[t].gr_u - gens[s].gr_u - 2 * u
+        dv = gens[t].gr_v - gens[s].gr_v - 2 * v
+        by_degree.setdefault((du, dv), [{} for _ in range(n)])[s][t] = (x, u, v)
+    terms = []
     for d in by_degree.values():
         new_d = _mul_rows(_mul_rows(b.rows, d, r1, p), b_inv.rows, r1, p)
-        for i, row in enumerate(new_d):
-            for j, (coeff, u, v) in row.items():
-                arrows.append(
-                    Arrow(b.new_gens[i].id, b.new_gens[j].id, Monomial(FieldElem(coeff, p), u, v))
-                )
-    return Complex(c.ring, c.char, b.new_gens, tuple(arrows))
+        terms += [(i, j, u, v, x) for i, row in enumerate(new_d) for j, (x, u, v) in row.items()]
+    return Complex.from_terms(c.ring, p, b.new_gens, sorted(terms))
 
 
 def differential_rows(c: Complex) -> List[dict]:
     """The differential as sparse rows, ``d[s]`` mapping t to the term
-    s -> t; the one conversion from a ``Complex``.  A term that breaks the
-    bigrading raises GradingViolation."""
-    gens, index = c.generators, c.gen_index()
-    d: List[dict] = [{} for _ in gens]
-    for a in c.arrows:
-        s, t, m = index[a.src], index[a.tgt], a.mono
-        if gens[t].grading != (gens[s].gr_u - 1 + 2 * m.u_exp, gens[s].gr_v - 1 + 2 * m.v_exp):
-            raise GradingViolation(f"term {a.src} -> {a.tgt} ({m}) breaks the bigrading")
-        d[s][t] = (m.coeff.value, m.u_exp, m.v_exp)
+    s -> t, read straight off ``c.terms``; the one conversion from a
+    ``Complex``.  A term that breaks the bigrading raises GradingViolation."""
+    gr = [(g.gr_u, g.gr_v) for g in c.generators]
+    d: List[dict] = [{} for _ in gr]
+    for s, t, u, v, x in c.terms:
+        (su, sv), (tu, tv) = gr[s], gr[t]
+        if tu != su - 1 + 2 * u or tv != sv - 1 + 2 * v:
+            ids, m = (c.generators[s].id, c.generators[t].id), Monomial(FieldElem(x, c.char), u, v)
+            raise GradingViolation(f"term {ids[0]} -> {ids[1]} ({m}) breaks the bigrading")
+        d[s][t] = (x, u, v)
     return d
 
 
@@ -608,8 +609,8 @@ def reduce_mod_uv(c: Complex) -> Complex:
     """Pass from F[U,V] to R1 by deleting every mixed (diagonal) term."""
     if c.ring != RING_FUV:
         raise ValidationError("reduce_mod_uv needs a complex over F[U,V]; this one is over R1")
-    kept = tuple([a for a in c.arrows if not (a.mono.u_exp > 0 and a.mono.v_exp > 0)])
-    out = Complex(RING_R1, c.char, c.generators, kept)
+    kept = [x for x in c.terms if not (x[2] and x[3])]
+    out = Complex.from_terms(RING_R1, c.char, c.generators, kept)
     problems = validate(out)
     if problems:
         raise ValidationError(f"not a chain complex after reduction mod UV: {problems[0]}")
@@ -619,18 +620,13 @@ def reduce_mod_uv(c: Complex) -> Complex:
 def bar(c: Complex) -> Complex:
     """Exchange the roles of U and V: swap exponents and swap gradings."""
     gens = tuple(Generator(g.id, g.gr_v, g.gr_u) for g in c.generators)
-    arrows = tuple(
-        Arrow(a.src, a.tgt, Monomial(a.mono.coeff, a.mono.v_exp, a.mono.u_exp)) for a in c.arrows
-    )
-    return Complex(c.ring, c.char, gens, arrows)
+    terms = sorted([(s, t, v, u, x) for s, t, u, v, x in c.terms])
+    return Complex.from_terms(c.ring, c.char, gens, terms)
 
 
 def _relabel(c: Complex, mapping: Dict[str, str]) -> Complex:
     gens = tuple(Generator(mapping.get(g.id, g.id), g.gr_u, g.gr_v) for g in c.generators)
-    arrows = tuple(
-        Arrow(mapping.get(a.src, a.src), mapping.get(a.tgt, a.tgt), a.mono) for a in c.arrows
-    )
-    return Complex(c.ring, c.char, gens, arrows)
+    return Complex.from_terms(c.ring, c.char, gens, c.terms)
 
 
 def direct_sum(cs: Sequence[Complex]) -> Complex:
@@ -645,7 +641,8 @@ def direct_sum(cs: Sequence[Complex]) -> Complex:
         if c.ring != ring:
             raise FieldMismatch(f"components over rings {ring} and {c.ring}")
     taken: set = set()
-    parts = []
+    gens: list = []
+    terms: list = []
     for k, c in enumerate(cs):
         mapping = {}
         for g in c.generators:
@@ -654,10 +651,10 @@ def direct_sum(cs: Sequence[Complex]) -> Complex:
                 new_id = f"{g.id}@{k}" if new_id == g.id else new_id + "'"
             mapping[g.id] = new_id
             taken.add(new_id)
-        parts.append(_relabel(c, mapping))
-    gens = tuple(itertools.chain.from_iterable(p.generators for p in parts))
-    arrows = tuple(itertools.chain.from_iterable(p.arrows for p in parts))
-    return Complex(ring, char, gens, arrows)
+        n = len(gens)
+        terms += [(s + n, t + n, u, v, x) for s, t, u, v, x in c.terms]
+        gens += _relabel(c, mapping).generators
+    return Complex.from_terms(ring, char, gens, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -674,19 +671,19 @@ def strip_zero_complexes(c: Complex):
     GradingViolation before any step, and a pair that fails to split off
     (d^2 != 0) raises ValidationError.  The least scalar cell (s, t) left
     is cancelled first, popped off ``Elimination.cancel_in_order``'s heap.
+    No split-off pair meets a survivor, so the survivors' rows of D are
+    already d's terms: ``Complex.from_terms`` wraps them, renumbered.
     """
     el = Elimination(c.generators, c.char, c.ring, differential_rows(c))
     pairs = el.cancel_in_order(lambda e: None if e[1] or e[2] else 0)
     cancelled = [i for pair in pairs for i in pair]
     keep = sorted(set(range(c.rank)).difference(cancelled))
     order = keep + cancelled
-    gens = c.generators
-    arrows = [
-        Arrow(gens[i].id, gens[j].id, Monomial(FieldElem(x, c.char), u, v))
-        for i in keep
-        for j, (x, u, v) in el.d[i].items()
+    gens, at = c.generators, {i: k for k, i in enumerate(keep)}
+    terms = [
+        (k, at[j], u, v, x) for k, i in enumerate(keep) for j, (x, u, v) in sorted(el.d[i].items())
     ]
-    d = Complex(c.ring, c.char, tuple([gens[i] for i in keep]), tuple(arrows))
+    d = Complex.from_terms(c.ring, c.char, [gens[i] for i in keep], terms)
     new_gens = tuple([gens[i] for i in order])
     total = BasisChange.from_rows(c.ring, c.char, gens, new_gens, [el.rows[i] for i in order])
     return d, len(pairs), total

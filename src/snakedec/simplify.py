@@ -209,7 +209,8 @@ def normalize_transition(
         members = tuple(slots[grading])
         w = len(members)
         if all(
-            {j: e for j, e in rows[i].items() if not e[1] and not e[2]} == {i: (1, 0, 0)}
+            rows[i].get(i) == (1, 0, 0)
+            and (len(rows[i]) == 1 or all(j == i or e[1] or e[2] for j, e in rows[i].items()))
             for rows in (x_rows, y_rows) for i in members
         ):  # X_0 = Y_0 = I on the block, so S_g = I: two row merges per member
             for i in members:

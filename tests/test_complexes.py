@@ -39,6 +39,7 @@ from gen import (
     broken_chain,
     figure_eight,
     interacting,
+    mixed_sum,
     random_change as _random_change,
     random_complex as _random_complex,
     quotient_u,
@@ -512,6 +513,48 @@ def test_strip_rejects_unbigraded_input():
     assert validate(c)
     with pytest.raises(GradingViolation, match="breaks the bigrading"):
         strip_zero_complexes(c)
+
+
+# ---------------------------------------------------------------------------
+# int terms and the arrows view
+
+
+def _sweep_inputs():
+    yield from (random_messy(seed, max_rank=24) for seed in range(40))
+    yield from (_random_complex(seed, max_parts=12) for seed in range(40))
+    yield mixed_sum(0, 10)
+
+
+def _check_canonical(c):
+    """The arrows view rebuilds c through the public constructor, and reads
+    sorted by generator order, with no zero or ring-zero term."""
+    again = Complex(c.ring, c.char, c.generators, c.arrows)
+    assert again == c and hash(again) == hash(c)
+    index = c.gen_index()
+    keys = [(index[a.src], index[a.tgt], a.mono.u_exp, a.mono.v_exp) for a in c.arrows]
+    assert keys == sorted(set(keys))
+    assert [(*key, a.mono.coeff.value) for key, a in zip(keys, c.arrows)] == list(c.terms)
+    assert all(0 < x < c.char for *_, x in c.terms)
+    if c.ring == RING_R1:
+        assert not any(u and v for _, _, u, v, _ in c.terms)
+
+
+def test_terms_are_canonical_on_the_sweeps():
+    for x in _sweep_inputs():
+        d, _, _ = strip_zero_complexes(x)
+        for c in (x, d, bar(x)):
+            _check_canonical(c)
+        assert bar(bar(x)) == x
+
+
+def test_two_terms_in_one_cell_are_both_kept():
+    # x -> y by U and by V: not homogeneous, so one of them must be reported
+    gens = (Generator("x", 0, 0), Generator("y", 1, -1))
+    arrows = (Arrow("x", "y", mono(1, 0, 1, 2)), Arrow("x", "y", mono(1, 1, 0, 2)))
+    c = Complex(RING_R1, 2, gens, arrows)
+    assert c.terms == ((0, 1, 0, 1, 1), (0, 1, 1, 0, 1)) and c.arrows == arrows
+    with pytest.raises(GradingViolation, match=r"x -> y \(V\) breaks the bigrading"):
+        cx.differential_rows(c)
 
 
 # ---------------------------------------------------------------------------

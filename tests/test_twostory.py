@@ -1089,14 +1089,28 @@ def test_the_input_is_converted_once(monkeypatch):
 
     monkeypatch.setattr(TwoStoryComplex, "verify", watched)
     c = braided()
-    post_init = Complex.__post_init__
-    monkeypatch.setattr(Complex, "__post_init__", lambda cx: made.append(cx) or post_init(cx))
+    init, wrap = Complex.__init__, Complex.from_terms  # the constructor and the wrapper
+    monkeypatch.setattr(Complex, "__init__", lambda cx, *a: made.append(cx) or init(cx, *a))
+    wrapped = classmethod(lambda _, *a: made.append(a) or wrap(*a))
+    monkeypatch.setattr(Complex, "from_terms", wrapped)
     t = build(c)
     run_to_depth_infinity(t)
     assert t.rounds == 1  # two verifies: the constructor's and the pass's
     assert len(converted) == 1 and converted[0] is c  # the simplifiers included
     assert made == []  # no Complex inside build, the depth loop or verify
     assert dense and per_verify == [0, 0]  # the pass refactors; verify forms no dense block
+
+
+def test_the_pipeline_creates_no_field_elements(monkeypatch):
+    inputs = [random_messy(seed, max_rank=24) for seed in range(40)]
+    inputs += [random_complex(seed, max_parts=12) for seed in range(40)] + [mixed_sum(0, 10)]
+    made = []
+    post_init = gf.FieldElem.__post_init__
+    monkeypatch.setattr(gf.FieldElem, "__post_init__", lambda e: made.append(e) or post_init(e))
+    for c in inputs:
+        d, _, _ = strip_zero_complexes(c)
+        run_to_depth_infinity(build(d))
+    assert made == []
 
 
 def _non_identity_blocks(c):

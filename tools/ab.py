@@ -10,10 +10,12 @@ own generators (``perfbench/run.py``'s ``make_inputs`` on
 ``perfbench/frozen_gen.py``, both only read), with ``snakedec`` standing for
 that side while they run, and their digest is checked against the recorded
 one.  Every pass runs every op on both sides, the side that goes first
-alternating from op to op and from pass to pass; the two outputs
-(``twostory.dump`` of the depth-infinity result, or the canonical form) must
-be equal.  An op's time is its minimum over the passes, as in the benchmark,
-and ops/s is the number of ops over the sum of those minima.
+alternating from op to op and from pass to pass; the two outputs must be
+equal on every op: the canonical form on rcf, and on the pipeline both
+``str`` of the complex that ``strip_zero_complexes`` returns and
+``twostory.dump`` of the depth-infinity result.  An op's time is its
+minimum over the passes, as in the benchmark, and ops/s is the number of
+ops over the sum of those minima.
 """
 
 import argparse
@@ -64,17 +66,20 @@ def build_inputs(run, pkg, workload, size):
 
 
 def make_op(pkg, workload):
-    """The benchmark's op on one side, as (op, output text of its result)."""
+    """The benchmark's op on one side, as (op, output texts of its result)."""
     if workload == "rcf":
-        return pkg.gf.rational_canonical_form, str
+        return pkg.gf.rational_canonical_form, lambda form: {"canonical form": str(form)}
 
     def pipeline(c):
         d, _, _ = pkg.complexes.strip_zero_complexes(c)
         t = pkg.twostory.build(d)
         pkg.twostory.run_to_depth_infinity(t)
-        return t
+        return d, t
 
-    return pipeline, pkg.twostory.dump
+    def texts(out):
+        return {"stripped complex": str(out[0]), "dump": pkg.twostory.dump(out[1])}
+
+    return pipeline, texts
 
 
 def timed(op, x):
@@ -103,7 +108,8 @@ def compare(sides, workload, passes, size):
                 if k == 0:
                     texts[s] = text(out)
             if k == 0 and texts[0] != texts[1]:
-                raise SystemExit(f"{workload} op {i}: the two trees give different outputs")
+                part = next(name for name in texts[0] if texts[0][name] != texts[1][name])
+                raise SystemExit(f"{workload} op {i}: the two trees give a different {part}")
     gc.unfreeze()
     return [n / sum(times) for times in best]
 
