@@ -23,6 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import (
     FieldMismatch,
     GradingViolation,
+    InvariantViolation,
     NotInvertible,
     ValidationError,
 )
@@ -440,14 +441,17 @@ def quotient_rows(d: List[dict], k: int) -> List[dict]:
 def apply_step(rows: List[dict], gens: Sequence[Generator], step: tuple, r1: bool, p: int) -> None:
     """Apply one logged step to basis rows in place: ("add", r, g, (c, u, v))
     is e_r <- e_r + c U^u V^v e_g, ("scale", i, c) is e_i <- c e_i.  Before
-    any row changes, an add with r == g, a mixed monomial over R1 or off the
-    bigrading of ``gens`` raises GradingViolation, a zero scale ValueError."""
-    if step[0] == "add":
+    any row changes, a step of another kind or length raises
+    InvariantViolation, an add with r == g, a mixed monomial over R1 or off
+    the bigrading of ``gens`` GradingViolation, a zero scale ValueError."""
+    if step[0] == "add" and len(step) == 4:
         _, r, g, (_, u, v) = step
         gr, gg = gens[r], gens[g]
         if r == g or (r1 and u and v) or gr.grading != (gg.gr_u - 2 * u, gg.gr_v - 2 * v):
             raise GradingViolation(f"step {gr.id} += (U^{u} V^{v}) {gg.id} breaks the bigrading")
         add_row_multiple(rows[r], step[3], rows[g], r1, p)
+    elif step[0] != "scale" or len(step) != 3:
+        raise InvariantViolation(f"malformed logged step {step!r}")
     elif step[2] % p:
         rows[step[1]] = _scaled(rows[step[1]], step[2], p)
     else:

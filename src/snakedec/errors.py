@@ -8,9 +8,10 @@ elimination behind strip and simplify and in ``verify``'s replay of the
 two-story log (``GradingViolation``), malformed input to them and to the
 ``gf`` polynomial kernel (``ValidationError``), and the checks of the
 program's own work in the two-story engine's ``verify``, moves and depth
-loop, in ``normalize_transition``'s bigrading check and in the ``gf``
-polynomial and primary-form kernels (``InvariantViolation``).  No module
-uses ``assert``.
+loop, in ``apply_step``'s refusal of a malformed logged step, in
+``normalize_transition``'s bigrading check and in the ``gf`` polynomial
+and primary-form kernels (``InvariantViolation``).  No module uses
+``assert``.
 """
 
 
@@ -48,7 +49,8 @@ class CountMismatch(SnakedecError):
 
 
 class PatternMismatch(SnakedecError):
-    """A local rewrite was requested at a site that does not match it."""
+    """A shaft handle names no token, or a token that the requested slide,
+    weight or removal does not apply to."""
 
 
 class StrandsDiverge(SnakedecError):
@@ -72,10 +74,12 @@ class InvariantViolation(SnakedecError):
 
     Raised by ``TwoStoryComplex.verify``, by ``build``, by the shaft moves
     and the depth loop when the program's own state disagrees with the
-    complex it claims to describe, by ``normalize_transition`` only for a
-    transition that crosses bigradings, and by the ``gf`` polynomial and
-    primary-form kernels when a result fails its reassembly check; unlike
-    ``assert`` it survives ``python -O``.
+    complex it claims to describe, by ``complexes.apply_step`` for a logged
+    step of another kind or length than an add or a scale, by
+    ``normalize_transition`` only for a transition that crosses
+    bigradings, and by the ``gf`` polynomial and primary-form kernels when
+    a result fails its reassembly check; unlike ``assert`` it survives
+    ``python -O``.
     """
 
 

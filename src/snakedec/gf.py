@@ -683,15 +683,13 @@ def primary_rational_form(a: Matrix):
     if diag and not diag[-1][0]:  # x divides the minimal polynomial
         raise Singular("primary form restricted to invertible matrices")
 
-    powers = [Matrix.identity(n, p)]
+    ents, zero = a.entries, [0] * n
 
-    def eval_at_a(f: tuple) -> Matrix:
-        acc = Matrix.zeros(n, n, p)
-        while len(powers) <= pdeg(f):
-            powers.append(powers[-1] * a)
-        for k, c in enumerate(f):
-            if c:
-                acc = acc + powers[k] * c
+    def horner(coeffs) -> list:
+        # sum of A^k coeffs[k] over k, on int vectors: acc <- A acc + c
+        acc = zero
+        for c in reversed(coeffs):
+            acc = [(sum([x * y for x, y in zip(row, acc)]) + z) % p for row, z in zip(ents, c)]
         return acc
 
     chunks = []  # (sort key, [column vectors])
@@ -700,24 +698,19 @@ def primary_rational_form(a: Matrix):
         if pdeg(d) < 1:
             continue
         # generator of the cyclic summand F[x]/(d): column t of pinv, read
-        # through the module structure (x acts as a)
-        v = [0] * n
-        for i in range(n):
-            f = pinv[i][t]
-            if not f:
-                continue
-            v = [(x + row[i]) % p for x, row in zip(v, eval_at_a(f).entries)]
+        # through the module structure (x acts as a), so v = sum_i f_i(A) e_i
+        fs = [pinv[i][t] for i in range(n)]
+        v = horner([[f[k] if k < len(f) else 0 for f in fs] for k in range(max(map(len, fs)))])
         for q, e in factor_poly(d, p):
             qe = ppow(q, e, p)
             cof, rem = pdivmod(d, qe, p)
             if rem:
                 raise InvariantViolation("prime power does not divide its invariant factor")
-            wvec = eval_at_a(cof).apply(v)
+            cur = horner([[c * x for x in v] for c in cof])
             cols = []
-            cur = tuple(wvec)
             for _ in range(pdeg(qe)):
-                cols.append(cur)
-                cur = a.apply(cur)
+                cols.append(tuple(cur))
+                cur = horner((zero, cur))  # A cur
             chunks.append(((pdeg(q), q, e), cols))
 
     chunks.sort(key=lambda ch: ch[0])
@@ -725,7 +718,7 @@ def primary_rational_form(a: Matrix):
     all_cols = [c for _, cols in chunks for c in cols]
     if len(all_cols) != n:
         raise InvariantViolation("primary basis has the wrong size")
-    s = Matrix(tuple(zip(*all_cols)), p)
+    s = Matrix._wrap(tuple(zip(*all_cols)), p)
     target = block_diag([companion(ppow(q, e, p), p) for q, e in pairs], p)
     s_inv = s._gauss_inverse()
     if s_inv is None:

@@ -16,8 +16,7 @@ normal form read off ``gf.ltu_factorize``: crossover arrows near the
 bottom, then black dots, then a permutation, then crossover arrows near
 the top.  Tokens (``Crossing``, ``CrossoverArrow``, ``BlackDot``) are
 only a printed view of it, regenerated on demand, so equal engine states
-print identically; the pure shaft calculus (``apply_local_move``,
-``straighten``) works on such views.
+print identically; ``straighten`` alone works on such a view.
 
 Each end of a shaft is named ``BOTTOM`` or ``TOP``, and that one name
 picks everything on the end: the floor there, the tier of crossover
@@ -265,12 +264,14 @@ def _as_sequence(s) -> TraversalSequence:
 def unusual_compare(s, t, limit=math.inf) -> str:
     """Compare two journeys lexicographically in the unusual order.
 
-    Plain tuples are read as terminated records.  With a finite limit
-    only the first ``limit`` terms are compared; with an infinite limit
-    the comparison is exact.
+    Plain tuples are read as terminated records.  With a finite limit,
+    which must be a nonnegative int, only the first ``limit`` terms are
+    compared; with an infinite limit the comparison is exact.
     """
+    if limit != math.inf and not (isinstance(limit, int) and limit >= 0):
+        raise ValueError(f"limit must be a nonnegative int or math.inf, not {limit!r}")
     s, t = _as_sequence(s), _as_sequence(t)
-    window = _compare_window(s, t) if limit == math.inf else int(limit)
+    window = _compare_window(s, t) if limit == math.inf else limit
     d = _divergence(s, t, window)
     return "equal" if not d else "less" if d > 0 else "greater"
 
@@ -427,7 +428,7 @@ def _ordered_ltu(mat: gf.Matrix, x_keys, y_keys, char: int) -> _ShaftState:
 
 
 # ---------------------------------------------------------------------------
-# public shaft views and the pure shaft calculus
+# public shaft views and straightening
 
 
 @dataclass(frozen=True)
@@ -441,115 +442,6 @@ class Shaft:
 
     def matrix(self) -> gf.Matrix:
         return shaft_matrix(self.tokens, self.strands, self.char)
-
-
-_MOVES = (
-    "merge_dots",
-    "merge_arrows",
-    "swap_disjoint",
-    "swap_arrow_dot",
-    "swap_dot_crossing",
-    "swap_arrow_crossing",
-    "swap_sharing_arrows",
-    "resolve_crossing",
-)
-
-
-def apply_local_move(shaft: Shaft, position: int, move_id: str) -> Shaft:
-    """Rewrite the adjacent tokens at position, position + 1 by a named
-    local identity.  The word changes, its product does not."""
-    if move_id not in _MOVES:
-        raise PatternMismatch(f"unknown move {move_id!r}")
-    toks = list(shaft.tokens)
-    if not 0 <= position < len(toks) - 1:
-        raise PatternMismatch("position does not name an adjacent pair")
-    a, b = toks[position], toks[position + 1]
-    char = shaft.char
-
-    def done(replacement):
-        new = toks[:position] + list(replacement) + toks[position + 2 :]
-        out = Shaft(shaft.bigrading, shaft.strands, tuple(new), char)
-        if out.matrix() != shaft.matrix():
-            raise InvariantViolation("local move changed the product")
-        return out
-
-    if move_id == "merge_dots":
-        if isinstance(a, BlackDot) and isinstance(b, BlackDot) and a.i == b.i:
-            lam = a.lam * b.lam
-            return done([] if lam.value == 1 else [BlackDot(a.i, lam)])
-        raise PatternMismatch("needs two dots on one strand")
-
-    if move_id == "merge_arrows":
-        if (
-            isinstance(a, CrossoverArrow)
-            and isinstance(b, CrossoverArrow)
-            and (a.i, a.j) == (b.i, b.j)
-        ):
-            s = a.lam + b.lam
-            return done([] if not s else [CrossoverArrow(a.i, a.j, s)])
-        raise PatternMismatch("needs two same-direction arrows on one pair")
-
-    if move_id == "swap_disjoint":
-        if _token_indices(a) & _token_indices(b):
-            raise PatternMismatch("tokens share a strand")
-        return done([b, a])
-
-    if move_id == "swap_arrow_dot":
-        if {type(a), type(b)} != {CrossoverArrow, BlackDot}:
-            raise PatternMismatch("needs an arrow and a dot")
-        arrow, dot = (a, b) if isinstance(a, CrossoverArrow) else (b, a)
-        lam = arrow.lam
-        if dot.i == arrow.i:
-            lam = lam * dot.lam if arrow is a else lam / dot.lam
-        elif dot.i == arrow.j:
-            lam = lam / dot.lam if arrow is a else lam * dot.lam
-        moved = CrossoverArrow(arrow.i, arrow.j, lam)
-        return done([dot, moved] if arrow is a else [moved, dot])
-
-    if move_id == "swap_dot_crossing":
-        if {type(a), type(b)} != {BlackDot, Crossing}:
-            raise PatternMismatch("needs a dot and a crossing")
-        dot, cross = (a, b) if isinstance(a, BlackDot) else (b, a)
-        swap = {cross.i: cross.j, cross.j: cross.i}
-        moved = BlackDot(swap.get(dot.i, dot.i), dot.lam)
-        return done([cross, moved] if dot is a else [moved, cross])
-
-    if move_id == "swap_arrow_crossing":
-        if {type(a), type(b)} != {CrossoverArrow, Crossing}:
-            raise PatternMismatch("needs an arrow and a crossing")
-        arrow, cross = (a, b) if isinstance(a, CrossoverArrow) else (b, a)
-        if {arrow.i, arrow.j} == {cross.i, cross.j}:
-            raise PatternMismatch("use resolve_crossing for a full overlap")
-        swap = {cross.i: cross.j, cross.j: cross.i}
-        moved = CrossoverArrow(
-            swap.get(arrow.i, arrow.i), swap.get(arrow.j, arrow.j), arrow.lam
-        )
-        return done([cross, moved] if arrow is a else [moved, cross])
-
-    if move_id == "swap_sharing_arrows":
-        if not (
-            isinstance(a, CrossoverArrow)
-            and isinstance(b, CrossoverArrow)
-            and _token_indices(a) & _token_indices(b)
-            and (a.i, a.j) != (b.i, b.j)
-        ):
-            raise PatternMismatch("needs two arrows sharing one strand")
-        prod = token_matrix(a, shaft.strands, char) * token_matrix(
-            b, shaft.strands, char
-        )
-        return done(_state_tokens(_ltu_state(prod), char))
-
-    # resolve_crossing
-    kinds = {type(a), type(b)}
-    if kinds == {CrossoverArrow, Crossing}:
-        arrow = a if isinstance(a, CrossoverArrow) else b
-        cross = b if arrow is a else a
-        if {arrow.i, arrow.j} == {cross.i, cross.j}:
-            prod = token_matrix(a, shaft.strands, char) * token_matrix(
-                b, shaft.strands, char
-            )
-            return done(_state_tokens(_ltu_state(prod), char))
-    raise PatternMismatch("needs an arrow and a crossing on one pair")
 
 
 def straighten(shaft: Shaft, order=None) -> Shaft:

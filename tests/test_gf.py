@@ -515,6 +515,18 @@ def test_primary_form_singular_from_the_smith_form(monkeypatch):
     assert len(passes) == invertible == 48  # one Gauss-Jordan pass, on the conjugator
 
 
+def test_primary_form_creates_no_field_elements(monkeypatch):
+    made = []
+    post_init = gf.FieldElem.__post_init__
+    mats = [M([[1, 2, 0, 1], [0, 1, 1, 0], [2, 0, 1, 1], [1, 1, 0, 1]], 3), M([[0, 1], [1, 1]], 5)]
+    mats += [M([e[:2], e[2:]], 3) for e in itertools.product(range(3), repeat=4)]
+    mats = [m for m in mats if m.is_invertible()]
+    monkeypatch.setattr(gf.FieldElem, "__post_init__", lambda e: made.append(e) or post_init(e))
+    for m in mats:
+        gf.primary_rational_form(m)
+    assert len(mats) == 50 and made == []
+
+
 def test_elementary_divisors_split_semisimple():
     assert gf.elementary_divisors(M([[2, 0], [0, 2]], 3)) == (((1, 1), 1), ((1, 1), 1))
     assert gf.invariant_factors(M([[2, 0], [0, 2]], 3)) == ((1, 1), (1, 1))

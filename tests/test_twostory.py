@@ -72,7 +72,6 @@ from snakedec.twostory import (
     CrossoverArrow,
     Shaft,
     TwoStoryComplex,
-    apply_local_move,
     build,
     dump,
     increase_depth,
@@ -132,6 +131,30 @@ def test_token_matrices():
         Crossing(2, 2)
     with pytest.raises(ValueError):
         BlackDot(1, f(0, 5))
+    # the calculus's local identities: each pair of words has one product
+    for left, right, width, p in (
+        ((Crossing(1, 2), BlackDot(3, f(2, 3))), (BlackDot(3, f(2, 3)), Crossing(1, 2)), 4, 3),
+        (
+            (CrossoverArrow(1, 2, f(1, 3)), BlackDot(1, f(2, 3))),
+            (BlackDot(1, f(2, 3)), CrossoverArrow(1, 2, f(2, 3))),
+            2,
+            3,
+        ),
+        (
+            (BlackDot(1, f(2, 3)), CrossoverArrow(1, 2, f(1, 3))),
+            (CrossoverArrow(1, 2, f(2, 3)), BlackDot(1, f(2, 3))),
+            2,
+            3,
+        ),
+        ((BlackDot(1, f(2, 3)), Crossing(1, 2)), (Crossing(1, 2), BlackDot(2, f(2, 3))), 2, 3),
+        (
+            (CrossoverArrow(1, 3, f(1, 2)), Crossing(1, 2)),
+            (Crossing(1, 2), CrossoverArrow(2, 3, f(1, 2))),
+            3,
+            2,
+        ),
+    ):
+        assert shaft_matrix(left, width, p) == shaft_matrix(right, width, p)
 
 
 def test_dense_word_pins():
@@ -166,113 +189,10 @@ def test_unusual_compare_basics():
     assert unusual_compare((3, 0), (2, 0)) == "less"
     assert unusual_compare((0, 0, 5), (0, 0, 7), limit=2) == "equal"
     assert unusual_compare((0, 0, 5), (0, 0, 7), limit=3) == "greater"
-
-
-# ---------------------------------------------------------------------------
-# local moves
-
-
-def test_merge_dots():
-    sh = Shaft((0, 0), 2, (BlackDot(1, f(2, 5)), BlackDot(1, f(4, 5))), 5)
-    out = apply_local_move(sh, 0, "merge_dots")
-    assert out.tokens == (BlackDot(1, f(3, 5)),)
-    # a product of one dissolves entirely
-    sh = Shaft((0, 0), 2, (BlackDot(1, f(2, 3)), BlackDot(1, f(2, 3))), 3)
-    assert apply_local_move(sh, 0, "merge_dots").tokens == ()
-    with pytest.raises(PatternMismatch):
-        apply_local_move(
-            Shaft((0, 0), 2, (BlackDot(1, f(2, 3)), BlackDot(2, f(2, 3))), 3),
-            0,
-            "merge_dots",
-        )
-
-
-def test_merge_arrows():
-    sh = Shaft(
-        (0, 0), 2, (CrossoverArrow(1, 2, f(1, 3)), CrossoverArrow(1, 2, f(1, 3))), 3
-    )
-    assert apply_local_move(sh, 0, "merge_arrows").tokens == (
-        CrossoverArrow(1, 2, f(2, 3)),
-    )
-    # opposite decorations cancel both arrows
-    sh = Shaft(
-        (0, 0), 2, (CrossoverArrow(1, 2, f(1, 3)), CrossoverArrow(1, 2, f(2, 3))), 3
-    )
-    assert apply_local_move(sh, 0, "merge_arrows").tokens == ()
-
-
-def test_swap_disjoint():
-    sh = Shaft((0, 0), 4, (Crossing(1, 2), BlackDot(3, f(2, 3))), 3)
-    out = apply_local_move(sh, 0, "swap_disjoint")
-    assert out.tokens == (BlackDot(3, f(2, 3)), Crossing(1, 2))
-    with pytest.raises(PatternMismatch):
-        apply_local_move(
-            Shaft((0, 0), 3, (Crossing(1, 2), BlackDot(2, f(2, 3))), 3),
-            0,
-            "swap_disjoint",
-        )
-
-
-def test_swap_arrow_dot():
-    sh = Shaft((0, 0), 2, (CrossoverArrow(1, 2, f(1, 3)), BlackDot(1, f(2, 3))), 3)
-    out = apply_local_move(sh, 0, "swap_arrow_dot")
-    assert out.tokens == (BlackDot(1, f(2, 3)), CrossoverArrow(1, 2, f(2, 3)))
-    assert out.matrix() == sh.matrix()
-    sh = Shaft((0, 0), 2, (BlackDot(1, f(2, 3)), CrossoverArrow(1, 2, f(1, 3))), 3)
-    out = apply_local_move(sh, 0, "swap_arrow_dot")
-    assert out.tokens == (CrossoverArrow(1, 2, f(2, 3)), BlackDot(1, f(2, 3)))
-    assert out.matrix() == sh.matrix()
-
-
-def test_swap_dot_crossing():
-    sh = Shaft((0, 0), 2, (BlackDot(1, f(2, 3)), Crossing(1, 2)), 3)
-    out = apply_local_move(sh, 0, "swap_dot_crossing")
-    assert out.tokens == (Crossing(1, 2), BlackDot(2, f(2, 3)))
-
-
-def test_swap_arrow_crossing():
-    sh = Shaft((0, 0), 3, (CrossoverArrow(1, 3, f(1, 2)), Crossing(1, 2)), 2)
-    out = apply_local_move(sh, 0, "swap_arrow_crossing")
-    assert out.tokens == (Crossing(1, 2), CrossoverArrow(2, 3, f(1, 2)))
-    with pytest.raises(PatternMismatch):
-        apply_local_move(
-            Shaft((0, 0), 2, (CrossoverArrow(1, 2, f(1, 2)), Crossing(1, 2)), 2),
-            0,
-            "swap_arrow_crossing",
-        )
-
-
-def test_swap_sharing_arrows():
-    sh = Shaft(
-        (0, 0), 3, (CrossoverArrow(1, 2, f(1, 3)), CrossoverArrow(2, 3, f(2, 3))), 3
-    )
-    out = apply_local_move(sh, 0, "swap_sharing_arrows")
-    assert out.matrix() == sh.matrix()
-    assert all(isinstance(t, (CrossoverArrow, BlackDot, Crossing)) for t in out.tokens)
-
-
-def test_resolve_crossing():
-    # a crossing absorbed into an overlapping arrow leaves the three-token
-    # form: reversed arrow, inverse dot, original arrow
-    sh = Shaft((0, 0), 2, (Crossing(1, 2), CrossoverArrow(1, 2, f(1, 3))), 3)
-    out = apply_local_move(sh, 0, "resolve_crossing")
-    assert out.tokens == (
-        CrossoverArrow(1, 2, f(1, 3)),
-        BlackDot(2, f(2, 3)),
-        CrossoverArrow(2, 1, f(1, 3)),
-    )
-    assert out.matrix() == sh.matrix()
-    sh = Shaft((0, 0), 2, (CrossoverArrow(1, 2, f(1, 3)), Crossing(1, 2)), 3)
-    out = apply_local_move(sh, 0, "resolve_crossing")
-    assert out.matrix() == sh.matrix()
-
-
-def test_move_errors():
-    sh = Shaft((0, 0), 2, (Crossing(1, 2), BlackDot(1, f(2, 3))), 3)
-    with pytest.raises(PatternMismatch):
-        apply_local_move(sh, 0, "no_such_move")
-    with pytest.raises(PatternMismatch):
-        apply_local_move(sh, 5, "merge_dots")
+    assert unusual_compare((1, 2), (1, 3), limit=0) == "equal"
+    for bad in (-1, 1.9, 2.0, -math.inf):
+        with pytest.raises(ValueError, match="limit must be a nonnegative int"):
+            unusual_compare((1, 2), (1, 3), limit=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +272,22 @@ def test_straighten_dense_layout():
         CrossoverArrow(3, 1, f(1, 2)),
         CrossoverArrow(2, 1, f(1, 2)),
     )
+    # the plain normal form of short words: dots and arrows on one strand
+    # or pair merge, a unit product prints as nothing, and a crossing on an
+    # arrow's own pair becomes reversed arrow, inverse dot, original arrow
+    for word, p, want in (
+        ((BlackDot(1, f(2, 5)), BlackDot(1, f(4, 5))), 5, (BlackDot(1, f(3, 5)),)),
+        ((BlackDot(1, f(2, 3)), BlackDot(1, f(2, 3))), 3, ()),
+        ((CrossoverArrow(1, 2, f(1, 3)),) * 2, 3, (CrossoverArrow(1, 2, f(2, 3)),)),
+        ((CrossoverArrow(1, 2, f(1, 3)), CrossoverArrow(1, 2, f(2, 3))), 3, ()),
+        (
+            (Crossing(1, 2), CrossoverArrow(1, 2, f(1, 3))),
+            3,
+            (CrossoverArrow(1, 2, f(1, 3)), BlackDot(2, f(2, 3)), CrossoverArrow(2, 1, f(1, 3))),
+        ),
+    ):
+        assert tuple(_state_tokens(_ltu_state(shaft_matrix(word, 2, p)), p)) == want
+        assert straighten(Shaft((0, 0), 2, word, p)).tokens == want
 
 
 def seeded_words():
@@ -1309,6 +1245,17 @@ def test_verify_refuses_a_malformed_logged_step():
             replayed(("add", r, g, m))
     with pytest.raises(ValueError, match="^a basis element cannot be scaled by zero$"):
         replayed(("scale", 0, p))
+    # a kind other than add or scale, or the wrong length, is no step at all;
+    # read as a scale, ("bogus", 1, 1) and ("scale", 1, 1, 9) would pass unseen
+    malformed = (("bogus", 1, 2), ("bogus", 1, 1), ("scale", 1, 2, 9), ("scale", 1, 1, 9))
+    for step in malformed + (("add", 0, 1), ("scale", 1)):
+        msg = f"malformed logged step {step!r}"
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(msg)}$"):
+            replayed(step)
+        rows = [{i: (1, 0, 0)} for i in range(len(gens))]
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(msg)}$"):
+            complexes.apply_step(rows, gens, step, True, p)
+        assert rows == [{i: (1, 0, 0)} for i in range(len(gens))]
 
 
 def test_the_log_replay_builds_no_elimination(monkeypatch):
@@ -1443,14 +1390,9 @@ def test_refactoring_moves_check_the_product(monkeypatch):
         3,
     )
     assert straighten(sh).matrix() == sh.matrix()
-    assert apply_local_move(sh, 0, "swap_sharing_arrows").matrix() == sh.matrix()
     monkeypatch.setattr(twostory, "_state_tokens", lambda state, char: [])
     with pytest.raises(InvariantViolation, match="straightening changed the product"):
         straighten(sh)
-    with pytest.raises(InvariantViolation, match="local move changed the product"):
-        apply_local_move(sh, 0, "swap_sharing_arrows")
-    with pytest.raises(InvariantViolation, match="local move changed the product"):
-        apply_local_move(sh, 1, "resolve_crossing")
 
 
 def test_depth_pass_checks_that_it_raised_the_depth(monkeypatch):
