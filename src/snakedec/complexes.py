@@ -27,7 +27,7 @@ from .errors import (
     NotInvertible,
     ValidationError,
 )
-from .gf import FieldElem
+from .gf import FieldElem, _check_prime
 
 RING_R1 = "r1"
 RING_FUV = "fuv"
@@ -51,9 +51,6 @@ class Monomial:
     @property
     def grading(self) -> tuple:
         return (-2 * self.u_exp, -2 * self.v_exp)
-
-    def is_scalar(self) -> bool:
-        return self.u_exp == 0 and self.v_exp == 0
 
     def __str__(self):
         parts = []
@@ -112,7 +109,8 @@ class Complex:
     The differential is held as ``terms``: int tuples (s, t, u, v, c), the
     term c U^u V^v of d(generators[s]) at generators[t], with c in [1, p),
     one per (s, t, u, v) and sorted.  Over R1 a mixed monomial is the zero
-    element, so the constructor drops one silently.  The constructor merges
+    element, so the constructor drops one silently.  The constructor refuses
+    a characteristic that is not a prime int (ValueError), then merges
     and sorts the ``Arrow``s it is handed; ``from_terms`` wraps terms that
     are canonical already.  ``arrows`` is the differential as ``Arrow``s,
     built on each read and in the same order.
@@ -124,6 +122,7 @@ class Complex:
     terms: Tuple[tuple, ...]
 
     def __init__(self, ring, char, generators, arrows):
+        _check_prime(char)
         if ring not in _RINGS:
             raise ValidationError(f"unknown ring tag {ring!r}")
         gens = tuple(generators)
@@ -166,12 +165,6 @@ class Complex:
     def rank(self) -> int:
         return len(self.generators)
 
-    def gen_index(self) -> Dict[str, int]:
-        return {g.id: k for k, g in enumerate(self.generators)}
-
-    def terms_from(self, src: str) -> List[Arrow]:
-        return [a for a in self.arrows if a.src == src]
-
     def __str__(self):
         lines = [f"Complex({self.ring}, F_{self.char}, rank {self.rank})"]
         for g in self.generators:
@@ -179,10 +172,6 @@ class Complex:
         for a in self.arrows:
             lines.append(f"  d{a.src} += {a.mono}*{a.tgt}")
         return "\n".join(lines)
-
-
-def empty_complex(ring: str, char: int) -> Complex:
-    return Complex(ring, char, (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +264,8 @@ class BasisChange:
     Row i states new_i = sum_j rows[i][j] * old_j.  ``rows[i]`` is sparse: it
     maps a column j to ``(coeff, u_exp, v_exp)``, the monomial coeff U^u V^v
     with an int coefficient in [1, p).  ``entries`` is the dense view, rows
-    of Monomial or None, which the constructor takes.  Legal changes are
+    of Monomial or None, which the constructor takes, over a prime int
+    ``char`` (ValueError otherwise).  Legal changes are
     grading-homogeneous, so the gradings fix each entry's exponents, and
     have an invertible scalar part, which makes them invertible.
     """
@@ -287,6 +277,7 @@ class BasisChange:
     rows: Tuple[dict, ...]
 
     def __init__(self, ring, char, old_gens, new_gens, entries):
+        _check_prime(char)
         n = len(old_gens)
         if len(new_gens) != n or len(entries) != n:
             raise ValidationError("basis change must be square")

@@ -10,7 +10,7 @@ two-story log (``GradingViolation``), malformed input to them and to the
 program's own work in the two-story engine's ``verify``, moves and depth
 loop, in ``apply_step``'s refusal of a malformed logged step, in
 ``normalize_transition``'s bigrading check and in the ``gf`` polynomial
-and primary-form kernels (``InvariantViolation``).  No module uses
+and canonical-basis kernels (``InvariantViolation``).  No module uses
 ``assert``.
 """
 
@@ -77,7 +77,7 @@ class InvariantViolation(SnakedecError):
     complex it claims to describe, by ``complexes.apply_step`` for a logged
     step of another kind or length than an add or a scale, by
     ``normalize_transition`` only for a transition that crosses
-    bigradings, and by the ``gf`` polynomial and primary-form kernels when
+    bigradings, and by the ``gf`` polynomial and canonical-basis kernels when
     a result fails its reassembly check; unlike ``assert`` it survives
     ``python -O``.
     """

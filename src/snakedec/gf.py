@@ -2,8 +2,9 @@
 
 Everything the decomposition engine needs from plain linear algebra lives
 here: field elements, dense matrices, the LTU factorization (the normal
-form of each shaft of the two-story engine), and rational canonical forms
-(the canonical representatives used to compare holonomy classes).
+form of each shaft of the two-story engine), rational canonical forms
+(the canonical representatives used to compare holonomy classes) and the
+rational canonical basis, a conjugator to that form.
 
 Conventions
 -----------
@@ -27,7 +28,6 @@ Conventions
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -296,18 +296,19 @@ def gauss_jordan(aug: list, n: int, p: int) -> bool:
 
 
 def block_diag(blocks: Sequence[Matrix], char: Optional[int] = None) -> Matrix:
-    """Direct sum of square blocks along the diagonal."""
+    """Direct sum of square blocks along the diagonal, over ``char`` when
+    it is given; a block over another field raises FieldMismatch."""
     if not blocks:
         if char is None:
             raise DimensionMismatch("empty block list needs an explicit field")
         return Matrix((), char)
-    char = blocks[0].char
+    char = blocks[0].char if char is None else char
     n = sum(b.rows for b in blocks)
     rows = []
     off = 0
     for b in blocks:
         if b.char != char:
-            raise FieldMismatch("blocks over different fields")
+            raise FieldMismatch(f"block over F_{b.char} in a sum over F_{char}")
         if not b.is_square():
             raise DimensionMismatch(f"block of shape {b.rows}x{b.cols} is not square")
         for row in b.entries:
@@ -458,75 +459,10 @@ def pdivmod(f: tuple, g: tuple, p: int) -> tuple:
     return pnorm(q, p), pnorm(rem, p)
 
 
-def pmonic(f: tuple, p: int) -> tuple:
-    if not f:
-        return f
-    inv = pow(f[-1], p - 2, p)
-    return pnorm([c * inv for c in f], p)
-
-
-def pgcd(f: tuple, g: tuple, p: int) -> tuple:
-    while g:
-        f, g = g, pdivmod(f, g, p)[1]
-    return pmonic(f, p)
-
-
 def pprod(fs: Iterable[tuple], p: int) -> tuple:
     out = PONE
     for f in fs:
         out = pmul(out, f, p)
-    return out
-
-
-def ppow(f: tuple, e: int, p: int) -> tuple:
-    return pprod([f] * e, p)
-
-
-_IRR_CACHE: dict = {}
-_IRR_BUDGET = 2_000_000
-
-
-def irreducibles(p: int, max_deg: int) -> list:
-    """Monic irreducibles over F_p up to max_deg, in (degree, coeffs) order."""
-    _check_prime(p)
-    have = _IRR_CACHE.setdefault(p, {})
-    for d in range(1, max_deg + 1):
-        if d in have:
-            continue
-        if p**d > _IRR_BUDGET:
-            raise SizeLimitExceeded(f"irreducible table of degree {d} over F_{p}")
-        found = []
-        smaller = [q for dd in range(1, d // 2 + 1) for q in have[dd]]
-        for tail in itertools.product(range(p), repeat=d):
-            cand = pnorm(list(tail) + [1], p)
-            if d == 1 or all(pdivmod(cand, q, p)[1] for q in smaller):
-                found.append(cand)
-        have[d] = found
-    return [q for d in range(1, max_deg + 1) for q in have[d]]
-
-
-def factor_poly(f: tuple, p: int) -> list:
-    """Factor a monic polynomial into [(irreducible, multiplicity)] pairs,
-    sorted by (degree, coefficients)."""
-    f = pmonic(f, p)
-    if pdeg(f) < 1:
-        raise ValidationError("only a nonconstant polynomial has factors")
-    out = []
-    for q in irreducibles(p, pdeg(f)):
-        if pdeg(f) < 1:
-            break
-        if pdeg(q) > pdeg(f):
-            break
-        e = 0
-        while True:
-            quo, rem = pdivmod(f, q, p)
-            if rem:
-                break
-            f, e = quo, e + 1
-        if e:
-            out.append((q, e))
-    if f != PONE:
-        raise InvariantViolation("leftover non-unit factor")
     return out
 
 
@@ -668,20 +604,22 @@ def rational_canonical_form(a: Matrix) -> Matrix:
     return block_diag([companion(d, a.char) for d in facs], a.char)
 
 
-def primary_rational_form(a: Matrix):
-    """Similarity transform to the primary form: S with S^-1 A S equal to a
-    direct sum of companion blocks of prime powers.
+def rational_canonical_basis(a: Matrix) -> Matrix:
+    """A conjugator to the rational canonical form: S with S^-1 A S equal
+    to ``rational_canonical_form(a)``.
 
-    Returns (s, pairs) with pairs a tuple of (irreducible, multiplicity),
-    sorted by (degree, coefficients, multiplicity), and the block layout of
-    S^-1 A S matching that order.
+    Column t of the Smith form's ``pinv`` presents the generator v of the
+    cyclic summand F[x]/(d_t), read through the module structure (x acts
+    as A), so v = sum_i f_i(A) e_i; its block of S is v, Av, ...,
+    A^(deg d_t - 1) v.  Conjugate matrices H and P share their form, so
+    S_H S_P^-1 conjugates H to P.
     """
     if not a.is_square():
-        raise DimensionMismatch("primary form needs a square matrix")
+        raise DimensionMismatch("canonical basis needs a square matrix")
     n, p = a.rows, a.char
     diag, pinv = _poly_snf(_char_matrix(a), p, track_pinv=True)
     if diag and not diag[-1][0]:  # x divides the minimal polynomial
-        raise Singular("primary form restricted to invertible matrices")
+        raise Singular("canonical basis restricted to invertible matrices")
 
     ents, zero = a.entries, [0] * n
 
@@ -692,49 +630,26 @@ def primary_rational_form(a: Matrix):
             acc = [(sum([x * y for x, y in zip(row, acc)]) + z) % p for row, z in zip(ents, c)]
         return acc
 
-    chunks = []  # (sort key, [column vectors])
+    facs, cols = [], []
     for t in range(n):
         d = diag[t]
         if pdeg(d) < 1:
             continue
-        # generator of the cyclic summand F[x]/(d): column t of pinv, read
-        # through the module structure (x acts as a), so v = sum_i f_i(A) e_i
         fs = [pinv[i][t] for i in range(n)]
-        v = horner([[f[k] if k < len(f) else 0 for f in fs] for k in range(max(map(len, fs)))])
-        for q, e in factor_poly(d, p):
-            qe = ppow(q, e, p)
-            cof, rem = pdivmod(d, qe, p)
-            if rem:
-                raise InvariantViolation("prime power does not divide its invariant factor")
-            cur = horner([[c * x for x in v] for c in cof])
-            cols = []
-            for _ in range(pdeg(qe)):
-                cols.append(tuple(cur))
-                cur = horner((zero, cur))  # A cur
-            chunks.append(((pdeg(q), q, e), cols))
-
-    chunks.sort(key=lambda ch: ch[0])
-    pairs = tuple((key[1], key[2]) for key, _ in chunks)
-    all_cols = [c for _, cols in chunks for c in cols]
-    if len(all_cols) != n:
-        raise InvariantViolation("primary basis has the wrong size")
-    s = Matrix._wrap(tuple(zip(*all_cols)), p)
-    target = block_diag([companion(ppow(q, e, p), p) for q, e in pairs], p)
+        cur = horner([[f[k] if k < len(f) else 0 for f in fs] for k in range(max(map(len, fs)))])
+        for _ in range(pdeg(d)):
+            cols.append(tuple(cur))
+            cur = horner((zero, cur))  # A cur
+        facs.append(d)
+    if len(cols) != n:
+        raise InvariantViolation("canonical basis has the wrong size")
+    s = Matrix._wrap(tuple(zip(*cols)), p)
     s_inv = s._gauss_inverse()
     if s_inv is None:
-        raise InvariantViolation("primary basis failed to span")
-    if Matrix(s_inv, p) * a * s != target:
-        raise InvariantViolation("primary form reassembly failed")
-    return s, pairs
-
-
-def elementary_divisors(a: Matrix) -> tuple:
-    """Multiset of (irreducible, multiplicity) prime-power divisors, sorted."""
-    out = []
-    for d in invariant_factors(a):
-        out.extend(factor_poly(d, a.char))
-    out.sort(key=lambda qe: (pdeg(qe[0]), qe[0], qe[1]))
-    return tuple(out)
+        raise InvariantViolation("canonical basis failed to span")
+    if Matrix(s_inv, p) * a * s != block_diag([companion(d, p) for d in facs], p):
+        raise InvariantViolation("canonical basis reassembly failed")
+    return s
 
 
 def conjugate_test(a: Matrix, b: Matrix) -> bool:

@@ -2,9 +2,9 @@
 for scripts under ``python -O``, a ring-inverse oracle for the transition
 normalization, a full-scan oracle for the elimination's pivot order, an
 enumeration oracle for permutation classes, a conjugation oracle for the
-two-story self-check, the strand-journey multiset of a two-story complex,
-and a hook that runs that self-check after every inner step of the depth
-loop."""
+two-story self-check, planted pairs of snakes whose journeys diverge
+late, the strand-journey multiset of a two-story complex, and a hook
+that runs that self-check after every inner step of the depth loop."""
 
 import itertools
 import os
@@ -401,6 +401,22 @@ def mixed_sum(seed, parts):
     return Complex(RING_R1, p, gens, tuple(arrows))
 
 
+def snake_pair_chains(m, tails):
+    """The two snakes ``snake_pair(m, tails, seed)`` mixes: chains a and b
+    of m unit arrows, alternately U and V, then one arrow of value
+    tails[0] (tails[1]) in the ``chain_complex`` sign convention, over
+    F_2 from bigrading (0, 0).  Their journeys agree on a prefix that
+    grows with m and differ after it."""
+    return [chain_complex([1, 1] * (m // 2) + [tail], prefix=k) for k, tail in zip("ab", tails)]
+
+
+def snake_pair(m, tails, seed):
+    """The direct sum of ``snake_pair_chains(m, tails)``, mixed by
+    ``random_change`` with 3 * rank moves."""
+    c = direct_sum(snake_pair_chains(m, tails))
+    return apply_basis_change(c, random_change(c, seed, moves=3 * c.rank))
+
+
 def square(char=2, prefix="s", anchor=(0, 0)):
     """One square complex: four generators, two U-arrows and two V-arrows."""
     ax, ay = anchor
@@ -627,7 +643,7 @@ def conjugation_verify(t):
     for change, quot, label in ((x, quotient_u, "bottom"), (y, quotient_v, "top")):
         table = t._floors[label].table
         q = quot(apply_basis_change(t.original, change))
-        idx = q.gen_index()
+        idx = {g.id: k for k, g in enumerate(q.generators)}
         got = {}
         for a in q.arrows:
             s = idx[a.src]

@@ -191,6 +191,13 @@ def test_block_diag():
     assert b == M([[2, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     with pytest.raises(DimensionMismatch, match="not square"):
         gf.block_diag([M([[1], [2]], 3), M([[1]], 3)])
+    # an explicit field binds every block
+    assert gf.block_diag([M([[1]], 3)], char=3).char == 3
+    assert gf.block_diag([], char=5) == gf.Matrix.zeros(0, 0, 5)
+    with pytest.raises(FieldMismatch):
+        gf.block_diag([M([[1]], 3)], char=5)
+    with pytest.raises(FieldMismatch):
+        gf.block_diag([M([[1]], 5), M([[1]], 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -317,43 +324,13 @@ def test_poly_helpers():
     assert gf.pmul((1, 1), (1, 1), 2) == (1, 0, 1)
     q, r = gf.pdivmod((1, 0, 1), (1, 1), 2)
     assert q == (1, 1) and r == ()
-    assert gf.pgcd((1, 0, 1), (1, 1), 2) == (1, 1)
-    assert gf.pmonic((2, 2), 3) == (1, 1)
-    assert gf.ppow((1, 1), 2, 2) == (1, 0, 1)
 
 
 def test_poly_kernel_rejects_inputs_it_is_not_defined_on():
     with pytest.raises(Singular, match="zero polynomial"):
         gf.pdivmod((1, 1), (), 2)
-    with pytest.raises(ValidationError, match="nonconstant"):
-        gf.factor_poly((2,), 3)
     with pytest.raises(ValidationError, match="monic"):
         gf.companion((1,), 2)
-
-
-def test_irreducibles_and_factor_poly():
-    deg2_f2 = [q for q in gf.irreducibles(2, 2) if gf.pdeg(q) == 2]
-    assert deg2_f2 == [(1, 1, 1)]
-    # (x^2+x+1)(x+1)^2 over F_2
-    f = gf.pmul((1, 1, 1), gf.pmul((1, 1), (1, 1), 2), 2)
-    assert gf.factor_poly(f, 2) == [((1, 1), 2), ((1, 1, 1), 1)]
-    with pytest.raises(SizeLimitExceeded):
-        gf.irreducibles(1499, 2)
-
-
-@given(st.integers(min_value=0, max_value=3 ** 6 - 1), st.sampled_from([2, 3]))
-@settings(max_examples=80, deadline=None)
-def test_factor_poly_roundtrip(seed, p):
-    digits = []
-    s = seed
-    for _ in range(6):
-        digits.append(s % p)
-        s //= p
-    f = gf.pnorm(digits + [1], p)
-    prod = gf.PONE
-    for q, e in gf.factor_poly(f, p):
-        prod = gf.pmul(prod, gf.ppow(q, e, p), p)
-    assert prod == f
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +449,10 @@ def test_conjugacy_classes_exhaustive(n, p):
 
 
 def test_primary_form_agrees_with_rcf_content():
+    # the canonical basis S of J_2(1) over F_2: S^-1 A S is the companion of (x + 1)^2
     a = M([[1, 1], [0, 1]], 2)
-    s, pairs = gf.primary_rational_form(a)
-    assert pairs == (((1, 1), 2),)
-    target = gf.block_diag([gf.companion(gf.ppow((1, 1), 2, 2), 2)], 2)
-    assert s.inverse() * a * s == target
+    s = gf.rational_canonical_basis(a)
+    assert s.inverse() * a * s == gf.rational_canonical_form(a) == gf.companion((1, 0, 1), 2)
 
 
 @given(invertible_matrices(max_n=4, chars=(2, 3)))
@@ -484,13 +460,9 @@ def test_primary_form_agrees_with_rcf_content():
 def test_primary_form_reassembles(m):
     if not m.is_invertible():
         return
-    s, pairs = gf.primary_rational_form(m)
-    target = gf.block_diag(
-        [gf.companion(gf.ppow(q, e, m.char), m.char) for q, e in pairs], m.char
-    )
-    assert s.inverse() * m * s == target
-    assert sum(gf.pdeg(q) * e for q, e in pairs) == m.rows
-    assert gf.elementary_divisors(m) == tuple(sorted(pairs, key=lambda qe: (gf.pdeg(qe[0]), qe[0], qe[1])))
+    s = gf.rational_canonical_basis(m)
+    assert s.rows == s.cols == m.rows
+    assert s.inverse() * m * s == gf.rational_canonical_form(m)
 
 
 def test_primary_form_singular_from_the_smith_form(monkeypatch):
@@ -503,14 +475,13 @@ def test_primary_form_singular_from_the_smith_form(monkeypatch):
     for e in itertools.product(range(3), repeat=4):
         m = M([e[:2], e[2:]], 3)
         if (e[0] * e[3] - e[1] * e[2]) % 3:
-            s, _ = gf.primary_rational_form(m)
-            assert s.rows == 2
+            assert gf.rational_canonical_basis(m).rows == 2
             invertible += 1
         else:
             with pytest.raises(Singular):
-                gf.primary_rational_form(m)
+                gf.rational_canonical_basis(m)
     with pytest.raises(Singular):
-        gf.primary_rational_form(gf.Matrix.zeros(3, 3, 5))
+        gf.rational_canonical_basis(gf.Matrix.zeros(3, 3, 5))
     assert calls == []  # invertibility is read off the Smith form
     assert len(passes) == invertible == 48  # one Gauss-Jordan pass, on the conjugator
 
@@ -523,12 +494,29 @@ def test_primary_form_creates_no_field_elements(monkeypatch):
     mats = [m for m in mats if m.is_invertible()]
     monkeypatch.setattr(gf.FieldElem, "__post_init__", lambda e: made.append(e) or post_init(e))
     for m in mats:
-        gf.primary_rational_form(m)
+        gf.rational_canonical_basis(m)
     assert len(mats) == 50 and made == []
 
 
-def test_elementary_divisors_split_semisimple():
-    assert gf.elementary_divisors(M([[2, 0], [0, 2]], 3)) == (((1, 1), 1), ((1, 1), 1))
+@pytest.mark.parametrize("n,p", [(2, 3), (2, 5), (3, 2)])
+def test_canonical_bases_conjugate_each_class_onto_itself(n, p):
+    # S^-1 A S is the canonical form on all of GL_n(F_p); for H and P in one
+    # class, C = S_H S_P^-1 is invertible and H C = C P, so C^-1 H C = P
+    classes = {}
+    for a in _gl(n, p):
+        s = gf.rational_canonical_basis(a)
+        s_inv = s.inverse()
+        assert s_inv * a * s == gf.rational_canonical_form(a)
+        classes.setdefault(gf.rational_canonical_form(a), []).append((a, s, s_inv))
+    assert len(classes) == {(2, 3): 8, (2, 5): 24, (3, 2): 6}[(n, p)]
+    for members in classes.values():
+        for h, s_h, _ in members:
+            for q, _, s_q_inv in members:
+                c = s_h * s_q_inv
+                assert h * c == c * q
+
+
+def test_invariant_factors_split_semisimple():
     assert gf.invariant_factors(M([[2, 0], [0, 2]], 3)) == ((1, 1), (1, 1))
 
 

@@ -28,7 +28,6 @@ from snakedec.complexes import (
     Generator,
     apply_basis_change,
     direct_sum,
-    empty_complex,
     mono,
     strip_zero_complexes,
     RING_FUV,
@@ -59,7 +58,7 @@ def replay(c, sb):
     """Arrow list read back by applying sb.change to c and taking the quotient."""
     moved = apply_basis_change(c, sb.change)
     quot = quotient_u(moved) if sb.direction == VERTICAL else quotient_v(moved)
-    idx = quot.gen_index()
+    idx = {g.id: k for k, g in enumerate(quot.generators)}
     one = FieldElem(1, c.char)
     out = []
     for a in quot.arrows:
@@ -311,7 +310,7 @@ def test_transition_eliminates_variable_entries():
 
 
 def test_transition_rank_zero():
-    td = simplified_transition(empty_complex(RING_R1, 2))
+    td = simplified_transition(Complex(RING_R1, 2, (), ()))
     assert td.blocks == ()
 
 

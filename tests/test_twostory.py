@@ -31,6 +31,8 @@ from gen import (
     random_complex,
     random_messy,
     run_optimized,
+    snake_pair,
+    snake_pair_chains,
     square_sheets,
     trefoil,
     verify_every_step,
@@ -1581,3 +1583,28 @@ def test_strand_journeys_are_invariants_of_the_complex():
             {((gr[1], gr[0]), top, bottom): n for (gr, bottom, top), n in want.items()}
         )
         assert journey_multiset(_depth_infinity(bar(c))) == mirrored, seed
+
+
+# two snakes sharing their first m values, then tails that differ: their
+# journeys agree on a prefix that grows with m, so ordering the pair needs
+# the full comparison window, not its first few terms
+@pytest.mark.parametrize("m", [6, 8, 12])
+@pytest.mark.parametrize("tails", [(2, 3), (-2, 2), (3, -1)], ids=lambda ab: "%d,%d" % ab)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_planted_snake_pair_is_ordered_past_its_shared_prefix(m, tails, seed):
+    t = _depth_infinity(snake_pair(m, tails, seed))
+    assert t.depth() == math.inf
+
+    def word(end, i):
+        return t._sequence(end, i).realize(200)
+
+    for g, st in t._shafts.items():
+        for end in (twostory.BOTTOM, twostory.TOP):
+            for r, giver, _ in st.arrows(end):
+                ends = (t._idx(g, r), t._idx(g, giver))
+                assert word(end, ends[0]) == word(end, ends[1]), (g, end, r, giver)
+                far = [t._elevator(end, i) for i in ends]
+                far_end = twostory._other(end)
+                assert word(far_end, far[0]) == word(far_end, far[1]), (g, end, r, giver)
+    apart = [_depth_infinity(chain) for chain in snake_pair_chains(m, tails)]
+    assert journey_multiset(t) == sum(map(journey_multiset, apart), Counter())
