@@ -45,6 +45,8 @@ class Monomial:
     def __post_init__(self):
         if not self.coeff.value:
             raise ValueError("monomials store nonzero coefficients only")
+        if not (isinstance(self.u_exp, int) and isinstance(self.v_exp, int)):
+            raise ValueError(f"an exponent of U^{self.u_exp!r} V^{self.v_exp!r} is not an int")
         if self.u_exp < 0 or self.v_exp < 0:
             raise ValueError("negative exponent")
 
@@ -263,9 +265,9 @@ class BasisChange:
 
     Row i states new_i = sum_j rows[i][j] * old_j.  ``rows[i]`` is sparse: it
     maps a column j to ``(coeff, u_exp, v_exp)``, the monomial coeff U^u V^v
-    with an int coefficient in [1, p).  ``entries`` is the dense view, rows
-    of Monomial or None, which the constructor takes, over a prime int
-    ``char`` (ValueError otherwise).  Legal changes are
+    with an int coefficient in [1, p).  The constructor takes dense
+    ``entries``, rows of Monomial or None, over a prime int ``char``
+    (ValueError otherwise).  Legal changes are
     grading-homogeneous, so the gradings fix each entry's exponents, and
     have an invertible scalar part, which makes them invertible.
     """
@@ -302,17 +304,6 @@ class BasisChange:
     def identity(cls, c: Complex) -> "BasisChange":
         rows = tuple([{i: (1, 0, 0)} for i in range(c.rank)])
         return cls.from_rows(c.ring, c.char, c.generators, c.generators, rows)
-
-    @property
-    def entries(self) -> Tuple[Tuple[Optional[Monomial], ...], ...]:
-        n = len(self.old_gens)
-        out = []
-        for row in self.rows:
-            dense: list = [None] * n
-            for j, (c, u, v) in row.items():
-                dense[j] = Monomial(FieldElem(c, self.char), u, v)
-            out.append(tuple(dense))
-        return tuple(out)
 
     def check_homogeneous(self) -> None:
         r1 = self.ring == RING_R1

@@ -17,10 +17,10 @@ Conventions
 * Permutations are plain tuples ``sigma`` with ``sigma[j]`` the image of
   j; their matrix has a 1 in row ``sigma[j]`` of column j, so
   perm_matrix(a) * perm_matrix(b) = perm_matrix(a o b).
-* Field data is stored as int residues in [0, p).  ``Matrix`` keeps row
-  tuples of ints and LTU factorization runs on ints; ``FieldElem`` is the
-  public face of a single element and is created only where a caller
-  reads one out (``m[i, j]``, ``row``, ``column``, ``apply``).
+* Field data is int residues in [0, p), in and out: ``Matrix`` takes and
+  keeps row tuples of ints, and every kernel here runs on ints.
+  ``FieldElem`` is only the value that complex inputs are written with
+  and output text prints; nothing in this module creates one.
 * Polynomials over F_p are tuples of int coefficients in ascending degree
   with no trailing zeros; the zero polynomial is the empty tuple.
 """
@@ -28,6 +28,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -46,86 +47,55 @@ _PRIMES_SEEN: set[int] = set()
 def _check_prime(p: int) -> None:
     if isinstance(p, int) and p in _PRIMES_SEEN:  # the type first: 2.0 == 2
         return
-    if not isinstance(p, int) or p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not isinstance(p, int) or p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"characteristic {p} is not prime")
     _PRIMES_SEEN.add(p)
 
 
 @dataclass(frozen=True, slots=True)
 class FieldElem:
-    """An element of the prime field F_p, stored as the residue in [0, p)."""
+    """An element of the prime field F_p, stored as the residue in [0, p).
+
+    Inputs are written with it and output text prints it; the arithmetic
+    is ``+`` and ``*`` within one field (FieldMismatch across fields).
+    A value or characteristic that is not an int raises ValueError.
+    """
 
     value: int
     char: int
 
     def __post_init__(self):
         _check_prime(self.char)
+        if not isinstance(self.value, int):
+            raise ValueError(f"field element value {self.value!r} is not an int")
         object.__setattr__(self, "value", self.value % self.char)
 
-    def _lift(self, other):
-        if isinstance(other, FieldElem):
-            if other.char != self.char:
-                raise FieldMismatch(f"F_{self.char} vs F_{other.char}")
-            return other
-        if isinstance(other, int):
-            return FieldElem(other, self.char)
-        return None
+    def _other(self, other) -> Optional[int]:
+        if not isinstance(other, FieldElem):
+            return None
+        if other.char != self.char:
+            raise FieldMismatch(f"F_{self.char} vs F_{other.char}")
+        return other.value
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return FieldElem(self.value + other.value, self.char)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return FieldElem(self.value - other.value, self.char)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        x = self._other(other)
+        return NotImplemented if x is None else FieldElem(self.value + x, self.char)
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return FieldElem(self.value * other.value, self.char)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __neg__(self):
-        return FieldElem(-self.value, self.char)
+        x = self._other(other)
+        return NotImplemented if x is None else FieldElem(self.value * x, self.char)
 
     def __bool__(self):
         return self.value != 0
-
-    def inverse(self) -> "FieldElem":
-        if self.value == 0:
-            raise Singular(f"0 has no inverse in F_{self.char}")
-        return FieldElem(pow(self.value, self.char - 2, self.char), self.char)
 
     def __repr__(self):
         return f"{self.value}#F{self.char}"
 
 
 def _residue(e, p: int) -> int:
-    if isinstance(e, int):
-        return e % p
-    if isinstance(e, FieldElem) and e.char == p:
-        return e.value
-    raise FieldMismatch(f"entry {e!r} outside F_{p}")
+    if not isinstance(e, int):
+        raise FieldMismatch(f"entry {e!r} is not an int residue mod {p}")
+    return e % p
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -133,10 +103,10 @@ class Matrix:
     """Dense immutable matrix over F_p.
 
     ``entries`` is a tuple of row tuples of int residues in [0, p); that is
-    the only storage.  The constructor and ``from_rows`` take ints, reduced
-    mod p, or FieldElems of the same field.  FieldElems appear only at the
-    public accessors ``m[i, j]``, ``row``, ``column`` and ``apply``.
-    ``char`` is kept separately so 0-row matrices still know their field.
+    the only storage and the only way to read one.  The constructor and
+    ``from_rows`` take ints, reduced mod p; any other entry, a FieldElem
+    included, raises FieldMismatch.  ``char`` is kept separately so 0-row
+    matrices still know their field.
     """
 
     entries: tuple
@@ -159,8 +129,8 @@ class Matrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], char: int) -> "Matrix":
-        """Build a matrix from rows of ints or FieldElems."""
+    def from_rows(cls, rows: Sequence[Sequence[int]], char: int) -> "Matrix":
+        """Build a matrix from rows of ints."""
         return cls(rows, char)
 
     @classmethod
@@ -168,11 +138,6 @@ class Matrix:
         """The n x n identity, one shared instance per (n, char); char is checked first."""
         _check_prime(char)
         return _identity(n, char)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, char: int) -> "Matrix":
-        _check_prime(char)
-        return cls._wrap(tuple([(0,) * cols for _ in range(rows)]), char)
 
     @property
     def rows(self) -> int:
@@ -182,24 +147,12 @@ class Matrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def __getitem__(self, ij) -> FieldElem:
-        i, j = ij
-        return FieldElem(self.entries[i][j], self.char)
-
-    def row(self, i) -> tuple:
-        return tuple([FieldElem(e, self.char) for e in self.entries[i]])
-
-    def column(self, j) -> tuple:
-        return tuple([FieldElem(row[j], self.char) for row in self.entries])
-
-    def _same_field(self, other: "Matrix", what: str) -> None:
-        if self.char != other.char:
-            raise FieldMismatch(f"{what} across F_{self.char} and F_{other.char}")
-
     def __mul__(self, other):
+        """The product with a Matrix over the same field, or with an int scalar."""
         p = self.char
         if isinstance(other, Matrix):
-            self._same_field(other, "matrix product")
+            if other.char != p:
+                raise FieldMismatch(f"matrix product across F_{p} and F_{other.char}")
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
             ocols = list(zip(*other.entries))
@@ -208,45 +161,13 @@ class Matrix:
                 nz = [(k, a) for k, a in enumerate(row) if a]
                 out.append(tuple([sum([a * col[k] for k, a in nz]) % p for col in ocols]))
             return Matrix._wrap(tuple(out), p)
-        if isinstance(other, (FieldElem, int)):
-            lam = _residue(other, p)
-            ents = tuple([tuple([e * lam % p for e in row]) for row in self.entries])
+        if isinstance(other, int):
+            ents = tuple([tuple([e * other % p for e in row]) for row in self.entries])
             return Matrix._wrap(ents, p)
         return NotImplemented
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._same_field(other, "matrix sum")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("sum of unequal shapes")
-        p = self.char
-        pairs = zip(self.entries, other.entries)
-        ents = tuple([tuple([(a + b) % p for a, b in zip(r1, r2)]) for r1, r2 in pairs])
-        return Matrix._wrap(ents, p)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        p = self.char
-        return Matrix._wrap(tuple([tuple([-e % p for e in row]) for row in self.entries]), p)
-
-    def transpose(self) -> "Matrix":
-        return Matrix._wrap(tuple(zip(*self.entries)), self.char)
-
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector of ints or FieldElems; FieldElems out."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length")
-        p = self.char
-        xs = [_residue(x, p) for x in vec]
-        return tuple([
-            FieldElem(sum([a * x for a, x in zip(row, xs)]), p) for row in self.entries
-        ])
 
     def _gauss_inverse(self) -> Optional[list]:
         # Gauss-Jordan on [A | I]; None when a pivot is missing.
@@ -264,9 +185,6 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return self.is_square() and self._gauss_inverse() is not None
-
-    def to_lists(self) -> list:
-        return [list(row) for row in self.entries]
 
     def __str__(self):
         return "[" + "; ".join(" ".join(map(str, row)) for row in self.entries) + "]"

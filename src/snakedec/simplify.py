@@ -90,7 +90,7 @@ class TransitionData:
 
     x_basis: SimplifiedBasis
     y_basis: SimplifiedBasis
-    blocks: tuple[tuple[tuple[int, ...], gf.Matrix, gf.Matrix], ...]
+    blocks: tuple[tuple[tuple[int, ...], gf.Matrix, tuple[list, dict, tuple, list]], ...]
 
 
 def matching_violations(sb: SimplifiedBasis) -> list[str]:

@@ -35,8 +35,8 @@ out of a shaft rescales a basis element, which taints the adjacent floor
 arrows), while the structural views expose only (source, target,
 length).  The engine holds all field data as int residues mod p: shaft
 arrows and dots, floor coefficients, and the logged steps in
-``complexes.apply_step``'s form.  Only the tokens, ``floor_arrows``
-and ``log`` box them.
+``complexes.apply_step``'s form.  Only the tokens and ``log`` box
+them.
 
 One rule says when the engine checks itself: a public call that creates
 or changes a two-story complex ends with exactly one ``verify()``, and a
@@ -660,12 +660,6 @@ class TwoStoryComplex:
     @property
     def top(self) -> SimplifiedBasis:
         return self._floor_view(TOP)
-
-    def floor_arrows(self, floor) -> tuple:
-        """Structural floor arrows with coefficients: (src, tgt, len, mu)."""
-        p = self.char
-        table = self._floors[floor].table
-        return tuple(sorted((s, v[0], v[1], gf.FieldElem(v[2], p)) for s, v in table.items()))
 
     # -- journeys -------------------------------------------------------------
 

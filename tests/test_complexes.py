@@ -105,6 +105,17 @@ def test_constructors_refuse_a_characteristic_that_is_not_a_prime_int():
     assert BasisChange(RING_R1, 2, t.generators, t.generators, ident) == BasisChange.identity(t)
 
 
+def test_a_coefficient_or_exponent_that_is_not_an_int_is_refused():
+    # a float coefficient used to reach the terms and fail in build's pow(),
+    # a float exponent to give a float grading
+    for args in ((1.0, 0, 1), (1, 1.0, 0), (1, 0, 1.0), (1, "1", 0), (1, 0, None)):
+        with pytest.raises(ValueError, match="not an int"):
+            mono(*args, 2)
+    with pytest.raises(ValueError, match="not an int"):
+        Monomial(FieldElem(1, 2), 1.0, 0)
+    assert mono(3, 1, 0, 2) == Monomial(FieldElem(1, 2), 1, 0)
+
+
 def test_validate_trefoil_ok():
     assert validate(trefoil()) == []
 
@@ -291,20 +302,21 @@ def homogeneous_changes(draw):
 def test_inverse_is_two_sided(case):
     b, forced_singular = case
     n, p = len(b.old_gens), b.char
-    scalar = Matrix.from_rows(
-        [[m.coeff.value if m is not None and not (m.u_exp or m.v_exp) else 0 for m in row] for row in b.entries],
-        p,
-    )
-    if not scalar.is_invertible():
+    scalar = [[0] * n for _ in range(n)]
+    for i, row in enumerate(b.rows):
+        for j, (c, u, v) in row.items():
+            if not (u or v):
+                scalar[i][j] = c
+    if not Matrix.from_rows(scalar, p).is_invertible():
         with pytest.raises(NotInvertible):
             b.inverse()
         return
     assert not forced_singular
-    ident = tuple(tuple(mono(1, 0, 0, p) if i == j else None for j in range(n)) for i in range(n))
+    ident = tuple({i: (1, 0, 0)} for i in range(n))
     inv = b.inverse()
     assert (inv.old_gens, inv.new_gens) == (b.new_gens, b.old_gens)
-    assert inv.compose(b).entries == ident
-    assert b.compose(inv).entries == ident
+    assert inv.compose(b).rows == ident
+    assert b.compose(inv).rows == ident
 
 
 def test_compose_rejects_two_monomial_cell():

@@ -3,7 +3,8 @@
 ``perfbench/`` wraps package functions by name and generates its inputs
 through the package, but its own tests are not part of this suite.  These
 tests only read ``perfbench/``: a change that removes or renames a name it
-uses fails here instead of at the next benchmark run.
+uses, or an operator its generators call at run time, fails here instead of
+at the next benchmark run.
 """
 
 import functools
@@ -23,10 +24,13 @@ def _load(name):
     return module
 
 
+def _resolve(module, qualname):
+    return functools.reduce(getattr, qualname.split("."), importlib.import_module(f"snakedec.{module}"))
+
+
 @pytest.mark.parametrize("module, qualname", _load("tracer").WRAPPED)
 def test_every_wrapped_name_resolves(module, qualname):
-    target = functools.reduce(getattr, qualname.split("."), importlib.import_module(f"snakedec.{module}"))
-    assert callable(target)
+    assert callable(_resolve(module, qualname))
 
 
 def test_the_input_generators_import():
@@ -38,3 +42,36 @@ def test_the_traced_token_class_exists():
     from snakedec.twostory import CrossoverArrow
 
     assert isinstance(CrossoverArrow, type)
+
+
+# what perfbench/run.py and tools/ab.py call on the package
+CALLED = [
+    ("gf", "Matrix.from_rows"),
+    ("gf", "charpoly"),
+    ("gf", "rational_canonical_form"),
+    ("complexes", "strip_zero_complexes"),
+    ("twostory", "build"),
+    ("twostory", "run_to_depth_infinity"),
+    ("twostory", "dump"),
+]
+
+
+@pytest.mark.parametrize("module, qualname", CALLED)
+def test_every_called_name_resolves(module, qualname):
+    assert callable(_resolve(module, qualname))
+
+
+@pytest.mark.parametrize("workload", ["messy", "sums", "rcf"])
+def test_one_input_of_each_workload_runs_through_the_benchmark_calls(monkeypatch, workload):
+    # the first input of each population, made by the frozen generators
+    # (random_messy(0, max_rank=24), random_complex(0, max_parts=12), the
+    # first matrix of GL_3(F_3)), then the op, its check and its output text
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = _load("run")
+    [(_, x, expect)] = run.make_inputs(workload, size=1)
+    result = run.OPS[workload](x)
+    if workload == "rcf":
+        assert run.check_form(x, result) == []
+    else:
+        assert run.check_complex(x, expect, result) == []
+    assert run.output_text(result)

@@ -116,11 +116,11 @@ def arrow_handles(t):
 
 def test_token_matrices():
     m = token_matrix(CrossoverArrow(1, 3, f(2, 5)), 3, 5)
-    assert m[2, 0] == f(2, 5) and m[0, 0] == f(1, 5) and m[0, 2] == f(0, 5)
+    assert m.entries == ((1, 0, 0), (0, 1, 0), (2, 0, 1))
     d = token_matrix(BlackDot(2, f(4, 5)), 3, 5)
-    assert d[1, 1] == f(4, 5) and d[0, 0] == f(1, 5)
+    assert d.entries == ((1, 0, 0), (0, 4, 0), (0, 0, 1))
     c = token_matrix(Crossing(1, 2), 3, 5)
-    assert c[0, 1] == f(1, 5) and c[1, 0] == f(1, 5) and c[0, 0] == f(0, 5)
+    assert c.entries == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     for bad in (Crossing(1, 4), CrossoverArrow(4, 1, f(1, 5)), BlackDot(4, f(2, 5))):
         with pytest.raises(DimensionMismatch):
             token_matrix(bad, 3, 5)
@@ -169,11 +169,7 @@ def test_dense_word_pins():
         BlackDot(2, f(2, 3)),
         CrossoverArrow(1, 2, f(1, 3)),
     ]
-    prod = shaft_matrix(toks, 3, 3)
-    want = Matrix.from_rows(
-        [[f(v, 3) for v in row] for row in ((2, 2, 1), (0, 0, 1), (1, 0, 1))], 3
-    )
-    assert prod == want
+    assert shaft_matrix(toks, 3, 3).entries == ((2, 2, 1), (0, 0, 1), (1, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -848,8 +844,6 @@ def test_shaft_views():
     sh = t.shaft((-1, 1))
     assert sh.strands == t.width((-1, 1)) == 2
     assert sh.matrix() == shaft_matrix(sh.tokens, 2, 2)
-    one = FieldElem(1, t.char)
-    assert t.floor_arrows("bottom") == tuple((s, tg, l, one) for s, tg, l in t.bottom.arrows)
     assert matching_violations(t.bottom) == []
     assert matching_violations(t.top) == []
 
@@ -913,7 +907,7 @@ def invertible_blocks(draw):
     rows = draw(hst.lists(hst.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
     m = Matrix.from_rows(rows, p)
     if not m.is_invertible():
-        m = m + Matrix.identity(n, p)
+        m = Matrix.from_rows([[e + (i == j) for j, e in enumerate(row)] for i, row in enumerate(rows)], p)
     return m
 
 
