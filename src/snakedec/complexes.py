@@ -43,16 +43,14 @@ class Monomial:
     v_exp: int
 
     def __post_init__(self):
+        if not isinstance(self.coeff, FieldElem):
+            raise ValueError(f"the coefficient {self.coeff!r} is not a FieldElem; mono() takes an int")
         if not self.coeff.value:
             raise ValueError("monomials store nonzero coefficients only")
         if not (isinstance(self.u_exp, int) and isinstance(self.v_exp, int)):
             raise ValueError(f"an exponent of U^{self.u_exp!r} V^{self.v_exp!r} is not an int")
         if self.u_exp < 0 or self.v_exp < 0:
             raise ValueError("negative exponent")
-
-    @property
-    def grading(self) -> tuple:
-        return (-2 * self.u_exp, -2 * self.v_exp)
 
     def __str__(self):
         parts = []

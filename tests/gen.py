@@ -4,10 +4,16 @@ normalization, a full-scan oracle for the elimination's pivot order, an
 enumeration oracle for permutation classes, a conjugation oracle for the
 two-story self-check, planted pairs of snakes whose journeys diverge
 late, the strand-journey multiset of a two-story complex, and a hook
-that runs that self-check after every inner step of the depth loop."""
+that runs that self-check after every inner step of the depth loop.
 
+The seeded generators ``zero_pair``, ``chain_complex``, ``random_change``,
+``random_complex`` and ``random_messy`` are the benchmark's own, from
+``perfbench/frozen_gen.py`` (loaded here as ``frozen``)."""
+
+import importlib.util
 import itertools
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -19,20 +25,16 @@ from snakedec.complexes import (
     Complex,
     Elimination,
     Generator,
-    Monomial,
     RING_R1,
     apply_basis_change,
     differential_rows,
     direct_sum,
-    infer_gradings,
     mono,
-    mono_mul,
     validate,
 )
 from snakedec.errors import CountMismatch, InvariantViolation
 from snakedec.gf import (
     PONE,
-    FieldElem,
     Matrix,
     charpoly,
     conjugate_test,
@@ -40,6 +42,24 @@ from snakedec.gf import (
     pmul,
     pnorm,
 )
+
+# One copy of the seeded generators serves both suites, so tier-1 checks the
+# pipeline on the very inputs the benchmark measures.  The file is loaded by
+# path and read only; perfbench/ stays off sys.path.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_frozen_gen", pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "frozen_gen.py"
+)
+frozen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(frozen)
+zero_pair = frozen.zero_pair
+chain_complex = frozen.chain_complex
+random_change = frozen.random_change
+random_messy = frozen.random_messy
+
+
+def random_complex(seed, max_parts=3, allow_zero_pairs=True):
+    """``frozen.random_complex`` without the count of zero pairs it drew."""
+    return frozen.random_complex(seed, max_parts, allow_zero_pairs)[0]
 
 
 def trefoil(ring=RING_R1, char=2):
@@ -75,11 +95,6 @@ def interacting():
     return Complex(RING_R1, 2, gens, arrows)
 
 
-def zero_pair(char=2, lam=1, ids=("x", "y"), at=(1, 1)):
-    gens = (Generator(ids[0], at[0], at[1]), Generator(ids[1], at[0] - 1, at[1] - 1))
-    return Complex(RING_R1, char, gens, (Arrow(ids[0], ids[1], mono(lam, 0, 0, char)),))
-
-
 def broken_chain(power="scalar"):
     """a -> b -> c with unit arrows, bigraded but with d^2 != 0.
 
@@ -103,99 +118,6 @@ def run_optimized(*lines):
     return subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
-
-
-def chain_complex(values, start=1, char=2, anchor=(0, 0), ring=RING_R1, prefix="x"):
-    """A chain of arrows between consecutive generators.
-
-    Arrow k has index i = start + k and connects x_{i-1} with x_i; odd
-    index means a horizontal arrow (power of U), even a vertical one.
-    Positive value: arrow points from x_i to x_{i-1}; negative: reverse.
-    start=1 covers even-length chains with basis x_0..x_n, start=0 the
-    vertical-snake indexing with basis x_{-1}..x_m.
-    """
-    assert all(v != 0 for v in values)
-    ids = [f"{prefix}{i}" for i in range(start - 1, start + len(values))]
-    raw = []
-    for k, b in enumerate(values):
-        i = start + k
-        hi, lo = f"{prefix}{i}", f"{prefix}{i - 1}"
-        u, v = (abs(b), 0) if i % 2 == 1 else (0, abs(b))
-        src, tgt = (hi, lo) if b > 0 else (lo, hi)
-        raw.append((src, tgt, u, v))
-    grs = infer_gradings(ids, raw, {ids[0]: anchor})
-    gens = tuple(Generator(g, *grs[g]) for g in ids)
-    arrs = tuple(Arrow(s, t, mono(1, u, v, char)) for s, t, u, v in raw)
-    return Complex(ring, char, gens, arrs)
-
-
-def random_change(c, seed, moves=6):
-    """A random grading-homogeneous basis change on c's generators."""
-    rng = random.Random(seed)
-    n = c.rank
-    if n == 0:
-        return BasisChange.identity(c)
-    b = BasisChange.identity(c)
-    gens = c.generators
-    for _ in range(moves):
-        i, j = rng.randrange(n), rng.randrange(n)
-        kind = rng.choice(["add", "add", "scale", "swap"])
-        one = FieldElem(1, c.char)
-        rows = [[Monomial(one, 0, 0) if r == s else None for s in range(n)] for r in range(n)]
-        if kind == "add" and i != j:
-            du = gens[i].gr_u - gens[j].gr_u
-            dv = gens[i].gr_v - gens[j].gr_v
-            lam = FieldElem(rng.randrange(1, c.char), c.char)
-            if du == 0 and dv == 0:
-                rows[i][j] = Monomial(lam, 0, 0)
-            elif dv == 0 and du < 0 and du % 2 == 0:
-                rows[i][j] = Monomial(lam, -du // 2, 0)
-            elif du == 0 and dv < 0 and dv % 2 == 0:
-                rows[i][j] = Monomial(lam, 0, -dv // 2)
-            else:
-                continue
-        elif kind == "scale":
-            lam = FieldElem(rng.randrange(1, c.char), c.char)
-            rows[i][i] = Monomial(lam, 0, 0)
-        elif kind == "swap" and i != j and gens[i].grading == gens[j].grading:
-            rows[i][i] = rows[j][j] = None
-            rows[i][j] = rows[j][i] = Monomial(one, 0, 0)
-        else:
-            continue
-        step = BasisChange(c.ring, c.char, gens, gens, tuple(tuple(r) for r in rows))
-        b = step.compose(b)
-    return b
-
-
-def random_complex(seed, max_parts=3, allow_zero_pairs=True):
-    """Direct sum of small known pieces with a random homogeneous change."""
-    rng = random.Random(seed)
-    char = rng.choice([2, 3])
-    kinds = ["chain", "chain", "single"] + (["zero"] if allow_zero_pairs else [])
-    parts = []
-    for k in range(rng.randrange(1, max_parts + 1)):
-        kind = rng.choice(kinds)
-        du, dv = rng.randrange(-2, 3), rng.randrange(-2, 3)
-        if kind == "chain":
-            values = [
-                rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(rng.randrange(1, 5))
-            ]
-            parts.append(
-                chain_complex(
-                    values,
-                    start=rng.choice([0, 1]),
-                    char=char,
-                    anchor=(du, dv),
-                    prefix=f"p{k}x",
-                )
-            )
-        elif kind == "zero":
-            parts.append(zero_pair(char, rng.randrange(1, char) or 1, (f"x{k}", f"y{k}"), (du, dv)))
-        else:
-            parts.append(Complex(RING_R1, char, (Generator(f"s{k}", du, dv),), ()))
-    c = direct_sum(parts)
-    assert validate(c) == []
-    return apply_basis_change(c, random_change(c, seed * 31 + 7, moves=2 * c.rank))
 
 
 OCTAGON_SHAPE = (
@@ -284,73 +206,6 @@ def braided(char=2):
         Arrow("b2", "b1", mono(1, 0, 2, char)),
     )
     return Complex(RING_R1, char, gens, arrows)
-
-
-def _square_offenders(gens, arrows, char):
-    """Indices of arrows feeding a nonzero entry of the squared differential."""
-    by_src = {}
-    for idx, a in enumerate(arrows):
-        by_src.setdefault(a.src, []).append(idx)
-    sums = {}
-    for i, first in enumerate(arrows):
-        for j in by_src.get(first.tgt, ()):
-            second = arrows[j]
-            prod = mono_mul(first.mono, second.mono, RING_R1)
-            if prod is None:
-                continue
-            key = (first.src, second.tgt, prod.u_exp, prod.v_exp)
-            coeff, members = sums.get(key, (FieldElem(0, char), set()))
-            sums[key] = (coeff + prod.coeff, members | {i, j})
-    bad = set()
-    for coeff, members in sums.values():
-        if coeff.value:
-            bad |= members
-    return sorted(bad)
-
-
-def random_messy(seed, span=2, max_rank=14, density=0.6):
-    """Random valid complex sampled arrow by arrow, not built from known pieces.
-
-    Gradings land on the even-sum sublattice of a small window, so shafts
-    come out several strands wide and plenty of pairs admit an arrow; the
-    squared differential is repaired by deleting offenders.
-    """
-    rng = random.Random(seed)
-    char = rng.choice([2, 2, 3, 5])
-    n = rng.randrange(6, max_rank + 1)
-    grs = []
-    while len(grs) < n:
-        x, y = rng.randrange(-span, span + 1), rng.randrange(-span, span + 1)
-        if (x + y) % 2 == 0:
-            grs.append((x, y))
-    gens = tuple(Generator(f"m{i}", *grs[i]) for i in range(n))
-    cands = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            dx = grs[j][0] - grs[i][0]
-            dy = grs[j][1] - grs[i][1]
-            if dy == -1 and dx % 2 and dx >= -1:
-                u, v = (dx + 1) // 2, 0
-            elif dx == -1 and dy % 2 and dy >= 1:
-                u, v = 0, (dy + 1) // 2
-            else:
-                continue
-            cands.append((i, j, u, v))
-    arrows = [
-        Arrow(f"m{i}", f"m{j}", mono(rng.randrange(1, char), u, v, char))
-        for (i, j, u, v) in cands
-        if rng.random() < density
-    ]
-    while True:
-        bad = _square_offenders(gens, arrows, char)
-        if not bad:
-            break
-        arrows.pop(rng.choice(bad))
-    c = Complex(RING_R1, char, gens, tuple(arrows))
-    assert validate(c) == []
-    return c
 
 
 def _draw_pieces(rng, parts):

@@ -37,6 +37,7 @@ from snakedec.gf import FieldElem, Matrix
 from gen import (
     broken_chain,
     figure_eight,
+    frozen,
     interacting,
     mixed_sum,
     random_change as _random_change,
@@ -113,6 +114,10 @@ def test_a_coefficient_or_exponent_that_is_not_an_int_is_refused():
             mono(*args, 2)
     with pytest.raises(ValueError, match="not an int"):
         Monomial(FieldElem(1, 2), 1.0, 0)
+    # a bare coefficient used to raise AttributeError on the missing .value
+    for coeff in (1, 1.0, None):
+        with pytest.raises(ValueError, match="not a FieldElem"):
+            Monomial(coeff, 0, 1)
     assert mono(3, 1, 0, 2) == Monomial(FieldElem(1, 2), 1, 0)
 
 
@@ -511,6 +516,13 @@ def test_strip_reassembles_exactly():
             expect_arrows.append(Arrow(s.id, t.id, Monomial(one, 0, 0)))
         expect = Complex(c.ring, c.char, moved.generators, tuple(expect_arrows))
         assert moved == expect
+
+
+def test_strip_splits_off_the_zero_pairs_the_benchmark_generator_drew():
+    # the benchmark's sums population, whose check compares the two counts
+    for seed in range(100):
+        c, zero_parts = frozen.random_complex(seed, max_parts=12)
+        assert strip_zero_complexes(c)[1] == zero_parts
 
 
 def test_strip_rejects_non_complex():

@@ -75,3 +75,11 @@ def test_one_input_of_each_workload_runs_through_the_benchmark_calls(monkeypatch
     else:
         assert run.check_complex(x, expect, result) == []
     assert run.output_text(result)
+
+
+@pytest.mark.parametrize("workload", ["messy", "sums", "rcf"])
+def test_each_full_population_has_its_recorded_input_digest(monkeypatch, workload):
+    # run.py's setup() refuses to measure a population whose inputs moved
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = _load("run")
+    assert run.input_digest(run.make_inputs(workload)) == run.INPUT_DIGESTS[workload]

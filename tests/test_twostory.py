@@ -15,7 +15,6 @@ from hypothesis import strategies as hst
 
 from gen import (
     _dense_shaft,
-    _square_offenders,
     braided,
     braided_wrong,
     broken_chain,
@@ -765,8 +764,6 @@ def test_exhaustive_small_rank_sweep():
                                 Arrow(f"g{i}", f"g{j}", mono(1, u, v, 2))
                                 for (i, j, u, v) in sub
                             )
-                            if _square_offenders(gens, arrows, 2):
-                                continue
                             c = Complex(RING_R1, 2, gens, arrows)
                             if validate(c):
                                 continue
