@@ -304,15 +304,16 @@ class BasisChange:
         return cls.from_rows(c.ring, c.char, c.generators, c.generators, rows)
 
     def check_homogeneous(self) -> None:
-        r1 = self.ring == RING_R1
+        r1, old = self.ring == RING_R1, self.old_gens
         for gnew, row in zip(self.new_gens, self.rows):
+            gu, gv = gnew.gr_u, gnew.gr_v
             for j, (c, u, v) in row.items():
-                gold = self.old_gens[j]
+                gold = old[j]
                 if r1 and u > 0 and v > 0:
                     raise GradingViolation(
                         f"entry {gnew.id} <- {gold.id} is zero in R1 (mixed monomial)"
                     )
-                if gnew.grading != (gold.gr_u - 2 * u, gold.gr_v - 2 * v):
+                if gu != gold.gr_u - 2 * u or gv != gold.gr_v - 2 * v:
                     m = Monomial(FieldElem(c, self.char), u, v)
                     raise GradingViolation(
                         f"entry {gnew.id} <- {gold.id} ({m}) breaks the bigrading"
@@ -570,19 +571,45 @@ def intertwines(d: List[dict], change: BasisChange, arrows, k: int) -> bool:
     matrix, X D X^-1 = T holds exactly when X D = T X, because X has an
     invertible scalar part; the second form needs no inverse.  A cell of
     either product that is not a single monomial means they differ.
+
+    The check is one pass over the rows of X, which are read as they are,
+    with no quotient copy: row i of X D sums the quotient entries of X_i
+    times rows of D, row i of T X sums the arrows out of i times the
+    quotient parts of their targets' rows, and the first row where the two
+    differ ends it.  Any number of arrows may leave one source; a later
+    arrow on the same cell replaces an earlier one.  An arrow whose source
+    or target is not a row index raises IndexError.
     """
     p, r1 = change.char, change.ring == RING_R1
-    x = quotient_rows(change.rows, k)
-    t: List[dict] = [{} for _ in x]
+    rows = change.rows
+    n = len(rows)
+    t: dict = {}
     for s, tgt, length, coeff in arrows:
         coeff %= p
         if not coeff:
             return False  # an arrow with coefficient zero is not in any quotient
-        t[s][tgt] = (coeff, 0, length) if k == 1 else (coeff, length, 0)
+        if not (0 <= s < n and 0 <= tgt < n):
+            raise IndexError(f"arrow {s} -> {tgt} leaves the {n} rows of the change")
+        t.setdefault(s, {})[tgt] = (coeff, 0, length) if k == 1 else (coeff, length, 0)
     try:
-        return _mul_rows(x, d, r1, p) == _mul_rows(t, x, r1, p)
+        for i, row in enumerate(rows):
+            lhs: dict = {}
+            for j, m in row.items():
+                if not m[k] and d[j]:
+                    add_row_multiple(lhs, m, d[j], r1, p)
+            rhs: dict = {}
+            for tgt, m in t[i].items() if i in t else ():
+                x = rows[tgt]
+                # Over R1 an entry outside the quotient times a positive power
+                # of the other variable is mixed, and add_row_multiple drops it.
+                if not (r1 and m[3 - k]):
+                    x = {j: e for j, e in x.items() if not e[k]}
+                add_row_multiple(rhs, m, x, r1, p)
+            if lhs != rhs:
+                return False
     except GradingViolation:
         return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ of either basis sits in the input generator i's bigrading.
 quotient structure, so that the transition matrix between them has all
 entries in the ground field.  It works in closed form, one bigrading
 block at a time, and takes no ring inverse and no dense inverse: a block
-where both bases have identity scalar parts is the identity, two row
-merges per member and no solve or factorization; every other block is
+where both bases have identity scalar parts is the identity, at most two
+row merges per member and no solve or factorization; every other block is
 solved for and factored once, and the factors stand in for the inverse.
 """
 
@@ -162,6 +162,17 @@ def horizontal_simplify(c: Complex) -> SimplifiedBasis:
     return _simplify(c, HORIZONTAL)
 
 
+def _unit_scalar_part(row: dict, i: int) -> bool:
+    """Whether the scalar entries of a sparse row are exactly e_i."""
+    if row.get(i) != (1, 0, 0):
+        return False
+    if len(row) > 1:
+        for j, e in row.items():
+            if j != i and not e[1] and not e[2]:
+                return False
+    return True
+
+
 def normalize_transition(
     c: Complex, xb: SimplifiedBasis, yb: SimplifiedBasis
 ) -> TransitionData:
@@ -175,8 +186,9 @@ def normalize_transition(
     quotient structures are untouched, and X' = S Y' because UV = 0.  S is
     homogeneous, hence block-diagonal by bigrading, and each block is
     handled alone.  If the scalar parts of X and Y are both e_i on every
-    member i, S_g = I and two row merges per member, X'_i = (X_i mod U) +
-    Y_U,i and Y'_i = (Y_i mod V) + X_V,i, do the whole block.  Any other
+    member i, S_g = I and at most two row merges per member,
+    X'_i = (X_i mod U) + Y_U,i and Y'_i = (Y_i mod V) + X_V,i, do the
+    whole block.  Any other
     block gets S_g from one Gauss-Jordan pass on [Y_0^T | X_0^T], one
     ``gf.ltu_factorize`` of S_g, and S_g^{-1} X_V by the inverse factors as
     row operations (the lower arrows in order, then D P undone, then the
@@ -186,49 +198,58 @@ def normalize_transition(
     naming its bigrading; a block with either is not the identity, so the
     identity case skips no check.
 
+    Each row is read in one pass per block.  The identity test stops at
+    the first member whose scalar part is not e_i, and a U or V part is
+    split off and merged only when the row holds more than its scalar
+    entry and that part is nonempty.
+
     Nothing else is checked here.  The ``verify`` ending the
     ``TwoStoryComplex`` constructor checks each new basis modulo its own
     variable, which sees X_V and Y_U but neither S Y_U nor S^{-1} X_V, and
     checks X'_0 = B Y'_0 on every block, with B the product of its
     factors; as X'_0 = X_0 and Y'_0 = Y_0, that checks S and its factors.
     """
-    x_gens = xb.generators
-    if len(x_gens) != len(yb.generators) or any(
-        gx.grading != gy.grading for gx, gy in zip(x_gens, yb.generators)
-    ):
+    x_gens, y_gens = xb.generators, yb.generators
+    if len(x_gens) != len(y_gens):
         raise CountMismatch("bases are not aligned by bigrading")
     p, r1 = c.char, c.ring == RING_R1
     slots: dict = {}
-    for i, g in enumerate(x_gens):
-        slots.setdefault(g.grading, []).append(i)
-    pos = {i: (gr, k) for gr, members in slots.items() for k, i in enumerate(members)}
-    x_rows = [{j: e for j, e in row.items() if not e[1]} for row in xb.change.rows]
-    y_rows = [{j: e for j, e in row.items() if not e[2]} for row in yb.change.rows]
+    for i, (gx, gy) in enumerate(zip(x_gens, y_gens)):
+        if gx.gr_u != gy.gr_u or gx.gr_v != gy.gr_v:
+            raise CountMismatch("bases are not aligned by bigrading")
+        slots.setdefault((gx.gr_u, gx.gr_v), []).append(i)
+    x_all, y_all = xb.change.rows, yb.change.rows
+    x_rows = [{j: e for j, e in row.items() if not e[1]} for row in x_all]
+    y_rows = [{j: e for j, e in row.items() if not e[2]} for row in y_all]
     blocks = []
     for grading in sorted(slots):
         members = tuple(slots[grading])
         w = len(members)
-        if all(
-            rows[i].get(i) == (1, 0, 0)
-            and (len(rows[i]) == 1 or all(j == i or e[1] or e[2] for j, e in rows[i].items()))
-            for rows in (x_rows, y_rows) for i in members
-        ):  # X_0 = Y_0 = I on the block, so S_g = I: two row merges per member
+        for i in members:
+            if not (_unit_scalar_part(x_rows[i], i) and _unit_scalar_part(y_rows[i], i)):
+                break
+        else:  # X_0 = Y_0 = I on the block, so S_g = I: at most two merges per member
             for i in members:
-                y_u = {j: e for j, e in yb.change.rows[i].items() if e[1]}
-                add_row_multiple(x_rows[i], (1, 0, 0), y_u, r1, p)
-                x_v = {j: e for j, e in xb.change.rows[i].items() if e[2]}
-                add_row_multiple(y_rows[i], (1, 0, 0), x_v, r1, p)
+                # with one entry, a row is its scalar part e_i: no U or V part
+                if len(y_all[i]) > 1:
+                    y_u = {j: e for j, e in y_all[i].items() if e[1]}
+                    if y_u:
+                        add_row_multiple(x_rows[i], (1, 0, 0), y_u, r1, p)
+                if len(x_all[i]) > 1:
+                    x_v = {j: e for j, e in x_all[i].items() if e[2]}
+                    if x_v:
+                        add_row_multiple(y_rows[i], (1, 0, 0), x_v, r1, p)
             blocks.append((members, gf.Matrix.identity(w, p), ([], {}, tuple(range(w)), [])))
             continue
+        col = {i: k for k, i in enumerate(members)}
         aug = [[0] * (2 * w) for _ in members]  # [Y_0^T | X_0^T]
         for off, rows in ((0, y_rows), (w, x_rows)):
             for k, i in enumerate(members):
                 for j, (x, u, v) in rows[i].items():
                     if not u and not v:
-                        gr, col = pos[j]
-                        if gr != grading:
+                        if j not in col:
                             raise InvariantViolation("transition crosses bigradings")
-                        aug[col][off + k] = x
+                        aug[col[j]][off + k] = x
         if not gf.gauss_jordan(aug, w, p):
             raise Singular(f"the y-basis has a singular scalar part at bigrading {grading}")
         s_g = tuple([tuple([aug[j][w + k] for j in range(w)]) for k in range(w)])
@@ -240,12 +261,12 @@ def normalize_transition(
                 f"the x-basis has a singular scalar part at bigrading {grading}"
             ) from None
         lower, dots, up, upper = factors
-        y_u = [{j: e for j, e in yb.change.rows[i].items() if e[1]} for i in members]
+        y_u = [{j: e for j, e in y_all[i].items() if e[1]} for i in members]
         for i, row in zip(members, block.entries):
             for k, f in enumerate(row):
                 if f:
                     add_row_multiple(x_rows[i], (f, 0, 0), y_u[k], r1, p)
-        x_v = [{j: e for j, e in xb.change.rows[i].items() if e[2]} for i in members]
+        x_v = [{j: e for j, e in x_all[i].items() if e[2]} for i in members]
         for r, g, f in lower:
             add_row_multiple(x_v[r], (p - f, 0, 0), x_v[g], r1, p)
         back: list = [None] * w
@@ -258,9 +279,9 @@ def normalize_transition(
         blocks.append((members, block, factors))
     old = xb.change.old_gens
     x_change = BasisChange.from_rows(c.ring, p, old, x_gens, x_rows)
-    y_change = BasisChange.from_rows(c.ring, p, old, yb.generators, y_rows)
+    y_change = BasisChange.from_rows(c.ring, p, old, y_gens, y_rows)
     xb2 = SimplifiedBasis(xb.direction, x_gens, xb.arrows, x_change)
-    yb2 = SimplifiedBasis(yb.direction, yb.generators, yb.arrows, y_change)
+    yb2 = SimplifiedBasis(yb.direction, y_gens, yb.arrows, y_change)
     return TransitionData(xb2, yb2, tuple(blocks))
 
 

@@ -628,9 +628,11 @@ class TwoStoryComplex:
         """The floor basis over the input's: the logged steps replayed
         on the change ``build`` started from, by ``apply_step``."""
         floor, ring = self._floors[end], self.original.ring
-        rows = [dict(row) for row in floor.start.rows]
-        for step in floor.steps:
-            apply_step(rows, floor.gens, step, ring == RING_R1, self.char)
+        rows = floor.start.rows
+        if floor.steps:  # with no step the start's rows are the basis, uncopied
+            rows = [dict(row) for row in rows]
+            for step in floor.steps:
+                apply_step(rows, floor.gens, step, ring == RING_R1, self.char)
         return BasisChange.from_rows(ring, self.char, floor.start.old_gens, floor.gens, rows)
 
     # -- views -------------------------------------------------------------
@@ -753,8 +755,18 @@ class TwoStoryComplex:
         same-grading blocks, and each shaft block B is checked as
         X_0 = B Y_0 by row operations on Y_0 (``_shaft_times``), or row for
         row, X_0 = Y_0, where its state is the identity: no arrow, no dot,
-        ``up`` the identity.  An inhomogeneous basis raises GradingViolation,
-        any other failure InvariantViolation.  ``build`` alone checks the input.
+        ``up`` the identity.
+
+        Each row is read once and none is copied only to be read: a floor
+        with no logged step uses the rows ``build`` started from, the
+        floor checks run row by row and stop at the first row that
+        differs, and an identity shaft compares whole rows of X and Y,
+        taking scalar parts only of rows that differ; Y_0's rows are built
+        and multiplied out only for a shaft whose state is not the identity.
+
+        An inhomogeneous basis or logged step raises GradingViolation, a
+        logged scale by zero ValueError (``complexes.apply_step``), and any
+        other failure InvariantViolation.  ``build`` alone checks the input.
 
         The constructor and every public call that changes the complex
         end here, once; a call that changes nothing does not come here.
@@ -767,12 +779,19 @@ class TwoStoryComplex:
             arrows = [(s, t, n, mu) for s, (t, n, mu) in floor.table.items()]
             if not intertwines(floor.d, change, arrows, k):
                 raise InvariantViolation(f"{end} floor drifted from the engine tables")
+        xr, yr = x.rows, y.rows
         for grading in self._gradings:
             members, st = self._slots[grading], self._shafts[grading]
-            want = [_scalar_entries(y.rows[j]) for j in members]
             if st.lower or st.upper or st.dots or st.up != tuple(range(len(members))):
-                want = _shaft_times(st, want, self.char)
-            if any(row != _scalar_entries(x.rows[i]) for i, row in zip(members, want)):
+                want = _shaft_times(st, [_scalar_entries(yr[j]) for j in members], self.char)
+                drifted = any(row != _scalar_entries(xr[i]) for i, row in zip(members, want))
+            else:  # the identity, row for row: equal rows have equal scalar parts
+                drifted = False
+                for i in members:
+                    if xr[i] != yr[i] and _scalar_entries(xr[i]) != _scalar_entries(yr[i]):
+                        drifted = True
+                        break
+            if drifted:
                 raise InvariantViolation(f"shaft product drifted at {grading}")
 
     # -- black dot slides ----------------------------------------------------------
@@ -1029,12 +1048,16 @@ class TwoStoryComplex:
         arrow's weight components, so no far component at -m survives
         it.  The upper tier gets the mirrored treatment.  Finally the
         arrows whose far component equals +m are snowplowed out through
-        their far floors.  An m above the current depth raises ValueError.
+        their far floors.  An m that is neither an int nor ``math.inf``
+        raises ValueError before any work, as does an m above the current
+        depth.
 
         A pass that ran ends with one ``verify``.  When the depth is
         already above m, or infinite, nothing changes and nothing is
         checked.
         """
+        if m != math.inf and not isinstance(m, int):
+            raise ValueError(f"m must be an int or math.inf, not {m!r}")
         d = self.depth()
         if d > m or d == math.inf:
             return self
@@ -1157,11 +1180,23 @@ def strand_bottom(t: TwoStoryComplex, y_name: str) -> str:
 
 def _resolve_arrow(t: TwoStoryComplex, arrow):
     """Map a public (bigrading, token index) handle to (bigrading, end,
-    index in that end's tier, token); a dot or crossing has end "middle"."""
-    grading, pos = arrow
-    grading = tuple(grading)
-    if grading not in t._shafts:
+    index in that end's tier, token); a dot or crossing has end "middle".
+    A handle that is not a pair, a bigrading that names no shaft, an int
+    one included, and an index that is not an int in range raise
+    PatternMismatch."""
+    try:
+        grading, pos = arrow
+    except (TypeError, ValueError):
+        raise PatternMismatch(f"{arrow!r} is not a (bigrading, token index) pair") from None
+    try:
+        grading = tuple(grading)
+        known = grading in t._shafts
+    except TypeError:
+        known = False
+    if not known:
         raise PatternMismatch(f"no shaft at bigrading {grading}")
+    if not isinstance(pos, int):
+        raise PatternMismatch(f"token index {pos!r} is not an int")
     st = t._shafts[grading]
     view = t.shaft(grading).tokens
     if not 0 <= pos < len(view):

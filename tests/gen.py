@@ -1,10 +1,11 @@
 """Shared complex builders and randomizers for the test suite, a runner
 for scripts under ``python -O``, a ring-inverse oracle for the transition
 normalization, a full-scan oracle for the elimination's pivot order, an
-enumeration oracle for permutation classes, a conjugation oracle for the
-two-story self-check, planted pairs of snakes whose journeys diverge
-late, the strand-journey multiset of a two-story complex, and a hook
-that runs that self-check after every inner step of the depth loop.
+enumeration oracle for permutation classes, a product-form oracle for
+the intertwining check, a conjugation oracle for the two-story
+self-check, planted pairs of snakes whose journeys diverge late, the
+strand-journey multiset of a two-story complex, and a hook that runs
+that self-check after every inner step of the depth loop.
 
 The seeded generators ``zero_pair``, ``chain_complex``, ``random_change``,
 ``random_complex`` and ``random_messy`` are the benchmark's own, from
@@ -26,13 +27,15 @@ from snakedec.complexes import (
     Elimination,
     Generator,
     RING_R1,
+    _mul_rows,
     apply_basis_change,
     differential_rows,
     direct_sum,
     mono,
+    quotient_rows,
     validate,
 )
-from snakedec.errors import CountMismatch, InvariantViolation
+from snakedec.errors import CountMismatch, GradingViolation, InvariantViolation
 from snakedec.gf import (
     PONE,
     Matrix,
@@ -430,6 +433,24 @@ def cancel_by_full_scan(el, rank):
         retired.update((s, t))
         pairs.append((s, t))
     return pairs
+
+
+def intertwines_by_products(d, change, arrows, k):
+    """``complexes.intertwines`` by two whole products: X D == T X on the
+    quotient copies of the rows, with False for a cell of either product
+    that is not a single monomial."""
+    p, r1 = change.char, change.ring == RING_R1
+    x = quotient_rows(change.rows, k)
+    t = [{} for _ in x]
+    for s, tgt, length, coeff in arrows:
+        coeff %= p
+        if not coeff:
+            return False
+        t[s][tgt] = (coeff, 0, length) if k == 1 else (coeff, length, 0)
+    try:
+        return _mul_rows(x, d, r1, p) == _mul_rows(t, x, r1, p)
+    except GradingViolation:
+        return False
 
 
 def cycle_type(sigma):

@@ -1321,6 +1321,33 @@ def test_strand_endpoints_reject_the_wrong_floor():
     assert out.stdout.startswith("raised expected a bottom basis element"), out.stdout
 
 
+def test_increase_depth_refuses_an_m_that_is_not_an_int(monkeypatch):
+    t = build(braided())
+    assert t.depth() == 1
+    before = (dump(t), t.log, t.rounds)
+    calls = []
+    monkeypatch.setattr(TwoStoryComplex, "depth", lambda t: calls.append(t) or 1)
+    for bad in (1.0, math.nan, -math.inf, "1"):
+        with pytest.raises(ValueError, match="m must be an int or math.inf"):
+            increase_depth(t, bad)
+    assert calls == []  # refused before any work
+    assert (dump(t), t.log, t.rounds) == before
+
+
+def test_arrow_handles_refuse_a_float_index_an_int_bigrading_and_a_non_pair():
+    t = build(braided())
+    before = (dump(t), t.log)
+    for handle in (((-1, 1), 0.0), ((-1, 1), 1.5), (5, 0), 5, ((-1, 1),), None):
+        with pytest.raises(PatternMismatch):
+            weight_of(t, handle)
+        with pytest.raises(PatternMismatch):
+            slide_arrow_step(t, handle, "down")
+        with pytest.raises(PatternMismatch):
+            remove_diverging_arrow(t, handle)
+    assert (dump(t), t.log) == before
+    assert weight_of(t, ((-1, 1), 0)).depth == 1
+
+
 def test_increase_depth_validates_m():
     t = build(braided())
     assert t.depth() == 1

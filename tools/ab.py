@@ -11,11 +11,12 @@ own generators (``perfbench/run.py``'s ``make_inputs`` on
 that side while they run, and their digest is checked against the recorded
 one.  Every pass runs every op on both sides, the side that goes first
 alternating from op to op and from pass to pass; the two outputs must be
-equal on every op: the canonical form on rcf, and on the pipeline both
-``str`` of the complex that ``strip_zero_complexes`` returns and
-``twostory.dump`` of the depth-infinity result.  An op's time is its
-minimum over the passes, as in the benchmark, and ops/s is the number of
-ops over the sum of those minima.
+equal on every op: the canonical form on rcf, and on the pipeline
+``str`` of the complex that ``strip_zero_complexes`` returns, and
+``twostory.dump``, ``repr`` of the log and the round count of the
+depth-infinity result.  An op's time is its minimum over the passes, as
+in the benchmark, and ops/s is the number of ops over the sum of those
+minima.
 """
 
 import argparse
@@ -77,7 +78,13 @@ def make_op(pkg, workload):
         return d, t
 
     def texts(out):
-        return {"stripped complex": str(out[0]), "dump": pkg.twostory.dump(out[1])}
+        d, t = out
+        return {
+            "stripped complex": str(d),
+            "dump": pkg.twostory.dump(t),
+            "log": repr(t.log),
+            "round count": t.rounds,
+        }
 
     return pipeline, texts
 
