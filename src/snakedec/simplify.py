@@ -173,6 +173,23 @@ def _unit_scalar_part(row: dict, i: int) -> bool:
     return True
 
 
+def _quotient_row(row: dict, axis: int) -> dict:
+    """A sparse row modulo U (axis 1) or V (axis 2): the row itself when
+    it has no entry in that variable, else a filtered copy."""
+    for e in row.values():
+        if e[axis]:
+            return {j: e for j, e in row.items() if not e[axis]}
+    return row
+
+
+def _merge_into(rows: list, held: list, i: int, m: tuple, other: dict, r1: bool, p: int) -> None:
+    """rows[i] += m * other, on a copy while rows[i] is still the row that
+    ``held`` shares with a BasisChange, which is never mutated."""
+    if rows[i] is held[i]:
+        rows[i] = dict(rows[i])
+    add_row_multiple(rows[i], m, other, r1, p)
+
+
 def normalize_transition(
     c: Complex, xb: SimplifiedBasis, yb: SimplifiedBasis
 ) -> TransitionData:
@@ -201,7 +218,10 @@ def normalize_transition(
     Each row is read in one pass per block.  The identity test stops at
     the first member whose scalar part is not e_i, and a U or V part is
     split off and merged only when the row holds more than its scalar
-    entry and that part is nonempty.
+    entry and that part is nonempty.  The rows of the input bases are
+    shared, never mutated: a row that is neither filtered nor merged into
+    goes into the new basis as the same dict, and only a row that is
+    gets a copy of its own.
 
     Nothing else is checked here.  The ``verify`` ending the
     ``TwoStoryComplex`` constructor checks each new basis modulo its own
@@ -219,26 +239,28 @@ def normalize_transition(
             raise CountMismatch("bases are not aligned by bigrading")
         slots.setdefault((gx.gr_u, gx.gr_v), []).append(i)
     x_all, y_all = xb.change.rows, yb.change.rows
-    x_rows = [{j: e for j, e in row.items() if not e[1]} for row in x_all]
-    y_rows = [{j: e for j, e in row.items() if not e[2]} for row in y_all]
+    x_rows, y_rows = [None] * len(x_all), [None] * len(y_all)
     blocks = []
     for grading in sorted(slots):
         members = tuple(slots[grading])
         w = len(members)
+        identity = True
         for i in members:
-            if not (_unit_scalar_part(x_rows[i], i) and _unit_scalar_part(y_rows[i], i)):
-                break
-        else:  # X_0 = Y_0 = I on the block, so S_g = I: at most two merges per member
+            x_rows[i] = xi = _quotient_row(x_all[i], 1)
+            y_rows[i] = yi = _quotient_row(y_all[i], 2)
+            if identity and not (_unit_scalar_part(xi, i) and _unit_scalar_part(yi, i)):
+                identity = False
+        if identity:  # X_0 = Y_0 = I on the block, so S_g = I: at most two merges per member
             for i in members:
                 # with one entry, a row is its scalar part e_i: no U or V part
                 if len(y_all[i]) > 1:
                     y_u = {j: e for j, e in y_all[i].items() if e[1]}
                     if y_u:
-                        add_row_multiple(x_rows[i], (1, 0, 0), y_u, r1, p)
+                        _merge_into(x_rows, x_all, i, (1, 0, 0), y_u, r1, p)
                 if len(x_all[i]) > 1:
                     x_v = {j: e for j, e in x_all[i].items() if e[2]}
                     if x_v:
-                        add_row_multiple(y_rows[i], (1, 0, 0), x_v, r1, p)
+                        _merge_into(y_rows, y_all, i, (1, 0, 0), x_v, r1, p)
             blocks.append((members, gf.Matrix.identity(w, p), ([], {}, tuple(range(w)), [])))
             continue
         col = {i: k for k, i in enumerate(members)}
@@ -264,8 +286,8 @@ def normalize_transition(
         y_u = [{j: e for j, e in y_all[i].items() if e[1]} for i in members]
         for i, row in zip(members, block.entries):
             for k, f in enumerate(row):
-                if f:
-                    add_row_multiple(x_rows[i], (f, 0, 0), y_u[k], r1, p)
+                if f and y_u[k]:
+                    _merge_into(x_rows, x_all, i, (f, 0, 0), y_u[k], r1, p)
         x_v = [{j: e for j, e in x_all[i].items() if e[2]} for i in members]
         for r, g, f in lower:
             add_row_multiple(x_v[r], (p - f, 0, 0), x_v[g], r1, p)
@@ -275,7 +297,8 @@ def normalize_transition(
         for r, g, f in upper:
             add_row_multiple(back[r], (p - f, 0, 0), back[g], r1, p)
         for i, row in zip(members, back):
-            add_row_multiple(y_rows[i], (1, 0, 0), row, r1, p)
+            if row:
+                _merge_into(y_rows, y_all, i, (1, 0, 0), row, r1, p)
         blocks.append((members, block, factors))
     old = xb.change.old_gens
     x_change = BasisChange.from_rows(c.ring, p, old, x_gens, x_rows)

@@ -178,6 +178,11 @@ def _token_indices(t) -> set:
 # traversal sequences and the unusual order
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool: True and False count as no number here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def unusual_key(v: int) -> tuple:
     """Sort key realizing -1 < -2 < ... < 0 < ... < 3 < 2 < 1."""
     if v < 0:
@@ -227,6 +232,10 @@ class TraversalSequence:
         return None if self.terminating else len(self.cycle)
 
     def term(self, k: int) -> int:
+        """The k-th term, counted from 0; a k that is not a nonnegative int
+        raises ValueError."""
+        if not _is_int(k) or k < 0:
+            raise ValueError(f"a journey has no term {k!r}")
         if k < len(self.prefix):
             return self.prefix[k]
         return self.cycle[(k - len(self.prefix)) % len(self.cycle)]
@@ -268,7 +277,7 @@ def unusual_compare(s, t, limit=math.inf) -> str:
     which must be a nonnegative int, only the first ``limit`` terms are
     compared; with an infinite limit the comparison is exact.
     """
-    if limit != math.inf and not (isinstance(limit, int) and limit >= 0):
+    if limit != math.inf and not (_is_int(limit) and limit >= 0):
         raise ValueError(f"limit must be a nonnegative int or math.inf, not {limit!r}")
     s, t = _as_sequence(s), _as_sequence(t)
     window = _compare_window(s, t) if limit == math.inf else limit
@@ -295,8 +304,8 @@ class Weight:
 
     def __post_init__(self):
         for w in (self.w_hat, self.w_check):
-            if w != math.inf and abs(w) < 1:
-                raise ValueError("finite weight components are nonzero")
+            if w != math.inf and not (_is_int(w) and w):
+                raise ValueError(f"a weight component is math.inf or a nonzero int, not {w!r}")
 
     @property
     def depth(self):
@@ -529,6 +538,87 @@ class _Floor:
         self.start, self.steps, self.d = basis.change, [], d
 
 
+class _Journeys:
+    """Every journey of one elevator epoch, as one successor table.
+
+    A state is a floor element: state i < n is the bottom element i and
+    state n + i the top element i.  A journey leaves a state along the
+    element's floor arrow, which gives its term, -length out of the
+    arrow's source and +length out of its target, and crosses the
+    elevator at the arrow's other end into ``succ``, the next state.
+    ``elev`` sends a state to the other end of its own strand.  An
+    element with no floor arrow ends the journey: its term is 0 and it is
+    its own successor, which pads the record with zeros.  ``lead`` counts
+    the steps before a state's journey enters its cycle and ``period`` is
+    that cycle's length; one pass over the functional graph finds both.
+    The table reads the floor tables' targets and lengths and the
+    elevators ``up``, never a coefficient.
+    """
+
+    __slots__ = ("n", "term", "succ", "elev", "lead", "period")
+
+    def __init__(self, floors: dict, slots: dict, shafts: dict):
+        n = self.n = len(floors[BOTTOM].gens)
+        elev = self.elev = [0] * (2 * n)
+        for grading, members in slots.items():
+            for p, q in enumerate(shafts[grading].up):
+                elev[members[p]], elev[n + members[q]] = n + members[q], members[p]
+        term, succ = self.term, self.succ = [0] * (2 * n), list(range(2 * n))
+        for off, end in ((0, BOTTOM), (n, TOP)):
+            table = floors[end].table
+            for s, (t, length, _) in table.items():  # a matching: no element is both
+                term[off + s], succ[off + s] = -length, elev[off + t]
+                term[off + t], succ[off + t] = length, elev[off + s]
+        # lead -1 marks an unvisited state, -2 - k the k-th state of the
+        # current walk
+        lead, period = self.lead, self.period = [-1] * (2 * n), [0] * (2 * n)
+        for start in range(2 * n):
+            path, s = [], start
+            while lead[s] == -1:
+                lead[s] = -2 - len(path)
+                path.append(s)
+                s = succ[s]
+            if lead[s] < -1:  # the walk closed a new cycle at s
+                k = -2 - lead[s]
+                for u in path[k:]:
+                    lead[u], period[u] = 0, len(path) - k
+                del path[k:]
+            ahead, cycle = lead[s], period[s]
+            for u in reversed(path):
+                ahead += 1
+                lead[u], period[u] = ahead, cycle
+
+    def terms(self, s: int, k: int) -> list:
+        """The first k terms of the journey out of state s."""
+        term, succ, out = self.term, self.succ, []
+        for _ in range(k):
+            out.append(term[s])
+            s = succ[s]
+        return out
+
+    def sequence(self, s: int) -> TraversalSequence:
+        lead = self.lead[s]
+        terms = self.terms(s, lead + self.period[s])
+        return TraversalSequence(tuple(terms[:lead]), tuple(terms[lead:]))
+
+    def divergence(self, s: int, t: int):
+        """Signed 1-based index of the first term where the journeys out of
+        s and t differ, positive when s's comes first in the unusual order;
+        math.inf when they never differ.  Past max(lead) terms both repeat
+        with period lcm(period), so a first difference falls inside that
+        window, and two walks that meet agree from there on."""
+        lead, period, term, succ = self.lead, self.period, self.term, self.succ
+        window = max(lead[s], lead[t]) + math.lcm(period[s], period[t])
+        for k in range(1, window + 1):
+            if s == t:
+                break
+            a, b = term[s], term[t]
+            if a != b:
+                return k if unusual_key(a) < unusual_key(b) else -k
+            s, t = succ[s], succ[t]
+        return math.inf
+
+
 class TwoStoryComplex:
     """Floors, shafts and the cumulative basis-change log of one complex.
 
@@ -545,30 +635,40 @@ class TwoStoryComplex:
     constructor takes a complex, its normalized transition and the rows
     of its differential modulo U and V, kept for every ``verify``; it
     reads no arrow of ``c``, and installs each block's factors from the
-    transition as that shaft's state, factoring nothing again.  It and
+    transition as that shaft's state, factoring nothing again and copying
+    nothing for a block with no arrow and no dot.  It and
     every public operation that changes the state end with one
     ``verify``; one that changes nothing does not.
 
-    Journeys and the divergences between them are cached.  A journey
-    reads only the floor tables' targets and lengths and the elevators
-    ``up`` of the shafts.  After construction the tables change only in their
-    coefficients, and an elevator changes only when ``_reparametrize``
-    installs a refactored shaft, so that is the one place where both
-    caches are cleared, and only when the new ``up`` differs from the old.
-    A snowplow changes no journey, so the arrows it leaves keep their weights.
+    Journeys come from one successor table, ``_Journeys``, built when a
+    journey is first read, and the divergences between them are cached by
+    state pair.  A journey reads only the floor tables' targets and
+    lengths and the elevators ``up`` of the shafts.  After construction
+    the tables change only in their coefficients, and an elevator changes
+    only when ``_reparametrize`` installs a refactored shaft, so that is
+    the one place where the table and the divergences are dropped, and
+    only when the new ``up`` differs from the old.  A snowplow changes no
+    journey, so the arrows it leaves keep their weights.  Both caches
+    belong to the instance and go with it.
     """
 
     def __init__(self, c: Complex, td: TransitionData, d_mod_u: list, d_mod_v: list):
         self.char, self.original, self.rounds = c.char, c, 0
         self._floors = {BOTTOM: _Floor(td.x_basis, d_mod_u), TOP: _Floor(td.y_basis, d_mod_v)}
-        self._slots, self._pos, self._shafts = {}, {}, {}
+        gens, slots, pos, shafts = td.x_basis.generators, {}, {}, {}
         for members, _, factors in td.blocks:
-            grading = self.x_gens[members[0]].grading
-            self._slots[grading] = members
-            self._pos.update((i, (grading, p)) for p, i in enumerate(members))
-            self._shafts[grading] = _factored_state(factors)
+            grading = gens[members[0]].grading
+            slots[grading] = members
+            for p, i in enumerate(members):
+                pos[i] = (grading, p)
+            lower, dots, up, upper = factors
+            if lower or dots or upper:
+                shafts[grading] = _factored_state(factors)
+            else:  # the identity or a bare permutation: nothing mutable to copy
+                shafts[grading] = _ShaftState([], {}, up, [])
+        self._slots, self._pos, self._shafts = slots, pos, shafts
         self._gradings = tuple(self._slots)  # td.blocks ascend by bigrading
-        self._seq_cache, self._div_cache = {}, {}
+        self._table, self._div_cache = None, {}
         self.verify()
 
     @property
@@ -675,70 +775,54 @@ class TwoStoryComplex:
             return (floor.table[src][1], src)
         return None
 
+    def _journeys(self) -> _Journeys:
+        """The successor table of the current elevators, built on first use."""
+        if self._table is None:
+            self._table = _Journeys(self._floors, self._slots, self._shafts)
+        return self._table
+
     def _sequence(self, end, idx) -> TraversalSequence:
         """Journey record of the element idx of one floor, walked along its
-        floor arrow first.
-
-        The walk reads the floor tables' targets and lengths, never their
-        coefficients, and the elevators ``up``.  The record is cached until
-        ``_reparametrize`` moves an elevator.
-        """
-        key = (end, idx)
-        hit = self._seq_cache.get(key)
-        if hit is not None:
-            return hit
-        seen: dict = {}
-        terms: list = []
-        state = key
-        while True:
-            if state in seen:
-                k = seen[state]
-                prefix, cycle = terms[:k], terms[k:]
-                break
-            seen[state] = len(terms)
-            at, i = state
-            step = self._floor_step(at, i)
-            if step is None:
-                prefix, cycle = terms, [0]
-                break
-            term, j = step
-            terms.append(term)
-            state = (_other(at), self._elevator(at, j))
-        seq = TraversalSequence(tuple(prefix), tuple(cycle))
-        self._seq_cache[key] = seq
-        return seq
+        floor arrow first, read off the successor table."""
+        table = self._journeys()
+        return table.sequence(idx if end == BOTTOM else table.n + idx)
 
     # -- weights ------------------------------------------------------------------
 
-    def _component(self, end, idx_r, idx_g):
-        """Signed divergence of two journeys out of one floor, cached next
-        to the journeys themselves."""
-        key = (end, idx_r, idx_g)
-        hit = self._div_cache.get(key)
-        if hit is not None:
-            return hit
-        sr = self._sequence(end, idx_r)
-        sg = self._sequence(end, idx_g)
-        d = _divergence(sr, sg, _compare_window(sr, sg)) or math.inf
-        self._div_cache[key] = d
+    def _arrow_component(self, grading, end, r, g, near=True):
+        """One weight component of an arrow from g into r in the tier at
+        ``end``: the signed divergence of the two strands' journeys out of
+        that floor, or with ``near`` off out of the other one.  Cached by
+        the pair of journey states until an elevator moves."""
+        table = self._journeys()
+        members, off = self._slots[grading], 0 if end == BOTTOM else table.n
+        s, t = off + members[r], off + members[g]
+        if not near:
+            s, t = table.elev[s], table.elev[t]
+        d = self._div_cache.get((s, t))
+        if d is None:
+            d = self._div_cache[s, t] = table.divergence(s, t)
         return d
 
     def _arrow_weight(self, grading, end, r, g) -> Weight:
         """Weight of an arrow from g into r in the tier at ``end``: the
         near component out of that floor, the far one out of the other."""
-        idx_r, idx_g = self._idx(grading, r), self._idx(grading, g)
-        far_r, far_g = self._elevator(end, idx_r), self._elevator(end, idx_g)
         return Weight(
-            self._component(end, idx_r, idx_g), self._component(_other(end), far_r, far_g)
+            self._arrow_component(grading, end, r, g, True),
+            self._arrow_component(grading, end, r, g, False),
         )
 
     def depth(self):
+        """The least absolute weight component over all arrows, math.inf
+        with none."""
         best = math.inf
-        for g in self.gradings():
+        for g in self._gradings:
             st = self._shafts[g]
-            for end in (BOTTOM, TOP):
-                for r, giver, _ in st.arrows(end):
-                    best = min(best, self._arrow_weight(g, end, r, giver).depth)
+            for end, seq in ((BOTTOM, st.lower), (TOP, st.upper)):
+                for r, giver, _ in seq:
+                    near = abs(self._arrow_component(g, end, r, giver, True))
+                    far = abs(self._arrow_component(g, end, r, giver, False))
+                    best = min(best, near, far)
         return best
 
     # -- verification ----------------------------------------------------------------
@@ -761,8 +845,10 @@ class TwoStoryComplex:
         with no logged step uses the rows ``build`` started from, the
         floor checks run row by row and stop at the first row that
         differs, and an identity shaft compares whole rows of X and Y,
-        taking scalar parts only of rows that differ; Y_0's rows are built
-        and multiplied out only for a shaft whose state is not the identity.
+        taking scalar parts only of rows that differ; a one-strand shaft
+        with no dot is the identity on its one row pair.  Y_0's rows are
+        built and multiplied out only for a shaft whose state is not the
+        identity.
 
         An inhomogeneous basis or logged step raises GradingViolation, a
         logged scale by zero ValueError (``complexes.apply_step``), and any
@@ -782,7 +868,8 @@ class TwoStoryComplex:
         xr, yr = x.rows, y.rows
         for grading in self._gradings:
             members, st = self._slots[grading], self._shafts[grading]
-            if st.lower or st.upper or st.dots or st.up != tuple(range(len(members))):
+            w = len(members)
+            if st.dots or st.lower or st.upper or st.up != (tuple(range(w)) if w > 1 else (0,)):
                 want = _shaft_times(st, [_scalar_entries(yr[j]) for j in members], self.char)
                 drifted = any(row != _scalar_entries(xr[i]) for i, row in zip(members, want))
             else:  # the identity, row for row: equal rows have equal scalar parts
@@ -990,11 +1077,9 @@ class TwoStoryComplex:
         st = self._shafts[grading]
         if w <= 1 or not (st.lower or (st.upper and not keep_upper)):
             return  # a dot-and-crossing block is its own normal form
-        x_keys, y_keys = [], []
-        for p in range(w):
-            idx = self._idx(grading, p)
-            down = self._sequence(BOTTOM, idx).realize(terms)
-            upw = self._sequence(TOP, idx).realize(terms)
+        table, x_keys, y_keys = self._journeys(), [], []
+        for idx in self._slots[grading]:
+            down, upw = table.terms(idx, terms), table.terms(table.n + idx, terms)
             # tuple([...]), not tuple(<genexpr>): resized generator tuples raised peak RSS
             x_keys.append(tuple([unusual_key(v) for v in down]))
             y_keys.append(tuple([unusual_key(v) for v in upw]))
@@ -1004,20 +1089,28 @@ class TwoStoryComplex:
         new.upper.extend(kept)
         self._shafts[grading] = new
         if new.up != st.up:
-            self._seq_cache.clear()
+            self._table = None
             self._div_cache.clear()
 
     # -- depth raising ----------------------------------------------------------------
 
-    def _remove_all(self, predicate, end, through):
-        """Remove matching arrows of the tier at ``end`` one at a time
-        through the floor at ``through``: the first shaft's arrow nearest
-        that floor first.  A snowplow changes no weight and moves no arrow
-        but those it removes, so the matches are found once, by record."""
+    def _remove_all(self, near, m, end, through):
+        """Remove the arrows of the tier at ``end`` whose near weight
+        component, or with ``near`` off their far one, equals m, one at a
+        time through the floor at ``through``: the first shaft's arrow
+        nearest that floor first.  Each arrow is weighed once, in the one
+        component the sweep tests, and a shaft with an empty tier is
+        skipped.  A snowplow changes no weight and moves no arrow but
+        those it removes, so the matches are found once, by record."""
         found: dict = {}
-        for g in self.gradings():
-            for ca in self._shafts[g].arrows(end):
-                if predicate(self._arrow_weight(g, end, ca[0], ca[1])):
+        bottom = end == BOTTOM
+        for g in self._gradings:
+            st = self._shafts[g]
+            seq = st.lower if bottom else st.upper
+            if not seq:
+                continue
+            for ca in seq:
+                if self._arrow_component(g, end, ca[0], ca[1], near) == m:
                     found.setdefault(g, {})[id(ca)] = ca  # held, so no id is reused
         for g, ids in found.items():
             seq = self._shafts[g].arrows(end)
@@ -1056,7 +1149,7 @@ class TwoStoryComplex:
         already above m, or infinite, nothing changes and nothing is
         checked.
         """
-        if m != math.inf and not isinstance(m, int):
+        if m != math.inf and not _is_int(m):
             raise ValueError(f"m must be an int or math.inf, not {m!r}")
         d = self.depth()
         if d > m or d == math.inf:
@@ -1065,17 +1158,17 @@ class TwoStoryComplex:
             raise ValueError(f"m = {m} is above the current depth {d}")
         for g in self.gradings():
             self._reparametrize(g, m)
-        self._remove_all(lambda w: w.w_hat == m, TOP, TOP)
-        self._remove_all(lambda w: w.w_hat == m, BOTTOM, BOTTOM)
+        self._remove_all(True, m, TOP, TOP)
+        self._remove_all(True, m, BOTTOM, BOTTOM)
         for g in self.gradings():
             self._reparametrize(g, m + 1, keep_upper=True)
-            self._remove_all(lambda w: w.w_hat == m, TOP, TOP)
+            self._remove_all(True, m, TOP, TOP)
             self._slide_out(g, BOTTOM)
             self._reparametrize(g, m + 1)
-            self._remove_all(lambda w: w.w_hat == m, BOTTOM, BOTTOM)
+            self._remove_all(True, m, BOTTOM, BOTTOM)
             self._slide_out(g, TOP)
-        self._remove_all(lambda w: w.w_check == m, TOP, BOTTOM)
-        self._remove_all(lambda w: w.w_check == m, BOTTOM, TOP)
+        self._remove_all(False, m, TOP, BOTTOM)
+        self._remove_all(False, m, BOTTOM, TOP)
         self.verify()
         if self.depth() < m + 1:
             raise InvariantViolation("depth pass fell short")
@@ -1195,7 +1288,7 @@ def _resolve_arrow(t: TwoStoryComplex, arrow):
         known = False
     if not known:
         raise PatternMismatch(f"no shaft at bigrading {grading}")
-    if not isinstance(pos, int):
+    if not _is_int(pos):
         raise PatternMismatch(f"token index {pos!r} is not an int")
     st = t._shafts[grading]
     view = t.shaft(grading).tokens

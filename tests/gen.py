@@ -4,8 +4,10 @@ normalization, a full-scan oracle for the elimination's pivot order, an
 enumeration oracle for permutation classes, a product-form oracle for
 the intertwining check, a conjugation oracle for the two-story
 self-check, planted pairs of snakes whose journeys diverge late, the
-strand-journey multiset of a two-story complex, and a hook that runs
-that self-check after every inner step of the depth loop.
+strand-journey multiset of a two-story complex, a step-by-step journey
+walk with the weights it gives as the oracle for the engine's successor
+table, and a hook that runs that self-check after every inner step of
+the depth loop.
 
 The seeded generators ``zero_pair``, ``chain_complex``, ``random_change``,
 ``random_complex`` and ``random_messy`` are the benchmark's own, from
@@ -13,6 +15,7 @@ The seeded generators ``zero_pair``, ``chain_complex``, ``random_change``,
 
 import importlib.util
 import itertools
+import math
 import os
 import pathlib
 import random
@@ -45,6 +48,7 @@ from snakedec.gf import (
     pmul,
     pnorm,
 )
+from snakedec.twostory import TraversalSequence, _compare_window, _divergence
 
 # One copy of the seeded generators serves both suites, so tier-1 checks the
 # pipeline on the very inputs the benchmark measures.  The file is loaded by
@@ -551,6 +555,41 @@ def journey_multiset(t):
     return Counter(
         (g.grading, t._sequence("bottom", i), t._sequence("top", t._elevator("bottom", i)))
         for i, g in enumerate(t.x_gens)
+    )
+
+
+def journey_by_walk(t, end, idx):
+    """The journey out of the element idx of the floor at ``end``, walked
+    one floor arrow and one elevator at a time until a state repeats or
+    an element has no floor arrow: a definition independent of the
+    engine's successor table, and its oracle."""
+    seen, terms, state = {}, [], (end, idx)
+    while state not in seen:
+        seen[state] = len(terms)
+        at, i = state
+        step = t._floor_step(at, i)
+        if step is None:
+            return TraversalSequence(tuple(terms), (0,))
+        term, j = step
+        terms.append(term)
+        state = ("top" if at == "bottom" else "bottom", t._elevator(at, j))
+    k = seen[state]
+    return TraversalSequence(tuple(terms[:k]), tuple(terms[k:]))
+
+
+def weight_by_walk(t, grading, end, r, g):
+    """(near, far) weight components of the arrow from g into r in the
+    tier at ``end``, from walked journeys compared over the full window."""
+
+    def component(at, i, j):
+        s, u = journey_by_walk(t, at, i), journey_by_walk(t, at, j)
+        return _divergence(s, u, _compare_window(s, u)) or math.inf
+
+    idx_r, idx_g = t._idx(grading, r), t._idx(grading, g)
+    far = "top" if end == "bottom" else "bottom"
+    return (
+        component(end, idx_r, idx_g),
+        component(far, t._elevator(end, idx_r), t._elevator(end, idx_g)),
     )
 
 

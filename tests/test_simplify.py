@@ -369,3 +369,21 @@ def test_pivot_heap_matches_the_full_scan(monkeypatch):
     assert sum(k for _, k, _ in by_heap[::3]) > 0
     monkeypatch.setattr(Elimination, "cancel_in_order", cancel_by_full_scan)
     assert run() == by_heap
+
+
+def test_normalize_transition_shares_the_input_rows_and_leaves_them_alone():
+    """Rows a BasisChange holds are never mutated: after the call the input
+    bases' rows equal snapshots taken before it, and a row the call neither
+    filters nor merges into passes into the new basis as the same dict."""
+    cases = [random_messy(seed, max_rank=24) for seed in range(100)]
+    cases += [random_complex(seed, max_parts=12) for seed in range(100)]
+    shared = 0
+    for c in cases:
+        c, _, _ = strip_zero_complexes(c)
+        xb, yb = vertical_simplify(c), horizontal_simplify(c)
+        before = [[dict(row) for row in sb.change.rows] for sb in (xb, yb)]
+        td = normalize_transition(c, xb, yb)
+        assert [list(sb.change.rows) for sb in (xb, yb)] == before
+        for old, new in ((xb, td.x_basis), (yb, td.y_basis)):
+            shared += sum(a is b for a, b in zip(old.change.rows, new.change.rows))
+    assert shared > 0

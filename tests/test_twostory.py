@@ -21,6 +21,7 @@ from gen import (
     conjugation_verify,
     depth_two,
     figure_eight,
+    journey_by_walk,
     journey_multiset,
     mixed_sum,
     mixed_sum_pieces,
@@ -35,6 +36,7 @@ from gen import (
     square_sheets,
     trefoil,
     verify_every_step,
+    weight_by_walk,
 )
 from snakedec import complexes, gf, simplify, twostory
 from snakedec.complexes import (
@@ -72,7 +74,9 @@ from snakedec.twostory import (
     Crossing,
     CrossoverArrow,
     Shaft,
+    TraversalSequence,
     TwoStoryComplex,
+    Weight,
     build,
     dump,
     increase_depth,
@@ -666,26 +670,25 @@ def test_reparametrization_can_keep_the_upper_arrows():
 
 
 def _stale_cache_entries(t):
-    """Cached journeys and divergences that differ from a fresh computation."""
-    journeys, divergences = t._seq_cache, t._div_cache
-    t._seq_cache, t._div_cache = {}, {}
-    try:
-        stale = [k for k, seq in journeys.items() if t._sequence(*k) != seq]
-        stale += [k for k, d in divergences.items() if t._component(*k) != d]
-    finally:
-        t._seq_cache, t._div_cache = journeys, divergences
+    """Successor-table columns and cached divergences that differ from a
+    fresh computation on the complex as it is now."""
+    fresh = twostory._Journeys(t._floors, t._slots, t._shafts)
+    stale = []
+    if t._table is not None:
+        stale += [c for c in fresh.__slots__ if getattr(t._table, c) != getattr(fresh, c)]
+    stale += [k for k, d in t._div_cache.items() if fresh.divergence(*k) != d]
     return stale
 
 
 def test_journey_cache_matches_fresh_journeys(monkeypatch):
-    # the cache is cleared only when a refactorization moves an elevator;
-    # after every engine step each cached entry must still be current
+    # the table and the divergences are dropped only when a refactorization
+    # moves an elevator; after every engine step each must still be current
     seen = {"checks": 0, "entries": 0, "arrow_free": 0, "moved_up": 0}
 
     def check(t, name):
         assert _stale_cache_entries(t) == [], f"stale cache after {name}"
         seen["checks"] += 1
-        seen["entries"] += len(t._seq_cache) + len(t._div_cache)
+        seen["entries"] += (t._table is not None) + len(t._div_cache)
 
     def checked(name, original):
         def wrapper(self, *args, **kwargs):
@@ -1164,6 +1167,31 @@ def test_verify_catches_floor_drift(field, floor):
         t.verify()
 
 
+def test_verify_checks_a_one_strand_shaft_by_its_row_pair():
+    # a logged scale of an x-element with no bottom floor arrow and a
+    # differential that vanishes modulo U leaves the bottom floor
+    # intertwined, so only the shaft check sees it
+    caught = 0
+    for seed in range(10):
+        c, _, _ = strip_zero_complexes(random_messy(seed, max_rank=24))
+        t = build(c)
+        floor = t._floors[twostory.BOTTOM]
+        for grading, members in t._slots.items():
+            i = members[0]
+            if len(members) > 1 or t.char == 2 or t._shafts[grading].dots:
+                continue
+            if floor.d[i] or i in floor.table or i in floor.into:
+                continue
+            floor.steps.append(("scale", i, 2))
+            drifted = re.escape(f"shaft product drifted at {grading}")
+            with pytest.raises(InvariantViolation, match=drifted):
+                t.verify()
+            floor.steps.pop()
+            t.verify()
+            caught += 1
+    assert caught >= 10
+
+
 def _outcome(check, t):
     try:
         check(t)
@@ -1348,6 +1376,45 @@ def test_arrow_handles_refuse_a_float_index_an_int_bigrading_and_a_non_pair():
     assert weight_of(t, ((-1, 1), 0)).depth == 1
 
 
+def test_public_handles_refuse_bools():
+    # True and False are ints to isinstance; each handle refuses them as
+    # it refuses a float, before any work
+    t = build(braided())
+    before = (dump(t), t.log, t.rounds)
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="m must be an int or math.inf"):
+            increase_depth(t, bad)
+        with pytest.raises(ValueError, match="limit must be a nonnegative int"):
+            unusual_compare((1, 2), (1, 3), limit=bad)
+    assert (dump(t), t.log, t.rounds) == before
+    c, _, _ = strip_zero_complexes(random_messy(0, max_rank=24))
+    t = build(c)
+    assert isinstance(t.shaft((-2, 2)).tokens[1], CrossoverArrow)
+    before = (dump(t), t.log)
+    for handle in (((-2, 2), True), ((-2, 2), False)):
+        with pytest.raises(PatternMismatch, match="is not an int"):
+            weight_of(t, handle)
+        with pytest.raises(PatternMismatch, match="is not an int"):
+            slide_arrow_step(t, handle, "up")
+        with pytest.raises(PatternMismatch, match="is not an int"):
+            remove_diverging_arrow(t, handle)
+    assert (dump(t), t.log) == before
+
+
+def test_journey_terms_and_weight_components_refuse_bad_values():
+    seq = TraversalSequence((1, 2), (0,))
+    assert seq.realize(4) == (1, 2, 0, 0)
+    for k in (-1, -3, 1.5, True):
+        with pytest.raises(ValueError, match="a journey has no term"):
+            seq.term(k)
+    for bad in (math.nan, -math.inf, 0, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="a weight component is math.inf or a nonzero int"):
+            Weight(bad, 1)
+        with pytest.raises(ValueError, match="a weight component is math.inf or a nonzero int"):
+            Weight(math.inf, bad)
+    assert Weight(-3, math.inf).depth == 3
+
+
 def test_increase_depth_validates_m():
     t = build(braided())
     assert t.depth() == 1
@@ -1522,31 +1589,88 @@ def test_a_snowplow_moves_only_the_arrow_it_removes(monkeypatch):
     assert seen["snowplows"] > 100 and seen["displaced"] > 10
 
 
-def test_a_removal_sweep_weighs_each_arrow_once(monkeypatch):
-    seen = {"weights": 0, "sweeps": 0, "busy": 0}
-    remove_all, weight = TwoStoryComplex._remove_all, TwoStoryComplex._arrow_weight
+def _count_sweep_weighings(monkeypatch, remove_all):
+    """Run the depth loop on a few inputs with ``remove_all`` as the sweep,
+    counting the weight components it computes; each sweep must compute
+    at most one per arrow it started with."""
+    seen = {"weighings": 0, "sweeps": 0, "busy": 0}
+    component = TwoStoryComplex._arrow_component
 
     def held(t, end):
         return sum(len(t._shafts[g].arrows(end)) for g in t.gradings())
 
-    def sweep(self, predicate, end, through):
-        at_start, weights = held(self, end), seen["weights"]
-        remove_all(self, predicate, end, through)
-        assert seen["weights"] - weights <= at_start, "a sweep weighed an arrow twice"
+    def sweep(self, near, m, end, through):
+        at_start, weighings = held(self, end), seen["weighings"]
+        remove_all(self, near, m, end, through)
+        assert seen["weighings"] - weighings <= at_start, "a sweep weighed an arrow twice"
         seen["sweeps"] += 1
         seen["busy"] += 0 < held(self, end) < at_start  # removed some, kept some
 
     def counted(self, *args):
-        seen["weights"] += 1
-        return weight(self, *args)
+        seen["weighings"] += 1
+        return component(self, *args)
 
     monkeypatch.setattr(TwoStoryComplex, "_remove_all", sweep)
-    monkeypatch.setattr(TwoStoryComplex, "_arrow_weight", counted)
+    monkeypatch.setattr(TwoStoryComplex, "_arrow_component", counted)
     inputs = [random_messy(seed, max_rank=24) for seed in (1, 7, 34)] + [mixed_sum(0, 10)]
     for c in inputs:
         d, _, _ = strip_zero_complexes(c)
         run_to_depth_infinity(build(d))
+    return seen
+
+
+def test_a_removal_sweep_weighs_each_arrow_once(monkeypatch):
+    remove_all = TwoStoryComplex._remove_all
+    seen = _count_sweep_weighings(monkeypatch, remove_all)
     assert seen["sweeps"] > 50 and seen["busy"] > 5
+
+    def weighing_twice(self, near, m, end, through):
+        for g in self.gradings():
+            for r, giver, _ in self._shafts[g].arrows(end):
+                self._arrow_component(g, end, r, giver, near)
+        remove_all(self, near, m, end, through)
+
+    with pytest.raises(AssertionError, match="a sweep weighed an arrow twice"):
+        _count_sweep_weighings(monkeypatch, weighing_twice)
+
+
+def _assert_journeys_match_the_walk(t):
+    """Every journey of t as the step-by-step walk gives it, and every
+    arrow's two weight components as that walk's journeys give them."""
+    n, arrows = len(t.x_gens), 0
+    for end in (twostory.BOTTOM, twostory.TOP):
+        for i in range(n):
+            assert t._sequence(end, i) == journey_by_walk(t, end, i), (end, i)
+    for g, st in t._shafts.items():
+        for end in (twostory.BOTTOM, twostory.TOP):
+            for r, giver, _ in st.arrows(end):
+                got = tuple(t._arrow_component(g, end, r, giver, near) for near in (True, False))
+                assert got == weight_by_walk(t, g, end, r, giver), (g, end, r, giver)
+                arrows += 1
+    return arrows
+
+
+@pytest.mark.parametrize("family", ["messy", "sums", "snakes"])
+def test_weights_match_walked_journeys(family):
+    # the successor table against the walk it replaced, after the build and
+    # after every depth pass
+    if family == "messy":
+        inputs = [random_messy(seed, max_rank=24) for seed in range(100)]
+    elif family == "sums":
+        inputs = [random_complex(seed, max_parts=12) for seed in range(100)]
+    else:
+        tails = [(2, 3), (-2, 2), (3, -1)]
+        inputs = [snake_pair(m, ab, seed) for m in (6, 8, 12) for ab in tails for seed in range(3)]
+    arrows = passes = 0
+    for c in inputs:
+        d, _, _ = strip_zero_complexes(c)
+        t = build(d)
+        arrows += _assert_journeys_match_the_walk(t)
+        while (m := t.depth()) != math.inf:
+            t.increase_depth(m)
+            arrows += _assert_journeys_match_the_walk(t)
+            passes += 1
+    assert arrows > 0 and passes > 0
 
 
 # SHA-256 over dump(), repr(log) and rounds after the depth loop; the same

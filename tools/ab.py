@@ -16,7 +16,9 @@ equal on every op: the canonical form on rcf, and on the pipeline
 ``twostory.dump``, ``repr`` of the log and the round count of the
 depth-infinity result.  An op's time is its minimum over the passes, as
 in the benchmark, and ops/s is the number of ops over the sum of those
-minima.
+minima.  Each side's nearest-rank p50 and p90 of the per-op minima are
+printed too, in ms, by the benchmark's own ``percentile``, as the
+benchmark's gate reads ``latency_ms.p50`` and ``latency_ms.p90`` as well.
 """
 
 import argparse
@@ -118,7 +120,10 @@ def compare(sides, workload, passes, size):
                 part = next(name for name in texts[0] if texts[0][name] != texts[1][name])
                 raise SystemExit(f"{workload} op {i}: the two trees give a different {part}")
     gc.unfreeze()
-    return [n / sum(times) for times in best]
+    return [
+        (n / sum(times), run.percentile(times, 0.5) * 1e3, run.percentile(times, 0.9) * 1e3)
+        for times in best
+    ]
 
 
 def main(argv=None):
@@ -137,10 +142,11 @@ def main(argv=None):
             load_side(args.new_tree, "snakedec_b", tmp),
         ]
         for workload in args.workload or ["sums"]:
-            a, b = compare(sides, workload, args.passes, args.size)
+            (a, a50, a90), (b, b50, b90) = compare(sides, workload, args.passes, args.size)
             print(
                 f"{workload}: old {a:.1f} ops/s, new {b:.1f} ops/s, "
-                f"new/old {b / a:.3f} (min of {args.passes} passes per op)"
+                f"new/old {b / a:.3f} (min of {args.passes} passes per op); "
+                f"p50 {a50:.3f} -> {b50:.3f} ms, p90 {a90:.3f} -> {b90:.3f} ms"
             )
     return 0
 
