@@ -7,8 +7,8 @@ that must survive ``python -O``: homogeneity in ``complexes``, in the
 elimination behind strip and simplify and in ``verify``'s replay of the
 two-story log (``GradingViolation``), malformed input to them and to the
 ``gf`` polynomial kernel (``ValidationError``), and the checks of the
-program's own work in the two-story engine's ``verify``, moves and depth
-loop, in ``apply_step``'s refusal of a malformed logged step, in
+program's own work in the two-story engine's ``verify`` and depth loop,
+in ``apply_step``'s refusal of a malformed logged step, in
 ``normalize_transition``'s bigrading check and in the ``gf`` polynomial
 and canonical-basis kernels (``InvariantViolation``).  No module uses
 ``assert``.
@@ -48,21 +48,13 @@ class CountMismatch(SnakedecError):
     """Two simplified bases differ in rank, or in bigrading at some position."""
 
 
-class PatternMismatch(SnakedecError):
-    """A shaft handle names no token, or a token that the requested slide,
-    weight or removal does not apply to."""
-
-
 class StrandsDiverge(SnakedecError):
-    """An arrow slide hit a spot where the two strands stop running parallel."""
+    """An arrow turned back through a floor hit a spot where its two strands
+    stop running parallel."""
 
 
 class WrongOrientation(SnakedecError):
     """An arrow removal needs the opposite comparison sign at the divergence."""
-
-
-class Parallel(SnakedecError):
-    """The two strands of an arrow never diverge, so no removal exists."""
 
 
 class BoundExceeded(SnakedecError):
@@ -72,9 +64,9 @@ class BoundExceeded(SnakedecError):
 class InvariantViolation(SnakedecError):
     """A structural invariant of the program's own work failed to hold.
 
-    Raised by ``TwoStoryComplex.verify``, by ``build``, by the shaft moves
-    and the depth loop when the program's own state disagrees with the
-    complex it claims to describe, by ``complexes.apply_step`` for a logged
+    Raised by ``TwoStoryComplex.verify``, by ``build`` and by the depth
+    loop when the program's own state disagrees with the complex it
+    claims to describe, by ``complexes.apply_step`` for a logged
     step of another kind or length than an add or a scale, by
     ``normalize_transition`` only for a transition that crosses
     bigradings, and by the ``gf`` polynomial and canonical-basis kernels when

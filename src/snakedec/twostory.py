@@ -15,34 +15,31 @@ The engine stores no token words.  Each shaft is a ``_ShaftState``, the
 normal form read off ``gf.ltu_factorize``: crossover arrows near the
 bottom, then black dots, then a permutation, then crossover arrows near
 the top.  Tokens (``Crossing``, ``CrossoverArrow``, ``BlackDot``) are
-only a printed view of it, regenerated on demand, so equal engine states
-print identically; ``straighten`` alone works on such a view.
+only a printed view of it, regenerated on demand for ``dump`` and
+``shafts``, so equal engine states print identically.
 
 Each end of a shaft is named ``BOTTOM`` or ``TOP``, and that one name
 picks everything on the end: the floor there, the tier of crossover
 arrows next to it (``lower`` at the bottom, ``upper`` at the top) and
-the floor a dot or an arrow leaves through.  The ``bar`` symmetry swaps
-U with V and the bottom with the top, so each move is one code path
-taking an end.  In both tiers an arrow's index rises toward the top.
-Only the public surface keeps other words: ``slide_arrow_step`` takes
-"down" or "up", and ``log`` labels the bottom floor's steps "x" and the
-top floor's "y".
+the floor an arrow leaves through.  The ``bar`` symmetry swaps U with V
+and the bottom with the top, so each move is one code path taking an
+end.  In both tiers an arrow's index rises toward the top.  Only ``log``
+keeps other words: it labels the bottom floor's steps "x" and the top
+floor's "y".
 
 Each floor's state is one ``_Floor`` record: its basis, its arrow
 table, the basis change ``build`` started from and the steps logged
-since.  Floor arrows carry a coefficient internally (sliding a black dot
-out of a shaft rescales a basis element, which taints the adjacent floor
-arrows), while the structural views expose only (source, target,
-length).  The engine holds all field data as int residues mod p: shaft
-arrows and dots, floor coefficients, and the logged steps in
-``complexes.apply_step``'s form.  Only the tokens and ``log`` box
-them.
+since.  Every floor arrow has coefficient 1, so a table entry is only a
+target and a length, and the tables never change after construction.
+The engine holds all field data as int residues mod p: shaft arrows and
+dots, and the logged steps in ``complexes.apply_step``'s form.  Only
+the tokens and ``log`` box them.
 
 One rule says when the engine checks itself: a public call that creates
 or changes a two-story complex ends with exactly one ``verify()``, and a
 call that changes nothing verifies nothing.  So the constructor (hence
-``build``), a depth pass that ran, ``slide_arrow_step`` and
-``remove_diverging_arrow`` each end with it: none returns unchecked state.
+``build``) and a depth pass that ran each end with it: neither returns
+unchecked state.
 """
 
 from __future__ import annotations
@@ -66,12 +63,8 @@ from .complexes import (
 )
 from .errors import (
     BoundExceeded,
-    DimensionMismatch,
-    FieldMismatch,
     GradingViolation,
     InvariantViolation,
-    Parallel,
-    PatternMismatch,
     StrandsDiverge,
     ValidationError,
     WrongOrientation,
@@ -87,8 +80,6 @@ from .simplify import (
 
 BOTTOM = "bottom"
 TOP = "top"
-TOWARD_FLOOR = "toward-floor"
-TOWARD_SHAFT = "toward-shaft"
 
 
 # ---------------------------------------------------------------------------
@@ -140,42 +131,8 @@ class BlackDot:
             raise ValueError("black dot decoration must be nonzero")
 
 
-def token_matrix(token, width: int, char: int) -> gf.Matrix:
-    """The elementary matrix a single token stands for."""
-    if not isinstance(token, (Crossing, CrossoverArrow, BlackDot)):
-        raise TypeError(f"not a token: {token!r}")
-    if max(_token_indices(token)) > width:
-        raise DimensionMismatch(f"{token} does not fit {width} strands")
-    if not isinstance(token, Crossing) and token.lam.char != char:
-        raise FieldMismatch(f"{token} lies outside F_{char}")
-    rows = [[int(a == b) for b in range(width)] for a in range(width)]
-    if isinstance(token, Crossing):
-        i, j = token.i - 1, token.j - 1
-        rows[i][i] = rows[j][j] = 0
-        rows[i][j] = rows[j][i] = 1
-    elif isinstance(token, BlackDot):
-        rows[token.i - 1][token.i - 1] = token.lam.value
-    else:
-        rows[token.j - 1][token.i - 1] = token.lam.value
-    return gf.Matrix._wrap(tuple([tuple(row) for row in rows]), char)
-
-
-def shaft_matrix(tokens, width: int, char: int) -> gf.Matrix:
-    """Product of the token matrices, bottom-most token leftmost."""
-    out = gf.Matrix.identity(width, char)
-    for t in tokens:
-        out = out * token_matrix(t, width, char)
-    return out
-
-
-def _token_indices(t) -> set:
-    if isinstance(t, (Crossing, CrossoverArrow)):
-        return {t.i, t.j}
-    return {t.i}
-
-
 # ---------------------------------------------------------------------------
-# traversal sequences and the unusual order
+# the unusual order
 
 
 def _is_int(v) -> bool:
@@ -190,132 +147,6 @@ def unusual_key(v: int) -> tuple:
     if v == 0:
         return (1, 0)
     return (2, -v)
-
-
-def _min_cycle(cycle: tuple) -> tuple:
-    n = len(cycle)
-    for d in range(1, n + 1):
-        if n % d == 0 and cycle == cycle[:d] * (n // d):
-            return cycle[:d]
-    return cycle
-
-
-@dataclass(frozen=True)
-class TraversalSequence:
-    """An eventually periodic journey record: prefix, then repeating cycle.
-
-    A terminated journey is stored with cycle ``(0,)``: the record is
-    padded with infinitely many zeros.
-    """
-
-    prefix: tuple
-    cycle: tuple
-
-    def __post_init__(self):
-        cycle = _min_cycle(tuple(self.cycle))
-        if not cycle:
-            raise ValueError("a traversal sequence needs a nonempty cycle")
-        prefix = tuple(self.prefix)
-        while prefix and prefix[-1] == cycle[-1]:
-            cycle = (cycle[-1],) + cycle[:-1]
-            prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "cycle", cycle)
-
-    @property
-    def terminating(self) -> bool:
-        return self.cycle == (0,)
-
-    @property
-    def period(self):
-        """Length of the repeating part, None for a terminated journey."""
-        return None if self.terminating else len(self.cycle)
-
-    def term(self, k: int) -> int:
-        """The k-th term, counted from 0; a k that is not a nonnegative int
-        raises ValueError."""
-        if not _is_int(k) or k < 0:
-            raise ValueError(f"a journey has no term {k!r}")
-        if k < len(self.prefix):
-            return self.prefix[k]
-        return self.cycle[(k - len(self.prefix)) % len(self.cycle)]
-
-    def realize(self, n: int) -> tuple:
-        return tuple([self.term(k) for k in range(n)])
-
-    def __repr__(self):
-        head = ", ".join(str(v) for v in self.prefix + self.cycle)
-        return f"({head}, ...)"
-
-
-def _compare_window(s: TraversalSequence, t: TraversalSequence) -> int:
-    lead = max(len(s.prefix), len(t.prefix))
-    return lead + math.lcm(len(s.cycle), len(t.cycle))
-
-
-def _divergence(s: TraversalSequence, t: TraversalSequence, window: int) -> int:
-    """Signed 1-based index of the first term where s and t differ within
-    the window, positive when s comes first in the unusual order; 0 when
-    they agree throughout."""
-    for k in range(window):
-        a, b = s.term(k), t.term(k)
-        if a != b:
-            return (k + 1) if unusual_key(a) < unusual_key(b) else -(k + 1)
-    return 0
-
-
-def _as_sequence(s) -> TraversalSequence:
-    if isinstance(s, TraversalSequence):
-        return s
-    return TraversalSequence(tuple(s), (0,))
-
-
-def unusual_compare(s, t, limit=math.inf) -> str:
-    """Compare two journeys lexicographically in the unusual order.
-
-    Plain tuples are read as terminated records.  With a finite limit,
-    which must be a nonnegative int, only the first ``limit`` terms are
-    compared; with an infinite limit the comparison is exact.
-    """
-    if limit != math.inf and not (_is_int(limit) and limit >= 0):
-        raise ValueError(f"limit must be a nonnegative int or math.inf, not {limit!r}")
-    s, t = _as_sequence(s), _as_sequence(t)
-    window = _compare_window(s, t) if limit == math.inf else limit
-    d = _divergence(s, t, window)
-    return "equal" if not d else "less" if d > 0 else "greater"
-
-
-# ---------------------------------------------------------------------------
-# weights
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Divergence record of an arrow's strand pair, one term per side.
-
-    ``w_hat`` measures the journeys out of the arrow's own floor
-    boundary, ``w_check`` the journeys out of the opposite boundary.  A
-    positive sign means the receiving strand's journey comes first in
-    the unusual order, which is the removable orientation.
-    """
-
-    w_hat: object  # int or math.inf
-    w_check: object
-
-    def __post_init__(self):
-        for w in (self.w_hat, self.w_check):
-            if w != math.inf and not (_is_int(w) and w):
-                raise ValueError(f"a weight component is math.inf or a nonzero int, not {w!r}")
-
-    @property
-    def depth(self):
-        return min(abs(self.w_hat), abs(self.w_check))
-
-    def __repr__(self):
-        def show(w):
-            return "inf" if w == math.inf else str(w)
-
-        return f"Weight({show(self.w_hat)}, {show(self.w_check)})"
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +268,7 @@ def _ordered_ltu(mat: gf.Matrix, x_keys, y_keys, char: int) -> _ShaftState:
 
 
 # ---------------------------------------------------------------------------
-# public shaft views and straightening
+# public shaft views
 
 
 @dataclass(frozen=True)
@@ -447,43 +278,6 @@ class Shaft:
     bigrading: tuple
     strands: int
     tokens: tuple
-    char: int
-
-    def matrix(self) -> gf.Matrix:
-        return shaft_matrix(self.tokens, self.strands, self.char)
-
-
-def straighten(shaft: Shaft, order=None) -> Shaft:
-    """Rewrite the word in straight form sorted by a per-position order.
-
-    ``order[p]`` ranks position p (0-based) at both ends of the shaft,
-    and the position itself breaks ties between equal ranks.  The word
-    comes out as lower arrows, dots, crossings, then upper arrows, where
-    every lower arrow points from earlier to later in (rank, bottom
-    position) and every upper arrow from later to earlier in (rank, top
-    position).  The result depends only on the shaft's matrix and
-    ``order``, not on how the input word is spelled.  The default puts
-    every position in one class, which is the plain factorization.
-
-    A rank cannot follow a strand from its bottom end to its top end:
-    which bottom position a top position is joined to is an output of
-    the factorization, not an input to it.
-    """
-    w = shaft.strands
-    ranks = list(order) if order is not None else [0] * w
-    if len(ranks) != w:
-        raise ValueError("order must rank every strand")
-    rank_index = {r: k for k, r in enumerate(sorted(set(ranks)))}
-    # _ordered_ltu takes rows by descending key with ascending position
-    # ties, so negated bottom keys give ascending (rank, position) rows.
-    x_keys = [-rank_index[r] for r in ranks]
-    state = _ordered_ltu(shaft.matrix(), x_keys, ranks, shaft.char)
-    out = Shaft(
-        shaft.bigrading, w, tuple(_state_tokens(state, shaft.char)), shaft.char
-    )
-    if out.matrix() != shaft.matrix():
-        raise InvariantViolation("straightening changed the product")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -520,20 +314,21 @@ def _boundary_arrow(st: _ShaftState, end, k) -> list:
 class _Floor:
     """One floor's state.
 
-    ``gens`` is the floor basis and ``table`` its arrows: a mutable
-    [target, length, coefficient] per source index, with ``into`` sending
-    each target back to its source.  ``start`` is the change from the
-    input's basis to the basis ``build`` found, and ``steps`` are the
-    elementary steps taken on the floor since, in ``apply_step``'s form:
-    ("add", r, g, (c, u, v)) or ("scale", i, c).  ``d`` holds the sparse
-    rows of the input's differential modulo U (bottom) or V (top).
+    ``gens`` is the floor basis and ``table`` its arrows: a (target,
+    length) pair per source index, every arrow with coefficient 1, with
+    ``into`` sending each target back to its source.  Neither changes
+    after construction.  ``start`` is the change from the input's basis
+    to the basis ``build`` found, and ``steps`` are the elementary steps
+    taken on the floor since, in ``apply_step``'s form: ("add", r, g,
+    (c, u, v)).  ``d`` holds the sparse rows of the input's differential
+    modulo U (bottom) or V (top).
     """
 
     __slots__ = ("gens", "table", "into", "start", "steps", "d")
 
     def __init__(self, basis: SimplifiedBasis, d: list):
         self.gens = tuple(basis.generators)
-        self.table = {s: [t, n, 1] for s, t, n in basis.arrows}
+        self.table = {s: (t, n) for s, t, n in basis.arrows}
         self.into = {t: s for s, t, _ in basis.arrows}
         self.start, self.steps, self.d = basis.change, [], d
 
@@ -551,8 +346,7 @@ class _Journeys:
     its own successor, which pads the record with zeros.  ``lead`` counts
     the steps before a state's journey enters its cycle and ``period`` is
     that cycle's length; one pass over the functional graph finds both.
-    The table reads the floor tables' targets and lengths and the
-    elevators ``up``, never a coefficient.
+    The table reads the floor tables and the elevators ``up``.
     """
 
     __slots__ = ("n", "term", "succ", "elev", "lead", "period")
@@ -566,7 +360,7 @@ class _Journeys:
         term, succ = self.term, self.succ = [0] * (2 * n), list(range(2 * n))
         for off, end in ((0, BOTTOM), (n, TOP)):
             table = floors[end].table
-            for s, (t, length, _) in table.items():  # a matching: no element is both
+            for s, (t, length) in table.items():  # a matching: no element is both
                 term[off + s], succ[off + s] = -length, elev[off + t]
                 term[off + t], succ[off + t] = length, elev[off + s]
         # lead -1 marks an unvisited state, -2 - k the k-th state of the
@@ -595,11 +389,6 @@ class _Journeys:
             out.append(term[s])
             s = succ[s]
         return out
-
-    def sequence(self, s: int) -> TraversalSequence:
-        lead = self.lead[s]
-        terms = self.terms(s, lead + self.period[s])
-        return TraversalSequence(tuple(terms[:lead]), tuple(terms[lead:]))
 
     def divergence(self, s: int, t: int):
         """Signed 1-based index of the first term where the journeys out of
@@ -636,20 +425,19 @@ class TwoStoryComplex:
     of its differential modulo U and V, kept for every ``verify``; it
     reads no arrow of ``c``, and installs each block's factors from the
     transition as that shaft's state, factoring nothing again and copying
-    nothing for a block with no arrow and no dot.  It and
-    every public operation that changes the state end with one
-    ``verify``; one that changes nothing does not.
+    nothing for a block with no arrow and no dot.  It and a depth pass
+    that ran end with one ``verify``; a pass that changes nothing does
+    not.
 
     Journeys come from one successor table, ``_Journeys``, built when a
     journey is first read, and the divergences between them are cached by
-    state pair.  A journey reads only the floor tables' targets and
-    lengths and the elevators ``up`` of the shafts.  After construction
-    the tables change only in their coefficients, and an elevator changes
-    only when ``_reparametrize`` installs a refactored shaft, so that is
-    the one place where the table and the divergences are dropped, and
-    only when the new ``up`` differs from the old.  A snowplow changes no
-    journey, so the arrows it leaves keep their weights.  Both caches
-    belong to the instance and go with it.
+    state pair.  A journey reads only the floor tables and the elevators
+    ``up`` of the shafts.  The tables never change after construction,
+    and an elevator changes only when ``_reparametrize`` installs a
+    refactored shaft, so that is the one place where the table and the
+    divergences are dropped, and only when the new ``up`` differs from
+    the old.  A snowplow changes no journey, so the arrows it leaves keep
+    their weights.  Both caches belong to the instance and go with it.
     """
 
     def __init__(self, c: Complex, td: TransitionData, d_mod_u: list, d_mod_v: list):
@@ -692,21 +480,6 @@ class TwoStoryComplex:
     def _idx(self, grading, p) -> int:
         return self._slots[grading][p]
 
-    def _elevator(self, end, idx) -> int:
-        """The other end of the strand whose ``end`` end is idx."""
-        g, p = self._pos[idx]
-        st = self._shafts[g]
-        if end == BOTTOM:
-            return self._idx(g, st.up[p])
-        return self._idx(g, st.up.index(p))
-
-    def _name_index(self, name: str):
-        for end in (BOTTOM, TOP):
-            for i, g in enumerate(self._floors[end].gens):
-                if g.id == name:
-                    return end, i
-        raise KeyError(f"no floor basis element named {name!r}")
-
     # -- logging ---------------------------------------------------------
 
     @property
@@ -716,12 +489,8 @@ class TwoStoryComplex:
         p = self.char
         out = []
         for end, side in ((BOTTOM, "x"), (TOP, "y")):
-            for step in self._floors[end].steps:
-                if step[0] == "add":
-                    _, r, g, (c, u, v) = step
-                    out.append((side, "add", r, g, Monomial(gf.FieldElem(c, p), u, v)))
-                else:
-                    out.append((side, "scale", step[1], gf.FieldElem(step[2], p)))
+            for _, r, g, (c, u, v) in self._floors[end].steps:
+                out.append((side, "add", r, g, Monomial(gf.FieldElem(c, p), u, v)))
         return tuple(out)
 
     def _basis(self, end) -> BasisChange:
@@ -739,19 +508,14 @@ class TwoStoryComplex:
 
     def shaft(self, grading) -> Shaft:
         st = self._shafts[grading]
-        return Shaft(
-            grading,
-            self.width(grading),
-            tuple(_state_tokens(st, self.char)),
-            self.char,
-        )
+        return Shaft(grading, self.width(grading), tuple(_state_tokens(st, self.char)))
 
     def shafts(self) -> dict:
         return {g: self.shaft(g) for g in self.gradings()}
 
     def _floor_view(self, end) -> SimplifiedBasis:
         floor = self._floors[end]
-        arrows = tuple(sorted((s, v[0], v[1]) for s, v in floor.table.items()))
+        arrows = tuple(sorted((s, t, n) for s, (t, n) in floor.table.items()))
         direction = VERTICAL if end == BOTTOM else HORIZONTAL
         return SimplifiedBasis(direction, floor.gens, arrows, self._basis(end))
 
@@ -768,7 +532,7 @@ class TwoStoryComplex:
     def _floor_step(self, end, idx):
         floor = self._floors[end]
         if idx in floor.table:
-            tgt, length, _ = floor.table[idx]
+            tgt, length = floor.table[idx]
             return (-length, tgt)
         if idx in floor.into:
             src = floor.into[idx]
@@ -780,12 +544,6 @@ class TwoStoryComplex:
         if self._table is None:
             self._table = _Journeys(self._floors, self._slots, self._shafts)
         return self._table
-
-    def _sequence(self, end, idx) -> TraversalSequence:
-        """Journey record of the element idx of one floor, walked along its
-        floor arrow first, read off the successor table."""
-        table = self._journeys()
-        return table.sequence(idx if end == BOTTOM else table.n + idx)
 
     # -- weights ------------------------------------------------------------------
 
@@ -803,14 +561,6 @@ class TwoStoryComplex:
         if d is None:
             d = self._div_cache[s, t] = table.divergence(s, t)
         return d
-
-    def _arrow_weight(self, grading, end, r, g) -> Weight:
-        """Weight of an arrow from g into r in the tier at ``end``: the
-        near component out of that floor, the far one out of the other."""
-        return Weight(
-            self._arrow_component(grading, end, r, g, True),
-            self._arrow_component(grading, end, r, g, False),
-        )
 
     def depth(self):
         """The least absolute weight component over all arrows, math.inf
@@ -854,22 +604,22 @@ class TwoStoryComplex:
         logged scale by zero ValueError (``complexes.apply_step``), and any
         other failure InvariantViolation.  ``build`` alone checks the input.
 
-        The constructor and every public call that changes the complex
-        end here, once; a call that changes nothing does not come here.
+        The constructor and a depth pass that ran end here, once; a pass
+        that changes nothing does not come here.
         """
         x, y = self._basis(BOTTOM), self._basis(TOP)
         x.check_homogeneous()
         y.check_homogeneous()
         for end, change, k in ((BOTTOM, x, 1), (TOP, y, 2)):
             floor = self._floors[end]
-            arrows = [(s, t, n, mu) for s, (t, n, mu) in floor.table.items()]
+            arrows = [(s, t, n, 1) for s, (t, n) in floor.table.items()]
             if not intertwines(floor.d, change, arrows, k):
                 raise InvariantViolation(f"{end} floor drifted from the engine tables")
         xr, yr = x.rows, y.rows
         for grading in self._gradings:
             members, st = self._slots[grading], self._shafts[grading]
             w = len(members)
-            if st.dots or st.lower or st.upper or st.up != (tuple(range(w)) if w > 1 else (0,)):
+            if st.dots or st.lower or st.upper or st.up != tuple(range(w)):
                 want = _shaft_times(st, [_scalar_entries(yr[j]) for j in members], self.char)
                 drifted = any(row != _scalar_entries(xr[i]) for i, row in zip(members, want))
             else:  # the identity, row for row: equal rows have equal scalar parts
@@ -881,40 +631,6 @@ class TwoStoryComplex:
             if drifted:
                 raise InvariantViolation(f"shaft product drifted at {grading}")
 
-    # -- black dot slides ----------------------------------------------------------
-
-    def _slide_dot(self, grading, p, end):
-        """Dissolve the dot at bottom position p into the floor at ``end``.
-
-        The dot's strand meets that floor at position q: p itself at the
-        bottom, up[p] at the top.  The floor element there is scaled by f,
-        1/lam going down and lam going up.  In the tier at ``end`` an arrow
-        whose receiver is q is multiplied by f and one whose giver is q by
-        1/f; the floor arrow out of the element by f, the one into it by
-        1/f.
-        """
-        st = self._shafts[grading]
-        if p not in st.dots:
-            raise PatternMismatch("no dot to slide at this position")
-        char = self.char
-        lam = st.dots.pop(p)
-        f = pow(lam, -1, char) if end == BOTTOM else lam
-        f_inv = pow(f, -1, char)
-        q = p if end == BOTTOM else st.up[p]
-        for ca in st.arrows(end):
-            if ca[0] == q:
-                ca[2] = ca[2] * f % char
-            if ca[1] == q:
-                ca[2] = ca[2] * f_inv % char
-        idx = self._idx(grading, q)
-        floor = self._floors[end]
-        floor.steps.append(("scale", idx, f))
-        if idx in floor.table:
-            floor.table[idx][2] = floor.table[idx][2] * f % char
-        if idx in floor.into:
-            src = floor.into[idx]
-            floor.table[src][2] = floor.table[src][2] * f_inv % char
-
     # -- crossover arrow turns -------------------------------------------------------
 
     def _turn(self, grading, end, k, remove=True):
@@ -922,12 +638,14 @@ class TwoStoryComplex:
 
         The arrow's basis step at the floor is undone.  Where both strands
         continue along the floor on the same side, that forces a second
-        step between their neighbours, times the variable to the power by
-        which the two floor lengths differ.  A parallel pair has power 0:
-        the second step is the same arrow record, overwritten in place in
-        the neighbouring shaft, and its handle there is returned.  A
-        diverging pair loses the arrow and None is returned; with ``remove``
-        off, StrandsDiverge is raised instead, before any change.
+        step between their neighbours with the arrow's own coefficient,
+        since every floor arrow has coefficient 1, times the variable to
+        the power by which the two floor lengths differ.  A parallel pair
+        has power 0: the second step is the same arrow record, overwritten
+        in place in the neighbouring shaft, and its handle there is
+        returned.  A diverging pair loses the arrow and None is returned;
+        with ``remove`` off, StrandsDiverge is raised instead, before any
+        change.
         """
         st = self._shafts[grading]
         ca = _boundary_arrow(st, end, k)
@@ -947,22 +665,17 @@ class TwoStoryComplex:
         elif (ar or ag) and not unusual_key(vr) < unusual_key(vg):
             raise WrongOrientation(f"arrow at {grading} points up the divergence order")
         p = self.char
-        sign = -1 if end == BOTTOM else 1
+        c = (-lam if end == BOTTOM else lam) % p
         st.arrows(end).pop(k)
         floor = self._floors[end]
-        floor.steps.append(("add", idx_r, idx_g, (sign * lam % p, 0, 0)))
-        table = floor.table
-        if vr < 0 and vg < 0:
-            coeff = lam * table[idx_g][2] * pow(table[idx_r][2], -1, p) % p
-        elif vr > 0 and vg > 0:
-            coeff = lam * table[ar[1]][2] * pow(table[ag[1]][2], -1, p) % p
-        else:
+        floor.steps.append(("add", idx_r, idx_g, (c, 0, 0)))
+        if vr * vg <= 0:  # the two steps leave on different sides, or one ends
             return None
-        floor.steps.append(("add", ar[1], ag[1], _power_mono(sign * coeff % p, end, vr - vg)))
+        floor.steps.append(("add", ar[1], ag[1], _power_mono(c, end, vr - vg)))
         if not parallel:
             return None
         seq2 = self._shafts[g2].arrows(end)
-        ca[:] = [self._pos[ar[1]][1], self._pos[ag[1]][1], -coeff % p]
+        ca[:] = [self._pos[ar[1]][1], self._pos[ag[1]][1], -lam % p]
         seq2.insert(0 if end == BOTTOM else len(seq2), ca)
         return (g2, end, _exit_index(seq2, end))
 
@@ -1240,127 +953,6 @@ def build(c: Complex) -> TwoStoryComplex:
 # public operations
 
 
-def traversal_sequence(t: TwoStoryComplex, z: str, direction: str) -> TraversalSequence:
-    """Journey record of a floor basis element in the given direction.
-
-    ``toward-floor`` starts with the element's own floor arrow;
-    ``toward-shaft`` crosses the elevator first and continues from the
-    strand's other endpoint.  Any other direction raises ValueError.
-    """
-    if direction not in (TOWARD_FLOOR, TOWARD_SHAFT):
-        raise ValueError(f"unknown direction {direction!r}")
-    end, idx = t._name_index(z)
-    if direction == TOWARD_FLOOR:
-        return t._sequence(end, idx)
-    return t._sequence(_other(end), t._elevator(end, idx))
-
-
-def strand_top(t: TwoStoryComplex, x_name: str) -> str:
-    """Name of the top endpoint of the strand holding a bottom element."""
-    end, idx = t._name_index(x_name)
-    if end != BOTTOM:
-        raise ValueError(f"expected a bottom basis element, got {x_name!r}")
-    return t.y_gens[t._elevator(BOTTOM, idx)].id
-
-
-def strand_bottom(t: TwoStoryComplex, y_name: str) -> str:
-    """Name of the bottom endpoint of the strand holding a top element."""
-    end, idx = t._name_index(y_name)
-    if end != TOP:
-        raise ValueError(f"expected a top basis element, got {y_name!r}")
-    return t.x_gens[t._elevator(TOP, idx)].id
-
-
-def _resolve_arrow(t: TwoStoryComplex, arrow):
-    """Map a public (bigrading, token index) handle to (bigrading, end,
-    index in that end's tier, token); a dot or crossing has end "middle".
-    A handle that is not a pair, a bigrading that names no shaft, an int
-    one included, and an index that is not an int in range raise
-    PatternMismatch."""
-    try:
-        grading, pos = arrow
-    except (TypeError, ValueError):
-        raise PatternMismatch(f"{arrow!r} is not a (bigrading, token index) pair") from None
-    try:
-        grading = tuple(grading)
-        known = grading in t._shafts
-    except TypeError:
-        known = False
-    if not known:
-        raise PatternMismatch(f"no shaft at bigrading {grading}")
-    if not _is_int(pos):
-        raise PatternMismatch(f"token index {pos!r} is not an int")
-    st = t._shafts[grading]
-    view = t.shaft(grading).tokens
-    if not 0 <= pos < len(view):
-        raise PatternMismatch("token index out of range")
-    token = view[pos]
-    if pos < len(st.lower):
-        return grading, BOTTOM, pos, token
-    offset = len(view) - len(st.upper)
-    if pos >= offset:
-        return grading, TOP, pos - offset, token
-    return grading, "middle", pos, token
-
-
-def weight_of(t: TwoStoryComplex, arrow) -> Weight:
-    """Weight of the crossover arrow named by (bigrading, token index)."""
-    grading, end, k, token = _resolve_arrow(t, arrow)
-    if not isinstance(token, CrossoverArrow):
-        raise PatternMismatch("weights are defined for crossover arrows")
-    r, g, _ = t._shafts[grading].arrows(end)[k]
-    return t._arrow_weight(grading, end, r, g)
-
-
-def slide_arrow_step(t: TwoStoryComplex, arrow, direction: str) -> TwoStoryComplex:
-    """Transport a boundary token across one floor segment, "down" through
-    the bottom floor or "up" through the top one.
-
-    Black dots dissolve into a rescaling of the floor element they exit
-    through; crossover arrows reappear in the neighbouring shaft.  The
-    moved state is verified once; a refused slide changes nothing and
-    verifies nothing.
-    """
-    grading, end, k, token = _resolve_arrow(t, arrow)
-    if not isinstance(token, (BlackDot, CrossoverArrow)):
-        raise PatternMismatch("only arrows and dots slide through floors")
-    through = {"down": BOTTOM, "up": TOP}.get(direction)
-    if through is None:
-        raise ValueError(f"unknown slide direction {direction!r}")
-    if isinstance(token, BlackDot):
-        t._slide_dot(grading, token.i - 1, through)
-    elif end != through or k != _exit_index(t._shafts[grading].arrows(end), end):
-        raise PatternMismatch(f"arrow is not at the {through} boundary")
-    else:
-        t._turn(grading, end, k, remove=False)
-    t.verify()
-    return t
-
-
-def remove_diverging_arrow(t: TwoStoryComplex, arrow) -> TwoStoryComplex:
-    """Slide an arrow out along its near floor and remove it at the
-    point of divergence, restoring every other displaced arrow to its
-    shaft and tier.  The result is verified once; a refused removal
-    changes nothing and verifies nothing."""
-    grading, end, k, token = _resolve_arrow(t, arrow)
-    if not isinstance(token, CrossoverArrow):
-        raise PatternMismatch("only crossover arrows are removable")
-    r, g, _ = t._shafts[grading].arrows(end)[k]
-    w = t._arrow_weight(grading, end, r, g)
-    if w.w_hat == math.inf:
-        raise Parallel("the strand pair never diverges")
-    if w.w_hat < 0:
-        raise WrongOrientation("the arrow points up the divergence order")
-    t._snowplow_remove(grading, end, k, end)
-    t.verify()
-    return t
-
-
-def increase_depth(t: TwoStoryComplex, m: int) -> TwoStoryComplex:
-    """Raise the depth of the two-story complex past m."""
-    return t.increase_depth(m)
-
-
 def run_to_depth_infinity(t: TwoStoryComplex) -> TwoStoryComplex:
     """Iterate depth raising until every arrow's weight is (inf, inf)."""
     return t.run_to_depth_infinity()
@@ -1374,11 +966,8 @@ def dump(t: TwoStoryComplex) -> str:
         power = "V" if end == BOTTOM else "U"
         lines.append(f"{end} floor:")
         for s in sorted(floor.table):
-            tg, l, mu = floor.table[s]
-            text = f"  {floor.gens[s].id} -{power}^{l}-> {floor.gens[tg].id}"
-            if mu != 1:
-                text += f"  (coefficient {mu})"
-            lines.append(text)
+            tg, l = floor.table[s]
+            lines.append(f"  {floor.gens[s].id} -{power}^{l}-> {floor.gens[tg].id}")
     lines.append("shafts:")
     for grading in t.gradings():
         shaft = t.shaft(grading)

@@ -3,11 +3,13 @@ for scripts under ``python -O``, a ring-inverse oracle for the transition
 normalization, a full-scan oracle for the elimination's pivot order, an
 enumeration oracle for permutation classes, a product-form oracle for
 the intertwining check, a conjugation oracle for the two-story
-self-check, planted pairs of snakes whose journeys diverge late, the
-strand-journey multiset of a two-story complex, a step-by-step journey
-walk with the weights it gives as the oracle for the engine's successor
-table, and a hook that runs that self-check after every inner step of
-the depth loop.
+self-check, the dense token product as the reference for the engine's
+shaft products, planted pairs of snakes whose journeys diverge late,
+eventually periodic journey records with their comparison in the
+unusual order, the strand-journey multiset of a two-story complex, a
+step-by-step journey walk with the weights it gives as the oracle for
+the engine's successor table, and a hook that runs that self-check
+after every inner step of the depth loop.
 
 The seeded generators ``zero_pair``, ``chain_complex``, ``random_change``,
 ``random_complex`` and ``random_messy`` are the benchmark's own, from
@@ -22,6 +24,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import dataclass
 
 from snakedec.complexes import (
     Arrow,
@@ -38,7 +41,13 @@ from snakedec.complexes import (
     quotient_rows,
     validate,
 )
-from snakedec.errors import CountMismatch, GradingViolation, InvariantViolation
+from snakedec.errors import (
+    CountMismatch,
+    DimensionMismatch,
+    FieldMismatch,
+    GradingViolation,
+    InvariantViolation,
+)
 from snakedec.gf import (
     PONE,
     Matrix,
@@ -48,7 +57,7 @@ from snakedec.gf import (
     pmul,
     pnorm,
 )
-from snakedec.twostory import TraversalSequence, _compare_window, _divergence
+from snakedec.twostory import BlackDot, Crossing, CrossoverArrow, _is_int, unusual_key
 
 # One copy of the seeded generators serves both suites, so tier-1 checks the
 # pipeline on the very inputs the benchmark measures.  The file is loaded by
@@ -509,6 +518,41 @@ def _dense_shaft(st, width, p):
     return tuple([tuple(row) for row in rows])
 
 
+def _token_indices(t) -> set:
+    if isinstance(t, (Crossing, CrossoverArrow)):
+        return {t.i, t.j}
+    return {t.i}
+
+
+def token_matrix(token, width, char):
+    """The elementary matrix a single token stands for."""
+    if not isinstance(token, (Crossing, CrossoverArrow, BlackDot)):
+        raise TypeError(f"not a token: {token!r}")
+    if max(_token_indices(token)) > width:
+        raise DimensionMismatch(f"{token} does not fit {width} strands")
+    if not isinstance(token, Crossing) and token.lam.char != char:
+        raise FieldMismatch(f"{token} lies outside F_{char}")
+    rows = [[int(a == b) for b in range(width)] for a in range(width)]
+    if isinstance(token, Crossing):
+        i, j = token.i - 1, token.j - 1
+        rows[i][i] = rows[j][j] = 0
+        rows[i][j] = rows[j][i] = 1
+    elif isinstance(token, BlackDot):
+        rows[token.i - 1][token.i - 1] = token.lam.value
+    else:
+        rows[token.j - 1][token.i - 1] = token.lam.value
+    return Matrix.from_rows(rows, char)
+
+
+def shaft_matrix(tokens, width, char):
+    """Product of the token matrices, bottom-most token leftmost: the
+    dense reference for the engine's ``_state_matrix``."""
+    out = Matrix.identity(width, char)
+    for t in tokens:
+        out = out * token_matrix(t, width, char)
+    return out
+
+
 def conjugation_verify(t):
     """TwoStoryComplex.verify by conjugation, with ring inverses.
 
@@ -530,7 +574,7 @@ def conjugation_verify(t):
             if s in got:
                 raise InvariantViolation(f"{label} floor source repeated")
             got[s] = (idx[a.tgt], a.mono.u_exp + a.mono.v_exp, a.mono.coeff.value)
-        if got != {s: tuple(v) for s, v in table.items()}:
+        if got != {s: (tgt, n, 1) for s, (tgt, n) in table.items()}:
             raise InvariantViolation(f"{label} floor drifted from the engine tables")
     p = x.compose(y.inverse())
     for i, row in enumerate(p.rows):
@@ -547,13 +591,99 @@ def conjugation_verify(t):
             raise InvariantViolation(f"shaft product drifted at {grading}")
 
 
+def _min_cycle(cycle):
+    n = len(cycle)
+    for d in range(1, n + 1):
+        if n % d == 0 and cycle == cycle[:d] * (n // d):
+            return cycle[:d]
+    return cycle
+
+
+@dataclass(frozen=True)
+class TraversalSequence:
+    """An eventually periodic journey record: prefix, then repeating cycle.
+
+    A terminated journey is stored with cycle ``(0,)``: the record is
+    padded with infinitely many zeros.  Equal journeys give equal records.
+    """
+
+    prefix: tuple
+    cycle: tuple
+
+    def __post_init__(self):
+        cycle = _min_cycle(tuple(self.cycle))
+        if not cycle:
+            raise ValueError("a traversal sequence needs a nonempty cycle")
+        prefix = tuple(self.prefix)
+        while prefix and prefix[-1] == cycle[-1]:
+            cycle = (cycle[-1],) + cycle[:-1]
+            prefix = prefix[:-1]
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cycle", cycle)
+
+    @property
+    def terminating(self):
+        return self.cycle == (0,)
+
+    @property
+    def period(self):
+        """Length of the repeating part, None for a terminated journey."""
+        return None if self.terminating else len(self.cycle)
+
+    def term(self, k):
+        """The k-th term, counted from 0; a k that is not a nonnegative int
+        raises ValueError."""
+        if not _is_int(k) or k < 0:
+            raise ValueError(f"a journey has no term {k!r}")
+        if k < len(self.prefix):
+            return self.prefix[k]
+        return self.cycle[(k - len(self.prefix)) % len(self.cycle)]
+
+    def realize(self, n):
+        return tuple([self.term(k) for k in range(n)])
+
+
+def _compare_window(s, t):
+    lead = max(len(s.prefix), len(t.prefix))
+    return lead + math.lcm(len(s.cycle), len(t.cycle))
+
+
+def _divergence(s, t, window):
+    """Signed 1-based index of the first term where s and t differ within
+    the window, positive when s comes first in the unusual order; 0 when
+    they agree throughout."""
+    for k in range(window):
+        a, b = s.term(k), t.term(k)
+        if a != b:
+            return (k + 1) if unusual_key(a) < unusual_key(b) else -(k + 1)
+    return 0
+
+
+def elevator(t, end, idx):
+    """The other end of the strand of t whose ``end`` end is the floor
+    element idx, read off the shaft's ``up``."""
+    g, p = t._pos[idx]
+    up = t._shafts[g].up
+    return t._idx(g, up[p] if end == "bottom" else up.index(p))
+
+
+def journey(t, end, idx):
+    """The journey out of the element idx of the floor at ``end``, read
+    off the engine's successor table."""
+    table = t._journeys()
+    s = idx if end == "bottom" else table.n + idx
+    lead = table.lead[s]
+    terms = table.terms(s, lead + table.period[s])
+    return TraversalSequence(tuple(terms[:lead]), tuple(terms[lead:]))
+
+
 def journey_multiset(t):
     """The strands of a two-story complex counted by (bigrading, journey
     out of the bottom floor, journey out of the top floor).  After the
     depth loop it is an invariant of the input complex, if its splitting
     into snakes and local systems is unique."""
     return Counter(
-        (g.grading, t._sequence("bottom", i), t._sequence("top", t._elevator("bottom", i)))
+        (g.grading, journey(t, "bottom", i), journey(t, "top", elevator(t, "bottom", i)))
         for i, g in enumerate(t.x_gens)
     )
 
@@ -572,7 +702,7 @@ def journey_by_walk(t, end, idx):
             return TraversalSequence(tuple(terms), (0,))
         term, j = step
         terms.append(term)
-        state = ("top" if at == "bottom" else "bottom", t._elevator(at, j))
+        state = ("top" if at == "bottom" else "bottom", elevator(t, at, j))
     k = seen[state]
     return TraversalSequence(tuple(terms[:k]), tuple(terms[k:]))
 
@@ -589,7 +719,7 @@ def weight_by_walk(t, grading, end, r, g):
     far = "top" if end == "bottom" else "bottom"
     return (
         component(end, idx_r, idx_g),
-        component(far, t._elevator(end, idx_r), t._elevator(end, idx_g)),
+        component(far, elevator(t, end, idx_r), elevator(t, end, idx_g)),
     )
 
 

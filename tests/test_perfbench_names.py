@@ -39,9 +39,14 @@ def test_the_input_generators_import():
 
 
 def test_the_traced_token_class_exists():
-    from snakedec.twostory import CrossoverArrow
+    # --trace 1 counts the tokens and crossover arrows of each built
+    # complex through the shafts' token views; braided() has one of each
+    from gen import braided
+    from snakedec.twostory import CrossoverArrow, build
 
     assert isinstance(CrossoverArrow, type)
+    counts = _load("tracer")._build_counts(build(braided()))
+    assert counts == {"twostory.tokens_at_build": 1, "twostory.arrows_at_build": 1}
 
 
 # what perfbench/run.py and tools/ab.py call on the package
