@@ -23,7 +23,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import (
     FieldMismatch,
     GradingViolation,
-    InvariantViolation,
     NotInvertible,
     ValidationError,
 )
@@ -32,6 +31,11 @@ from .gf import FieldElem, _check_prime
 RING_R1 = "r1"
 RING_FUV = "fuv"
 _RINGS = (RING_R1, RING_FUV)
+
+
+def _is_int(v) -> bool:
+    """An int that is not a bool: True and False count as no number here."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,10 +114,12 @@ class Complex:
     term c U^u V^v of d(generators[s]) at generators[t], with c in [1, p),
     one per (s, t, u, v) and sorted.  Over R1 a mixed monomial is the zero
     element, so the constructor drops one silently.  The constructor refuses
-    a characteristic that is not a prime int (ValueError), then merges
-    and sorts the ``Arrow``s it is handed; ``from_terms`` wraps terms that
-    are canonical already.  ``arrows`` is the differential as ``Arrow``s,
-    built on each read and in the same order.
+    a characteristic that is not a prime int (ValueError), and a generator
+    that is no ``Generator`` with int gradings or an arrow that is no
+    ``Arrow`` of a ``Monomial`` (ValidationError), then merges and sorts
+    the ``Arrow``s it is handed; ``from_terms`` wraps terms that are
+    canonical already and checks nothing.  ``arrows`` is the differential
+    as ``Arrow``s, built on each read and in the same order.
     """
 
     ring: str
@@ -126,6 +132,9 @@ class Complex:
         if ring not in _RINGS:
             raise ValidationError(f"unknown ring tag {ring!r}")
         gens = tuple(generators)
+        for g in gens:
+            if not (isinstance(g, Generator) and _is_int(g.gr_u) and _is_int(g.gr_v)):
+                raise ValidationError(f"{g!r} is not a Generator with int gradings")
         ids = [g.id for g in gens]
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
@@ -133,6 +142,8 @@ class Complex:
         index = {g.id: k for k, g in enumerate(gens)}
         merged: Dict[tuple, int] = {}
         for a in arrows:
+            if not (isinstance(a, Arrow) and isinstance(a.mono, Monomial)):
+                raise ValidationError(f"{a!r} is not an Arrow with a Monomial")
             if a.src not in index or a.tgt not in index:
                 raise ValidationError(f"arrow {a.src} -> {a.tgt} references unknown generator")
             if a.mono.coeff.char != char:
@@ -264,8 +275,8 @@ class BasisChange:
     Row i states new_i = sum_j rows[i][j] * old_j.  ``rows[i]`` is sparse: it
     maps a column j to ``(coeff, u_exp, v_exp)``, the monomial coeff U^u V^v
     with an int coefficient in [1, p).  The constructor takes dense
-    ``entries``, rows of Monomial or None, over a prime int ``char``
-    (ValueError otherwise).  Legal changes are
+    ``entries``, rows of Monomial or None (ValidationError otherwise), over
+    a prime int ``char`` (ValueError otherwise).  Legal changes are
     grading-homogeneous, so the gradings fix each entry's exponents, and
     have an invertible scalar part, which makes them invertible.
     """
@@ -283,6 +294,9 @@ class BasisChange:
             raise ValidationError("basis change must be square")
         if any(len(row) != n for row in entries):
             raise ValidationError("ragged basis change")
+        bad = [m for row in entries for m in row if m is not None and not isinstance(m, Monomial)]
+        if bad:
+            raise ValidationError(f"basis change entry {bad[0]!r} is no Monomial or None")
         if any(m is not None and m.coeff.char != char for row in entries for m in row):
             raise FieldMismatch(f"basis change entry outside F_{char}")
         rows = tuple([
@@ -419,24 +433,17 @@ def quotient_rows(d: List[dict], k: int) -> List[dict]:
     return [{j: e for j, e in row.items() if not e[k]} for row in d]
 
 
-def apply_step(rows: List[dict], gens: Sequence[Generator], step: tuple, r1: bool, p: int) -> None:
-    """Apply one logged step to basis rows in place: ("add", r, g, (c, u, v))
-    is e_r <- e_r + c U^u V^v e_g, ("scale", i, c) is e_i <- c e_i.  Before
-    any row changes, a step of another kind or length raises
-    InvariantViolation, an add with r == g, a mixed monomial over R1 or off
-    the bigrading of ``gens`` GradingViolation, a zero scale ValueError."""
-    if step[0] == "add" and len(step) == 4:
-        _, r, g, (_, u, v) = step
-        gr, gg = gens[r], gens[g]
-        if r == g or (r1 and u and v) or gr.grading != (gg.gr_u - 2 * u, gg.gr_v - 2 * v):
-            raise GradingViolation(f"step {gr.id} += (U^{u} V^{v}) {gg.id} breaks the bigrading")
-        add_row_multiple(rows[r], step[3], rows[g], r1, p)
-    elif step[0] != "scale" or len(step) != 3:
-        raise InvariantViolation(f"malformed logged step {step!r}")
-    elif step[2] % p:
-        rows[step[1]] = _scaled(rows[step[1]], step[2], p)
-    else:
-        raise ValueError("a basis element cannot be scaled by zero")
+def add_step(
+    rows: List[dict], gens: Sequence[Generator], r: int, g: int, m: tuple, r1: bool, p: int
+) -> None:
+    """e_r <- e_r + c U^u V^v e_g on basis rows in place, for m = (c, u, v).
+    Before any row changes, r == g, a mixed monomial over R1 or a step off
+    the bigrading of ``gens`` raises GradingViolation."""
+    _, u, v = m
+    gr, gg = gens[r], gens[g]
+    if r == g or (r1 and u and v) or gr.grading != (gg.gr_u - 2 * u, gg.gr_v - 2 * v):
+        raise GradingViolation(f"step {gr.id} += (U^{u} V^{v}) {gg.id} breaks the bigrading")
+    add_row_multiple(rows[r], m, rows[g], r1, p)
 
 
 class Elimination:
@@ -447,8 +454,8 @@ class Elimination:
     handed, the change as the identity.  A change P turns D into P D P^-1
     and the change into P times it: one row and one column operation on D
     and one row operation on the change per step, with no P^-1 formed.
-    Each step's row half, with its checks, is ``apply_step`` on ``gens``,
-    so each cell stays a single monomial.  ``cols[j]`` is the set of rows
+    An add's row half, with its checks, is ``add_step`` on ``gens``, so
+    each cell stays a single monomial.  ``cols[j]`` is the set of rows
     i with j in ``d[i]``, kept by every step, so ``column`` reads a column
     without scanning D, in ascending row order.  ``touched`` gathers
     the rows of D the steps write (all rows at first): row r and the rows
@@ -481,7 +488,7 @@ class Elimination:
 
     def add(self, r: int, g: int, m: tuple) -> None:
         """e_r <- e_r + m e_g for a monomial m = (coeff, u_exp, v_exp), r != g."""
-        apply_step(self.rows, self.gens, ("add", r, g, m), self.r1, self.p)
+        add_step(self.rows, self.gens, r, g, m, self.r1, self.p)
         c, u, v = m
         p, r1 = self.p, self.r1
         add_row_multiple(self.d[r], m, self.d[g], r1, p)
@@ -495,8 +502,10 @@ class Elimination:
 
     def scale(self, i: int, c: int) -> None:
         """e_i <- c e_i for a scalar c that is nonzero mod p (ValueError otherwise)."""
-        apply_step(self.rows, self.gens, ("scale", i, c), self.r1, self.p)
         p = self.p
+        if not c % p:
+            raise ValueError("a basis element cannot be scaled by zero")
+        self.rows[i] = _scaled(self.rows[i], c, p)
         inv = pow(c, p - 2, p)
         self.d[i] = _scaled(self.d[i], c, p)
         self.touched.add(i)

@@ -8,10 +8,9 @@ elimination behind strip and simplify and in ``verify``'s replay of the
 two-story log (``GradingViolation``), malformed input to them and to the
 ``gf`` polynomial kernel (``ValidationError``), and the checks of the
 program's own work in the two-story engine's ``verify`` and depth loop,
-in ``apply_step``'s refusal of a malformed logged step, in
-``normalize_transition``'s bigrading check and in the ``gf`` polynomial
-and canonical-basis kernels (``InvariantViolation``).  No module uses
-``assert``.
+in ``normalize_transition``'s bigrading check and in the ``gf``
+polynomial and canonical-basis kernels (``InvariantViolation``).  No
+module uses ``assert``.
 """
 
 
@@ -66,12 +65,10 @@ class InvariantViolation(SnakedecError):
 
     Raised by ``TwoStoryComplex.verify``, by ``build`` and by the depth
     loop when the program's own state disagrees with the complex it
-    claims to describe, by ``complexes.apply_step`` for a logged
-    step of another kind or length than an add or a scale, by
-    ``normalize_transition`` only for a transition that crosses
-    bigradings, and by the ``gf`` polynomial and canonical-basis kernels when
-    a result fails its reassembly check; unlike ``assert`` it survives
-    ``python -O``.
+    claims to describe, by ``normalize_transition`` only for a transition
+    that crosses bigradings, and by the ``gf`` polynomial and
+    canonical-basis kernels when a result fails its reassembly check;
+    unlike ``assert`` it survives ``python -O``.
     """
 
 

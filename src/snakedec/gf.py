@@ -27,8 +27,6 @@ Conventions
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -43,13 +41,47 @@ from .errors import (
 
 _PRIMES_SEEN: set[int] = set()
 
+# Every odd composite below _MR_BOUND fails the strong probable-prime test
+# to one of these bases, and _MR_BOUND itself passes all of them (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
 
 def _check_prime(p: int) -> None:
+    """Refuse a characteristic that is not a prime int (ValueError), by
+    deterministic Miller-Rabin, which is exact below ``_MR_BOUND``; a
+    characteristic from there up with no factor among the bases is refused
+    as well, naming the bound."""
     if isinstance(p, int) and p in _PRIMES_SEEN:  # the type first: 2.0 == 2
         return
-    if not isinstance(p, int) or p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if not isinstance(p, int) or p < 2 or any(p % a == 0 and p != a for a in _MR_BASES):
+        raise ValueError(f"characteristic {p} is not prime")
+    if p >= _MR_BOUND:
+        raise ValueError(f"characteristic {p} is not below the exact-test bound {_MR_BOUND}")
+    if p > _MR_BASES[-1] and not _strong_probable_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     _PRIMES_SEEN.add(p)
+
+
+def _strong_probable_prime(p: int) -> bool:
+    """Whether an odd p > 41 passes the strong probable-prime test to every
+    base: a^d = 1 or a^(d 2^k) = -1 mod p for some k < s, where p - 1 = d 2^s
+    with d odd."""
+    d, s = p - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,9 +167,9 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, char: int) -> "Matrix":
-        """The n x n identity, one shared instance per (n, char); char is checked first."""
+        """The n x n identity; char is checked first."""
         _check_prime(char)
-        return _identity(n, char)
+        return cls._wrap(tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]), char)
 
     @property
     def rows(self) -> int:
@@ -188,11 +220,6 @@ class Matrix:
 
     def __str__(self):
         return "[" + "; ".join(" ".join(map(str, row)) for row in self.entries) + "]"
-
-
-@functools.lru_cache(maxsize=None, typed=True)
-def _identity(n: int, char: int) -> Matrix:
-    return Matrix._wrap(tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]), char)
 
 
 def gauss_jordan(aug: list, n: int, p: int) -> bool:

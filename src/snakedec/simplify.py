@@ -19,7 +19,8 @@ entries in the ground field.  It works in closed form, one bigrading
 block at a time, and takes no ring inverse and no dense inverse: a block
 where both bases have identity scalar parts is the identity, at most two
 row merges per member and no solve or factorization; every other block is
-solved for and factored once, and the factors stand in for the inverse.
+solved for and factored once, and only its factors are kept: they stand in
+for the inverse and are the shaft's normal form.
 """
 
 from __future__ import annotations
@@ -76,11 +77,11 @@ class TransitionData:
     x_basis[i] and y_basis[i] sit in the same bigrading, and
     x_i = sum_j S[i][j] y_j with S over the ground field.  S is homogeneous,
     so it only joins elements of one bigrading: it is block-diagonal.
-    ``blocks`` holds one ``(members, block, factors)`` triple per bigrading,
-    in ascending bigrading order: ``members`` is the ascending tuple of the
-    positions in that bigrading, ``block`` is S restricted to them (row and
-    column k stand for position members[k]), and ``factors`` is
-    ``gf.ltu_factorize(block)``, the block's shaft normal form, which the
+    ``blocks`` holds one ``(members, factors)`` pair per bigrading, in
+    ascending bigrading order: ``members`` is the ascending tuple of the
+    positions in that bigrading, and ``factors`` is ``gf.ltu_factorize``
+    of S restricted to them (row and column k stand for position
+    members[k]), the block's shaft normal form, which the
     ``TwoStoryComplex`` constructor installs as it is.  An identity block
     carries the identity's factors ([], {}, (0, ..., w - 1), []), written
     down without factoring.  A rank-zero complex has no blocks.
@@ -90,7 +91,7 @@ class TransitionData:
 
     x_basis: SimplifiedBasis
     y_basis: SimplifiedBasis
-    blocks: tuple[tuple[tuple[int, ...], gf.Matrix, tuple[list, dict, tuple, list]], ...]
+    blocks: tuple[tuple[tuple[int, ...], tuple[list, dict, tuple, list]], ...]
 
 
 def matching_violations(sb: SimplifiedBasis) -> list[str]:
@@ -261,7 +262,7 @@ def normalize_transition(
                     x_v = {j: e for j, e in x_all[i].items() if e[2]}
                     if x_v:
                         _merge_into(y_rows, y_all, i, (1, 0, 0), x_v, r1, p)
-            blocks.append((members, gf.Matrix.identity(w, p), ([], {}, tuple(range(w)), [])))
+            blocks.append((members, ([], {}, tuple(range(w)), [])))
             continue
         col = {i: k for k, i in enumerate(members)}
         aug = [[0] * (2 * w) for _ in members]  # [Y_0^T | X_0^T]
@@ -275,16 +276,15 @@ def normalize_transition(
         if not gf.gauss_jordan(aug, w, p):
             raise Singular(f"the y-basis has a singular scalar part at bigrading {grading}")
         s_g = tuple([tuple([aug[j][w + k] for j in range(w)]) for k in range(w)])
-        block = gf.Matrix._wrap(s_g, p)
         try:
-            factors = gf.ltu_factorize(block)
+            factors = gf.ltu_factorize(gf.Matrix._wrap(s_g, p))
         except Singular:
             raise Singular(
                 f"the x-basis has a singular scalar part at bigrading {grading}"
             ) from None
         lower, dots, up, upper = factors
         y_u = [{j: e for j, e in y_all[i].items() if e[1]} for i in members]
-        for i, row in zip(members, block.entries):
+        for i, row in zip(members, s_g):
             for k, f in enumerate(row):
                 if f and y_u[k]:
                     _merge_into(x_rows, x_all, i, (f, 0, 0), y_u[k], r1, p)
@@ -299,7 +299,7 @@ def normalize_transition(
         for i, row in zip(members, back):
             if row:
                 _merge_into(y_rows, y_all, i, (1, 0, 0), row, r1, p)
-        blocks.append((members, block, factors))
+        blocks.append((members, factors))
     old = xb.change.old_gens
     x_change = BasisChange.from_rows(c.ring, p, old, x_gens, x_rows)
     y_change = BasisChange.from_rows(c.ring, p, old, y_gens, y_rows)

@@ -32,7 +32,7 @@ table, the basis change ``build`` started from and the steps logged
 since.  Every floor arrow has coefficient 1, so a table entry is only a
 target and a length, and the tables never change after construction.
 The engine holds all field data as int residues mod p: shaft arrows and
-dots, and the logged steps in ``complexes.apply_step``'s form.  Only
+dots, and the logged steps in ``complexes.add_step``'s form.  Only
 the tokens and ``log`` box them.
 
 One rule says when the engine checks itself: a public call that creates
@@ -53,10 +53,11 @@ from .complexes import (
     Complex,
     Monomial,
     RING_R1,
+    _is_int,
     _mul_rows,
     _scaled,
     add_row_multiple,
-    apply_step,
+    add_step,
     differential_rows,
     intertwines,
     quotient_rows,
@@ -133,11 +134,6 @@ class BlackDot:
 
 # ---------------------------------------------------------------------------
 # the unusual order
-
-
-def _is_int(v) -> bool:
-    """An int that is not a bool: True and False count as no number here."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def unusual_key(v: int) -> tuple:
@@ -236,11 +232,6 @@ def _factored_state(factors) -> _ShaftState:
     return _ShaftState([list(a) for a in lower], dict(dots), up, [list(a) for a in upper])
 
 
-def _ltu_state(mat: gf.Matrix) -> _ShaftState:
-    """Normal form of an invertible block."""
-    return _factored_state(gf.ltu_factorize(mat))
-
-
 def _ordered_ltu(mat: gf.Matrix, x_keys, y_keys, char: int) -> _ShaftState:
     """Refactor an invertible scalar block along strand orderings.
 
@@ -257,14 +248,13 @@ def _ordered_ltu(mat: gf.Matrix, x_keys, y_keys, char: int) -> _ShaftState:
     sub = gf.Matrix._wrap(
         tuple([tuple([ents[x][y] for y in yorder]) for x in xorder]), char
     )
-    local = _ltu_state(sub)
-    lower = [[xorder[r], xorder[g], c] for r, g, c in local.lower]
-    dots = {xorder[p]: c for p, c in local.dots.items()}
-    up = [0] * w
+    lower, dots, up, upper = gf.ltu_factorize(sub)
+    new_up = [0] * w
     for a in range(w):
-        up[xorder[a]] = yorder[local.up[a]]
-    upper = [[yorder[r], yorder[g], c] for r, g, c in local.upper]
-    return _ShaftState(lower, dots, tuple(up), upper)
+        new_up[xorder[a]] = yorder[up[a]]
+    lower = [[xorder[r], xorder[g], c] for r, g, c in lower]
+    upper = [[yorder[r], yorder[g], c] for r, g, c in upper]
+    return _ShaftState(lower, {xorder[a]: c for a, c in dots.items()}, tuple(new_up), upper)
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +309,10 @@ class _Floor:
     ``into`` sending each target back to its source.  Neither changes
     after construction.  ``start`` is the change from the input's basis
     to the basis ``build`` found, and ``steps`` are the elementary steps
-    taken on the floor since, in ``apply_step``'s form: ("add", r, g,
-    (c, u, v)).  ``d`` holds the sparse rows of the input's differential
-    modulo U (bottom) or V (top).
+    taken on the floor since, each an (r, g, (c, u, v)) triple for
+    e_r <- e_r + c U^u V^v e_g (``complexes.add_step``).  ``d`` holds
+    the sparse rows of the input's differential modulo U (bottom) or V
+    (top).
     """
 
     __slots__ = ("gens", "table", "into", "start", "steps", "d")
@@ -430,21 +421,20 @@ class TwoStoryComplex:
     not.
 
     Journeys come from one successor table, ``_Journeys``, built when a
-    journey is first read, and the divergences between them are cached by
-    state pair.  A journey reads only the floor tables and the elevators
-    ``up`` of the shafts.  The tables never change after construction,
-    and an elevator changes only when ``_reparametrize`` installs a
-    refactored shaft, so that is the one place where the table and the
-    divergences are dropped, and only when the new ``up`` differs from
-    the old.  A snowplow changes no journey, so the arrows it leaves keep
-    their weights.  Both caches belong to the instance and go with it.
+    journey is first read.  A journey reads only the floor tables and the
+    elevators ``up`` of the shafts.  The tables never change after
+    construction, and an elevator changes only when ``_reparametrize``
+    installs a refactored shaft, so that is the one place where the table
+    is dropped, and only when the new ``up`` differs from the old.  A
+    snowplow changes no journey, so the arrows it leaves keep their
+    weights.
     """
 
     def __init__(self, c: Complex, td: TransitionData, d_mod_u: list, d_mod_v: list):
         self.char, self.original, self.rounds = c.char, c, 0
         self._floors = {BOTTOM: _Floor(td.x_basis, d_mod_u), TOP: _Floor(td.y_basis, d_mod_v)}
         gens, slots, pos, shafts = td.x_basis.generators, {}, {}, {}
-        for members, _, factors in td.blocks:
+        for members, factors in td.blocks:
             grading = gens[members[0]].grading
             slots[grading] = members
             for p, i in enumerate(members):
@@ -456,7 +446,7 @@ class TwoStoryComplex:
                 shafts[grading] = _ShaftState([], {}, up, [])
         self._slots, self._pos, self._shafts = slots, pos, shafts
         self._gradings = tuple(self._slots)  # td.blocks ascend by bigrading
-        self._table, self._div_cache = None, {}
+        self._table = None
         self.verify()
 
     @property
@@ -489,19 +479,19 @@ class TwoStoryComplex:
         p = self.char
         out = []
         for end, side in ((BOTTOM, "x"), (TOP, "y")):
-            for _, r, g, (c, u, v) in self._floors[end].steps:
+            for r, g, (c, u, v) in self._floors[end].steps:
                 out.append((side, "add", r, g, Monomial(gf.FieldElem(c, p), u, v)))
         return tuple(out)
 
     def _basis(self, end) -> BasisChange:
         """The floor basis over the input's: the logged steps replayed
-        on the change ``build`` started from, by ``apply_step``."""
+        on the change ``build`` started from, by ``add_step``."""
         floor, ring = self._floors[end], self.original.ring
         rows = floor.start.rows
         if floor.steps:  # with no step the start's rows are the basis, uncopied
             rows = [dict(row) for row in rows]
-            for step in floor.steps:
-                apply_step(rows, floor.gens, step, ring == RING_R1, self.char)
+            for r, g, m in floor.steps:
+                add_step(rows, floor.gens, r, g, m, ring == RING_R1, self.char)
         return BasisChange.from_rows(ring, self.char, floor.start.old_gens, floor.gens, rows)
 
     # -- views -------------------------------------------------------------
@@ -512,20 +502,6 @@ class TwoStoryComplex:
 
     def shafts(self) -> dict:
         return {g: self.shaft(g) for g in self.gradings()}
-
-    def _floor_view(self, end) -> SimplifiedBasis:
-        floor = self._floors[end]
-        arrows = tuple(sorted((s, t, n) for s, (t, n) in floor.table.items()))
-        direction = VERTICAL if end == BOTTOM else HORIZONTAL
-        return SimplifiedBasis(direction, floor.gens, arrows, self._basis(end))
-
-    @property
-    def bottom(self) -> SimplifiedBasis:
-        return self._floor_view(BOTTOM)
-
-    @property
-    def top(self) -> SimplifiedBasis:
-        return self._floor_view(TOP)
 
     # -- journeys -------------------------------------------------------------
 
@@ -550,17 +526,13 @@ class TwoStoryComplex:
     def _arrow_component(self, grading, end, r, g, near=True):
         """One weight component of an arrow from g into r in the tier at
         ``end``: the signed divergence of the two strands' journeys out of
-        that floor, or with ``near`` off out of the other one.  Cached by
-        the pair of journey states until an elevator moves."""
+        that floor, or with ``near`` off out of the other one."""
         table = self._journeys()
         members, off = self._slots[grading], 0 if end == BOTTOM else table.n
         s, t = off + members[r], off + members[g]
         if not near:
             s, t = table.elev[s], table.elev[t]
-        d = self._div_cache.get((s, t))
-        if d is None:
-            d = self._div_cache[s, t] = table.divergence(s, t)
-        return d
+        return table.divergence(s, t)
 
     def depth(self):
         """The least absolute weight component over all arrows, math.inf
@@ -600,9 +572,9 @@ class TwoStoryComplex:
         built and multiplied out only for a shaft whose state is not the
         identity.
 
-        An inhomogeneous basis or logged step raises GradingViolation, a
-        logged scale by zero ValueError (``complexes.apply_step``), and any
-        other failure InvariantViolation.  ``build`` alone checks the input.
+        An inhomogeneous basis or logged step raises GradingViolation
+        (``complexes.add_step``), and any other failure
+        InvariantViolation.  ``build`` alone checks the input.
 
         The constructor and a depth pass that ran end here, once; a pass
         that changes nothing does not come here.
@@ -668,10 +640,10 @@ class TwoStoryComplex:
         c = (-lam if end == BOTTOM else lam) % p
         st.arrows(end).pop(k)
         floor = self._floors[end]
-        floor.steps.append(("add", idx_r, idx_g, (c, 0, 0)))
+        floor.steps.append((idx_r, idx_g, (c, 0, 0)))
         if vr * vg <= 0:  # the two steps leave on different sides, or one ends
             return None
-        floor.steps.append(("add", ar[1], ag[1], _power_mono(c, end, vr - vg)))
+        floor.steps.append((ar[1], ag[1], _power_mono(c, end, vr - vg)))
         if not parallel:
             return None
         seq2 = self._shafts[g2].arrows(end)
@@ -803,7 +775,6 @@ class TwoStoryComplex:
         self._shafts[grading] = new
         if new.up != st.up:
             self._table = None
-            self._div_cache.clear()
 
     # -- depth raising ----------------------------------------------------------------
 

@@ -122,6 +122,40 @@ def test_a_coefficient_or_exponent_that_is_not_an_int_is_refused():
     assert mono(3, 1, 0, 2) == Monomial(FieldElem(1, 2), 1, 0)
 
 
+def test_a_string_grading_is_refused_at_construction():
+    # it used to be accepted, and build then died with TypeError
+    with pytest.raises(ValidationError, match="not a Generator with int gradings"):
+        Complex(RING_R1, 2, (Generator("a", "0", 0),), ())
+
+
+def test_a_grading_that_is_a_float_or_a_bool_is_refused():
+    # the gradings are in Z + Z; 1.5 used to be stripped without complaint
+    for gr in ((1.5, 0), (0, 1.5), (True, 0), (0, False)):
+        with pytest.raises(ValidationError, match="not a Generator with int gradings"):
+            Complex(RING_R1, 2, (Generator("a", *gr),), ())
+    with pytest.raises(ValidationError, match="not a Generator with int gradings"):
+        Complex(RING_R1, 2, (("a", 0, 0),), ())
+
+
+def test_an_arrow_that_is_a_plain_tuple_is_refused():
+    # it used to raise AttributeError on the missing .src
+    gens = (Generator("x", 1, 1), Generator("y", 0, 0))
+    one = mono(1, 0, 0, 2)
+    for arrow in (("x", "y", one), Arrow("x", "y", (1, 0, 0)), Arrow("x", "y", 1)):
+        with pytest.raises(ValidationError, match="is not an Arrow with a Monomial"):
+            Complex(RING_R1, 2, gens, (arrow,))
+    assert Complex(RING_R1, 2, gens, (Arrow("x", "y", one),)).terms == ((0, 1, 0, 0, 1),)
+
+
+def test_a_basis_change_entry_that_is_no_monomial_is_refused():
+    # an int entry used to raise AttributeError on the missing .coeff
+    g = (Generator("a", 0, 0),)
+    for entry in (1, FieldElem(1, 2), (1, 0, 0)):
+        with pytest.raises(ValidationError, match="is no Monomial or None"):
+            BasisChange(RING_R1, 2, g, g, ((entry,),))
+    assert BasisChange(RING_R1, 2, g, g, ((mono(1, 0, 0, 2),),)).rows == ({0: (1, 0, 0)},)
+
+
 def test_validate_trefoil_ok():
     assert validate(trefoil()) == []
 

@@ -1,6 +1,7 @@
 """Tests for the prime-field linear algebra kernel."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -98,13 +99,33 @@ def _is_prime(p):
 
 
 def test_a_characteristic_too_large_for_a_float_is_refused():
-    # the trial-division bound is an integer square root, not a float one
+    # each has a small prime factor, found before the Miller-Rabin bound is read
     for big in (10**400, 2**1030, 3**700, 7 * 10**400 + 7):
         with pytest.raises(ValueError, match="not prime"):
             gf.FieldElem(1, big)
         with pytest.raises(ValueError, match="not prime"):
             gf.Matrix([[1]], big)
     assert [p for p in range(50) if _is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def test_primality_is_decided_by_miller_rabin_below_its_bound(monkeypatch):
+    monkeypatch.setattr(gf, "_PRIMES_SEEN", set())
+    largest_below = 3317044064679887385961813  # the largest prime below the bound
+    t0 = time.perf_counter()
+    for p in (2**61 - 1, 10**14 + 31, largest_below):
+        assert _is_prime(p)
+    assert time.perf_counter() - t0 < 0.5  # trial division took 0.65 s on 10**14 + 31 alone
+    # Carmichael numbers, the second with no factor among the bases, and
+    # strong pseudoprimes to the bases up to 2 (2047), 7, 23 and 37; base 41
+    # is there to catch the last
+    carmichael = (561, 3057601)
+    for n in carmichael + (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not prime"):
+            gf._check_prime(n)
+    # the bound passes every base, and nothing from it up is decided
+    for p in (gf._MR_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"exact-test bound {gf._MR_BOUND}$"):
+            gf.FieldElem(1, p)
 
 
 @pytest.mark.parametrize("seen_first", [False, True])
@@ -123,10 +144,9 @@ def test_a_float_characteristic_is_refused_in_either_order(monkeypatch, seen_fir
 
 
 def test_the_shared_identity_still_refuses_a_float_characteristic():
-    # one identity instance per (n, p); the cached F_2 identity must not
-    # answer for its float twin 2.0 == 2
+    # the F_2 identity must not answer for its float twin 2.0 == 2
     a = gf.Matrix.identity(2, 2)
-    assert gf.Matrix.identity(2, 2) is a and a.entries == ((1, 0), (0, 1))
+    assert a.entries == ((1, 0), (0, 1))
     assert gf.Matrix.identity(2, 3).char == 3 and gf.Matrix.identity(3, 2).rows == 3
     with pytest.raises(ValueError):
         gf.Matrix.identity(2, 2.0)
