@@ -26,16 +26,11 @@ from .errors import (
     NotInvertible,
     ValidationError,
 )
-from .gf import FieldElem, _check_prime
+from .gf import FieldElem, _check_prime, _is_int
 
 RING_R1 = "r1"
 RING_FUV = "fuv"
 _RINGS = (RING_R1, RING_FUV)
-
-
-def _is_int(v) -> bool:
-    """An int that is not a bool: True and False count as no number here."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,9 +46,10 @@ class Monomial:
             raise ValueError(f"the coefficient {self.coeff!r} is not a FieldElem; mono() takes an int")
         if not self.coeff.value:
             raise ValueError("monomials store nonzero coefficients only")
-        if not (isinstance(self.u_exp, int) and isinstance(self.v_exp, int)):
-            raise ValueError(f"an exponent of U^{self.u_exp!r} V^{self.v_exp!r} is not an int")
-        if self.u_exp < 0 or self.v_exp < 0:
+        u, v = self.u_exp, self.v_exp  # exact ints first: every monomial comes here
+        if not (type(u) is int and type(v) is int or _is_int(u) and _is_int(v)):
+            raise ValueError(f"an exponent of U^{u!r} V^{v!r} is not an int")
+        if u < 0 or v < 0:
             raise ValueError("negative exponent")
 
     def __str__(self):
@@ -114,12 +110,13 @@ class Complex:
     term c U^u V^v of d(generators[s]) at generators[t], with c in [1, p),
     one per (s, t, u, v) and sorted.  Over R1 a mixed monomial is the zero
     element, so the constructor drops one silently.  The constructor refuses
-    a characteristic that is not a prime int (ValueError), and a generator
-    that is no ``Generator`` with int gradings or an arrow that is no
-    ``Arrow`` of a ``Monomial`` (ValidationError), then merges and sorts
-    the ``Arrow``s it is handed; ``from_terms`` wraps terms that are
-    canonical already and checks nothing.  ``arrows`` is the differential
-    as ``Arrow``s, built on each read and in the same order.
+    a characteristic that is not a prime int (ValueError), and a ring tag
+    it does not know, a generator that is no ``Generator`` with a str id
+    and int gradings or an arrow that is no ``Arrow`` of a ``Monomial``
+    (ValidationError), then merges and sorts the ``Arrow``s it is handed;
+    ``from_terms`` wraps terms that are canonical already and checks
+    nothing.  ``arrows`` is the differential as ``Arrow``s, built on each
+    read and in the same order.
     """
 
     ring: str
@@ -129,12 +126,8 @@ class Complex:
 
     def __init__(self, ring, char, generators, arrows):
         _check_prime(char)
-        if ring not in _RINGS:
-            raise ValidationError(f"unknown ring tag {ring!r}")
         gens = tuple(generators)
-        for g in gens:
-            if not (isinstance(g, Generator) and _is_int(g.gr_u) and _is_int(g.gr_v)):
-                raise ValidationError(f"{g!r} is not a Generator with int gradings")
+        _check_ring_and_gens(ring, gens)
         ids = [g.id for g in gens]
         if len(set(ids)) != len(ids):
             dup = next(i for i in ids if ids.count(i) > 1)
@@ -183,6 +176,18 @@ class Complex:
         for a in self.arrows:
             lines.append(f"  d{a.src} += {a.mono}*{a.tgt}")
         return "\n".join(lines)
+
+
+def _check_ring_and_gens(ring, gens) -> None:
+    """Refuse an unknown ring tag, or an element of ``gens`` that is no
+    ``Generator`` with int gradings and a str id (ValidationError)."""
+    if ring not in _RINGS:
+        raise ValidationError(f"unknown ring tag {ring!r}")
+    for g in gens:
+        if not (isinstance(g, Generator) and _is_int(g.gr_u) and _is_int(g.gr_v)):
+            raise ValidationError(f"{g!r} is not a Generator with int gradings")
+        if not isinstance(g.id, str):
+            raise ValidationError(f"generator id {g.id!r} is not a str")
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +280,12 @@ class BasisChange:
     Row i states new_i = sum_j rows[i][j] * old_j.  ``rows[i]`` is sparse: it
     maps a column j to ``(coeff, u_exp, v_exp)``, the monomial coeff U^u V^v
     with an int coefficient in [1, p).  The constructor takes dense
-    ``entries``, rows of Monomial or None (ValidationError otherwise), over
-    a prime int ``char`` (ValueError otherwise).  Legal changes are
-    grading-homogeneous, so the gradings fix each entry's exponents, and
-    have an invertible scalar part, which makes them invertible.
+    ``entries``, rows of Monomial or None, over a prime int ``char``
+    (ValueError otherwise); it refuses what ``Complex`` refuses in the ring
+    tag and either basis, and any other entry (ValidationError);
+    ``from_rows`` checks nothing.  Legal changes are grading-homogeneous,
+    so the gradings fix each entry's exponents, and have an invertible
+    scalar part, which makes them invertible.
     """
 
     ring: str
@@ -289,6 +296,7 @@ class BasisChange:
 
     def __init__(self, ring, char, old_gens, new_gens, entries):
         _check_prime(char)
+        _check_ring_and_gens(ring, (*old_gens, *new_gens))
         n = len(old_gens)
         if len(new_gens) != n or len(entries) != n:
             raise ValidationError("basis change must be square")
@@ -388,28 +396,19 @@ def _set_fields(obj, *values) -> None:
 def apply_basis_change(c: Complex, b: BasisChange) -> Complex:
     """Rewrite the differential in a new basis: D_new = P D P^-1.
 
-    The products run on sparse int rows.  Terms are grouped by bidegree
-    first, so each cell holds a single monomial within a group; a complex
-    whose terms break the bigrading still gets every term of a cell.  A
-    homogeneous P keeps each group's bidegree, so no two groups give the
-    same (i, j, u, v) and the sorted products are canonical terms.
+    The products run on the sparse rows of ``differential_rows``, so a
+    term of ``c`` that breaks the bigrading raises GradingViolation.  On
+    homogeneous rows each cell of the product is a single monomial, and
+    the sorted cells are canonical terms.
     """
     if b.char != c.char or b.ring != c.ring:
         raise FieldMismatch("basis change over a different ring or field")
     if b.old_gens != c.generators:
         raise GradingViolation("basis change source basis does not match the complex")
     b_inv = b.inverse()  # checks homogeneity; raises NotInvertible when singular
-    n, p, r1 = c.rank, c.char, c.ring == RING_R1
-    gens = c.generators
-    by_degree: Dict[tuple, list] = {}
-    for s, t, u, v, x in c.terms:
-        du = gens[t].gr_u - gens[s].gr_u - 2 * u
-        dv = gens[t].gr_v - gens[s].gr_v - 2 * v
-        by_degree.setdefault((du, dv), [{} for _ in range(n)])[s][t] = (x, u, v)
-    terms = []
-    for d in by_degree.values():
-        new_d = _mul_rows(_mul_rows(b.rows, d, r1, p), b_inv.rows, r1, p)
-        terms += [(i, j, u, v, x) for i, row in enumerate(new_d) for j, (x, u, v) in row.items()]
+    p, r1 = c.char, c.ring == RING_R1
+    new_d = _mul_rows(_mul_rows(b.rows, differential_rows(c), r1, p), b_inv.rows, r1, p)
+    terms = [(i, j, u, v, x) for i, row in enumerate(new_d) for j, (x, u, v) in row.items()]
     return Complex.from_terms(c.ring, p, b.new_gens, sorted(terms))
 
 
@@ -428,9 +427,18 @@ def differential_rows(c: Complex) -> List[dict]:
     return d
 
 
+def quotient_row(row: dict, k: int) -> dict:
+    """A sparse row modulo U (k = 1) or V (k = 2): the row itself when it
+    has no entry in that variable, else a filtered copy."""
+    for e in row.values():
+        if e[k]:
+            return {j: e for j, e in row.items() if not e[k]}
+    return row
+
+
 def quotient_rows(d: List[dict], k: int) -> List[dict]:
-    """Sparse rows modulo U (k = 1) or V (k = 2)."""
-    return [{j: e for j, e in row.items() if not e[k]} for row in d]
+    """``quotient_row`` of each row: a row with nothing to drop is shared."""
+    return [quotient_row(row, k) for row in d]
 
 
 def add_step(
@@ -612,7 +620,7 @@ def intertwines(d: List[dict], change: BasisChange, arrows, k: int) -> bool:
                 # Over R1 an entry outside the quotient times a positive power
                 # of the other variable is mixed, and add_row_multiple drops it.
                 if not (r1 and m[3 - k]):
-                    x = {j: e for j, e in x.items() if not e[k]}
+                    x = quotient_row(x, k)
                 add_row_multiple(rhs, m, x, r1, p)
             if lhs != rhs:
                 return False

@@ -48,6 +48,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool: True and False count as no number here.
+    The exact type is tested first, so a plain int costs one comparison."""
+    return type(v) is int or (isinstance(v, int) and not isinstance(v, bool))
+
+
 def _check_prime(p: int) -> None:
     """Refuse a characteristic that is not a prime int (ValueError), by
     deterministic Miller-Rabin, which is exact below ``_MR_BOUND``; a
@@ -125,7 +131,7 @@ class FieldElem:
 
 
 def _residue(e, p: int) -> int:
-    if not isinstance(e, int):
+    if type(e) is not int and not _is_int(e):  # exact ints first: every entry comes here
         raise FieldMismatch(f"entry {e!r} is not an int residue mod {p}")
     return e % p
 
@@ -136,9 +142,9 @@ class Matrix:
 
     ``entries`` is a tuple of row tuples of int residues in [0, p); that is
     the only storage and the only way to read one.  The constructor and
-    ``from_rows`` take ints, reduced mod p; any other entry, a FieldElem
-    included, raises FieldMismatch.  ``char`` is kept separately so 0-row
-    matrices still know their field.
+    ``from_rows`` take ints, reduced mod p; any other entry, a bool or a
+    FieldElem included, raises FieldMismatch, as does a bool scalar.
+    ``char`` is kept separately so 0-row matrices still know their field.
     """
 
     entries: tuple
@@ -193,8 +199,9 @@ class Matrix:
                 nz = [(k, a) for k, a in enumerate(row) if a]
                 out.append(tuple([sum([a * col[k] for k, a in nz]) % p for col in ocols]))
             return Matrix._wrap(tuple(out), p)
-        if isinstance(other, int):
-            ents = tuple([tuple([e * other % p for e in row]) for row in self.entries])
+        if isinstance(other, int):  # a bool is refused by _residue
+            c = _residue(other, p)
+            ents = tuple([tuple([e * c % p for e in row]) for row in self.entries])
             return Matrix._wrap(ents, p)
         return NotImplemented
 
@@ -240,14 +247,11 @@ def gauss_jordan(aug: list, n: int, p: int) -> bool:
     return True
 
 
-def block_diag(blocks: Sequence[Matrix], char: Optional[int] = None) -> Matrix:
-    """Direct sum of square blocks along the diagonal, over ``char`` when
-    it is given; a block over another field raises FieldMismatch."""
+def block_diag(blocks: Sequence[Matrix], char: int) -> Matrix:
+    """Direct sum of square blocks along the diagonal, over ``char``; a
+    block over another field raises FieldMismatch."""
     if not blocks:
-        if char is None:
-            raise DimensionMismatch("empty block list needs an explicit field")
         return Matrix((), char)
-    char = blocks[0].char if char is None else char
     n = sum(b.rows for b in blocks)
     rows = []
     off = 0

@@ -9,9 +9,9 @@ Both always exist; a basis doing both jobs at once generally does not.
 The two bases are produced by graded Gaussian elimination on the sparse
 rows of each quotient differential, pivoting on the shortest arrow
 first, with the pivots taken from a heap that is refreshed from the rows
-each step wrote.  The simplifiers check and convert their input;
-``twostory.build`` does both once and hands each quotient's rows to the
-same core.  Elimination keeps the input's generator order, so position i
+each step wrote.  The simplifiers check and convert their input and take
+its rows modulo U or V (``complexes.quotient_rows``); ``twostory.build``
+does all three once and hands each quotient's rows to the same core.  Elimination keeps the input's generator order, so position i
 of either basis sits in the input generator i's bigrading.
 `normalize_transition` then adjusts them, without disturbing either
 quotient structure, so that the transition matrix between them has all
@@ -38,6 +38,7 @@ from .complexes import (
     add_row_multiple,
     differential_rows,
     has_length_zero_arrow,
+    quotient_row,
     quotient_rows,
 )
 from .errors import CountMismatch, InvariantViolation, Singular, ValidationError
@@ -174,15 +175,6 @@ def _unit_scalar_part(row: dict, i: int) -> bool:
     return True
 
 
-def _quotient_row(row: dict, axis: int) -> dict:
-    """A sparse row modulo U (axis 1) or V (axis 2): the row itself when
-    it has no entry in that variable, else a filtered copy."""
-    for e in row.values():
-        if e[axis]:
-            return {j: e for j, e in row.items() if not e[axis]}
-    return row
-
-
 def _merge_into(rows: list, held: list, i: int, m: tuple, other: dict, r1: bool, p: int) -> None:
     """rows[i] += m * other, on a copy while rows[i] is still the row that
     ``held`` shares with a BasisChange, which is never mutated."""
@@ -217,9 +209,10 @@ def normalize_transition(
     identity case skips no check.
 
     Each row is read in one pass per block.  The identity test stops at
-    the first member whose scalar part is not e_i, and a U or V part is
-    split off and merged only when the row holds more than its scalar
-    entry and that part is nonempty.  The rows of the input bases are
+    the first member whose scalar part is not e_i, rows are taken modulo U
+    or V by ``complexes.quotient_row``, and a U or V part is split off and
+    merged only when the row holds more than its scalar entry and that
+    part is nonempty.  The rows of the input bases are
     shared, never mutated: a row that is neither filtered nor merged into
     goes into the new basis as the same dict, and only a row that is
     gets a copy of its own.
@@ -247,8 +240,8 @@ def normalize_transition(
         w = len(members)
         identity = True
         for i in members:
-            x_rows[i] = xi = _quotient_row(x_all[i], 1)
-            y_rows[i] = yi = _quotient_row(y_all[i], 2)
+            x_rows[i] = xi = quotient_row(x_all[i], 1)
+            y_rows[i] = yi = quotient_row(y_all[i], 2)
             if identity and not (_unit_scalar_part(xi, i) and _unit_scalar_part(yi, i)):
                 identity = False
         if identity:  # X_0 = Y_0 = I on the block, so S_g = I: at most two merges per member

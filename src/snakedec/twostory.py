@@ -27,10 +27,10 @@ end.  In both tiers an arrow's index rises toward the top.  Only ``log``
 keeps other words: it labels the bottom floor's steps "x" and the top
 floor's "y".
 
-Each floor's state is one ``_Floor`` record: its basis, its arrow
-table, the basis change ``build`` started from and the steps logged
-since.  Every floor arrow has coefficient 1, so a table entry is only a
-target and a length, and the tables never change after construction.
+Each floor's state is one ``_Floor`` record: its basis, its arrows, the
+basis change ``build`` started from and the steps logged since.  Every
+floor arrow has coefficient 1, so the arrows are only a signed length
+and a partner per element, two tuples fixed at construction.
 The engine holds all field data as int residues mod p: shaft arrows and
 dots, and the logged steps in ``complexes.add_step``'s form.  Only
 the tokens and ``log`` box them.
@@ -304,23 +304,26 @@ def _boundary_arrow(st: _ShaftState, end, k) -> list:
 class _Floor:
     """One floor's state.
 
-    ``gens`` is the floor basis and ``table`` its arrows: a (target,
-    length) pair per source index, every arrow with coefficient 1, with
-    ``into`` sending each target back to its source.  Neither changes
-    after construction.  ``start`` is the change from the input's basis
-    to the basis ``build`` found, and ``steps`` are the elementary steps
-    taken on the floor since, each an (r, g, (c, u, v)) triple for
-    e_r <- e_r + c U^u V^v e_g (``complexes.add_step``).  ``d`` holds
-    the sparse rows of the input's differential modulo U (bottom) or V
-    (top).
+    ``gens`` is the floor basis.  Its arrows, every one with coefficient
+    1, are two tuples indexed by element: ``term`` holds -length at an
+    arrow's source, +length at its target and 0 at an element with no
+    arrow, and ``partner`` the other end of the element's arrow, or the
+    element itself.  Both are fixed at construction.  ``start`` is the
+    change from the input's basis to the basis ``build`` found, and
+    ``steps`` are the elementary steps taken on the floor since, each an
+    (r, g, (c, u, v)) triple for e_r <- e_r + c U^u V^v e_g
+    (``complexes.add_step``).  ``d`` holds the sparse rows of the input's
+    differential modulo U (bottom) or V (top).
     """
 
-    __slots__ = ("gens", "table", "into", "start", "steps", "d")
+    __slots__ = ("gens", "term", "partner", "start", "steps", "d")
 
     def __init__(self, basis: SimplifiedBasis, d: list):
         self.gens = tuple(basis.generators)
-        self.table = {s: (t, n) for s, t, n in basis.arrows}
-        self.into = {t: s for s, t, _ in basis.arrows}
+        term, partner = [0] * len(self.gens), list(range(len(self.gens)))
+        for s, t, length in basis.arrows:
+            term[s], term[t], partner[s], partner[t] = -length, length, t, s
+        self.term, self.partner = tuple(term), tuple(partner)
         self.start, self.steps, self.d = basis.change, [], d
 
 
@@ -337,7 +340,7 @@ class _Journeys:
     its own successor, which pads the record with zeros.  ``lead`` counts
     the steps before a state's journey enters its cycle and ``period`` is
     that cycle's length; one pass over the functional graph finds both.
-    The table reads the floor tables and the elevators ``up``.
+    The table reads the floors' ``term`` and ``partner`` and the ``up``s.
     """
 
     __slots__ = ("n", "term", "succ", "elev", "lead", "period")
@@ -348,12 +351,11 @@ class _Journeys:
         for grading, members in slots.items():
             for p, q in enumerate(shafts[grading].up):
                 elev[members[p]], elev[n + members[q]] = n + members[q], members[p]
-        term, succ = self.term, self.succ = [0] * (2 * n), list(range(2 * n))
+        self.term = floors[BOTTOM].term + floors[TOP].term
+        succ = self.succ = []
         for off, end in ((0, BOTTOM), (n, TOP)):
-            table = floors[end].table
-            for s, (t, length) in table.items():  # a matching: no element is both
-                term[off + s], succ[off + s] = -length, elev[off + t]
-                term[off + t], succ[off + t] = length, elev[off + s]
+            pairs = enumerate(zip(floors[end].term, floors[end].partner))
+            succ += [elev[off + q] if x else off + s for s, (x, q) in pairs]
         # lead -1 marks an unvisited state, -2 - k the k-th state of the
         # current walk
         lead, period = self.lead, self.period = [-1] * (2 * n), [0] * (2 * n)
@@ -410,7 +412,7 @@ class TwoStoryComplex:
     Operations mutate the instance in place and return it; ``verify``
     replays the log and checks every structural invariant by
     intertwining, without a ring inverse: each floor basis must carry the
-    input's quotient differential onto its floor table, and the scalar
+    input's quotient differential onto its floor arrows, and the scalar
     parts of the two bases must differ by the shaft blocks.  The
     constructor takes a complex, its normalized transition and the rows
     of its differential modulo U and V, kept for every ``verify``; it
@@ -421,11 +423,11 @@ class TwoStoryComplex:
     not.
 
     Journeys come from one successor table, ``_Journeys``, built when a
-    journey is first read.  A journey reads only the floor tables and the
-    elevators ``up`` of the shafts.  The tables never change after
-    construction, and an elevator changes only when ``_reparametrize``
-    installs a refactored shaft, so that is the one place where the table
-    is dropped, and only when the new ``up`` differs from the old.  A
+    journey is first read.  A journey reads only the floor arrows and the
+    elevators ``up`` of the shafts.  The arrows are fixed tuples, and an
+    elevator changes only when ``_reparametrize`` installs a refactored
+    shaft, so that is the one place where the table is dropped, and only
+    when the new ``up`` differs from the old.  A
     snowplow changes no journey, so the arrows it leaves keep their
     weights.
     """
@@ -505,16 +507,6 @@ class TwoStoryComplex:
 
     # -- journeys -------------------------------------------------------------
 
-    def _floor_step(self, end, idx):
-        floor = self._floors[end]
-        if idx in floor.table:
-            tgt, length = floor.table[idx]
-            return (-length, tgt)
-        if idx in floor.into:
-            src = floor.into[idx]
-            return (floor.table[src][1], src)
-        return None
-
     def _journeys(self) -> _Journeys:
         """The successor table of the current elevators, built on first use."""
         if self._table is None:
@@ -554,8 +546,8 @@ class TwoStoryComplex:
 
         The replayed floor bases X and Y must be homogeneous.  Each floor
         is checked by intertwining, with no ring inverse: X D = T X modulo
-        U for the bottom table T, and Y D = T' Y modulo V for the top table
-        T' (``complexes.intertwines``), on the floors' quotient rows.
+        U for the bottom floor's arrows T, read off its sources (``term`` <
+        0), and Y D = T' Y modulo V for the top floor's T' (``intertwines``).
         Every logged step is invertible, so the transition P = X Y^-1
         exists and is homogeneous too; its scalar entries are its
         same-grading blocks, and each shaft block B is checked as
@@ -584,7 +576,7 @@ class TwoStoryComplex:
         y.check_homogeneous()
         for end, change, k in ((BOTTOM, x, 1), (TOP, y, 2)):
             floor = self._floors[end]
-            arrows = [(s, t, n, 1) for s, (t, n) in floor.table.items()]
+            arrows = [(s, floor.partner[s], -x, 1) for s, x in enumerate(floor.term) if x < 0]
             if not intertwines(floor.d, change, arrows, k):
                 raise InvariantViolation(f"{end} floor drifted from the engine tables")
         xr, yr = x.rows, y.rows
@@ -623,31 +615,29 @@ class TwoStoryComplex:
         ca = _boundary_arrow(st, end, k)
         r, g, lam = ca
         idx_r, idx_g = self._idx(grading, r), self._idx(grading, g)
-        ar = self._floor_step(end, idx_r)
-        ag = self._floor_step(end, idx_g)
-        vr = ar[0] if ar else 0
-        vg = ag[0] if ag else 0
+        floor = self._floors[end]
+        vr, vg = floor.term[idx_r], floor.term[idx_g]
+        nr, ng = floor.partner[idx_r], floor.partner[idx_g]
         parallel = vr == vg != 0
         if parallel:
-            g2 = self._pos[ar[1]][0]
-            if self._pos[ag[1]][0] != g2:
+            g2 = self._pos[nr][0]
+            if self._pos[ng][0] != g2:
                 raise InvariantViolation("parallel step lands in two bigradings")
         elif not remove:
             raise StrandsDiverge(f"pair at {grading} splits at the {end} floor")
-        elif (ar or ag) and not unusual_key(vr) < unusual_key(vg):
+        elif (vr or vg) and not unusual_key(vr) < unusual_key(vg):
             raise WrongOrientation(f"arrow at {grading} points up the divergence order")
         p = self.char
         c = (-lam if end == BOTTOM else lam) % p
         st.arrows(end).pop(k)
-        floor = self._floors[end]
         floor.steps.append((idx_r, idx_g, (c, 0, 0)))
         if vr * vg <= 0:  # the two steps leave on different sides, or one ends
             return None
-        floor.steps.append((ar[1], ag[1], _power_mono(c, end, vr - vg)))
+        floor.steps.append((nr, ng, _power_mono(c, end, vr - vg)))
         if not parallel:
             return None
         seq2 = self._shafts[g2].arrows(end)
-        ca[:] = [self._pos[ar[1]][1], self._pos[ag[1]][1], -lam % p]
+        ca[:] = [self._pos[nr][1], self._pos[ng][1], -lam % p]
         seq2.insert(0 if end == BOTTOM else len(seq2), ca)
         return (g2, end, _exit_index(seq2, end))
 
@@ -936,9 +926,9 @@ def dump(t: TwoStoryComplex) -> str:
         floor = t._floors[end]
         power = "V" if end == BOTTOM else "U"
         lines.append(f"{end} floor:")
-        for s in sorted(floor.table):
-            tg, l = floor.table[s]
-            lines.append(f"  {floor.gens[s].id} -{power}^{l}-> {floor.gens[tg].id}")
+        for s, (x, q) in enumerate(zip(floor.term, floor.partner)):
+            if x < 0:
+                lines.append(f"  {floor.gens[s].id} -{power}^{-x}-> {floor.gens[q].id}")
     lines.append("shafts:")
     for grading in t.gradings():
         shaft = t.shaft(grading)

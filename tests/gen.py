@@ -557,7 +557,8 @@ def conjugation_verify(t):
     """TwoStoryComplex.verify by conjugation, with ring inverses.
 
     Each floor is rebuilt as the quotient of X D X^-1 (Y D Y^-1) through
-    ``apply_basis_change`` and compared with the engine table; the
+    ``apply_basis_change`` and compared with the engine's floor arrows,
+    read off the sources (``term`` below 0) and their ``partner``s; the
     transition X Y^-1 must be homogeneous, scalar within a grading and
     equal to every shaft block, multiplied out densely here rather than
     by the engine's row operations.  Raises what ``verify`` raised before it
@@ -565,7 +566,7 @@ def conjugation_verify(t):
     """
     x, y = t._basis("bottom"), t._basis("top")
     for change, quot, label in ((x, quotient_u, "bottom"), (y, quotient_v, "top")):
-        table = t._floors[label].table
+        floor = t._floors[label]
         q = quot(apply_basis_change(t.original, change))
         idx = {g.id: k for k, g in enumerate(q.generators)}
         got = {}
@@ -574,7 +575,7 @@ def conjugation_verify(t):
             if s in got:
                 raise InvariantViolation(f"{label} floor source repeated")
             got[s] = (idx[a.tgt], a.mono.u_exp + a.mono.v_exp, a.mono.coeff.value)
-        if got != {s: (tgt, n, 1) for s, (tgt, n) in table.items()}:
+        if got != {s: (floor.partner[s], -n, 1) for s, n in enumerate(floor.term) if n < 0}:
             raise InvariantViolation(f"{label} floor drifted from the engine tables")
     p = x.compose(y.inverse())
     for i, row in enumerate(p.rows):
@@ -697,12 +698,11 @@ def journey_by_walk(t, end, idx):
     while state not in seen:
         seen[state] = len(terms)
         at, i = state
-        step = t._floor_step(at, i)
-        if step is None:
+        floor = t._floors[at]
+        if not floor.term[i]:
             return TraversalSequence(tuple(terms), (0,))
-        term, j = step
-        terms.append(term)
-        state = ("top" if at == "bottom" else "bottom", elevator(t, at, j))
+        terms.append(floor.term[i])
+        state = ("top" if at == "bottom" else "bottom", elevator(t, at, floor.partner[i]))
     k = seen[state]
     return TraversalSequence(tuple(terms[:k]), tuple(terms[k:]))
 

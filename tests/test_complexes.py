@@ -122,6 +122,17 @@ def test_a_coefficient_or_exponent_that_is_not_an_int_is_refused():
     assert mono(3, 1, 0, 2) == Monomial(FieldElem(1, 2), 1, 0)
 
 
+def test_a_bool_exponent_is_refused():
+    # True == 1, so mono(1, True, False, 2) used to build a complex equal to
+    # mono(1, 1, 0, 2)'s whose canonical text printed "1 True False"
+    for args in ((1, True, False), (1, 1, False), (1, True, 0)):
+        with pytest.raises(ValueError, match="not an int"):
+            mono(*args, 2)
+    with pytest.raises(ValueError, match="not an int"):
+        Monomial(FieldElem(1, 2), 0, True)
+    assert mono(1, 1, 0, 2).u_exp == 1
+
+
 def test_a_string_grading_is_refused_at_construction():
     # it used to be accepted, and build then died with TypeError
     with pytest.raises(ValidationError, match="not a Generator with int gradings"):
@@ -154,6 +165,33 @@ def test_a_basis_change_entry_that_is_no_monomial_is_refused():
         with pytest.raises(ValidationError, match="is no Monomial or None"):
             BasisChange(RING_R1, 2, g, g, ((entry,),))
     assert BasisChange(RING_R1, 2, g, g, ((mono(1, 0, 0, 2),),)).rows == ({0: (1, 0, 0)},)
+
+
+def test_a_basis_change_refuses_what_a_complex_refuses():
+    # "R1" used to run as F[U,V], since compose tests ring == RING_R1, and a
+    # bare id as a generator used to die in inverse() with AttributeError
+    g = (Generator("a", 0, 0),)
+    one = ((mono(1, 0, 0, 2),),)
+    with pytest.raises(ValidationError, match="unknown ring tag 'R1'"):
+        BasisChange("R1", 2, g, g, one)
+    for old, new in ((("a",), g), (g, ("a",)), (("a",), ("a",))):
+        with pytest.raises(ValidationError, match="not a Generator with int gradings"):
+            BasisChange(RING_R1, 2, old, new, one)
+    with pytest.raises(ValidationError, match="generator id 1 is not a str"):
+        BasisChange(RING_R1, 2, (Generator(1, 0, 0),), g, one)
+    # from_rows wraps what it is handed, unchecked
+    rows = ({0: (1, 0, 0)},)
+    assert BasisChange.from_rows("R1", 2, g, g, rows).ring == "R1"
+    assert BasisChange(RING_R1, 2, g, g, one) == BasisChange.from_rows(RING_R1, 2, g, g, rows)
+
+
+def test_a_generator_id_that_is_not_a_str_is_refused():
+    # a list id used to raise a bare "TypeError: unhashable type", and 1 and
+    # "1" could sit in one complex and print alike in dump and log
+    for gid in (["x"], 1, None, ("x",)):
+        with pytest.raises(ValidationError, match=r"generator id .* is not a str"):
+            Complex(RING_R1, 2, (Generator(gid, 0, 0), Generator("1", 0, 0)), ())
+    assert Complex(RING_R1, 2, (Generator("1", 0, 0),), ()).rank == 1
 
 
 def test_validate_trefoil_ok():
@@ -646,6 +684,19 @@ def test_two_terms_in_one_cell_are_both_kept():
     assert c.terms == ((0, 1, 0, 1, 1), (0, 1, 1, 0, 1)) and c.arrows == arrows
     with pytest.raises(GradingViolation, match=r"x -> y \(V\) breaks the bigrading"):
         cx.differential_rows(c)
+    # apply_basis_change runs on the same rows, so it names the same term
+    # rather than moving a complex that is not bigraded
+    with pytest.raises(GradingViolation, match=r"x -> y \(V\) breaks the bigrading"):
+        apply_basis_change(c, BasisChange.identity(c))
+
+
+def test_quotient_row_shares_a_row_with_nothing_to_drop():
+    row = {0: (1, 0, 0), 1: (1, 0, 2)}
+    assert cx.quotient_row(row, 1) is row
+    assert cx.quotient_row(row, 2) == {0: (1, 0, 0)}
+    assert row == {0: (1, 0, 0), 1: (1, 0, 2)}
+    d = [row, {2: (1, 3, 0)}]
+    assert cx.quotient_rows(d, 1) == [row, {}] and cx.quotient_rows(d, 1)[0] is row
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,24 @@ def test_matrix_rejects_foreign_entries():
     assert a3 * 2 == a3 * 5 == a3 * -1 * 2 * 2 == M([[2, 0], [0, 2]], 3)
 
 
+def test_a_bool_entry_is_refused():
+    # True == 1, but an entry is an int residue, not a truth value
+    for rows in ([[True]], [[1, False]]):
+        with pytest.raises(FieldMismatch, match="not an int residue"):
+            gf.Matrix(rows, 2)
+        with pytest.raises(FieldMismatch, match="not an int residue"):
+            M(rows, 2)
+    assert gf.Matrix([[1]], 2) == gf.Matrix.identity(1, 2)
+
+
+def test_a_bool_scalar_is_refused():
+    a = gf.Matrix.identity(2, 3)
+    for scalar in (True, False):
+        with pytest.raises(FieldMismatch, match="not an int residue"):
+            a * scalar
+    assert a * 1 == a
+
+
 def test_invert_examples():
     assert gf.Matrix.identity(3, 2).inverse() == gf.Matrix.identity(3, 2)
     a = M([[1, 1], [0, 1]], 2)
@@ -218,17 +236,19 @@ def test_invert_examples():
 
 
 def test_block_diag():
-    b = gf.block_diag([M([[2]], 3), gf.Matrix.identity(2, 3)])
+    b = gf.block_diag([M([[2]], 3), gf.Matrix.identity(2, 3)], 3)
     assert b == M([[2, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
     with pytest.raises(DimensionMismatch, match="not square"):
-        gf.block_diag([M([[1], [2]], 3), M([[1]], 3)])
-    # an explicit field binds every block
+        gf.block_diag([M([[1], [2]], 3), M([[1]], 3)], 3)
+    # the field is required and binds every block
     assert gf.block_diag([M([[1]], 3)], char=3).char == 3
     assert gf.block_diag([], char=5) == gf.Matrix((), 5)
     with pytest.raises(FieldMismatch):
         gf.block_diag([M([[1]], 3)], char=5)
     with pytest.raises(FieldMismatch):
-        gf.block_diag([M([[1]], 5), M([[1]], 3)])
+        gf.block_diag([M([[1]], 5), M([[1]], 3)], 5)
+    with pytest.raises(TypeError):
+        gf.block_diag([M([[1]], 3)])
 
 
 # ---------------------------------------------------------------------------

@@ -653,22 +653,27 @@ def _stale_cache_entries(t):
 
 
 def test_the_floor_tables_are_fixed_matchings():
-    # _Journeys, _turn and verify read the floor tables as built: each is a
-    # matching with ``into`` its inverse, and the depth loop changes neither
+    # _Journeys, _turn, verify and dump read the floors' term and partner
+    # tuples as built: together they are a matching, partner an involution
+    # that fixes exactly the elements with term 0 and term opposite at the
+    # two ends of an arrow, and the depth loop changes neither
     cases = [random_messy(seed, max_rank=24) for seed in range(40)] + [mixed_sum(0, 10)]
     arrows = 0
     for c in cases:
         t = build(strip_zero_complexes(c)[0])
-        before = {end: (dict(f.table), dict(f.into)) for end, f in t._floors.items()}
+        before = {end: (f.term, f.partner) for end, f in t._floors.items()}
         run_to_depth_infinity(t)
         for end, floor in t._floors.items():
-            assert (floor.table, floor.into) == before[end]
-            assert floor.into == {tgt: s for s, (tgt, _) in floor.table.items()}
-            sb = simplify.SimplifiedBasis(
-                end, floor.gens, tuple((s, tgt, n) for s, (tgt, n) in floor.table.items()), None
-            )
+            term, partner = floor.term, floor.partner
+            assert type(term) is tuple and type(partner) is tuple
+            assert (term, partner) == before[end]
+            assert len(term) == len(partner) == len(floor.gens)
+            for i, (x, q) in enumerate(zip(term, partner)):
+                assert partner[q] == i and term[q] == -x and (q == i) == (x == 0)
+            sources = tuple((s, partner[s], -x) for s, x in enumerate(term) if x < 0)
+            sb = simplify.SimplifiedBasis(end, floor.gens, sources, None)
             assert matching_violations(sb) == []
-            arrows += len(floor.table)
+            arrows += len(sources)
     assert arrows > 0
 
 
@@ -879,9 +884,9 @@ def test_engine_state_holds_int_residues():
         for where, x in at_build + list(_engine_coefficients(t)):
             assert type(x) is int and 1 <= x < t.char, (seed, where, x)
             seen.add(where)
-        # the floors hold no field data: every table entry is (target, length)
+        # the floors hold no field data: an int length and an int partner per element
         for floor in t._floors.values():
-            assert all(type(v) is tuple and len(v) == 2 for v in floor.table.values())
+            assert all(type(v) is int for v in floor.term + floor.partner)
     assert seen == {"arrow", "dot", "log"}
 
 
@@ -1111,12 +1116,13 @@ def test_build_catches_a_false_identity_shaft():
 def test_verify_catches_floor_drift(field, floor):
     t = build(figure_eight())  # over F_3, two arrows on each floor
     t.verify()
-    table = t._floors[floor].table
-    target, length = table[0]
+    at = t._floors[floor]
+    s = 0
+    assert at.term[s] < 0  # element 0 is a source on both floors
     if field == "target":
-        table[0] = (_other_target(t._floors[floor], 0), length)
+        _rewrite(at, "partner", s, _other_target(at, s))
     else:
-        table[0] = (target, length + 1)
+        _rewrite(at, "term", s, at.term[s] - 1)
     with pytest.raises(InvariantViolation, match=f"{floor} floor drifted from the engine tables"):
         t.verify()
 
@@ -1135,7 +1141,7 @@ def test_verify_checks_a_one_strand_shaft_by_its_row_pair():
             i = members[0]
             if len(members) > 1 or t.char == 2 or t._shafts[grading].dots:
                 continue
-            if floor.d[i] or i in floor.table or i in floor.into:
+            if floor.d[i] or floor.term[i]:
                 continue
             rows = list(start.rows)
             rows[i] = {j: (2 * x % t.char, u, v) for j, (x, u, v) in rows[i].items()}
@@ -1162,7 +1168,13 @@ def _outcome(check, t):
 def _other_target(floor, s):
     """The first element of the floor that is neither the source s nor
     its target, None on a floor of two elements."""
-    return next((i for i in range(len(floor.gens)) if i not in (s, floor.table[s][0])), None)
+    return next((i for i in range(len(floor.gens)) if i not in (s, floor.partner[s])), None)
+
+
+def _rewrite(floor, field, i, value):
+    """Corrupt entry i of the floor's ``term`` or ``partner`` tuple."""
+    old = getattr(floor, field)
+    setattr(floor, field, old[:i] + (value,) + old[i + 1:])
 
 
 def _corrupted(t, rng):
@@ -1176,16 +1188,15 @@ def _corrupted(t, rng):
     out = [dot]
     # a fixed floor order, bottom then top, keeps the draws reproducible
     ends = ("bottom", "top")
-    if any(t._floors[e].table for e in ends):
+    if any(any(t._floors[e].term) for e in ends):
         floor = copy.deepcopy(t)
-        at = rng.choice([floor._floors[e] for e in ends if floor._floors[e].table])
-        s = rng.choice(sorted(at.table))
-        target, length = at.table[s]
+        at = rng.choice([floor._floors[e] for e in ends if any(floor._floors[e].term)])
+        s = rng.choice([i for i, x in enumerate(at.term) if x < 0])
         other = _other_target(at, s)
         if other is not None and rng.random() < 0.5:
-            at.table[s] = (other, length)
+            _rewrite(at, "partner", s, other)
         else:
-            at.table[s] = (target, length + 1)
+            _rewrite(at, "term", s, at.term[s] - 1)
         out.append(floor)
     if any(t._floors[e].steps for e in ends):
         step = copy.deepcopy(t)
