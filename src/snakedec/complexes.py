@@ -1,12 +1,15 @@
-"""Free bigraded chain complexes over F[U,V] and over R1 = F[U,V]/(UV).
+"""Free bigraded chain complexes over R1 = F[U,V]/(UV).
 
 The data model is a finite ordered basis of bigraded generators together
 with a differential whose matrix entries are monomials lambda U^a V^b.
 Over R1 every mixed monomial is zero, so differentials there carry pure
-U-powers, pure V-powers and scalars only.  A ``Complex`` holds its
-differential as int terms (s, t, a, b, lambda) on generator positions,
-with lambda in [1, p); ``Arrow``s with boxed coefficients are a view
-built on demand.
+U-powers, pure V-powers and scalars only.  All arithmetic on sparse rows
+is over R1.  A complex over F[U,V] is built, validated, barred and
+summed, and enters that arithmetic through ``reduce_mod_uv``; basis
+changes, their application and the zero-pair strip refuse it.  A
+``Complex`` holds its differential as int terms (s, t, a, b, lambda) on
+generator positions, with lambda in [1, p); ``Arrow``s with boxed
+coefficients are a view built on demand.
 
 Grading conventions: gr(U) = (-2, 0), gr(V) = (0, -2), gr(d) = (-1, -1).
 An arrow src -> tgt labelled U^a V^b therefore forces
@@ -128,10 +131,6 @@ class Complex:
         _check_prime(char)
         gens = tuple(generators)
         _check_ring_and_gens(ring, gens)
-        ids = [g.id for g in gens]
-        if len(set(ids)) != len(ids):
-            dup = next(i for i in ids if ids.count(i) > 1)
-            raise ValidationError(f"duplicate generator id {dup!r}")
         index = {g.id: k for k, g in enumerate(gens)}
         merged: Dict[tuple, int] = {}
         for a in arrows:
@@ -178,16 +177,22 @@ class Complex:
         return "\n".join(lines)
 
 
-def _check_ring_and_gens(ring, gens) -> None:
-    """Refuse an unknown ring tag, or an element of ``gens`` that is no
-    ``Generator`` with int gradings and a str id (ValidationError)."""
+def _check_ring_and_gens(ring, *bases) -> None:
+    """Refuse an unknown ring tag, an element of a basis that is no
+    ``Generator`` with int gradings and a str id, or an id twice in one
+    basis (ValidationError)."""
     if ring not in _RINGS:
         raise ValidationError(f"unknown ring tag {ring!r}")
-    for g in gens:
-        if not (isinstance(g, Generator) and _is_int(g.gr_u) and _is_int(g.gr_v)):
-            raise ValidationError(f"{g!r} is not a Generator with int gradings")
-        if not isinstance(g.id, str):
-            raise ValidationError(f"generator id {g.id!r} is not a str")
+    for gens in bases:
+        for g in gens:
+            if not (isinstance(g, Generator) and _is_int(g.gr_u) and _is_int(g.gr_v)):
+                raise ValidationError(f"{g!r} is not a Generator with int gradings")
+            if not isinstance(g.id, str):
+                raise ValidationError(f"generator id {g.id!r} is not a str")
+        ids = [g.id for g in gens]
+        if len(set(ids)) != len(ids):
+            dup = next(i for i in ids if ids.count(i) > 1)
+            raise ValidationError(f"duplicate generator id {dup!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +239,9 @@ def has_length_zero_arrow(c: Complex) -> bool:
 # [1, p); rows are never mutated once a BasisChange holds them
 
 
-def add_row_multiple(target: dict, m: tuple, row: dict, r1: bool, p: int) -> None:
-    """target += m * row in place, for the monomial m = (coeff, u_exp, v_exp).
+def add_row_multiple(target: dict, m: tuple, row: dict, p: int) -> None:
+    """target += m * row in place over R1, for the monomial m = (coeff,
+    u_exp, v_exp): a mixed product is zero there and is dropped.
 
     Each cell of a homogeneous matrix is a single monomial; a sum of two
     terms with different exponents is a grading violation.
@@ -244,7 +250,7 @@ def add_row_multiple(target: dict, m: tuple, row: dict, r1: bool, p: int) -> Non
     for k, (d, u, v) in row.items():
         u += mu
         v += mv
-        if r1 and u and v:
+        if u and v:
             continue
         cur = target.get(k)
         if cur is None:
@@ -259,12 +265,12 @@ def add_row_multiple(target: dict, m: tuple, row: dict, r1: bool, p: int) -> Non
                 del target[k]
 
 
-def _mul_rows(a, b, r1: bool, p: int) -> list:
+def _mul_rows(a, b, p: int) -> list:
     out = []
     for row in a:
         acc: dict = {}
         for k, m in row.items():
-            add_row_multiple(acc, m, b[k], r1, p)
+            add_row_multiple(acc, m, b[k], p)
         out.append(acc)
     return out
 
@@ -281,11 +287,13 @@ class BasisChange:
     maps a column j to ``(coeff, u_exp, v_exp)``, the monomial coeff U^u V^v
     with an int coefficient in [1, p).  The constructor takes dense
     ``entries``, rows of Monomial or None, over a prime int ``char``
-    (ValueError otherwise); it refuses what ``Complex`` refuses in the ring
-    tag and either basis, and any other entry (ValidationError);
-    ``from_rows`` checks nothing.  Legal changes are grading-homogeneous,
-    so the gradings fix each entry's exponents, and have an invertible
-    scalar part, which makes them invertible.
+    (ValueError otherwise).  Changes are over R1: it refuses ``RING_FUV``,
+    naming ``reduce_mod_uv``, what ``Complex`` refuses in the ring tag and
+    in either basis (so an id twice in one basis; the two bases may share
+    ids), and any other entry (ValidationError); ``from_rows`` checks
+    nothing.  Legal changes are grading-homogeneous, so the gradings fix
+    each entry's exponents, and have an invertible scalar part, which makes
+    them invertible.
     """
 
     ring: str
@@ -296,7 +304,9 @@ class BasisChange:
 
     def __init__(self, ring, char, old_gens, new_gens, entries):
         _check_prime(char)
-        _check_ring_and_gens(ring, (*old_gens, *new_gens))
+        if ring == RING_FUV:
+            raise ValidationError("basis changes are over R1: reduce_mod_uv first")
+        _check_ring_and_gens(ring, old_gens, new_gens)
         n = len(old_gens)
         if len(new_gens) != n or len(entries) != n:
             raise ValidationError("basis change must be square")
@@ -326,12 +336,12 @@ class BasisChange:
         return cls.from_rows(c.ring, c.char, c.generators, c.generators, rows)
 
     def check_homogeneous(self) -> None:
-        r1, old = self.ring == RING_R1, self.old_gens
+        old = self.old_gens
         for gnew, row in zip(self.new_gens, self.rows):
             gu, gv = gnew.gr_u, gnew.gr_v
             for j, (c, u, v) in row.items():
                 gold = old[j]
-                if r1 and u > 0 and v > 0:
+                if u > 0 and v > 0:
                     raise GradingViolation(
                         f"entry {gnew.id} <- {gold.id} is zero in R1 (mixed monomial)"
                     )
@@ -353,7 +363,7 @@ class BasisChange:
         Off the pipeline path: ``apply_basis_change`` and test oracles use it.
         """
         self.check_homogeneous()
-        n, p, r1 = len(self.old_gens), self.char, self.ring == RING_R1
+        n, p = len(self.old_gens), self.char
         work = [dict(row) for row in self.rows]
         inv: list = [{i: (1, 0, 0)} for i in range(n)]
         try:
@@ -373,8 +383,8 @@ class BasisChange:
                     if m is None or r == j:
                         continue
                     neg = (p - m[0], m[1], m[2])
-                    add_row_multiple(work[r], neg, work[j], r1, p)
-                    add_row_multiple(inv[r], neg, inv[j], r1, p)
+                    add_row_multiple(work[r], neg, work[j], p)
+                    add_row_multiple(inv[r], neg, inv[j], p)
         except GradingViolation as exc:
             raise GradingViolation(f"inhomogeneous elimination: {exc}") from exc
         return BasisChange.from_rows(self.ring, self.char, self.new_gens, self.old_gens, inv)
@@ -382,9 +392,11 @@ class BasisChange:
     def compose(self, first: "BasisChange") -> "BasisChange":
         """The change performing ``first`` and then this one.  Off the
         pipeline path: input generators and test oracles use it."""
+        if self.char != first.char or self.ring != first.ring:
+            raise FieldMismatch("composition over a different ring or field")
         if self.old_gens != first.new_gens:
             raise ValidationError("composition bases do not line up")
-        rows = _mul_rows(self.rows, first.rows, self.ring == RING_R1, self.char)
+        rows = _mul_rows(self.rows, first.rows, self.char)
         return BasisChange.from_rows(self.ring, self.char, first.old_gens, self.new_gens, rows)
 
 
@@ -396,18 +408,21 @@ def _set_fields(obj, *values) -> None:
 def apply_basis_change(c: Complex, b: BasisChange) -> Complex:
     """Rewrite the differential in a new basis: D_new = P D P^-1.
 
-    The products run on the sparse rows of ``differential_rows``, so a
-    term of ``c`` that breaks the bigrading raises GradingViolation.  On
-    homogeneous rows each cell of the product is a single monomial, and
-    the sorted cells are canonical terms.
+    The products run over R1, on the sparse rows of ``differential_rows``:
+    a complex over F[U,V] is refused (ValidationError, ``reduce_mod_uv``
+    first), and a term of ``c`` that breaks the bigrading raises
+    GradingViolation.  On homogeneous rows each cell of the product is a
+    single monomial, and the sorted cells are canonical terms.
     """
+    if c.ring != RING_R1:
+        raise ValidationError("basis changes apply over R1: reduce_mod_uv first")
     if b.char != c.char or b.ring != c.ring:
         raise FieldMismatch("basis change over a different ring or field")
     if b.old_gens != c.generators:
         raise GradingViolation("basis change source basis does not match the complex")
     b_inv = b.inverse()  # checks homogeneity; raises NotInvertible when singular
-    p, r1 = c.char, c.ring == RING_R1
-    new_d = _mul_rows(_mul_rows(b.rows, differential_rows(c), r1, p), b_inv.rows, r1, p)
+    p = c.char
+    new_d = _mul_rows(_mul_rows(b.rows, differential_rows(c), p), b_inv.rows, p)
     terms = [(i, j, u, v, x) for i, row in enumerate(new_d) for j, (x, u, v) in row.items()]
     return Complex.from_terms(c.ring, p, b.new_gens, sorted(terms))
 
@@ -441,21 +456,20 @@ def quotient_rows(d: List[dict], k: int) -> List[dict]:
     return [quotient_row(row, k) for row in d]
 
 
-def add_step(
-    rows: List[dict], gens: Sequence[Generator], r: int, g: int, m: tuple, r1: bool, p: int
-) -> None:
-    """e_r <- e_r + c U^u V^v e_g on basis rows in place, for m = (c, u, v).
-    Before any row changes, r == g, a mixed monomial over R1 or a step off
-    the bigrading of ``gens`` raises GradingViolation."""
+def add_step(rows: List[dict], gens: Sequence[Generator], r: int, g: int, m: tuple, p: int) -> None:
+    """e_r <- e_r + c U^u V^v e_g on basis rows over R1 in place, for
+    m = (c, u, v).  Before any row changes, r == g, a mixed monomial (zero
+    in R1) or a step off the bigrading of ``gens`` raises GradingViolation."""
     _, u, v = m
     gr, gg = gens[r], gens[g]
-    if r == g or (r1 and u and v) or gr.grading != (gg.gr_u - 2 * u, gg.gr_v - 2 * v):
+    if r == g or (u and v) or gr.grading != (gg.gr_u - 2 * u, gg.gr_v - 2 * v):
         raise GradingViolation(f"step {gr.id} += (U^{u} V^{v}) {gg.id} breaks the bigrading")
-    add_row_multiple(rows[r], m, rows[g], r1, p)
+    add_row_multiple(rows[r], m, rows[g], p)
 
 
 class Elimination:
-    """A differential D and a basis change, moved together by elementary steps.
+    """A differential D and a basis change over R1, moved together by
+    elementary steps.
 
     ``d[s]`` is d(s) and ``rows[i]`` the current i-th basis element in the
     starting basis, both sparse rows; D starts as a copy of the rows it is
@@ -473,8 +487,8 @@ class Elimination:
     quotient simplifier only rank the cells.
     """
 
-    def __init__(self, gens: Tuple[Generator, ...], char: int, ring: str, d: List[dict]):
-        self.gens, self.p, self.r1 = gens, char, ring == RING_R1
+    def __init__(self, gens: Tuple[Generator, ...], char: int, d: List[dict]):
+        self.gens, self.p = gens, char
         self.d = [dict(row) for row in d]
         self.rows: List[dict] = [{i: (1, 0, 0)} for i in range(len(gens))]
         self.touched = set(range(len(gens)))
@@ -496,15 +510,15 @@ class Elimination:
 
     def add(self, r: int, g: int, m: tuple) -> None:
         """e_r <- e_r + m e_g for a monomial m = (coeff, u_exp, v_exp), r != g."""
-        add_step(self.rows, self.gens, r, g, m, self.r1, self.p)
+        add_step(self.rows, self.gens, r, g, m, self.p)
         c, u, v = m
-        p, r1 = self.p, self.r1
-        add_row_multiple(self.d[r], m, self.d[g], r1, p)
+        p = self.p
+        add_row_multiple(self.d[r], m, self.d[g], p)
         for j in self.d[g]:
             self._reindex(r, j)
         self.touched.add(r)
         for i, e in self.column(r):
-            add_row_multiple(self.d[i], (-c % p, u, v), {g: e}, r1, p)
+            add_row_multiple(self.d[i], (-c % p, u, v), {g: e}, p)
             self._reindex(i, g)
             self.touched.add(i)
 
@@ -583,7 +597,8 @@ def intertwines(d: List[dict], change: BasisChange, arrows, k: int) -> bool:
     ``arrows``, given as (src, tgt, length, coeff) in the new basis.
 
     d holds the quotient's sparse rows (``quotient_rows``), which the
-    caller keeps across checks; p and the ring are read from ``change``.
+    caller keeps across checks; p is read from ``change``, and the
+    products are over R1.
     Modulo U or V, with X the change, D the differential and T the arrow
     matrix, X D X^-1 = T holds exactly when X D = T X, because X has an
     invertible scalar part; the second form needs no inverse.  A cell of
@@ -597,8 +612,7 @@ def intertwines(d: List[dict], change: BasisChange, arrows, k: int) -> bool:
     arrow on the same cell replaces an earlier one.  An arrow whose source
     or target is not a row index raises IndexError.
     """
-    p, r1 = change.char, change.ring == RING_R1
-    rows = change.rows
+    p, rows = change.char, change.rows
     n = len(rows)
     t: dict = {}
     for s, tgt, length, coeff in arrows:
@@ -613,15 +627,15 @@ def intertwines(d: List[dict], change: BasisChange, arrows, k: int) -> bool:
             lhs: dict = {}
             for j, m in row.items():
                 if not m[k] and d[j]:
-                    add_row_multiple(lhs, m, d[j], r1, p)
+                    add_row_multiple(lhs, m, d[j], p)
             rhs: dict = {}
             for tgt, m in t[i].items() if i in t else ():
                 x = rows[tgt]
-                # Over R1 an entry outside the quotient times a positive power
-                # of the other variable is mixed, and add_row_multiple drops it.
-                if not (r1 and m[3 - k]):
+                # An entry outside the quotient times a positive power of the
+                # other variable is mixed, and add_row_multiple drops it.
+                if not m[3 - k]:
                     x = quotient_row(x, k)
-                add_row_multiple(rhs, m, x, r1, p)
+                add_row_multiple(rhs, m, x, p)
             if lhs != rhs:
                 return False
     except GradingViolation:
@@ -695,14 +709,17 @@ def strip_zero_complexes(c: Complex):
     Returns (d, k, b): the stripped complex, the number of zero complexes,
     and the accumulated basis change.  b maps the input onto the direct sum
     arrangement [survivors..., s_1, t_1, ..., s_k, t_k].  The input must be
-    a bigraded chain complex: a term that breaks the bigrading raises
+    a bigraded chain complex over R1 (``reduce_mod_uv`` first, else
+    ValidationError): a term that breaks the bigrading raises
     GradingViolation before any step, and a pair that fails to split off
     (d^2 != 0) raises ValidationError.  The least scalar cell (s, t) left
     is cancelled first, popped off ``Elimination.cancel_in_order``'s heap.
     No split-off pair meets a survivor, so the survivors' rows of D are
     already d's terms: ``Complex.from_terms`` wraps them, renumbered.
     """
-    el = Elimination(c.generators, c.char, c.ring, differential_rows(c))
+    if c.ring != RING_R1:
+        raise ValidationError("zero complexes are stripped over R1: reduce_mod_uv first")
+    el = Elimination(c.generators, c.char, differential_rows(c))
     pairs = el.cancel_in_order(lambda e: None if e[1] or e[2] else 0)
     cancelled = [i for pair in pairs for i in pair]
     keep = sorted(set(range(c.rank)).difference(cancelled))

@@ -75,4 +75,6 @@ class InvariantViolation(SnakedecError):
 class ValidationError(SnakedecError):
     """A complex or basis change is malformed, or an operation was handed
     an input it is not defined on (a complex over the wrong ring, or one
-    that still has length-zero arrows)."""
+    that still has length-zero arrows).  Arithmetic is over R1, so an
+    F[U,V] complex or basis change is refused there, naming
+    ``reduce_mod_uv``."""

@@ -281,7 +281,7 @@ def perm_matrix(sigma: Sequence[int], char: int) -> Matrix:
     """Permutation matrix sending basis vector j to basis vector sigma[j]."""
     n = len(sigma)
     _check_prime(char)
-    if sorted(sigma) != list(range(n)):
+    if not all(_is_int(i) for i in sigma) or sorted(sigma) != list(range(n)):
         raise ValidationError(f"not a permutation of 0..{n - 1}: {tuple(sigma)}")
     rows = [[0] * n for _ in range(n)]
     for j, i in enumerate(sigma):

@@ -119,7 +119,7 @@ def _simplify_quotient(c: Complex, d: list, direction: str) -> SimplifiedBasis:
     """Gaussian elimination making the quotient differential a matching:
     d holds its sparse rows (modulo U for the vertical direction, modulo V
     for the horizontal one), c only the generators and the field."""
-    el = Elimination(c.generators, c.char, c.ring, d)
+    el = Elimination(c.generators, c.char, d)
     axis = 2 if direction == VERTICAL else 1  # the exponent that is the length
     el.cancel_in_order(lambda e: e[axis])
 
@@ -127,7 +127,7 @@ def _simplify_quotient(c: Complex, d: list, direction: str) -> SimplifiedBasis:
     renamed = tuple([
         Generator(f"{prefix}{i + 1}", g.gr_u, g.gr_v) for i, g in enumerate(c.generators)
     ])
-    change = BasisChange.from_rows(c.ring, c.char, c.generators, renamed, el.rows)
+    change = BasisChange.from_rows(RING_R1, c.char, c.generators, renamed, el.rows)
     arrows = tuple(sorted((i, j, e[axis]) for i, row in enumerate(el.d) for j, e in row.items()))
     sb = SimplifiedBasis(direction, renamed, arrows, change)
     bad = matching_violations(sb)
@@ -175,12 +175,12 @@ def _unit_scalar_part(row: dict, i: int) -> bool:
     return True
 
 
-def _merge_into(rows: list, held: list, i: int, m: tuple, other: dict, r1: bool, p: int) -> None:
+def _merge_into(rows: list, held: list, i: int, m: tuple, other: dict, p: int) -> None:
     """rows[i] += m * other, on a copy while rows[i] is still the row that
     ``held`` shares with a BasisChange, which is never mutated."""
     if rows[i] is held[i]:
         rows[i] = dict(rows[i])
-    add_row_multiple(rows[i], m, other, r1, p)
+    add_row_multiple(rows[i], m, other, p)
 
 
 def normalize_transition(
@@ -226,7 +226,7 @@ def normalize_transition(
     x_gens, y_gens = xb.generators, yb.generators
     if len(x_gens) != len(y_gens):
         raise CountMismatch("bases are not aligned by bigrading")
-    p, r1 = c.char, c.ring == RING_R1
+    p = c.char
     slots: dict = {}
     for i, (gx, gy) in enumerate(zip(x_gens, y_gens)):
         if gx.gr_u != gy.gr_u or gx.gr_v != gy.gr_v:
@@ -250,11 +250,11 @@ def normalize_transition(
                 if len(y_all[i]) > 1:
                     y_u = {j: e for j, e in y_all[i].items() if e[1]}
                     if y_u:
-                        _merge_into(x_rows, x_all, i, (1, 0, 0), y_u, r1, p)
+                        _merge_into(x_rows, x_all, i, (1, 0, 0), y_u, p)
                 if len(x_all[i]) > 1:
                     x_v = {j: e for j, e in x_all[i].items() if e[2]}
                     if x_v:
-                        _merge_into(y_rows, y_all, i, (1, 0, 0), x_v, r1, p)
+                        _merge_into(y_rows, y_all, i, (1, 0, 0), x_v, p)
             blocks.append((members, ([], {}, tuple(range(w)), [])))
             continue
         col = {i: k for k, i in enumerate(members)}
@@ -280,22 +280,22 @@ def normalize_transition(
         for i, row in zip(members, s_g):
             for k, f in enumerate(row):
                 if f and y_u[k]:
-                    _merge_into(x_rows, x_all, i, (f, 0, 0), y_u[k], r1, p)
+                    _merge_into(x_rows, x_all, i, (f, 0, 0), y_u[k], p)
         x_v = [{j: e for j, e in x_all[i].items() if e[2]} for i in members]
         for r, g, f in lower:
-            add_row_multiple(x_v[r], (p - f, 0, 0), x_v[g], r1, p)
+            add_row_multiple(x_v[r], (p - f, 0, 0), x_v[g], p)
         back: list = [None] * w
         for a, q in enumerate(up):
             back[q] = _scaled(x_v[a], pow(dots[a], p - 2, p), p) if a in dots else x_v[a]
         for r, g, f in upper:
-            add_row_multiple(back[r], (p - f, 0, 0), back[g], r1, p)
+            add_row_multiple(back[r], (p - f, 0, 0), back[g], p)
         for i, row in zip(members, back):
             if row:
-                _merge_into(y_rows, y_all, i, (1, 0, 0), row, r1, p)
+                _merge_into(y_rows, y_all, i, (1, 0, 0), row, p)
         blocks.append((members, factors))
     old = xb.change.old_gens
-    x_change = BasisChange.from_rows(c.ring, p, old, x_gens, x_rows)
-    y_change = BasisChange.from_rows(c.ring, p, old, y_gens, y_rows)
+    x_change = BasisChange.from_rows(RING_R1, p, old, x_gens, x_rows)
+    y_change = BasisChange.from_rows(RING_R1, p, old, y_gens, y_rows)
     xb2 = SimplifiedBasis(xb.direction, x_gens, xb.arrows, x_change)
     yb2 = SimplifiedBasis(yb.direction, y_gens, yb.arrows, y_change)
     return TransitionData(xb2, yb2, tuple(blocks))

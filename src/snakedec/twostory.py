@@ -176,12 +176,12 @@ def _shaft_times(state: _ShaftState, rows: list, char: int) -> list:
     place: an arrow [r, g, c] adds c times row g into row r, upper arrows
     first, each tier in reverse; row a of D P is row up[a], copied only if dots[a] scales it."""
     for r, g, c in reversed(state.upper):
-        add_row_multiple(rows[r], (c, 0, 0), rows[g], False, char)
+        add_row_multiple(rows[r], (c, 0, 0), rows[g], char)
     rows = [rows[q] for q in state.up]
     for a, c in state.dots.items():
         rows[a] = _scaled(rows[a], c, char)
     for r, g, c in reversed(state.lower):
-        add_row_multiple(rows[r], (c, 0, 0), rows[g], False, char)
+        add_row_multiple(rows[r], (c, 0, 0), rows[g], char)
     return rows
 
 
@@ -388,12 +388,10 @@ class _Journeys:
         s and t differ, positive when s's comes first in the unusual order;
         math.inf when they never differ.  Past max(lead) terms both repeat
         with period lcm(period), so a first difference falls inside that
-        window, and two walks that meet agree from there on."""
+        window."""
         lead, period, term, succ = self.lead, self.period, self.term, self.succ
         window = max(lead[s], lead[t]) + math.lcm(period[s], period[t])
         for k in range(1, window + 1):
-            if s == t:
-                break
             a, b = term[s], term[t]
             if a != b:
                 return k if unusual_key(a) < unusual_key(b) else -k
@@ -488,13 +486,13 @@ class TwoStoryComplex:
     def _basis(self, end) -> BasisChange:
         """The floor basis over the input's: the logged steps replayed
         on the change ``build`` started from, by ``add_step``."""
-        floor, ring = self._floors[end], self.original.ring
+        floor = self._floors[end]
         rows = floor.start.rows
         if floor.steps:  # with no step the start's rows are the basis, uncopied
             rows = [dict(row) for row in rows]
             for r, g, m in floor.steps:
-                add_step(rows, floor.gens, r, g, m, ring == RING_R1, self.char)
-        return BasisChange.from_rows(ring, self.char, floor.start.old_gens, floor.gens, rows)
+                add_step(rows, floor.gens, r, g, m, self.char)
+        return BasisChange.from_rows(RING_R1, self.char, floor.start.old_gens, floor.gens, rows)
 
     # -- views -------------------------------------------------------------
 
@@ -896,7 +894,7 @@ def build(c: Complex) -> TwoStoryComplex:
     except GradingViolation as exc:
         raise ValidationError(str(exc)) from None
     gens, p = c.generators, c.char
-    for s, row in enumerate(_mul_rows(d, d, True, p)):
+    for s, row in enumerate(_mul_rows(d, d, p)):
         if row:
             t, (x, u, v) = min(row.items())
             term = Monomial(gf.FieldElem(x, p), u, v)

@@ -254,7 +254,7 @@ def mixed_sum(seed, parts):
     by_grading = {}
     for i, g in enumerate(gens):
         by_grading.setdefault(g.grading, []).append(i)
-    el = Elimination(gens, p, RING_R1, differential_rows(c))
+    el = Elimination(gens, p, differential_rows(c))
     steps = 0
     while steps < 2 * c.rank:
         r, k = rng.randrange(c.rank), rng.randrange(1, 3)
@@ -452,7 +452,7 @@ def intertwines_by_products(d, change, arrows, k):
     """``complexes.intertwines`` by two whole products: X D == T X on the
     quotient copies of the rows, with False for a cell of either product
     that is not a single monomial."""
-    p, r1 = change.char, change.ring == RING_R1
+    p = change.char
     x = quotient_rows(change.rows, k)
     t = [{} for _ in x]
     for s, tgt, length, coeff in arrows:
@@ -461,7 +461,7 @@ def intertwines_by_products(d, change, arrows, k):
             return False
         t[s][tgt] = (coeff, 0, length) if k == 1 else (coeff, length, 0)
     try:
-        return _mul_rows(x, d, r1, p) == _mul_rows(t, x, r1, p)
+        return _mul_rows(x, d, p) == _mul_rows(t, x, p)
     except GradingViolation:
         return False
 

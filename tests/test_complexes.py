@@ -119,6 +119,10 @@ def test_a_coefficient_or_exponent_that_is_not_an_int_is_refused():
     for coeff in (1, 1.0, None):
         with pytest.raises(ValueError, match="not a FieldElem"):
             Monomial(coeff, 0, 1)
+    with pytest.raises(ValueError, match="nonzero coefficients only"):
+        Monomial(FieldElem(0, 2), 0, 1)
+    with pytest.raises(ValueError, match="negative exponent"):
+        mono(1, 0, -1, 2)
     assert mono(3, 1, 0, 2) == Monomial(FieldElem(1, 2), 1, 0)
 
 
@@ -165,6 +169,14 @@ def test_a_basis_change_entry_that_is_no_monomial_is_refused():
         with pytest.raises(ValidationError, match="is no Monomial or None"):
             BasisChange(RING_R1, 2, g, g, ((entry,),))
     assert BasisChange(RING_R1, 2, g, g, ((mono(1, 0, 0, 2),),)).rows == ({0: (1, 0, 0)},)
+    g2, one = (Generator("a", 0, 0), Generator("b", 0, 0)), mono(1, 0, 0, 2)
+    for new, entries in ((g, ((one, None), (None, one))), (g2, ((one, None),))):
+        with pytest.raises(ValidationError, match="must be square"):
+            BasisChange(RING_R1, 2, g2, new, entries)
+    with pytest.raises(ValidationError, match="ragged"):
+        BasisChange(RING_R1, 2, g2, g2, ((one, None), (one,)))
+    with pytest.raises(FieldMismatch, match="outside F_2"):
+        BasisChange(RING_R1, 2, g, g, ((mono(1, 0, 0, 3),),))
 
 
 def test_a_basis_change_refuses_what_a_complex_refuses():
@@ -179,9 +191,26 @@ def test_a_basis_change_refuses_what_a_complex_refuses():
             BasisChange(RING_R1, 2, old, new, one)
     with pytest.raises(ValidationError, match="generator id 1 is not a str"):
         BasisChange(RING_R1, 2, (Generator(1, 0, 0),), g, one)
+    # the row arithmetic is over R1 only: an F[U,V] change used to be
+    # inverted and composed with a second rule that kept mixed monomials
+    with pytest.raises(ValidationError, match="reduce_mod_uv"):
+        BasisChange(RING_FUV, 2, g, g, one)
+    # a change onto (a, b, b) used to give a complex with two generators b
+    # and an arrow b -> b, which Complex refuses and direct_sum relabelled
+    # as b@0 twice; the old and the new basis may share ids, as the
+    # identity does
+    t = trefoil()
+    a, b, c = t.generators
+    dup = (a, b, Generator("b", c.gr_u, c.gr_v))
+    ident = tuple(tuple(mono(1, 0, 0, 2) if i == j else None for j in range(3)) for i in range(3))
+    for old, new in ((t.generators, dup), (dup, t.generators)):
+        with pytest.raises(ValidationError, match="duplicate generator id 'b'"):
+            BasisChange(RING_R1, 2, old, new, ident)
+    assert BasisChange(RING_R1, 2, t.generators, t.generators, ident) == BasisChange.identity(t)
     # from_rows wraps what it is handed, unchecked
     rows = ({0: (1, 0, 0)},)
     assert BasisChange.from_rows("R1", 2, g, g, rows).ring == "R1"
+    assert BasisChange.from_rows(RING_FUV, 2, g, g, rows).ring == RING_FUV
     assert BasisChange(RING_R1, 2, g, g, one) == BasisChange.from_rows(RING_R1, 2, g, g, rows)
 
 
@@ -304,6 +333,12 @@ def test_change_rejects_bad_grading():
     b = BasisChange(RING_R1, 2, t.generators, t.generators, tuple(tuple(r) for r in rows))
     with pytest.raises(GradingViolation):
         apply_basis_change(t, b)
+    # x0 <- UV x1 fits the bigrading, but UV is zero in R1
+    gens = (Generator("x0", 0, 0), Generator("x1", 2, 2))
+    one = mono(1, 0, 0, 2)
+    mixed = BasisChange(RING_R1, 2, gens, gens, ((one, mono(1, 1, 1, 2)), (None, one)))
+    with pytest.raises(GradingViolation, match="zero in R1"):
+        mixed.inverse()
 
 
 def test_change_rejects_singular():
@@ -330,6 +365,18 @@ def test_change_rejects_wrong_basis():
         apply_basis_change(t, BasisChange.identity(renamed))
 
 
+def test_apply_basis_change_refuses_fuv():
+    # the products run over R1, so on d(x) = UV y + U z over F[U,V] even the
+    # identity change would lose the mixed term UV y
+    gens = (Generator("x", 0, 0), Generator("y", 1, 1), Generator("z", 1, -1))
+    arrows = (Arrow("x", "y", mono(1, 1, 1, 2)), Arrow("x", "z", mono(1, 1, 0, 2)))
+    c = Complex(RING_FUV, 2, gens, arrows)
+    with pytest.raises(ValidationError, match="reduce_mod_uv"):
+        apply_basis_change(c, BasisChange.identity(c))
+    r = reduce_mod_uv(c)
+    assert apply_basis_change(r, BasisChange.identity(r)) == r
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_random_changes_preserve_validity(seed):
@@ -347,10 +394,9 @@ def homogeneous_changes(draw):
     """A random homogeneous basis change, and whether its scalar part was
     forced singular by clearing the scalar entries of one row.
 
-    Gradings are even, so U- and V-power entries occur; over F[U,V] mixed
-    U^a V^b entries occur too.
+    Gradings are even, so U- and V-power entries occur; a mixed U^a V^b
+    entry is zero in R1, so none is drawn.
     """
-    ring = draw(st.sampled_from([RING_R1, RING_FUV]))
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(min_value=1, max_value=30))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -366,13 +412,13 @@ def homogeneous_changes(draw):
         row = []
         for j, gj in enumerate(old):
             u, v = (gj.gr_u - gi.gr_u) // 2, (gj.gr_v - gi.gr_v) // 2
-            legal = u >= 0 and v >= 0 and not (ring == RING_R1 and u and v)
+            legal = u >= 0 and v >= 0 and not (u and v)
             if i == dead and u == v == 0:
                 legal = False
             hit = j == perm[i] or rng.random() < density
             row.append(mono(rng.randrange(1, p), u, v, p) if legal and hit else None)
         rows.append(tuple(row))
-    return BasisChange(ring, p, tuple(old), tuple(new), tuple(rows)), singular
+    return BasisChange(RING_R1, p, tuple(old), tuple(new), tuple(rows)), singular
 
 
 @given(homogeneous_changes())
@@ -401,10 +447,26 @@ def test_compose_rejects_two_monomial_cell():
     # x0 + x1 followed by x1 -> U x0 puts 1 + U into one cell: not homogeneous
     gens = (Generator("x0", 0, 0), Generator("x1", 0, 0))
     one = mono(1, 0, 0, 2)
-    first = BasisChange(RING_FUV, 2, gens, gens, ((one, None), (mono(1, 1, 0, 2), None)))
-    then = BasisChange(RING_FUV, 2, gens, gens, ((one, one), (None, one)))
+    first = BasisChange(RING_R1, 2, gens, gens, ((one, None), (mono(1, 1, 0, 2), None)))
+    then = BasisChange(RING_R1, 2, gens, gens, ((one, one), (None, one)))
     with pytest.raises(GradingViolation):
         then.compose(first)
+
+
+def test_compose_refuses_another_field_or_ring_and_misaligned_bases():
+    # a change over F_2 after one over F_3 used to store 1 * 2 mod 2, a
+    # zero coefficient, in a sparse row
+    g = (Generator("a", 0, 0),)
+    b2 = BasisChange(RING_R1, 2, g, g, ((mono(1, 0, 0, 2),),))
+    b3 = BasisChange(RING_R1, 3, g, g, ((mono(2, 0, 0, 3),),))
+    fuv = BasisChange.from_rows(RING_FUV, 2, g, g, b2.rows)
+    for then, first in ((b2, b3), (b3, b2), (b2, fuv)):
+        with pytest.raises(FieldMismatch):
+            then.compose(first)
+    h = (Generator("h", 0, 0),)
+    with pytest.raises(ValidationError, match="do not line up"):
+        b2.compose(BasisChange(RING_R1, 2, g, h, ((mono(1, 0, 0, 2),),)))
+    assert b2.compose(b2) == b2
 
 
 def _quotient_table(c, k):
@@ -470,7 +532,7 @@ def test_elimination_touches_every_row_it_writes():
     for seed in range(10):
         c = random_messy(seed, max_rank=24)
         gens, p = c.generators, c.char
-        el = cx.Elimination(gens, p, c.ring, cx.differential_rows(c))
+        el = cx.Elimination(gens, p, cx.differential_rows(c))
         retired = set()
         for _ in range(60):
             before = [dict(row) for row in el.d]
@@ -505,7 +567,7 @@ def test_elimination_touches_every_row_it_writes():
 
 def test_elimination_rejects_zero_scale():
     c = figure_eight()  # over F_3
-    el = cx.Elimination(c.generators, c.char, c.ring, cx.differential_rows(c))
+    el = cx.Elimination(c.generators, c.char, cx.differential_rows(c))
     for c in (0, 3):
         with pytest.raises(ValueError, match="scaled by zero"):
             el.scale(0, c)
@@ -535,6 +597,8 @@ def test_bar_involution_and_swap():
 def test_direct_sum_single_is_identity():
     t = trefoil()
     assert direct_sum([t]) == t
+    with pytest.raises(ValidationError, match="none given"):
+        direct_sum([])
 
 
 def test_direct_sum_of_zero_pairs():
@@ -630,6 +694,13 @@ def test_strip_rejects_non_complex():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised 1 not a chain complex"), out.stdout
+
+
+def test_strip_refuses_fuv():
+    # it used to eliminate over F[U,V], with a second rule for mixed terms
+    for c in (zero_pair(), trefoil()):
+        with pytest.raises(ValidationError, match="reduce_mod_uv"):
+            strip_zero_complexes(Complex(RING_FUV, c.char, c.generators, c.arrows))
 
 
 def test_strip_rejects_unbigraded_input():

@@ -265,9 +265,11 @@ def test_perm_matrix_is_a_homomorphism():
 
 
 def test_perm_matrix_rejects_a_non_permutation():
-    for sigma in ((0, 0), (1, 2), (0, 2, 1, 1)):
+    # (False, True) used to give the identity, (0.0, 1.0) a bare TypeError
+    for sigma in ((0, 0), (1, 2), (0, 2, 1, 1), (False, True), (0.0, 1.0), (1, 0.0), ("0",)):
         with pytest.raises(ValidationError, match="not a permutation"):
             gf.perm_matrix(sigma, 2)
+    assert gf.perm_matrix((0, 1), 2) == gf.Matrix.identity(2, 2)
 
 
 def test_cycle_type():
@@ -334,6 +336,8 @@ def test_ltu_structure_and_reassembly_exhaustive_gl2():
 def test_ltu_rejects_singular():
     with pytest.raises(Singular):
         gf.ltu_factorize(M([[1, 1], [1, 1]], 2))
+    with pytest.raises(DimensionMismatch, match="square"):
+        gf.ltu_factorize(M([[1, 0]], 2))
 
 
 @st.composite
@@ -571,6 +575,8 @@ def test_canonical_bases_conjugate_each_class_onto_itself(n, p):
 
 def test_invariant_factors_split_semisimple():
     assert gf.invariant_factors(M([[2, 0], [0, 2]], 3)) == ((1, 1), (1, 1))
+    with pytest.raises(DimensionMismatch, match="square"):
+        gf.invariant_factors(M([[1], [0]], 3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for vertical/horizontal simplification and transition normalization."""
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -295,6 +297,18 @@ def test_transition_eliminates_variable_entries():
         assert matching_violations(td.y_basis) == []
         assert replay(c, td.x_basis) == td.x_basis.arrows
         assert replay(c, td.y_basis) == td.y_basis.arrows
+
+
+def test_matching_violations_names_each_clause():
+    sb = vertical_simplify(trefoil())
+    assert matching_violations(sb) == []
+    # 0 emits two arrows, 2 receives two, and 1 both emits and receives
+    arrows = ((0, 1, 1), (0, 2, 1), (1, 2, 1))
+    assert matching_violations(dataclasses.replace(sb, arrows=arrows)) == [
+        "index 0 emits 2 arrows",
+        "index 2 receives 2 arrows",
+        "index 1 both emits and receives",
+    ]
 
 
 def test_transition_rank_zero():

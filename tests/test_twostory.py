@@ -139,6 +139,12 @@ def test_token_matrices():
         Crossing(2, 2)
     with pytest.raises(ValueError):
         BlackDot(1, f(0, 5))
+    with pytest.raises(ValueError, match="1-based"):
+        BlackDot(0, f(1, 5))
+    with pytest.raises(ValueError, match="two distinct positions"):
+        CrossoverArrow(2, 2, f(1, 5))
+    with pytest.raises(ValueError, match="decoration must be nonzero"):
+        CrossoverArrow(1, 2, f(0, 5))
     # the calculus's local identities: each pair of words has one product
     for left, right, width, p in (
         ((Crossing(1, 2), BlackDot(3, f(2, 3))), (BlackDot(3, f(2, 3)), Crossing(1, 2)), 4, 3),
@@ -458,6 +464,7 @@ def test_journeys_across_the_elevator():
     assert table.elev == [n + elevator(t, "bottom", i) for i in range(n)] + [
         elevator(t, "top", j) for j in range(n)
     ]
+    assert all(table.divergence(s, s) == math.inf for s in range(2 * n))
 
 
 def test_terminating_journeys():
@@ -1244,7 +1251,7 @@ def test_verify_refuses_a_malformed_logged_step():
             replayed((r, g, m))
         rows = [{i: (1, 0, 0)} for i in range(len(gens))]
         with pytest.raises(GradingViolation, match=f"^{re.escape(msg)}$"):
-            complexes.add_step(rows, gens, r, g, m, True, p)
+            complexes.add_step(rows, gens, r, g, m, p)
         assert rows == [{i: (1, 0, 0)} for i in range(len(gens))]
 
 
