@@ -74,14 +74,16 @@ def mono(coeff, u_exp: int, v_exp: int, char: Optional[int] = None) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial, ring: str) -> Optional[Monomial]:
-    """Product of two monomials, None when it dies in the ring."""
+    """Product of two monomials, None when it dies in the ring; a ring tag
+    other than RING_R1 and RING_FUV raises ValidationError."""
     c = a.coeff * b.coeff
-    if not c.value:
-        return None
     u, v = a.u_exp + b.u_exp, a.v_exp + b.v_exp
-    if ring == RING_R1 and u > 0 and v > 0:
-        return None
-    return Monomial(c, u, v)
+    if ring == RING_R1:
+        if u > 0 and v > 0:
+            return None
+    elif ring != RING_FUV:
+        raise ValidationError(f"unknown ring tag {ring!r}")
+    return Monomial(c, u, v) if c.value else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,7 +207,7 @@ def validate(c: Complex) -> list:
     Violations are human-readable strings naming offending generators:
     every differential term must have bidegree (-1,-1), and d^2 must
     vanish (computed with UV = 0 when the ring is R1).  ``reduce_mod_uv``
-    uses it; ``twostory.build`` runs the same checks on sparse rows.
+    uses it; the simplifiers run the same checks on sparse rows.
     """
     out, gens, p, r1 = [], c.generators, c.char, c.ring == RING_R1
     by_src: List[list] = [[] for _ in gens]
@@ -227,11 +229,6 @@ def validate(c: Complex) -> list:
             if x:
                 out.append(f"d^2 != 0 at {g.id}: term {Monomial(FieldElem(x, p), u, v)} -> {t}")
     return out
-
-
-def has_length_zero_arrow(c: Complex) -> bool:
-    """True when some differential term is a plain scalar (length 0)."""
-    return any(not u and not v for _, _, u, v, _ in c.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,10 @@ class NotInvertible(SnakedecError):
 
 
 class GradingViolation(SnakedecError):
-    """A map or complex fails its required homogeneity constraints."""
+    """A map or complex fails its required homogeneity constraints: a
+    differential term off bidegree (-1, -1) is refused with this, in
+    ``differential_rows``' words, by the strip and every simplify entry
+    point, ``twostory.build`` included."""
 
 
 class CountMismatch(SnakedecError):
@@ -63,18 +66,19 @@ class BoundExceeded(SnakedecError):
 class InvariantViolation(SnakedecError):
     """A structural invariant of the program's own work failed to hold.
 
-    Raised by ``TwoStoryComplex.verify``, by ``build`` and by the depth
-    loop when the program's own state disagrees with the complex it
-    claims to describe, by ``normalize_transition`` only for a transition
-    that crosses bigradings, and by the ``gf`` polynomial and
-    canonical-basis kernels when a result fails its reassembly check;
-    unlike ``assert`` it survives ``python -O``.
+    Raised by ``TwoStoryComplex.verify`` and by the depth loop when the
+    program's own state disagrees with the complex it claims to describe,
+    by ``normalize_transition`` only for a transition that crosses
+    bigradings, and by the ``gf`` polynomial and canonical-basis kernels
+    when a result fails its reassembly check; unlike ``assert`` it
+    survives ``python -O``.
     """
 
 
 class ValidationError(SnakedecError):
     """A complex or basis change is malformed, or an operation was handed
-    an input it is not defined on (a complex over the wrong ring, or one
-    that still has length-zero arrows).  Arithmetic is over R1, so an
-    F[U,V] complex or basis change is refused there, naming
-    ``reduce_mod_uv``."""
+    an input it is not defined on (a complex over the wrong ring, one with
+    d^2 != 0, or one that still has length-zero arrows).  Arithmetic is
+    over R1, so an F[U,V] complex or basis change is refused there, naming
+    ``reduce_mod_uv``.  Every simplify entry point, ``twostory.build``
+    included, refuses each such complex with the same text."""

@@ -9,10 +9,11 @@ Both always exist; a basis doing both jobs at once generally does not.
 The two bases are produced by graded Gaussian elimination on the sparse
 rows of each quotient differential, pivoting on the shortest arrow
 first, with the pivots taken from a heap that is refreshed from the rows
-each step wrote.  The simplifiers check and convert their input and take
-its rows modulo U or V (``complexes.quotient_rows``); ``twostory.build``
-does all three once and hands each quotient's rows to the same core.  Elimination keeps the input's generator order, so position i
-of either basis sits in the input generator i's bigrading.
+each step wrote.  Every entry point checks and converts its input by one
+``_checked_rows``, so all refuse alike; ``simplified_transition``, which
+``twostory.build`` calls, does it once for both quotients.  Elimination
+keeps the input's generator order, so position i of either basis sits in
+the input generator i's bigrading.
 `normalize_transition` then adjusts them, without disturbing either
 quotient structure, so that the transition matrix between them has all
 entries in the ground field.  It works in closed form, one bigrading
@@ -33,11 +34,12 @@ from .complexes import (
     Complex,
     Elimination,
     Generator,
+    Monomial,
     RING_R1,
+    _mul_rows,
     _scaled,
     add_row_multiple,
     differential_rows,
-    has_length_zero_arrow,
     quotient_row,
     quotient_rows,
 )
@@ -62,12 +64,16 @@ class SimplifiedBasis:
         quotient differential, all with unit coefficient.
     change : BasisChange
         Transforms the basis of the input complex into this basis.
+    quotient : list of dict
+        The sparse rows of the input's differential modulo U (vertical) or
+        V (horizontal) that the basis was found on.
     """
 
     direction: str
     generators: tuple[Generator, ...]
     arrows: tuple[tuple[int, int, int], ...]
     change: BasisChange
+    quotient: list
 
 
 @dataclass(frozen=True)
@@ -115,12 +121,34 @@ def matching_violations(sb: SimplifiedBasis) -> list[str]:
     return out
 
 
+def _checked_rows(c: Complex) -> list:
+    """The differential of c as sparse rows, after every simplifier's one
+    input check: a term off bidegree (-1, -1) raises GradingViolation
+    (``differential_rows``); a ring other than R1, d^2 != 0 or a term of
+    length zero raise ValidationError."""
+    if c.ring != RING_R1:
+        raise ValidationError("simplification works over the modulo-UV ring: reduce_mod_uv first")
+    d = differential_rows(c)
+    gens, p = c.generators, c.char
+    for s, row in enumerate(_mul_rows(d, d, p)):
+        if row:
+            t, (x, u, v) = min(row.items())
+            term = f"{Monomial(gf.FieldElem(x, p), u, v)} -> {gens[t].id}"
+            raise ValidationError(f"not a chain complex: d^2 != 0 at {gens[s].id}: term {term}")
+    zero = [(s, t) for s, row in enumerate(d) for t, e in row.items() if e[1:] == (0, 0)]
+    if zero:
+        ids = " -> ".join(gens[i].id for i in zero[0])
+        raise ValidationError(f"strip zero complexes before simplifying: {ids}")
+    return d
+
+
 def _simplify_quotient(c: Complex, d: list, direction: str) -> SimplifiedBasis:
     """Gaussian elimination making the quotient differential a matching:
-    d holds its sparse rows (modulo U for the vertical direction, modulo V
-    for the horizontal one), c only the generators and the field."""
-    el = Elimination(c.generators, c.char, d)
+    d holds the checked rows of the differential, taken here modulo U
+    (vertical) or V (horizontal), c only the generators and the field."""
     axis = 2 if direction == VERTICAL else 1  # the exponent that is the length
+    quotient = quotient_rows(d, 3 - axis)  # modulo the other variable
+    el = Elimination(c.generators, c.char, quotient)
     el.cancel_in_order(lambda e: e[axis])
 
     prefix = "x" if direction == VERTICAL else "y"
@@ -129,31 +157,22 @@ def _simplify_quotient(c: Complex, d: list, direction: str) -> SimplifiedBasis:
     ])
     change = BasisChange.from_rows(RING_R1, c.char, c.generators, renamed, el.rows)
     arrows = tuple(sorted((i, j, e[axis]) for i, row in enumerate(el.d) for j, e in row.items()))
-    sb = SimplifiedBasis(direction, renamed, arrows, change)
+    sb = SimplifiedBasis(direction, renamed, arrows, change, quotient)
     bad = matching_violations(sb)
     if bad:
         raise ValidationError(f"not a chain complex: {bad[0]}")
     return sb
 
 
-def _simplify(c: Complex, direction: str) -> SimplifiedBasis:
-    if c.ring != RING_R1:
-        raise ValidationError("simplification works over the modulo-UV ring")
-    if has_length_zero_arrow(c):
-        raise ValidationError("strip zero complexes before simplifying")
-    d = quotient_rows(differential_rows(c), 1 if direction == VERTICAL else 2)
-    return _simplify_quotient(c, d, direction)
-
-
 def vertical_simplify(c: Complex) -> SimplifiedBasis:
     """A basis making the differential of C/U a partial matching.
 
     The input must be a bigraded chain complex over the modulo-UV ring
-    without length-zero arrows.  A term that breaks the bigrading raises
-    GradingViolation before any step; a step that fails to split its
-    arrow off (d^2 != 0) raises ValidationError.
+    without length-zero arrows; ``_checked_rows`` refuses any other, with
+    the same error and text as ``simplified_transition`` and
+    ``twostory.build``, before any step.
     """
-    return _simplify(c, VERTICAL)
+    return _simplify_quotient(c, _checked_rows(c), VERTICAL)
 
 
 def horizontal_simplify(c: Complex) -> SimplifiedBasis:
@@ -161,7 +180,7 @@ def horizontal_simplify(c: Complex) -> SimplifiedBasis:
 
     Same input requirements as vertical_simplify.
     """
-    return _simplify(c, HORIZONTAL)
+    return _simplify_quotient(c, _checked_rows(c), HORIZONTAL)
 
 
 def _unit_scalar_part(row: dict, i: int) -> bool:
@@ -203,10 +222,11 @@ def normalize_transition(
     ``gf.ltu_factorize`` of S_g, and S_g^{-1} X_V by the inverse factors as
     row operations (the lower arrows in order, then D P undone, then the
     upper arrows in order).  No ring inverse and no dense inverse is
-    formed.  Unaligned bases raise CountMismatch, a scalar entry joining
-    two bigradings InvariantViolation, and a singular scalar part Singular
-    naming its bigrading; a block with either is not the identity, so the
-    identity case skips no check.
+    formed.  Bases not found on c's generators or not aligned by bigrading
+    raise CountMismatch (the returned ones carry their ``quotient`` rows
+    on), a scalar entry joining two bigradings InvariantViolation, and a
+    singular scalar part Singular naming its bigrading; a block with either
+    is not the identity, so the identity case skips no check.
 
     Each row is read in one pass per block.  The identity test stops at
     the first member whose scalar part is not e_i, rows are taken modulo U
@@ -223,6 +243,8 @@ def normalize_transition(
     checks X'_0 = B Y'_0 on every block, with B the product of its
     factors; as X'_0 = X_0 and Y'_0 = Y_0, that checks S and its factors.
     """
+    if xb.change.old_gens != c.generators or yb.change.old_gens != c.generators:
+        raise CountMismatch("bases are not aligned with the complex's generators")
     x_gens, y_gens = xb.generators, yb.generators
     if len(x_gens) != len(y_gens):
         raise CountMismatch("bases are not aligned by bigrading")
@@ -293,15 +315,17 @@ def normalize_transition(
             if row:
                 _merge_into(y_rows, y_all, i, (1, 0, 0), row, p)
         blocks.append((members, factors))
-    old = xb.change.old_gens
-    x_change = BasisChange.from_rows(RING_R1, p, old, x_gens, x_rows)
-    y_change = BasisChange.from_rows(RING_R1, p, old, y_gens, y_rows)
-    xb2 = SimplifiedBasis(xb.direction, x_gens, xb.arrows, x_change)
-    yb2 = SimplifiedBasis(yb.direction, y_gens, yb.arrows, y_change)
+    x_change = BasisChange.from_rows(RING_R1, p, c.generators, x_gens, x_rows)
+    y_change = BasisChange.from_rows(RING_R1, p, c.generators, y_gens, y_rows)
+    xb2 = SimplifiedBasis(xb.direction, x_gens, xb.arrows, x_change, xb.quotient)
+    yb2 = SimplifiedBasis(yb.direction, y_gens, yb.arrows, y_change, yb.quotient)
     return TransitionData(xb2, yb2, tuple(blocks))
 
 
 def simplified_transition(c: Complex) -> TransitionData:
-    """Simplify both quotients and normalize the transition between them;
-    both simplifiers keep the input's order, so the bases arrive aligned."""
-    return normalize_transition(c, vertical_simplify(c), horizontal_simplify(c))
+    """Check c once, simplify both quotients and normalize the transition
+    between them; both simplifiers keep the input's order, so the bases
+    arrive aligned.  The one path from a complex to its two bases."""
+    d = _checked_rows(c)
+    xb, yb = _simplify_quotient(c, d, VERTICAL), _simplify_quotient(c, d, HORIZONTAL)
+    return normalize_transition(c, xb, yb)

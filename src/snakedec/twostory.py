@@ -28,7 +28,8 @@ keeps other words: it labels the bottom floor's steps "x" and the top
 floor's "y".
 
 Each floor's state is one ``_Floor`` record: its basis, its arrows, the
-basis change ``build`` started from and the steps logged since.  Every
+quotient rows and basis change ``build`` started from and the steps
+logged since.  Every
 floor arrow has coefficient 1, so the arrows are only a signed length
 and a partner per element, two tuples fixed at construction.
 The engine holds all field data as int residues mod p: shaft arrows and
@@ -39,7 +40,8 @@ One rule says when the engine checks itself: a public call that creates
 or changes a two-story complex ends with exactly one ``verify()``, and a
 call that changes nothing verifies nothing.  So the constructor (hence
 ``build``) and a depth pass that ran each end with it: neither returns
-unchecked state.
+unchecked state.  ``build(c)`` is the constructor on
+``simplify.simplified_transition(c)``, which alone checks the input.
 """
 
 from __future__ import annotations
@@ -54,30 +56,13 @@ from .complexes import (
     Monomial,
     RING_R1,
     _is_int,
-    _mul_rows,
     _scaled,
     add_row_multiple,
     add_step,
-    differential_rows,
     intertwines,
-    quotient_rows,
 )
-from .errors import (
-    BoundExceeded,
-    GradingViolation,
-    InvariantViolation,
-    StrandsDiverge,
-    ValidationError,
-    WrongOrientation,
-)
-from .simplify import (
-    HORIZONTAL,
-    SimplifiedBasis,
-    TransitionData,
-    VERTICAL,
-    _simplify_quotient,
-    normalize_transition,
-)
+from .errors import BoundExceeded, InvariantViolation, StrandsDiverge, WrongOrientation
+from .simplify import SimplifiedBasis, TransitionData, simplified_transition
 
 BOTTOM = "bottom"
 TOP = "top"
@@ -312,19 +297,19 @@ class _Floor:
     change from the input's basis to the basis ``build`` found, and
     ``steps`` are the elementary steps taken on the floor since, each an
     (r, g, (c, u, v)) triple for e_r <- e_r + c U^u V^v e_g
-    (``complexes.add_step``).  ``d`` holds the sparse rows of the input's
-    differential modulo U (bottom) or V (top).
+    (``complexes.add_step``).  ``d`` is the basis's ``quotient``, the
+    input's differential modulo U (bottom) or V (top) as sparse rows.
     """
 
     __slots__ = ("gens", "term", "partner", "start", "steps", "d")
 
-    def __init__(self, basis: SimplifiedBasis, d: list):
+    def __init__(self, basis: SimplifiedBasis):
         self.gens = tuple(basis.generators)
         term, partner = [0] * len(self.gens), list(range(len(self.gens)))
         for s, t, length in basis.arrows:
             term[s], term[t], partner[s], partner[t] = -length, length, t, s
         self.term, self.partner = tuple(term), tuple(partner)
-        self.start, self.steps, self.d = basis.change, [], d
+        self.start, self.steps, self.d = basis.change, [], basis.quotient
 
 
 class _Journeys:
@@ -412,13 +397,13 @@ class TwoStoryComplex:
     intertwining, without a ring inverse: each floor basis must carry the
     input's quotient differential onto its floor arrows, and the scalar
     parts of the two bases must differ by the shaft blocks.  The
-    constructor takes a complex, its normalized transition and the rows
-    of its differential modulo U and V, kept for every ``verify``; it
-    reads no arrow of ``c``, and installs each block's factors from the
-    transition as that shaft's state, factoring nothing again and copying
-    nothing for a block with no arrow and no dot.  It and a depth pass
-    that ran end with one ``verify``; a pass that changes nothing does
-    not.
+    constructor takes a complex and its normalized transition, whose
+    bases carry the rows of the differential modulo U and V that every
+    ``verify`` reads; it reads no arrow of ``c``, and installs each
+    block's factors from the transition as that shaft's state, factoring
+    nothing again and copying nothing for a block with no arrow and no
+    dot.  It and a depth pass that ran end with one ``verify``; a pass
+    that changes nothing does not.
 
     Journeys come from one successor table, ``_Journeys``, built when a
     journey is first read.  A journey reads only the floor arrows and the
@@ -430,9 +415,9 @@ class TwoStoryComplex:
     weights.
     """
 
-    def __init__(self, c: Complex, td: TransitionData, d_mod_u: list, d_mod_v: list):
+    def __init__(self, c: Complex, td: TransitionData):
         self.char, self.original, self.rounds = c.char, c, 0
-        self._floors = {BOTTOM: _Floor(td.x_basis, d_mod_u), TOP: _Floor(td.y_basis, d_mod_v)}
+        self._floors = {BOTTOM: _Floor(td.x_basis), TOP: _Floor(td.y_basis)}
         gens, slots, pos, shafts = td.x_basis.generators, {}, {}, {}
         for members, factors in td.blocks:
             grading = gens[members[0]].grading
@@ -564,7 +549,7 @@ class TwoStoryComplex:
 
         An inhomogeneous basis or logged step raises GradingViolation
         (``complexes.add_step``), and any other failure
-        InvariantViolation.  ``build`` alone checks the input.
+        InvariantViolation.  ``simplified_transition`` checks the input.
 
         The constructor and a depth pass that ran end here, once; a pass
         that changes nothing does not come here.
@@ -880,32 +865,12 @@ def _power_mono(c: int, end, delta: int) -> tuple:
 def build(c: Complex) -> TwoStoryComplex:
     """Simplify both quotients of a complex and assemble its two-story form.
 
-    The input is converted to sparse rows once; on them every term must
-    have bidegree (-1, -1), d^2 must vanish and no term may have length
-    zero, over R1 (ValidationError otherwise).  Both simplifiers and the
-    constructor get the two quotients' rows.  The constructor's one
-    ``verify`` is the only check of the adjusted bases and the factored
-    transition blocks that ``normalize_transition`` returns.
+    ``simplify.simplified_transition`` checks the input, with the same
+    errors as every simplifier, and returns the normalized transition;
+    the constructor's one ``verify`` is the only check of the adjusted
+    bases and the factored transition blocks.
     """
-    if c.ring != RING_R1:
-        raise ValidationError("two-story complexes live over the modulo-UV ring")
-    try:
-        d = differential_rows(c)
-    except GradingViolation as exc:
-        raise ValidationError(str(exc)) from None
-    gens, p = c.generators, c.char
-    for s, row in enumerate(_mul_rows(d, d, p)):
-        if row:
-            t, (x, u, v) = min(row.items())
-            term = Monomial(gf.FieldElem(x, p), u, v)
-            raise ValidationError(f"d^2 != 0 at {gens[s].id}: term {term} -> {gens[t].id}")
-    zero = [(s, t) for s, row in enumerate(d) for t, e in row.items() if e[1:] == (0, 0)]
-    if zero:
-        ids = " -> ".join(gens[i].id for i in zero[0])
-        raise ValidationError(f"cancel length-zero arrows before building: {ids}")
-    d_u, d_v = quotient_rows(d, 1), quotient_rows(d, 2)
-    xb, yb = _simplify_quotient(c, d_u, VERTICAL), _simplify_quotient(c, d_v, HORIZONTAL)
-    return TwoStoryComplex(c, normalize_transition(c, xb, yb), d_u, d_v)
+    return TwoStoryComplex(c, simplified_transition(c))
 
 
 # ---------------------------------------------------------------------------

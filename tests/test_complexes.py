@@ -18,9 +18,9 @@ from snakedec.complexes import (
     apply_basis_change,
     bar,
     direct_sum,
-    has_length_zero_arrow,
     infer_gradings,
     mono,
+    mono_mul,
     reduce_mod_uv,
     strip_zero_complexes,
     validate,
@@ -72,6 +72,18 @@ def test_r1_drops_mixed_monomials():
     assert Complex(RING_R1, 2, gens, (diag,)).arrows == ()
     kept = Complex(RING_FUV, 2, gens, (diag,))
     assert kept.arrows == (diag,)
+
+
+def test_mono_mul_refuses_an_unknown_ring_tag():
+    u, v = mono(1, 1, 0, 2), mono(1, 0, 1, 2)
+    assert mono_mul(u, v, RING_R1) is None
+    assert mono_mul(u, v, RING_FUV) == mono(1, 1, 1, 2)
+    assert mono_mul(u, u, RING_R1) == mono(1, 2, 0, 2)
+    for tag in ("R1", "", None):
+        with pytest.raises(ValidationError, match="unknown ring tag"):
+            mono_mul(u, v, tag)
+        with pytest.raises(ValidationError, match="unknown ring tag"):
+            mono_mul(u, u, tag)
 
 
 def test_structural_validation():
@@ -246,11 +258,6 @@ def test_validate_catches_bad_bidegree():
     assert len(out) == 1 and "bidegree" in out[0]
 
 
-def test_has_length_zero_arrow():
-    assert has_length_zero_arrow(zero_pair())
-    assert not has_length_zero_arrow(trefoil())
-
-
 # ---------------------------------------------------------------------------
 # quotients and reduction
 
@@ -385,7 +392,9 @@ def test_random_changes_preserve_validity(seed):
     b = _random_change(c, seed + 1)
     moved = apply_basis_change(c, b)
     assert validate(moved) == []
-    assert has_length_zero_arrow(moved) == has_length_zero_arrow(c)
+    assert any(not (u or v) for _, _, u, v, _ in moved.terms) == any(
+        not (u or v) for _, _, u, v, _ in c.terms
+    )
     assert apply_basis_change(moved, b.inverse()) == c
 
 
@@ -659,7 +668,7 @@ def test_strip_reassembles_exactly():
     inputs += [random_messy(seed, max_rank=24) for seed in range(40)]
     for c in inputs:
         d, k, b = strip_zero_complexes(c)
-        assert not has_length_zero_arrow(d)
+        assert all(u or v for _, _, u, v, _ in d.terms)
         assert d.rank == c.rank - 2 * k
         moved = apply_basis_change(c, b)
         pair_gens = moved.generators[d.rank :]

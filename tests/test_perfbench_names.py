@@ -49,6 +49,26 @@ def test_the_traced_token_class_exists():
     assert counts == {"twostory.tokens_at_build": 1, "twostory.arrows_at_build": 1}
 
 
+def test_the_tracer_sees_the_simplify_layer_under_build():
+    # build goes through simplified_transition, so the simplify layer's
+    # spans nest under build's instead of counting as its self time
+    from gen import braided
+    from snakedec import twostory
+
+    tracer = _load("tracer").Tracer()
+    with tracer:
+        tracer.op = 0
+        twostory.build(braided())
+        tracer.op = None
+    spans = tracer.spans
+    parent = {span[0]: spans[span[3]][0] if span[3] >= 0 else None for span in spans}
+    assert [span[0] for span in spans].count("twostory.build") == 1
+    assert parent["twostory.build"] is None
+    assert parent["simplify.simplified_transition"] == "twostory.build"
+    assert parent["simplify.normalize_transition"] == "simplify.simplified_transition"
+    assert parent["twostory.TwoStoryComplex.verify"] == "twostory.build"
+
+
 # what perfbench/run.py and tools/ab.py call on the package
 CALLED = [
     ("gf", "Matrix.from_rows"),

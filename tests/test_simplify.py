@@ -158,7 +158,7 @@ def _permuted(sb, perm):
     arrows = tuple(sorted((pos[i], pos[j], a) for i, j, a in sb.arrows))
     rows = tuple(sb.change.rows[j] for j in perm)
     change = BasisChange.from_rows(sb.change.ring, sb.change.char, sb.change.old_gens, gens, rows)
-    return SimplifiedBasis(sb.direction, gens, arrows, change)
+    return SimplifiedBasis(sb.direction, gens, arrows, change, sb.quotient)
 
 
 @pytest.mark.parametrize("simplify", [vertical_simplify, horizontal_simplify])
@@ -174,7 +174,7 @@ def test_simplify_rejects_length_zero_arrow(simplify):
 
 
 def test_simplify_rejects_non_complex():
-    # d(a) = V b and d(b) = V c: after a -> b is split off, b -> c is left over
+    # d(a) = V b and d(b) = V c, so d^2 = V^2 c
     with pytest.raises(ValidationError, match="not a chain complex"):
         vertical_simplify(broken_chain("V"))
     out = run_optimized(
@@ -218,7 +218,7 @@ def test_normalize_rejects_a_transition_that_crosses_bigradings():
     rows = [dict(row) for row in xb.change.rows]
     rows[0][j] = (1, 0, 0)
     bad = BasisChange.from_rows(c.ring, c.char, c.generators, xb.generators, rows)
-    xb = SimplifiedBasis(xb.direction, xb.generators, xb.arrows, bad)
+    xb = SimplifiedBasis(xb.direction, xb.generators, xb.arrows, bad, xb.quotient)
     with pytest.raises(InvariantViolation, match="crosses bigradings"):
         normalize_transition(c, xb, yb)
 
@@ -233,7 +233,7 @@ def test_normalize_names_the_bigrading_of_a_singular_block(side):
     rows = [dict(row) for row in sb.change.rows]
     rows[3] = {j: e for j, e in rows[0].items() if e[1:] == (0, 0)}
     change = BasisChange.from_rows(c.ring, c.char, c.generators, sb.generators, rows)
-    bad = SimplifiedBasis(sb.direction, sb.generators, sb.arrows, change)
+    bad = SimplifiedBasis(sb.direction, sb.generators, sb.arrows, change, sb.quotient)
     xb, yb = (bad, yb) if side == "x" else (xb, bad)
     with pytest.raises(Singular, match=rf"the {side}-basis .* singular .* bigrading \(0, 0\)"):
         normalize_transition(c, xb, yb)

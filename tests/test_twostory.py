@@ -398,33 +398,63 @@ def test_build_braided_dump():
     )
 
 
-def _build_refusals():
-    """build's ValidationError message for each input it must refuse: a
-    term off bidegree (-1, -1), d^2 != 0, a length-zero arrow and a
-    complex over F[U,V]."""
+def _refusal_inputs():
+    """The inputs every entry point must refuse: a term off bidegree
+    (-1, -1), d^2 != 0 with V arrows, d^2 != 0 with U arrows (which C/U
+    drops entirely), a length-zero arrow and a complex over F[U,V]."""
     u = Generator("u", 0, 0)
     off_degree = Complex(RING_R1, 2, (u, Generator("w", 0, 0)), (Arrow("u", "w", mono(1, 1, 0, 2)),))
+    # d(a) = U b, d(b) = U c
+    gens = tuple(Generator(g, k, -k) for k, g in enumerate("abc"))
+    u_arrows = (Arrow("a", "b", mono(1, 1, 0, 2)), Arrow("b", "c", mono(1, 1, 0, 2)))
+    u_only = Complex(RING_R1, 2, gens, u_arrows)
     scalar = Complex(RING_R1, 2, (u, Generator("w", -1, -1)), (Arrow("u", "w", mono(1, 0, 0, 2)),))
+    return [off_degree, broken_chain("V"), u_only, scalar, Complex(RING_FUV, 2, (u,), ())]
+
+
+ENTRY_POINTS = {
+    "build": build,
+    "simplified_transition": simplify.simplified_transition,
+    "vertical_simplify": simplify.vertical_simplify,
+    "horizontal_simplify": simplify.horizontal_simplify,
+}
+
+
+def _refusals(entry):
+    """(type name, text) of what the named entry point raises on each
+    refusal input; ("returned", "") where it raises nothing."""
     out = []
-    for c in (off_degree, broken_chain("V"), scalar, Complex(RING_FUV, 2, (u,), ())):
+    for c in _refusal_inputs():
         try:
-            build(c)
-        except ValidationError as exc:
-            out.append(str(exc))
+            ENTRY_POINTS[entry](c)
+        except SnakedecError as exc:
+            out.append((type(exc).__name__, str(exc)))
+        else:
+            out.append(("returned", ""))
     return out
 
 
 BUILD_REFUSALS = [
-    "term u -> w (U) breaks the bigrading",
-    "d^2 != 0 at a: term V^2 -> c",
-    "cancel length-zero arrows before building: u -> w",
-    "two-story complexes live over the modulo-UV ring",
+    ("GradingViolation", "term u -> w (U) breaks the bigrading"),
+    ("ValidationError", "not a chain complex: d^2 != 0 at a: term V^2 -> c"),
+    ("ValidationError", "not a chain complex: d^2 != 0 at a: term U^2 -> c"),
+    ("ValidationError", "strip zero complexes before simplifying: u -> w"),
+    ("ValidationError", "simplification works over the modulo-UV ring: reduce_mod_uv first"),
 ]
 
 
 def test_build_rejects_bad_input():
-    assert _build_refusals() == BUILD_REFUSALS
-    out = run_optimized("import test_twostory", "print(test_twostory._build_refusals())")
+    assert _refusals("build") == BUILD_REFUSALS
+    out = run_optimized("import test_twostory", "print(test_twostory._refusals('build'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"{BUILD_REFUSALS!r}\n", out.stdout
+
+
+@pytest.mark.parametrize("entry", [e for e in ENTRY_POINTS if e != "build"])
+def test_every_simplify_entry_point_refuses_what_build_refuses_in_its_words(entry):
+    # one input check behind build and the three simplify entry points
+    assert _refusals(entry) == BUILD_REFUSALS
+    out = run_optimized("import test_twostory", f"print(test_twostory._refusals({entry!r}))")
     assert out.returncode == 0, out.stderr
     assert out.stdout == f"{BUILD_REFUSALS!r}\n", out.stdout
 
@@ -678,7 +708,7 @@ def test_the_floor_tables_are_fixed_matchings():
             for i, (x, q) in enumerate(zip(term, partner)):
                 assert partner[q] == i and term[q] == -x and (q == i) == (x == 0)
             sources = tuple((s, partner[s], -x) for s, x in enumerate(term) if x < 0)
-            sb = simplify.SimplifiedBasis(end, floor.gens, sources, None)
+            sb = simplify.SimplifiedBasis(end, floor.gens, sources, None, floor.d)
             assert matching_violations(sb) == []
             arrows += len(sources)
     assert arrows > 0
