@@ -589,57 +589,6 @@ def _scaled(row: dict, c: int, p: int) -> dict:
     return {k: (x * c % p, u, v) for k, (x, u, v) in row.items()}
 
 
-def intertwines(d: List[dict], change: BasisChange, arrows, k: int) -> bool:
-    """Whether ``change`` turns d modulo U (k = 1) or V (k = 2) into
-    ``arrows``, given as (src, tgt, length, coeff) in the new basis.
-
-    d holds the quotient's sparse rows (``quotient_rows``), which the
-    caller keeps across checks; p is read from ``change``, and the
-    products are over R1.
-    Modulo U or V, with X the change, D the differential and T the arrow
-    matrix, X D X^-1 = T holds exactly when X D = T X, because X has an
-    invertible scalar part; the second form needs no inverse.  A cell of
-    either product that is not a single monomial means they differ.
-
-    The check is one pass over the rows of X, which are read as they are,
-    with no quotient copy: row i of X D sums the quotient entries of X_i
-    times rows of D, row i of T X sums the arrows out of i times the
-    quotient parts of their targets' rows, and the first row where the two
-    differ ends it.  Any number of arrows may leave one source; a later
-    arrow on the same cell replaces an earlier one.  An arrow whose source
-    or target is not a row index raises IndexError.
-    """
-    p, rows = change.char, change.rows
-    n = len(rows)
-    t: dict = {}
-    for s, tgt, length, coeff in arrows:
-        coeff %= p
-        if not coeff:
-            return False  # an arrow with coefficient zero is not in any quotient
-        if not (0 <= s < n and 0 <= tgt < n):
-            raise IndexError(f"arrow {s} -> {tgt} leaves the {n} rows of the change")
-        t.setdefault(s, {})[tgt] = (coeff, 0, length) if k == 1 else (coeff, length, 0)
-    try:
-        for i, row in enumerate(rows):
-            lhs: dict = {}
-            for j, m in row.items():
-                if not m[k] and d[j]:
-                    add_row_multiple(lhs, m, d[j], p)
-            rhs: dict = {}
-            for tgt, m in t[i].items() if i in t else ():
-                x = rows[tgt]
-                # An entry outside the quotient times a positive power of the
-                # other variable is mixed, and add_row_multiple drops it.
-                if not m[3 - k]:
-                    x = quotient_row(x, k)
-                add_row_multiple(rhs, m, x, p)
-            if lhs != rhs:
-                return False
-    except GradingViolation:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # structural operations
 

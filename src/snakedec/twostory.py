@@ -29,9 +29,9 @@ floor's "y".
 
 Each floor's state is one ``_Floor`` record: its basis, its arrows, the
 quotient rows and basis change ``build`` started from and the steps
-logged since.  Every
-floor arrow has coefficient 1, so the arrows are only a signed length
-and a partner per element, two tuples fixed at construction.
+logged since.  Every floor arrow has coefficient 1, so the arrows are
+only a signed length and a partner per element, two tuples fixed at
+construction, from which the floor checks itself.
 The engine holds all field data as int residues mod p: shaft arrows and
 dots, and the logged steps in ``complexes.add_step``'s form.  Only
 the tokens and ``log`` box them.
@@ -55,13 +55,17 @@ from .complexes import (
     Complex,
     Monomial,
     RING_R1,
-    _is_int,
     _scaled,
     add_row_multiple,
     add_step,
-    intertwines,
 )
-from .errors import BoundExceeded, InvariantViolation, StrandsDiverge, WrongOrientation
+from .errors import (
+    BoundExceeded,
+    GradingViolation,
+    InvariantViolation,
+    StrandsDiverge,
+    WrongOrientation,
+)
 from .simplify import SimplifiedBasis, TransitionData, simplified_transition
 
 BOTTOM = "bottom"
@@ -311,6 +315,32 @@ class _Floor:
         self.term, self.partner = tuple(term), tuple(partner)
         self.start, self.steps, self.d = basis.change, [], basis.quotient
 
+    def intertwines(self, rows: list, end, p: int) -> bool:
+        """Whether basis rows X carry ``d`` onto the arrows T of this floor,
+        at ``end``: X D = T X modulo U (bottom) or V (top), which, as X has
+        an invertible scalar part, is X D X^-1 = T with no inverse.  Row by
+        row, to the first that differs: the quotient entries of X_i times
+        ``d`` against the arrow's power times its partner's row, which, as
+        every arrow has positive length, drops the entries outside the
+        quotient.  A cell of either product that is not a single monomial
+        means they differ."""
+        d, term, partner = self.d, self.term, self.partner
+        k = 1 if end == BOTTOM else 2
+        try:
+            for i, row in enumerate(rows):
+                lhs: dict = {}
+                for j, m in row.items():
+                    if not m[k] and d[j]:
+                        add_row_multiple(lhs, m, d[j], p)
+                rhs: dict = {}
+                if term[i] < 0:
+                    add_row_multiple(rhs, _power_mono(1, end, -term[i]), rows[partner[i]], p)
+                if lhs != rhs:
+                    return False
+        except GradingViolation:
+            return False
+        return True
+
 
 class _Journeys:
     """Every journey of one elevator epoch, as one successor table.
@@ -402,8 +432,8 @@ class TwoStoryComplex:
     ``verify`` reads; it reads no arrow of ``c``, and installs each
     block's factors from the transition as that shaft's state, factoring
     nothing again and copying nothing for a block with no arrow and no
-    dot.  It and a depth pass that ran end with one ``verify``; a pass
-    that changes nothing does not.
+    dot.  It and a depth pass that ran end with one ``verify``; a pass at
+    depth infinity changes nothing and does not.
 
     Journeys come from one successor table, ``_Journeys``, built when a
     journey is first read.  A journey reads only the floor arrows and the
@@ -498,7 +528,7 @@ class TwoStoryComplex:
 
     # -- weights ------------------------------------------------------------------
 
-    def _arrow_component(self, grading, end, r, g, near=True):
+    def _arrow_component(self, grading, end, r, g, near):
         """One weight component of an arrow from g into r in the tier at
         ``end``: the signed divergence of the two strands' journeys out of
         that floor, or with ``near`` off out of the other one."""
@@ -528,9 +558,9 @@ class TwoStoryComplex:
         """Replay the log on sparse rows and recheck everything.
 
         The replayed floor bases X and Y must be homogeneous.  Each floor
-        is checked by intertwining, with no ring inverse: X D = T X modulo
-        U for the bottom floor's arrows T, read off its sources (``term`` <
-        0), and Y D = T' Y modulo V for the top floor's T' (``intertwines``).
+        checks itself by intertwining, with no ring inverse: X D = T X
+        modulo U for the bottom floor's arrows T, and Y D = T' Y modulo V
+        for the top floor's T' (``_Floor.intertwines``).
         Every logged step is invertible, so the transition P = X Y^-1
         exists and is homogeneous too; its scalar entries are its
         same-grading blocks, and each shaft block B is checked as
@@ -557,10 +587,8 @@ class TwoStoryComplex:
         x, y = self._basis(BOTTOM), self._basis(TOP)
         x.check_homogeneous()
         y.check_homogeneous()
-        for end, change, k in ((BOTTOM, x, 1), (TOP, y, 2)):
-            floor = self._floors[end]
-            arrows = [(s, floor.partner[s], -x, 1) for s, x in enumerate(floor.term) if x < 0]
-            if not intertwines(floor.d, change, arrows, k):
+        for end, change in ((BOTTOM, x), (TOP, y)):
+            if not self._floors[end].intertwines(change.rows, end, self.char):
                 raise InvariantViolation(f"{end} floor drifted from the engine tables")
         xr, yr = x.rows, y.rows
         for grading in self._gradings:
@@ -785,8 +813,8 @@ class TwoStoryComplex:
         while seq:
             self._turn(grading, end, _exit_index(seq, end))
 
-    def increase_depth(self, m: int):
-        """Raise the depth of the complex past m.
+    def increase_depth(self):
+        """Raise the depth m of the complex, ``depth()``, past m.
 
         Four sweeps, one per way a weight component can sit at m.
         First every shaft is refactored along m-term journey prefixes,
@@ -798,21 +826,14 @@ class TwoStoryComplex:
         arrow's weight components, so no far component at -m survives
         it.  The upper tier gets the mirrored treatment.  Finally the
         arrows whose far component equals +m are snowplowed out through
-        their far floors.  An m that is neither an int nor ``math.inf``
-        raises ValueError before any work, as does an m above the current
-        depth.
+        their far floors.
 
-        A pass that ran ends with one ``verify``.  When the depth is
-        already above m, or infinite, nothing changes and nothing is
-        checked.
+        A pass that ran ends with one ``verify``.  At depth infinity
+        nothing changes and nothing is checked.
         """
-        if m != math.inf and not _is_int(m):
-            raise ValueError(f"m must be an int or math.inf, not {m!r}")
-        d = self.depth()
-        if d > m or d == math.inf:
+        m = self.depth()
+        if m == math.inf:
             return self
-        if d < m:
-            raise ValueError(f"m = {m} is above the current depth {d}")
         for g in self.gradings():
             self._reparametrize(g, m)
         self._remove_all(True, m, TOP, TOP)
@@ -841,15 +862,12 @@ class TwoStoryComplex:
         n = len(self.x_gens)
         bound = max(1, n * (n - 1))
         self.rounds = 0
-        while True:
-            d = self.depth()
-            if d == math.inf:
-                break
+        while self.depth() != math.inf:
             if self.rounds >= bound:
                 raise BoundExceeded(
                     f"more than {bound} depth-raising rounds on rank {n}"
                 )
-            self.increase_depth(d)
+            self.increase_depth()
             self.rounds += 1
         return self
 

@@ -51,13 +51,14 @@ from snakedec.errors import (
 from snakedec.gf import (
     PONE,
     Matrix,
+    _is_int,
     charpoly,
     conjugate_test,
     perm_matrix,
     pmul,
     pnorm,
 )
-from snakedec.twostory import BlackDot, Crossing, CrossoverArrow, _is_int, unusual_key
+from snakedec.twostory import BlackDot, Crossing, CrossoverArrow, unusual_key
 
 # One copy of the seeded generators serves both suites, so tier-1 checks the
 # pipeline on the very inputs the benchmark measures.  The file is loaded by
@@ -449,9 +450,11 @@ def cancel_by_full_scan(el, rank):
 
 
 def intertwines_by_products(d, change, arrows, k):
-    """``complexes.intertwines`` by two whole products: X D == T X on the
-    quotient copies of the rows, with False for a cell of either product
-    that is not a single monomial."""
+    """``twostory._Floor.intertwines`` by two whole products: X D == T X on
+    the quotient copies of the rows, with the floor's arrows as
+    (src, tgt, length, coeff) and k = 1 (bottom, modulo U) or 2 (top,
+    modulo V), and False for a cell of either product that is not a
+    single monomial."""
     p = change.char
     x = quotient_rows(change.rows, k)
     t = [{} for _ in x]

@@ -39,7 +39,6 @@ from gen import (
     figure_eight,
     frozen,
     interacting,
-    intertwines_by_products,
     mixed_sum,
     random_change as _random_change,
     random_complex as _random_complex,
@@ -476,61 +475,6 @@ def test_compose_refuses_another_field_or_ring_and_misaligned_bases():
     with pytest.raises(ValidationError, match="do not line up"):
         b2.compose(BasisChange(RING_R1, 2, g, h, ((mono(1, 0, 0, 2),),)))
     assert b2.compose(b2) == b2
-
-
-def _quotient_table(c, k):
-    """The arrows of c modulo U (k = 1) or V (k = 2), by cell: length, coeff."""
-    idx = {g.id: k for k, g in enumerate(c.generators)}
-    out = {}
-    for a in c.arrows:
-        e = (a.mono.u_exp, a.mono.v_exp)
-        if not e[k - 1]:
-            out[idx[a.src], idx[a.tgt]] = (e[2 - k], a.mono.coeff.value)
-    return out
-
-
-@given(st.integers(min_value=0, max_value=10_000), st.sampled_from((1, 2)))
-@example(seed=189, k=1)  # the changed cell makes a product cell two monomials
-@example(seed=574, k=2)  # two arrows leave one source
-@settings(max_examples=150, deadline=None)
-def test_intertwines_checks_one_quotient(seed, k):
-    """The one-pass kernel agrees with the product form on every table,
-    any number of arrows per source included."""
-    c = _random_complex(seed) if seed % 2 else random_messy(seed, max_rank=14)
-    b = _random_change(c, seed + 1, moves=2 * c.rank)
-    cells = _quotient_table(apply_basis_change(c, b), k)
-
-    def arrows():
-        return [(s, t, length, x) for (s, t), (length, x) in sorted(cells.items())]
-
-    d = cx.quotient_rows(cx.differential_rows(c), k)
-    assert intertwines_by_products(d, b, arrows(), k)
-    assert cx.intertwines(d, b, arrows(), k)
-    # one cell changed: dropped, lengthened, rescaled or added
-    rng = random.Random(seed)
-    cell = (rng.randrange(c.rank), rng.randrange(c.rank))
-    if cell not in cells:
-        cells[cell] = (rng.randrange(3), rng.randrange(1, c.char))
-    elif rng.random() < 0.3:
-        del cells[cell]
-    elif c.char == 2 or rng.random() < 0.5:
-        cells[cell] = (cells[cell][0] + 1, cells[cell][1])
-    else:
-        cells[cell] = (cells[cell][0], cells[cell][1] % (c.char - 1) + 1)
-    assert not intertwines_by_products(d, b, arrows(), k)
-    assert not cx.intertwines(d, b, arrows(), k)
-
-
-def test_intertwines_refuses_an_arrow_off_the_rows():
-    """An arrow whose source or target is not a row raises, in place of
-    being skipped by the row-by-row pass."""
-    c = trefoil()
-    b = BasisChange.identity(c)
-    d = cx.quotient_rows(cx.differential_rows(c), 1)
-    n = c.rank
-    for bad in ((n, 0, 1, 1), (0, n, 1, 1), (-1, 0, 1, 1)):
-        with pytest.raises(IndexError, match="leaves the"):
-            cx.intertwines(d, b, [bad], 1)
 
 
 def test_elimination_touches_every_row_it_writes():

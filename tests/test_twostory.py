@@ -22,6 +22,7 @@ from gen import (
     depth_two,
     elevator,
     figure_eight,
+    intertwines_by_products,
     journey,
     journey_by_walk,
     journey_multiset,
@@ -46,6 +47,7 @@ from gen import (
 from snakedec import complexes, gf, simplify, twostory
 from snakedec.complexes import (
     Arrow,
+    BasisChange,
     Complex,
     Generator,
     RING_FUV,
@@ -601,12 +603,16 @@ def test_infinite_depth_is_stable():
     assert t.depth() == math.inf
     run_to_depth_infinity(t)
     assert t.rounds == 0 and dump(t) == before
+    # a depth pass at depth infinity leaves the complex alone
+    t = run_to_depth_infinity(build(braided()))
+    before = (dump(t), t.log)
+    assert t.increase_depth() is t and (dump(t), t.log) == before
 
 
 def test_depth_two_single_pass():
     t = verify_every_step(build(depth_two()))
     assert t.depth() == 2
-    t.increase_depth(2)
+    t.increase_depth()
     assert t.depth() > 2
     t.verify()
 
@@ -616,7 +622,7 @@ def test_round_bound_exceeded():
     n = len(t.x_gens)
     assert t.depth() < math.inf and n > 1
     calls = []
-    t.increase_depth = calls.append  # a stub that never raises the depth
+    t.increase_depth = lambda: calls.append(t)  # a stub that never raises the depth
     with pytest.raises(BoundExceeded, match=f"more than {n * (n - 1)} depth-raising rounds"):
         t.run_to_depth_infinity()
     assert t.rounds == len(calls) == n * (n - 1)
@@ -994,15 +1000,13 @@ def test_each_changing_call_verifies_once(monkeypatch):
     check = TwoStoryComplex.verify
     monkeypatch.setattr(TwoStoryComplex, "verify", lambda t: calls.append(t) or check(t))
     floor_checks = []
-    intertwines = complexes.intertwines
+    intertwines = twostory._Floor.intertwines
 
-    def counted(*args):
+    def counted(floor, *args):
         floor_checks.append(args)
-        return intertwines(*args)
+        return intertwines(floor, *args)
 
-    for module in (complexes, simplify, twostory):
-        if getattr(module, "intertwines", None) is intertwines:
-            monkeypatch.setattr(module, "intertwines", counted)
+    monkeypatch.setattr(twostory._Floor, "intertwines", counted)
 
     def verified(step):
         before = len(calls)
@@ -1014,11 +1018,9 @@ def test_each_changing_call_verifies_once(monkeypatch):
     t = build(trefoil())
     assert verified(lambda: run_to_depth_infinity(t)) == 0 and t.rounds == 0
     t = build(braided())
-    with pytest.raises(ValueError):
-        verified(lambda: t.increase_depth(4))
-    assert len(calls) == 3  # the builds only: the refused call changed nothing
     assert verified(lambda: run_to_depth_infinity(t)) == 1 and t.rounds == 1
-    assert verified(lambda: t.increase_depth(math.inf)) == 0
+    assert len(floor_checks) == 8  # two per verify: three builds, one pass
+    assert verified(lambda: t.increase_depth()) == 0
 
 
 def test_the_input_is_converted_once(monkeypatch):
@@ -1215,14 +1217,17 @@ def _rewrite(floor, field, i, value):
 
 
 def _corrupted(t, rng):
-    """Copies of t with one dot, one floor entry and one log step corrupted."""
+    """Copies of t, each with its kind: one dot, one floor entry, one log
+    step dropped and one log step rewritten in place.  A rewritten step
+    gets another coefficient, or over F_2, where it has no other, another
+    giver of the giver's bigrading; with no such giver it is left out."""
     p = t.char
     dot = copy.deepcopy(t)
     grading = rng.choice(dot.gradings())
     pos = rng.randrange(dot.width(grading))
     dots = dot._shafts[grading].dots
     dots[pos] = (dots.get(pos, 1) + 1) % p
-    out = [dot]
+    out = [("dot", dot)]
     # a fixed floor order, bottom then top, keeps the draws reproducible
     ends = ("bottom", "top")
     if any(any(t._floors[e].term) for e in ends):
@@ -1234,17 +1239,32 @@ def _corrupted(t, rng):
             _rewrite(at, "partner", s, other)
         else:
             _rewrite(at, "term", s, at.term[s] - 1)
-        out.append(floor)
+        out.append(("floor", floor))
     if any(t._floors[e].steps for e in ends):
         step = copy.deepcopy(t)
         steps = rng.choice([step._floors[e].steps for e in ends if step._floors[e].steps])
         del steps[rng.randrange(len(steps))]
-        out.append(step)
+        out.append(("dropped step", step))
+        step = copy.deepcopy(t)
+        at = rng.choice([step._floors[e] for e in ends if step._floors[e].steps])
+        i = rng.randrange(len(at.steps))
+        r, g, (c, u, v) = at.steps[i]
+        grading = at.gens[g].grading
+        others = [j for j, x in enumerate(at.gens) if j not in (r, g) and x.grading == grading]
+        if p > 2:
+            at.steps[i] = (r, g, (c % (p - 1) + 1, u, v))
+            out.append(("rewritten step", step))
+        elif others:
+            at.steps[i] = (r, rng.choice(others), (c, u, v))
+            out.append(("rewritten step", step))
     return out
 
 
 def test_verify_agrees_with_conjugation_oracle():
-    caught = 0
+    # every corruption lands on a state a full verify has just passed, so a
+    # rewritten step is one that an earlier verify already covered: a full
+    # verify must still replay and catch it
+    caught = Counter()
     for seed in range(40):
         c, _, _ = strip_zero_complexes(random_messy(seed, max_rank=14))
         if c.rank == 0:
@@ -1254,11 +1274,103 @@ def test_verify_agrees_with_conjugation_oracle():
         for state in (t, run_to_depth_infinity(copy.deepcopy(t))):
             assert _outcome(conjugation_verify, state) is None
             assert _outcome(lambda s: s.verify(), state) is None
-            for bad in _corrupted(state, rng):
+            for kind, bad in _corrupted(state, rng):
                 want = _outcome(conjugation_verify, bad)
                 assert _outcome(lambda s: s.verify(), bad) == want
-                caught += want is not None
-    assert caught > 150
+                caught[kind] += want is not None
+    assert sum(caught.values()) > 150
+    assert caught["rewritten step"] >= 10, caught
+
+
+def _floor_arrows(floor):
+    """The floor's arrows as (src, tgt, length, coeff), read off ``term``
+    and ``partner``."""
+    return [(s, floor.partner[s], -x, 1) for s, x in enumerate(floor.term) if x < 0]
+
+
+def _floor_check(t, end, rows):
+    """The floor's own check of ``rows``, asserted equal to the products."""
+    floor, k = t._floors[end], 1 if end == twostory.BOTTOM else 2
+    change = BasisChange.from_rows(RING_R1, t.char, (), (), rows)
+    got = floor.intertwines(rows, end, t.char)
+    assert got == intertwines_by_products(floor.d, change, _floor_arrows(floor), k)
+    return got
+
+
+def _checked_floors(t, rng):
+    """Check every floor of t, then again after one corruption of each
+    kind, undone after: a basis-row cell rescaled, dropped or added; where
+    two quotient entries of a row reach one column of ``d``, one of them
+    given one more power of the floor's variable, which makes that cell of
+    X D two monomials; a ``term`` entry lengthening an arrow; and a
+    ``partner`` entry re-pointing one.  Returns the kinds it refused."""
+    refused, p = [], t.char
+    for end, k in ((twostory.BOTTOM, 1), (twostory.TOP, 2)):
+        floor, rows = t._floors[end], t._basis(end).rows
+        assert _floor_check(t, end, rows)
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        bad = list(rows)
+        row = bad[i] = dict(rows[i])
+        x, u, v = row.get(j, (0, 0, 0))
+        if (x + 1) % p:
+            row[j] = ((x + 1) % p, u, v)
+        else:
+            del row[j]
+        if not _floor_check(t, end, bad):
+            refused.append("cell")
+        clash = next((
+            (i, a)
+            for i, row in enumerate(rows)
+            for a, b in combinations([j for j, m in row.items() if not m[k] and floor.d[j]], 2)
+            if floor.d[a].keys() & floor.d[b].keys()
+        ), None)
+        if clash is not None:
+            i, a = clash
+            bad = list(rows)
+            row = bad[i] = dict(rows[i])
+            x, u, v = row[a]
+            row[a] = (x, u, v + 1) if k == 1 else (x, u + 1, v)
+            if not _floor_check(t, end, bad):
+                refused.append("two monomials")
+        sources = [s for s, x in enumerate(floor.term) if x < 0]
+        if not sources:
+            continue
+        s = rng.choice(sources)
+        saved = floor.term
+        _rewrite(floor, "term", s, floor.term[s] - 1)
+        if not _floor_check(t, end, rows):
+            refused.append("term")
+        floor.term = saved
+        other = _other_target(floor, s)
+        if other is not None:
+            saved = floor.partner
+            _rewrite(floor, "partner", s, other)
+            if not _floor_check(t, end, rows):
+                refused.append("partner")
+            floor.partner = saved
+    return refused
+
+
+def test_the_floor_check_agrees_with_the_products():
+    # the row-by-row floor check against two whole products, on every
+    # floor after the build and after each depth pass
+    refused, passes = Counter(), 0
+    inputs = [random_messy(seed, max_rank=14) for seed in range(40)]
+    inputs += [random_complex(seed) for seed in range(40)]
+    for seed, c in enumerate(inputs):
+        d, _, _ = strip_zero_complexes(c)
+        if d.rank == 0:
+            continue
+        rng = random.Random(seed)
+        t = build(d)
+        refused.update(_checked_floors(t, rng))
+        while t.depth() != math.inf:
+            t.increase_depth()
+            refused.update(_checked_floors(t, rng))
+            passes += 1
+    assert passes > 10, passes
+    assert refused["cell"] > 40 and refused["term"] > 100 and refused["partner"] > 100, refused
+    assert refused["two monomials"] > 20, refused  # the pass's GradingViolation is a refusal
 
 
 def test_verify_refuses_a_malformed_logged_step():
@@ -1337,30 +1449,6 @@ def test_verify_catches_shaft_corruption():
     assert caught["arrow"] >= 30 and caught["up"] >= 100
 
 
-def test_increase_depth_refuses_an_m_that_is_not_an_int(monkeypatch):
-    t = build(braided())
-    assert t.depth() == 1
-    before = (dump(t), t.log, t.rounds)
-    calls = []
-    monkeypatch.setattr(TwoStoryComplex, "depth", lambda t: calls.append(t) or 1)
-    for bad in (1.0, math.nan, -math.inf, "1"):
-        with pytest.raises(ValueError, match="m must be an int or math.inf"):
-            t.increase_depth(bad)
-    assert calls == []  # refused before any work
-    assert (dump(t), t.log, t.rounds) == before
-
-
-def test_public_handles_refuse_bools():
-    # True and False are ints to isinstance; increase_depth refuses them
-    # as it refuses a float, before any work
-    t = build(braided())
-    before = (dump(t), t.log, t.rounds)
-    for bad in (True, False):
-        with pytest.raises(ValueError, match="m must be an int or math.inf"):
-            t.increase_depth(bad)
-    assert (dump(t), t.log, t.rounds) == before
-
-
 def test_journey_terms_and_weight_components_refuse_bad_values():
     # the journey record of the oracles in gen: a term index must be a
     # nonnegative int
@@ -1369,32 +1457,6 @@ def test_journey_terms_and_weight_components_refuse_bad_values():
     for k in (-1, -3, 1.5, True):
         with pytest.raises(ValueError, match="a journey has no term"):
             seq.term(k)
-
-
-def test_increase_depth_validates_m():
-    t = build(braided())
-    assert t.depth() == 1
-    before = dump(t)
-    with pytest.raises(ValueError, match="m = 4 is above the current depth 1"):
-        t.increase_depth(4)
-    assert dump(t) == before
-    t.increase_depth(1)
-    assert t.depth() > 1
-    # at depth infinity every m, infinity included, leaves the complex alone
-    run_to_depth_infinity(t)
-    before = dump(t)
-    t.increase_depth(math.inf)
-    assert dump(t) == before
-    out = run_optimized(
-        "from gen import braided",
-        "from snakedec.twostory import build",
-        "try:",
-        "    build(braided()).increase_depth(4)",
-        "except ValueError as exc:",
-        "    print('raised', exc)",
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised m = 4 is above the current depth 1"), out.stdout
 
 
 def test_turns_reject_an_arrow_off_the_boundary():
@@ -1439,7 +1501,7 @@ def test_refactoring_moves_check_the_product(monkeypatch):
 
     monkeypatch.setattr(twostory, "_ordered_ltu", arrowless)
     with pytest.raises(InvariantViolation, match="shaft product drifted"):
-        t.increase_depth(1)
+        t.increase_depth()
 
 
 def test_depth_pass_checks_that_it_raised_the_depth(monkeypatch):
@@ -1447,7 +1509,7 @@ def test_depth_pass_checks_that_it_raised_the_depth(monkeypatch):
     monkeypatch.setattr(twostory.TwoStoryComplex, "_remove_all", lambda *args: None)
     monkeypatch.setattr(twostory.TwoStoryComplex, "_slide_out", lambda *args: None)
     with pytest.raises(InvariantViolation, match="depth pass fell short"):
-        t.increase_depth(1)
+        t.increase_depth()
 
 
 # ---------------------------------------------------------------------------
@@ -1626,8 +1688,8 @@ def test_weights_match_walked_journeys(family):
         d, _, _ = strip_zero_complexes(c)
         t = build(d)
         arrows += _assert_journeys_match_the_walk(t)
-        while (m := t.depth()) != math.inf:
-            t.increase_depth(m)
+        while t.depth() != math.inf:
+            t.increase_depth()
             arrows += _assert_journeys_match_the_walk(t)
             passes += 1
     assert arrows > 0 and passes > 0
