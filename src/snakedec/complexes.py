@@ -612,11 +612,6 @@ def bar(c: Complex) -> Complex:
     return Complex.from_terms(c.ring, c.char, gens, terms)
 
 
-def _relabel(c: Complex, mapping: Dict[str, str]) -> Complex:
-    gens = tuple(Generator(mapping.get(g.id, g.id), g.gr_u, g.gr_v) for g in c.generators)
-    return Complex.from_terms(c.ring, c.char, gens, c.terms)
-
-
 def direct_sum(cs: Sequence[Complex]) -> Complex:
     """Block sum; generator ids are kept unless they collide, in which case
     the later copy gets an ``@k`` suffix (k = component index)."""
@@ -632,16 +627,14 @@ def direct_sum(cs: Sequence[Complex]) -> Complex:
     gens: list = []
     terms: list = []
     for k, c in enumerate(cs):
-        mapping = {}
+        n = len(gens)
+        terms += [(s + n, t + n, u, v, x) for s, t, u, v, x in c.terms]
         for g in c.generators:
             new_id = g.id
             while new_id in taken:
                 new_id = f"{g.id}@{k}" if new_id == g.id else new_id + "'"
-            mapping[g.id] = new_id
+            gens.append(Generator(new_id, g.gr_u, g.gr_v))
             taken.add(new_id)
-        n = len(gens)
-        terms += [(s + n, t + n, u, v, x) for s, t, u, v, x in c.terms]
-        gens += _relabel(c, mapping).generators
     return Complex.from_terms(ring, char, gens, terms)
 
 

@@ -7,8 +7,8 @@ that must survive ``python -O``: homogeneity in ``complexes``, in the
 elimination behind strip and simplify and in ``verify``'s replay of the
 two-story log (``GradingViolation``), malformed input to them and to the
 ``gf`` polynomial kernel (``ValidationError``), and the checks of the
-program's own work in the two-story engine's ``verify`` and depth loop,
-in ``normalize_transition``'s bigrading check and in the ``gf``
+program's own work in the two-story engine's ``verify``, depth loop and
+moves, in ``normalize_transition``'s bigrading check and in the ``gf``
 polynomial and canonical-basis kernels (``InvariantViolation``).  No
 module uses ``assert``.
 """
@@ -50,15 +50,6 @@ class CountMismatch(SnakedecError):
     """Two simplified bases differ in rank, or in bigrading at some position."""
 
 
-class StrandsDiverge(SnakedecError):
-    """An arrow turned back through a floor hit a spot where its two strands
-    stop running parallel."""
-
-
-class WrongOrientation(SnakedecError):
-    """An arrow removal needs the opposite comparison sign at the divergence."""
-
-
 class BoundExceeded(SnakedecError):
     """The depth-raising loop ran past its proven round bound."""
 
@@ -68,6 +59,8 @@ class InvariantViolation(SnakedecError):
 
     Raised by ``TwoStoryComplex.verify`` and by the depth loop when the
     program's own state disagrees with the complex it claims to describe,
+    by the move layer (turn, snowplow, convoy) for an arrow off its tier's
+    boundary, a pair that splits or an arrow against the divergence order,
     by ``normalize_transition`` only for a transition that crosses
     bigradings, and by the ``gf`` polynomial and canonical-basis kernels
     when a result fails its reassembly check; unlike ``assert`` it

@@ -23,9 +23,10 @@ picks everything on the end: the floor there, the tier of crossover
 arrows next to it (``lower`` at the bottom, ``upper`` at the top) and
 the floor an arrow leaves through.  The ``bar`` symmetry swaps U with V
 and the bottom with the top, so each move is one code path taking an
-end.  In both tiers an arrow's index rises toward the top.  Only ``log``
-keeps other words: it labels the bottom floor's steps "x" and the top
-floor's "y".
+end.  In both tiers an arrow's index rises toward the top, but a move
+names an arrow by its ``[r, g, c]`` record, never by that index.  Only
+``log`` keeps other words: it labels the bottom floor's steps "x" and
+the top floor's "y".
 
 Each floor's state is one ``_Floor`` record: its basis, its arrows, the
 quotient rows and basis change ``build`` started from and the steps
@@ -59,13 +60,7 @@ from .complexes import (
     add_row_multiple,
     add_step,
 )
-from .errors import (
-    BoundExceeded,
-    GradingViolation,
-    InvariantViolation,
-    StrandsDiverge,
-    WrongOrientation,
-)
+from .errors import BoundExceeded, GradingViolation, InvariantViolation
 from .simplify import SimplifiedBasis, TransitionData, simplified_transition
 
 BOTTOM = "bottom"
@@ -280,14 +275,6 @@ def _index_of(seq: list, ca: list) -> int:
         if other is ca:
             return k
     raise InvariantViolation("arrow record left its tier")
-
-
-def _boundary_arrow(st: _ShaftState, end, k) -> list:
-    """The arrow at (end, k), which must sit at the end's boundary."""
-    seq = st.arrows(end)
-    if k != _exit_index(seq, end):
-        raise InvariantViolation(f"arrow must sit at the {end} boundary")
-    return seq[k]
 
 
 class _Floor:
@@ -608,8 +595,9 @@ class TwoStoryComplex:
 
     # -- crossover arrow turns -------------------------------------------------------
 
-    def _turn(self, grading, end, k, remove=True):
-        """Carry the boundary arrow out through the floor at ``end``.
+    def _turn(self, grading, end, ca, remove=True):
+        """Carry the record ca at the ``end`` boundary of its tier out
+        through the floor there.
 
         The arrow's basis step at the floor is undone.  Where both strands
         continue along the floor on the same side, that forces a second
@@ -617,13 +605,15 @@ class TwoStoryComplex:
         since every floor arrow has coefficient 1, times the variable to
         the power by which the two floor lengths differ.  A parallel pair
         has power 0: the second step is the same arrow record, overwritten
-        in place in the neighbouring shaft, and its handle there is
-        returned.  A diverging pair loses the arrow and None is returned;
-        with ``remove`` off, StrandsDiverge is raised instead, before any
-        change.
+        in place in the neighbouring shaft, and its handle there, (shaft,
+        end, record), is returned.  A diverging pair loses the arrow and
+        None is returned; with ``remove`` off, InvariantViolation is
+        raised instead, before any change.
         """
-        st = self._shafts[grading]
-        ca = _boundary_arrow(st, end, k)
+        seq = self._shafts[grading].arrows(end)
+        k = _exit_index(seq, end)
+        if not seq or seq[k] is not ca:
+            raise InvariantViolation(f"arrow must sit at the {end} boundary")
         r, g, lam = ca
         idx_r, idx_g = self._idx(grading, r), self._idx(grading, g)
         floor = self._floors[end]
@@ -635,12 +625,12 @@ class TwoStoryComplex:
             if self._pos[ng][0] != g2:
                 raise InvariantViolation("parallel step lands in two bigradings")
         elif not remove:
-            raise StrandsDiverge(f"pair at {grading} splits at the {end} floor")
+            raise InvariantViolation(f"pair at {grading} splits at the {end} floor")
         elif (vr or vg) and not unusual_key(vr) < unusual_key(vg):
-            raise WrongOrientation(f"arrow at {grading} points up the divergence order")
+            raise InvariantViolation(f"arrow at {grading} points up the divergence order")
         p = self.char
         c = (-lam if end == BOTTOM else lam) % p
-        st.arrows(end).pop(k)
+        seq.pop(k)
         floor.steps.append((idx_r, idx_g, (c, 0, 0)))
         if vr * vg <= 0:  # the two steps leave on different sides, or one ends
             return None
@@ -650,7 +640,7 @@ class TwoStoryComplex:
         seq2 = self._shafts[g2].arrows(end)
         ca[:] = [self._pos[nr][1], self._pos[ng][1], -lam % p]
         seq2.insert(0 if end == BOTTOM else len(seq2), ca)
-        return (g2, end, _exit_index(seq2, end))
+        return (g2, end, ca)
 
     # -- extraction and the snowplow ----------------------------------------------------
 
@@ -680,7 +670,8 @@ class TwoStoryComplex:
     def _push(self, grading, end, ca, through, convoy) -> int:
         """Move the record ca along the tier at ``end`` to its ``through``
         boundary and return its index there.  An index-sharing blocker in
-        the way is pushed out through the floor at ``through`` first."""
+        the way is handed to ``_displace`` by its record, which pushes it
+        out through the floor at ``through`` first."""
         seq = self._shafts[grading].arrows(end)
         step = 1 if through == TOP else -1
         k = _index_of(seq, ca)
@@ -689,31 +680,31 @@ class TwoStoryComplex:
             if self._swap_adjacent(seq, min(j, k)):
                 k = j
             else:  # a displacement may move any record of the tier
-                self._displace(grading, end, j, through, convoy)
+                self._displace(grading, end, seq[j], through, convoy)
                 k = _index_of(seq, ca)
         return k
 
-    def _extract(self, grading, end, k, through, convoy):
-        """Bring the arrow at (end, k) to the boundary of the floor at
-        ``through``, across the middle block if it lies in the other tier.
+    def _extract(self, grading, end, ca, through, convoy):
+        """Bring the record ca of the tier at ``end`` to the boundary of
+        the floor at ``through``, across the middle block if it lies in
+        the other tier, and return its handle (shaft, ``through``, ca).
 
         Index-sharing blockers are pushed out through the exit floor
         first and recorded in the convoy for later restoration.
         """
-        st = self._shafts[grading]
-        ca = st.arrows(end)[k]
         if end != through:
-            del st.arrows(end)[self._push(grading, end, ca, through, convoy)]
+            seq = self._shafts[grading].arrows(end)
+            del seq[self._push(grading, end, ca, through, convoy)]
             self._cross_middle(grading, ca, through)
-        return (grading, through, self._push(grading, through, ca, through, convoy))
+        self._push(grading, through, ca, through, convoy)
+        return (grading, through, ca)
 
-    def _displace(self, grading, end, k, through, convoy):
-        """Push the blocking arrow at (end, k) out through the exit floor
-        and add (record, shaft it landed in, tier it left, exit floor) to
-        the convoy.  A blocker that cannot ride along left for good, and
-        so do its earlier entries."""
-        ca = self._shafts[grading].arrows(end)[k]
-        moved = self._turn(*self._extract(grading, end, k, through, convoy))
+    def _displace(self, grading, end, ca, through, convoy):
+        """Push the blocking record ca of the tier at ``end`` out through
+        the exit floor and add (record, shaft it landed in, tier it left,
+        exit floor) to the convoy.  A blocker that cannot ride along left
+        for good, and so do its earlier entries."""
+        moved = self._turn(*self._extract(grading, end, ca, through, convoy))
         if moved is None:
             convoy[:] = [entry for entry in convoy if entry[0] is not ca]
         else:
@@ -726,18 +717,18 @@ class TwoStoryComplex:
         form a fresh convoy, restored by the same rule."""
         for ca, landed, tier, through in reversed(convoy):
             fresh: list = []
-            k = _index_of(self._shafts[landed].arrows(through), ca)
-            handle = self._turn(*self._extract(landed, through, k, through, fresh), remove=False)
+            handle = self._turn(*self._extract(landed, through, ca, through, fresh), remove=False)
             if tier != through:
                 self._extract(*handle, tier, fresh)
             self._restore_convoy(fresh)
 
-    def _snowplow_remove(self, grading, end, k, through):
-        """Slide the arrow along parallel turns, remove it where the
-        strands diverge, and send every displaced arrow back to the shaft
-        and tier it left: no other arrow moves."""
+    def _snowplow_remove(self, grading, end, ca, through):
+        """Slide the arrow record ca of the tier at ``end`` along parallel
+        turns, remove it where the strands diverge, and send every
+        displaced arrow back to the shaft and tier it left: no other arrow
+        moves."""
         convoy: list = []
-        handle = (grading, end, k)
+        handle = (grading, end, ca)
         while handle is not None:
             handle = self._turn(*self._extract(*handle, through, convoy))
             through = _other(through)
@@ -799,8 +790,8 @@ class TwoStoryComplex:
                     found.setdefault(g, {})[id(ca)] = ca  # held, so no id is reused
         for g, ids in found.items():
             seq = self._shafts[g].arrows(end)
-            while ks := [k for k, ca in enumerate(seq) if id(ca) in ids]:
-                self._snowplow_remove(g, end, max(ks) if through == TOP else min(ks), through)
+            while held := [ca for ca in seq if id(ca) in ids]:
+                self._snowplow_remove(g, end, held[-1] if through == TOP else held[0], through)
 
     def _slide_out(self, grading, end):
         """Turn every arrow of one tier out into the neighbouring shafts.
@@ -811,7 +802,7 @@ class TwoStoryComplex:
         """
         seq = self._shafts[grading].arrows(end)
         while seq:
-            self._turn(grading, end, _exit_index(seq, end))
+            self._turn(grading, end, seq[_exit_index(seq, end)])
 
     def increase_depth(self):
         """Raise the depth m of the complex, ``depth()``, past m.
@@ -828,12 +819,12 @@ class TwoStoryComplex:
         arrows whose far component equals +m are snowplowed out through
         their far floors.
 
-        A pass that ran ends with one ``verify``.  At depth infinity
-        nothing changes and nothing is checked.
+        A pass that ran ends with one ``verify`` and returns its new depth;
+        at depth infinity it changes and checks nothing and returns math.inf.
         """
         m = self.depth()
         if m == math.inf:
-            return self
+            return m
         for g in self.gradings():
             self._reparametrize(g, m)
         self._remove_all(True, m, TOP, TOP)
@@ -848,26 +839,28 @@ class TwoStoryComplex:
         self._remove_all(False, m, TOP, BOTTOM)
         self._remove_all(False, m, BOTTOM, TOP)
         self.verify()
-        if self.depth() < m + 1:
+        reached = self.depth()
+        if reached < m + 1:
             raise InvariantViolation("depth pass fell short")
-        return self
+        return reached
 
     def run_to_depth_infinity(self):
         """Iterate depth raising until every weight is (inf, inf).
 
         Each round is an ``increase_depth`` pass, which verifies what it
-        changed, so the loop adds no check of its own: with no round run,
+        changed and returns the depth it reached, so the loop adds no check
+        and reads no depth of its own past the first: with no round run,
         the state is the one its producer already verified.
         """
         n = len(self.x_gens)
         bound = max(1, n * (n - 1))
-        self.rounds = 0
-        while self.depth() != math.inf:
+        self.rounds, m = 0, self.depth()
+        while m != math.inf:
             if self.rounds >= bound:
                 raise BoundExceeded(
                     f"more than {bound} depth-raising rounds on rank {n}"
                 )
-            self.increase_depth()
+            m = self.increase_depth()
             self.rounds += 1
         return self
 

@@ -366,7 +366,8 @@ def test_change_rejects_wrong_basis():
     other = figure_eight()
     with pytest.raises(FieldMismatch):
         apply_basis_change(t, BasisChange.identity(other))
-    renamed = cx._relabel(t, {"a": "A"})
+    gens = [Generator("A" if g.id == "a" else g.id, g.gr_u, g.gr_v) for g in t.generators]
+    renamed = Complex.from_terms(t.ring, t.char, gens, t.terms)
     with pytest.raises(GradingViolation):
         apply_basis_change(t, BasisChange.identity(renamed))
 

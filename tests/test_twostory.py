@@ -65,9 +65,7 @@ from snakedec.errors import (
     GradingViolation,
     InvariantViolation,
     SnakedecError,
-    StrandsDiverge,
     ValidationError,
-    WrongOrientation,
 )
 from snakedec.gf import FieldElem, Matrix
 from snakedec.simplify import matching_violations
@@ -96,20 +94,19 @@ def token_count(t):
 
 
 def arrow_handles(t):
-    """All (bigrading, end, index in that end's tier) handles of crossover
-    arrows, in token order: shaft by shaft, the lower tier first."""
+    """All (bigrading, end, arrow record) handles of crossover arrows, in
+    token order: shaft by shaft, the lower tier first."""
     return [
-        (g, end, k)
+        (g, end, ca)
         for g in sorted(t.gradings())
         for end in (twostory.BOTTOM, twostory.TOP)
-        for k in range(len(t._shafts[g].arrows(end)))
+        for ca in t._shafts[g].arrows(end)
     ]
 
 
 def weight(t, handle):
     """The (near, far) weight components of the arrow at handle."""
-    grading, end, k = handle
-    r, g, _ = t._shafts[grading].arrows(end)[k]
+    grading, end, (r, g, _) = handle
     return tuple(t._arrow_component(grading, end, r, g, near) for near in (True, False))
 
 
@@ -554,10 +551,11 @@ def test_weight_deep_agreement():
 def test_slide_round_trip():
     t = build(square_sheets())
     before = dump(t)
-    assert arrow_handles(t) == [((0, 0), "bottom", 0)]
-    assert t._turn((0, 0), "bottom", 0, remove=False) == ((-1, 1), "bottom", 0)
-    assert arrow_handles(t) == [((-1, 1), "bottom", 0)]
-    t._turn((-1, 1), "bottom", 0, remove=False)
+    ((grading, end, ca),) = arrow_handles(t)
+    assert (grading, end) == ((0, 0), "bottom")
+    assert t._turn(grading, end, ca, remove=False) == ((-1, 1), "bottom", ca)
+    assert arrow_handles(t) == [((-1, 1), "bottom", ca)]
+    t._turn((-1, 1), "bottom", ca, remove=False)
     assert dump(t) == before
     t.verify()
 
@@ -567,9 +565,10 @@ def test_slide_refuses_diverging_strands():
     # refusal that changes nothing
     t = build(braided())
     before = (dump(t), t.log)
-    ((grading, end, k),) = arrow_handles(t)
-    with pytest.raises(StrandsDiverge):
-        t._turn(grading, end, k, remove=False)
+    ((grading, end, ca),) = arrow_handles(t)
+    text = f"pair at {grading} splits at the {end} floor"
+    with pytest.raises(InvariantViolation, match=re.escape(text)):
+        t._turn(grading, end, ca, remove=False)
     assert (dump(t), t.log) == before
 
 
@@ -579,18 +578,20 @@ def test_slide_refuses_diverging_strands():
 
 def test_remove_diverging_arrow():
     t = build(braided())
-    ((grading, end, k),) = arrow_handles(t)
-    assert weight(t, (grading, end, k))[0] > 0
-    t._snowplow_remove(grading, end, k, end)
+    ((grading, end, ca),) = arrow_handles(t)
+    assert weight(t, (grading, end, ca))[0] > 0
+    t._snowplow_remove(grading, end, ca, end)
     assert token_count(t) == 0
     t.verify()
 
 
 def test_remove_wrong_orientation():
     t = build(braided_wrong())
-    ((grading, end, k),) = arrow_handles(t)
-    with pytest.raises(WrongOrientation):
-        t._snowplow_remove(grading, end, k, end)
+    ((grading, end, ca),) = arrow_handles(t)
+    # the arrow slides one parallel turn, into shaft (-1, 1), before the refusal
+    text = "arrow at (-1, 1) points up the divergence order"
+    with pytest.raises(InvariantViolation, match=re.escape(text)):
+        t._snowplow_remove(grading, end, ca, end)
 
 
 # ---------------------------------------------------------------------------
@@ -606,14 +607,13 @@ def test_infinite_depth_is_stable():
     # a depth pass at depth infinity leaves the complex alone
     t = run_to_depth_infinity(build(braided()))
     before = (dump(t), t.log)
-    assert t.increase_depth() is t and (dump(t), t.log) == before
+    assert t.increase_depth() == math.inf and (dump(t), t.log) == before
 
 
 def test_depth_two_single_pass():
     t = verify_every_step(build(depth_two()))
     assert t.depth() == 2
-    t.increase_depth()
-    assert t.depth() > 2
+    assert t.increase_depth() == t.depth() > 2
     t.verify()
 
 
@@ -622,7 +622,8 @@ def test_round_bound_exceeded():
     n = len(t.x_gens)
     assert t.depth() < math.inf and n > 1
     calls = []
-    t.increase_depth = lambda: calls.append(t)  # a stub that never raises the depth
+    # a stub that never raises the depth
+    t.increase_depth = lambda: calls.append(t) or t.depth()
     with pytest.raises(BoundExceeded, match=f"more than {n * (n - 1)} depth-raising rounds"):
         t.run_to_depth_infinity()
     assert t.rounds == len(calls) == n * (n - 1)
@@ -1460,18 +1461,32 @@ def test_journey_terms_and_weight_components_refuse_bad_values():
 
 
 def test_turns_reject_an_arrow_off_the_boundary():
+    # braided's one arrow sits in an upper tier over an empty lower one,
+    # and an equal copy of a record is another arrow
     t = build(braided())
-    grading = t.gradings()[0]
+    ((grading, end, ca),) = arrow_handles(t)
+    assert end == "top" and not t._shafts[grading].lower
+    before = (dump(t), t.log)
     for remove in (False, True):
         with pytest.raises(InvariantViolation, match="bottom boundary"):
-            t._turn(grading, "bottom", 1, remove)
+            t._turn(grading, "bottom", ca, remove)
         with pytest.raises(InvariantViolation, match="top boundary"):
-            t._turn(grading, "top", len(t._shafts[grading].upper), remove)
+            t._turn(grading, "top", list(ca), remove)
+    assert (dump(t), t.log) == before
+    # a record from another shaft's tier, equal to the one at its boundary
+    t = build(strip_zero_complexes(random_messy(1, max_rank=12))[0])
+    (a, _, ca), (b, _, cb) = [h for h in arrow_handles(t) if h[1] == "bottom"]
+    assert a != b and ca == cb and ca is not cb
+    before = (dump(t), t.log)
+    for remove in (False, True):
+        with pytest.raises(InvariantViolation, match="bottom boundary"):
+            t._turn(b, "bottom", ca, remove)
+    assert (dump(t), t.log) == before
     # a turn whose two strands land in different shafts
     t = build(square_sheets())
     t._pos = {i: ((i, i), p) for i, (_, p) in t._pos.items()}
     with pytest.raises(InvariantViolation, match="parallel step lands in two bigradings"):
-        t._turn((0, 0), "bottom", 0, remove=False)
+        t._turn((0, 0), "bottom", t._shafts[(0, 0)].lower[0], remove=False)
     out = run_optimized(
         "from gen import braided",
         "from snakedec.errors import InvariantViolation",
@@ -1479,7 +1494,7 @@ def test_turns_reject_an_arrow_off_the_boundary():
         "t = build(braided())",
         "for remove in (False, True):",
         "    try:",
-        "        t._turn(t.gradings()[0], 'bottom', 1, remove)",
+        "        t._turn(t.gradings()[0], 'bottom', [0, 1, 1], remove)",
         "    except InvariantViolation as exc:",
         "        print('raised', exc)",
     )
@@ -1571,10 +1586,10 @@ def _arrow_places(t):
     """Every arrow record of t's tiers, by id, with its (shaft, tier), its
     strands (r, g) as they are now and its weight."""
     return {
-        id(ca): (ca, (g, end), (ca[0], ca[1]), weight(t, (g, end, k)))
+        id(ca): (ca, (g, end), (ca[0], ca[1]), weight(t, (g, end, ca)))
         for g, st in t._shafts.items()
         for end in (twostory.BOTTOM, twostory.TOP)
-        for k, ca in enumerate(st.arrows(end))
+        for ca in st.arrows(end)
     }
 
 
