@@ -23,12 +23,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import (
-    FieldMismatch,
-    GradingViolation,
-    NotInvertible,
-    ValidationError,
-)
+from .errors import GradingViolation, Singular, ValidationError
 from .gf import FieldElem, _check_prime, _is_int
 
 RING_R1 = "r1"
@@ -46,14 +41,14 @@ class Monomial:
 
     def __post_init__(self):
         if not isinstance(self.coeff, FieldElem):
-            raise ValueError(f"the coefficient {self.coeff!r} is not a FieldElem; mono() takes an int")
+            raise ValidationError(f"the coefficient {self.coeff!r} is not a FieldElem; mono() takes an int")
         if not self.coeff.value:
-            raise ValueError("monomials store nonzero coefficients only")
+            raise ValidationError("monomials store nonzero coefficients only")
         u, v = self.u_exp, self.v_exp  # exact ints first: every monomial comes here
         if not (type(u) is int and type(v) is int or _is_int(u) and _is_int(v)):
-            raise ValueError(f"an exponent of U^{u!r} V^{v!r} is not an int")
+            raise ValidationError(f"an exponent of U^{u!r} V^{v!r} is not an int")
         if u < 0 or v < 0:
-            raise ValueError("negative exponent")
+            raise ValidationError("negative exponent")
 
     def __str__(self):
         parts = []
@@ -115,13 +110,12 @@ class Complex:
     term c U^u V^v of d(generators[s]) at generators[t], with c in [1, p),
     one per (s, t, u, v) and sorted.  Over R1 a mixed monomial is the zero
     element, so the constructor drops one silently.  The constructor refuses
-    a characteristic that is not a prime int (ValueError), and a ring tag
-    it does not know, a generator that is no ``Generator`` with a str id
-    and int gradings or an arrow that is no ``Arrow`` of a ``Monomial``
-    (ValidationError), then merges and sorts the ``Arrow``s it is handed;
-    ``from_terms`` wraps terms that are canonical already and checks
-    nothing.  ``arrows`` is the differential as ``Arrow``s, built on each
-    read and in the same order.
+    a characteristic that is not a prime int, a ring tag it does not know,
+    a generator that is no ``Generator`` with a str id and int gradings or
+    an arrow that is no ``Arrow`` of a ``Monomial`` (ValidationError), then
+    merges and sorts the ``Arrow``s it is handed; ``from_terms`` wraps
+    terms that are canonical already and checks nothing.  ``arrows`` is the
+    differential as ``Arrow``s, built on each read and in the same order.
     """
 
     ring: str
@@ -283,14 +277,14 @@ class BasisChange:
     Row i states new_i = sum_j rows[i][j] * old_j.  ``rows[i]`` is sparse: it
     maps a column j to ``(coeff, u_exp, v_exp)``, the monomial coeff U^u V^v
     with an int coefficient in [1, p).  The constructor takes dense
-    ``entries``, rows of Monomial or None, over a prime int ``char``
-    (ValueError otherwise).  Changes are over R1: it refuses ``RING_FUV``,
-    naming ``reduce_mod_uv``, what ``Complex`` refuses in the ring tag and
-    in either basis (so an id twice in one basis; the two bases may share
-    ids), and any other entry (ValidationError); ``from_rows`` checks
-    nothing.  Legal changes are grading-homogeneous, so the gradings fix
-    each entry's exponents, and have an invertible scalar part, which makes
-    them invertible.
+    ``entries``, rows of Monomial or None, over a prime int ``char``.
+    Changes are over R1: it refuses ``RING_FUV``, naming ``reduce_mod_uv``,
+    what ``Complex`` refuses in the characteristic, the ring tag and either
+    basis (so an id twice in one basis; the two bases may share ids), and
+    any other entry (ValidationError); ``from_rows`` checks nothing.  Legal
+    changes are grading-homogeneous, so the gradings fix each entry's
+    exponents, and have an invertible scalar part, which makes them
+    invertible.
     """
 
     ring: str
@@ -313,7 +307,7 @@ class BasisChange:
         if bad:
             raise ValidationError(f"basis change entry {bad[0]!r} is no Monomial or None")
         if any(m is not None and m.coeff.char != char for row in entries for m in row):
-            raise FieldMismatch(f"basis change entry outside F_{char}")
+            raise ValidationError(f"basis change entry outside F_{char}")
         rows = tuple([
             {j: (m.coeff.value, m.u_exp, m.v_exp) for j, m in enumerate(row) if m is not None}
             for row in entries
@@ -356,7 +350,7 @@ class BasisChange:
         entries: the scalar part of the working matrix changes exactly as
         plain Gauss-Jordan on the scalar part S would.  A scalar pivot thus
         exists in every column exactly when S is invertible; otherwise
-        NotInvertible is raised.  Each step keeps the rows homogeneous.
+        Singular is raised.  Each step keeps the rows homogeneous.
         Off the pipeline path: ``apply_basis_change`` and test oracles use it.
         """
         self.check_homogeneous()
@@ -368,7 +362,7 @@ class BasisChange:
                 scalar = (i for i in range(j, n) if work[i].get(j, (0, 1))[1:] == (0, 0))
                 piv = next(scalar, None)
                 if piv is None:
-                    raise NotInvertible("scalar part of the basis change is singular")
+                    raise Singular("scalar part of the basis change is singular")
                 work[j], work[piv], inv[j], inv[piv] = work[piv], work[j], inv[piv], inv[j]
                 c = work[j][j][0]
                 if c != 1:
@@ -390,7 +384,7 @@ class BasisChange:
         """The change performing ``first`` and then this one.  Off the
         pipeline path: input generators and test oracles use it."""
         if self.char != first.char or self.ring != first.ring:
-            raise FieldMismatch("composition over a different ring or field")
+            raise ValidationError("composition over a different ring or field")
         if self.old_gens != first.new_gens:
             raise ValidationError("composition bases do not line up")
         rows = _mul_rows(self.rows, first.rows, self.char)
@@ -414,10 +408,10 @@ def apply_basis_change(c: Complex, b: BasisChange) -> Complex:
     if c.ring != RING_R1:
         raise ValidationError("basis changes apply over R1: reduce_mod_uv first")
     if b.char != c.char or b.ring != c.ring:
-        raise FieldMismatch("basis change over a different ring or field")
+        raise ValidationError("basis change over a different ring or field")
     if b.old_gens != c.generators:
-        raise GradingViolation("basis change source basis does not match the complex")
-    b_inv = b.inverse()  # checks homogeneity; raises NotInvertible when singular
+        raise ValidationError("basis change source basis does not match the complex")
+    b_inv = b.inverse()  # checks homogeneity; raises Singular when singular
     p = c.char
     new_d = _mul_rows(_mul_rows(b.rows, differential_rows(c), p), b_inv.rows, p)
     terms = [(i, j, u, v, x) for i, row in enumerate(new_d) for j, (x, u, v) in row.items()]
@@ -520,10 +514,10 @@ class Elimination:
             self.touched.add(i)
 
     def scale(self, i: int, c: int) -> None:
-        """e_i <- c e_i for a scalar c that is nonzero mod p (ValueError otherwise)."""
+        """e_i <- c e_i for a scalar c that is nonzero mod p (ValidationError otherwise)."""
         p = self.p
         if not c % p:
-            raise ValueError("a basis element cannot be scaled by zero")
+            raise ValidationError("a basis element cannot be scaled by zero")
         self.rows[i] = _scaled(self.rows[i], c, p)
         inv = pow(c, p - 2, p)
         self.d[i] = _scaled(self.d[i], c, p)
@@ -620,9 +614,9 @@ def direct_sum(cs: Sequence[Complex]) -> Complex:
     ring, char = cs[0].ring, cs[0].char
     for c in cs[1:]:
         if c.char != char:
-            raise FieldMismatch(f"components over F_{char} and F_{c.char}")
+            raise ValidationError(f"components over F_{char} and F_{c.char}")
         if c.ring != ring:
-            raise FieldMismatch(f"components over rings {ring} and {c.ring}")
+            raise ValidationError(f"components over rings {ring} and {c.ring}")
     taken: set = set()
     gens: list = []
     terms: list = []

@@ -1,16 +1,15 @@
-"""Shared exception types.
+"""Shared exception types: the package's one failure contract.
 
-Every error raised across module boundaries lives here, so callers can
-catch by category without importing the module that raised it.  These
-classes are for conditions a caller can trigger, and for the invariants
-that must survive ``python -O``: homogeneity in ``complexes``, in the
-elimination behind strip and simplify and in ``verify``'s replay of the
-two-story log (``GradingViolation``), malformed input to them and to the
-``gf`` polynomial kernel (``ValidationError``), and the checks of the
-program's own work in the two-story engine's ``verify``, depth loop and
-moves, in ``normalize_transition``'s bigrading check and in the ``gf``
-polynomial and canonical-basis kernels (``InvariantViolation``).  No
-module uses ``assert``.
+Every refusal in the package raises one of the five classes below, all
+subclasses of ``SnakedecError``, so callers catch by category without
+importing the module that raised it; none is a bare builtin, and no
+module uses ``assert``, so every check survives ``python -O``.
+
+* ``ValidationError``: an operation was handed input it is not defined on.
+* ``GradingViolation``: a map or complex breaks the bigrading.
+* ``Singular``: a matrix that must be invertible is not.
+* ``SizeLimitExceeded``: an exact search would pass its hard bound.
+* ``InvariantViolation``: a check of the program's own work failed.
 """
 
 
@@ -18,60 +17,46 @@ class SnakedecError(Exception):
     """Base class for all package errors."""
 
 
-class Singular(SnakedecError):
-    """A matrix that must be invertible is not, or a polynomial divisor is
-    zero."""
-
-
-class DimensionMismatch(SnakedecError):
-    """Operands have incompatible shapes or sizes."""
-
-
-class SizeLimitExceeded(SnakedecError):
-    """An exact computation would exceed a hard enumeration bound."""
-
-
-class FieldMismatch(SnakedecError):
-    """Operands live over different prime fields."""
-
-
-class NotInvertible(SnakedecError):
-    """A proposed basis change is not an isomorphism."""
+class ValidationError(SnakedecError, ValueError):
+    """An operation was handed an input it is not defined on: a
+    characteristic that is not a prime int, a value that is not an int,
+    operands over different fields or of incompatible shapes, a malformed
+    complex, monomial or basis change, bases that do not line up, or a
+    complex over the wrong ring, with d^2 != 0 or with length-zero arrows.
+    Arithmetic is over R1, so an F[U,V] complex or basis change is refused
+    there, naming ``reduce_mod_uv``.  Every simplify entry point,
+    ``twostory.build`` included, refuses each such complex with the same
+    text.  It is a ``ValueError`` too, for callers that catch that."""
 
 
 class GradingViolation(SnakedecError):
     """A map or complex fails its required homogeneity constraints: a
     differential term off bidegree (-1, -1) is refused with this, in
     ``differential_rows``' words, by the strip and every simplify entry
-    point, ``twostory.build`` included."""
+    point, ``twostory.build`` included, as is an inhomogeneous basis
+    change and a step of ``verify``'s replay of the two-story log."""
 
 
-class CountMismatch(SnakedecError):
-    """Two simplified bases differ in rank, or in bigrading at some position."""
+class Singular(SnakedecError):
+    """A matrix that must be invertible is not (a basis change's scalar
+    part, a shaft, an input to the canonical forms), or a polynomial
+    divisor is zero."""
 
 
-class BoundExceeded(SnakedecError):
-    """The depth-raising loop ran past its proven round bound."""
+class SizeLimitExceeded(SnakedecError):
+    """An exact computation would exceed a hard enumeration bound, so a
+    caller can tell a matrix too big to search from a malformed one."""
 
 
 class InvariantViolation(SnakedecError):
     """A structural invariant of the program's own work failed to hold.
 
     Raised by ``TwoStoryComplex.verify`` and by the depth loop when the
-    program's own state disagrees with the complex it claims to describe,
-    by the move layer (turn, snowplow, convoy) for an arrow off its tier's
-    boundary, a pair that splits or an arrow against the divergence order,
-    by ``normalize_transition`` only for a transition that crosses
+    program's own state disagrees with the complex it claims to describe
+    or the loop runs past its proven round bound, by the move layer (turn,
+    snowplow, convoy) for an arrow off its tier's boundary, a pair that
+    splits or an arrow against the divergence order, by
+    ``normalize_transition`` only for a transition that crosses
     bigradings, and by the ``gf`` polynomial and canonical-basis kernels
-    when a result fails its reassembly check; unlike ``assert`` it
-    survives ``python -O``.
+    when a result fails its reassembly check.
     """
-
-
-class ValidationError(SnakedecError):
-    """A complex or basis change is malformed, or an operation was handed
-    an input it is not defined on (a complex over the wrong ring, one with
-    d^2 != 0, or one that still has length-zero arrows).  Arithmetic is
-    over R1, so an F[U,V] complex or basis change is refused there, naming
-    ``reduce_mod_uv``.  Every simplify entry point, ``twostory.build``
-    included, refuses each such complex with the same text."""

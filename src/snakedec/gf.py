@@ -30,14 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    FieldMismatch,
-    InvariantViolation,
-    Singular,
-    SizeLimitExceeded,
-    ValidationError,
-)
+from .errors import InvariantViolation, Singular, SizeLimitExceeded, ValidationError
 
 _PRIMES_SEEN: set[int] = set()
 
@@ -55,18 +48,18 @@ def _is_int(v) -> bool:
 
 
 def _check_prime(p: int) -> None:
-    """Refuse a characteristic that is not a prime int (ValueError), by
-    deterministic Miller-Rabin, which is exact below ``_MR_BOUND``; a
+    """Refuse a characteristic that is not a prime int (ValidationError),
+    by deterministic Miller-Rabin, which is exact below ``_MR_BOUND``; a
     characteristic from there up with no factor among the bases is refused
     as well, naming the bound."""
     if isinstance(p, int) and p in _PRIMES_SEEN:  # the type first: 2.0 == 2
         return
     if not isinstance(p, int) or p < 2 or any(p % a == 0 and p != a for a in _MR_BASES):
-        raise ValueError(f"characteristic {p} is not prime")
+        raise ValidationError(f"characteristic {p} is not prime")
     if p >= _MR_BOUND:
-        raise ValueError(f"characteristic {p} is not below the exact-test bound {_MR_BOUND}")
+        raise ValidationError(f"characteristic {p} is not below the exact-test bound {_MR_BOUND}")
     if p > _MR_BASES[-1] and not _strong_probable_prime(p):
-        raise ValueError(f"characteristic {p} is not prime")
+        raise ValidationError(f"characteristic {p} is not prime")
     _PRIMES_SEEN.add(p)
 
 
@@ -95,8 +88,8 @@ class FieldElem:
     """An element of the prime field F_p, stored as the residue in [0, p).
 
     Inputs are written with it and output text prints it; the arithmetic
-    is ``+`` and ``*`` within one field (FieldMismatch across fields).
-    A value or characteristic that is not an int raises ValueError.
+    is ``+`` and ``*`` within one field.  Mixing fields, or a value or
+    characteristic that is not an int, raises ValidationError.
     """
 
     value: int
@@ -105,14 +98,14 @@ class FieldElem:
     def __post_init__(self):
         _check_prime(self.char)
         if not isinstance(self.value, int):
-            raise ValueError(f"field element value {self.value!r} is not an int")
+            raise ValidationError(f"field element value {self.value!r} is not an int")
         object.__setattr__(self, "value", self.value % self.char)
 
     def _other(self, other) -> Optional[int]:
         if not isinstance(other, FieldElem):
             return None
         if other.char != self.char:
-            raise FieldMismatch(f"F_{self.char} vs F_{other.char}")
+            raise ValidationError(f"F_{self.char} vs F_{other.char}")
         return other.value
 
     def __add__(self, other):
@@ -132,7 +125,7 @@ class FieldElem:
 
 def _residue(e, p: int) -> int:
     if type(e) is not int and not _is_int(e):  # exact ints first: every entry comes here
-        raise FieldMismatch(f"entry {e!r} is not an int residue mod {p}")
+        raise ValidationError(f"entry {e!r} is not an int residue mod {p}")
     return e % p
 
 
@@ -143,7 +136,7 @@ class Matrix:
     ``entries`` is a tuple of row tuples of int residues in [0, p); that is
     the only storage and the only way to read one.  The constructor and
     ``from_rows`` take ints, reduced mod p; any other entry, a bool or a
-    FieldElem included, raises FieldMismatch, as does a bool scalar.
+    FieldElem included, raises ValidationError, as does a bool scalar.
     ``char`` is kept separately so 0-row matrices still know their field.
     """
 
@@ -154,7 +147,7 @@ class Matrix:
         _check_prime(char)
         rows = tuple([tuple([_residue(e, char) for e in row]) for row in entries])
         if any(len(row) != len(rows[0]) for row in rows):
-            raise DimensionMismatch("ragged rows")
+            raise ValidationError("ragged rows")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "char", char)
 
@@ -190,9 +183,9 @@ class Matrix:
         p = self.char
         if isinstance(other, Matrix):
             if other.char != p:
-                raise FieldMismatch(f"matrix product across F_{p} and F_{other.char}")
+                raise ValidationError(f"matrix product across F_{p} and F_{other.char}")
             if self.cols != other.rows:
-                raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
+                raise ValidationError(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
             ocols = list(zip(*other.entries))
             out = []
             for row in self.entries:
@@ -216,7 +209,7 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
-            raise DimensionMismatch("inverse of non-square matrix")
+            raise ValidationError("inverse of non-square matrix")
         inv = self._gauss_inverse()
         if inv is None:
             raise Singular("matrix is not invertible")
@@ -249,7 +242,7 @@ def gauss_jordan(aug: list, n: int, p: int) -> bool:
 
 def block_diag(blocks: Sequence[Matrix], char: int) -> Matrix:
     """Direct sum of square blocks along the diagonal, over ``char``; a
-    block over another field raises FieldMismatch."""
+    block over another field raises ValidationError."""
     if not blocks:
         return Matrix((), char)
     n = sum(b.rows for b in blocks)
@@ -257,9 +250,9 @@ def block_diag(blocks: Sequence[Matrix], char: int) -> Matrix:
     off = 0
     for b in blocks:
         if b.char != char:
-            raise FieldMismatch(f"block over F_{b.char} in a sum over F_{char}")
+            raise ValidationError(f"block over F_{b.char} in a sum over F_{char}")
         if not b.is_square():
-            raise DimensionMismatch(f"block of shape {b.rows}x{b.cols} is not square")
+            raise ValidationError(f"block of shape {b.rows}x{b.cols} is not square")
         for row in b.entries:
             rows.append((0,) * off + row + (0,) * (n - off - b.cols))
         off += b.rows
@@ -310,7 +303,7 @@ def ltu_factorize(m: Matrix):
     divisors are the dots.
     """
     if not m.is_square():
-        raise DimensionMismatch("LTU factorization needs a square matrix")
+        raise ValidationError("LTU factorization needs a square matrix")
     n, p = m.rows, m.char
     a = [list(row) for row in m.entries]
     up = [0] * n
@@ -529,7 +522,7 @@ def invariant_factors(a: Matrix) -> tuple:
     """Nonconstant invariant factors of a square matrix, in divisibility
     order (each divides the next; the last is the minimal polynomial)."""
     if not a.is_square():
-        raise DimensionMismatch("invariant factors need a square matrix")
+        raise ValidationError("invariant factors need a square matrix")
     diag, _ = _poly_snf(_char_matrix(a), a.char, track_pinv=False)
     facs = [d for d in diag if pdeg(d) >= 1]
     if sum(pdeg(d) for d in facs) != a.rows:
@@ -547,7 +540,7 @@ def rational_canonical_form(a: Matrix) -> Matrix:
     divisibility order.  Conjugate inputs give identical outputs.  A
     matrix is singular exactly when x divides its last invariant factor,
     the minimal polynomial, which then has constant term zero."""
-    facs = invariant_factors(a)  # DimensionMismatch unless a is square
+    facs = invariant_factors(a)  # ValidationError unless a is square
     if facs and not facs[-1][0]:
         raise Singular("canonical form restricted to invertible matrices")
     return block_diag([companion(d, a.char) for d in facs], a.char)
@@ -564,7 +557,7 @@ def rational_canonical_basis(a: Matrix) -> Matrix:
     S_H S_P^-1 conjugates H to P.
     """
     if not a.is_square():
-        raise DimensionMismatch("canonical basis needs a square matrix")
+        raise ValidationError("canonical basis needs a square matrix")
     n, p = a.rows, a.char
     diag, pinv = _poly_snf(_char_matrix(a), p, track_pinv=True)
     if diag and not diag[-1][0]:  # x divides the minimal polynomial
@@ -605,9 +598,9 @@ def conjugate_test(a: Matrix, b: Matrix) -> bool:
     """Whether two invertible matrices are conjugate in GL_n(F_p), decided
     by comparing rational canonical forms."""
     if a.char != b.char:
-        raise FieldMismatch("conjugacy across different fields")
+        raise ValidationError("conjugacy across different fields")
     if not (a.is_square() and b.is_square()) or a.rows != b.rows:
-        raise DimensionMismatch("conjugacy needs equal square sizes")
+        raise ValidationError("conjugacy needs equal square sizes")
     return rational_canonical_form(a) == rational_canonical_form(b)
 
 
@@ -635,7 +628,7 @@ def class_contains_permutation(a: Matrix) -> bool:
     beyond that SizeLimitExceeded is raised, before any Smith form.
     """
     if not a.is_square():
-        raise DimensionMismatch("needs a square matrix")
+        raise ValidationError("needs a square matrix")
     n, p = a.rows, a.char
     if n > _PERMUTATION_BOUND:
         raise SizeLimitExceeded(f"permutation search beyond size {_PERMUTATION_BOUND}")

@@ -43,7 +43,7 @@ from .complexes import (
     quotient_row,
     quotient_rows,
 )
-from .errors import CountMismatch, InvariantViolation, Singular, ValidationError
+from .errors import InvariantViolation, Singular, ValidationError
 
 VERTICAL = "vertical"
 HORIZONTAL = "horizontal"
@@ -223,7 +223,7 @@ def normalize_transition(
     row operations (the lower arrows in order, then D P undone, then the
     upper arrows in order).  No ring inverse and no dense inverse is
     formed.  Bases not found on c's generators or not aligned by bigrading
-    raise CountMismatch (the returned ones carry their ``quotient`` rows
+    raise ValidationError (the returned ones carry their ``quotient`` rows
     on), a scalar entry joining two bigradings InvariantViolation, and a
     singular scalar part Singular naming its bigrading; a block with either
     is not the identity, so the identity case skips no check.
@@ -244,15 +244,15 @@ def normalize_transition(
     factors; as X'_0 = X_0 and Y'_0 = Y_0, that checks S and its factors.
     """
     if xb.change.old_gens != c.generators or yb.change.old_gens != c.generators:
-        raise CountMismatch("bases are not aligned with the complex's generators")
+        raise ValidationError("bases are not aligned with the complex's generators")
     x_gens, y_gens = xb.generators, yb.generators
     if len(x_gens) != len(y_gens):
-        raise CountMismatch("bases are not aligned by bigrading")
+        raise ValidationError("bases are not aligned by bigrading")
     p = c.char
     slots: dict = {}
     for i, (gx, gy) in enumerate(zip(x_gens, y_gens)):
         if gx.gr_u != gy.gr_u or gx.gr_v != gy.gr_v:
-            raise CountMismatch("bases are not aligned by bigrading")
+            raise ValidationError("bases are not aligned by bigrading")
         slots.setdefault((gx.gr_u, gx.gr_v), []).append(i)
     x_all, y_all = xb.change.rows, yb.change.rows
     x_rows, y_rows = [None] * len(x_all), [None] * len(y_all)

@@ -60,7 +60,7 @@ from .complexes import (
     add_row_multiple,
     add_step,
 )
-from .errors import BoundExceeded, GradingViolation, InvariantViolation
+from .errors import GradingViolation, InvariantViolation
 from .simplify import SimplifiedBasis, TransitionData, simplified_transition
 
 BOTTOM = "bottom"
@@ -73,18 +73,10 @@ TOP = "top"
 
 @dataclass(frozen=True)
 class Crossing:
-    """Two elevator strands exchanging positions i and j (1-based)."""
+    """Two elevator strands exchanging positions i < j (1-based)."""
 
     i: int
     j: int
-
-    def __post_init__(self):
-        if self.i < 1 or self.j < 1 or self.i == self.j:
-            raise ValueError("crossing needs two distinct 1-based positions")
-        if self.i > self.j:
-            i, j = self.j, self.i
-            object.__setattr__(self, "i", i)
-            object.__setattr__(self, "j", j)
 
 
 @dataclass(frozen=True)
@@ -95,12 +87,6 @@ class CrossoverArrow:
     j: int
     lam: gf.FieldElem
 
-    def __post_init__(self):
-        if self.i < 1 or self.j < 1 or self.i == self.j:
-            raise ValueError("crossover arrow needs two distinct positions")
-        if not self.lam:
-            raise ValueError("crossover arrow decoration must be nonzero")
-
 
 @dataclass(frozen=True)
 class BlackDot:
@@ -108,12 +94,6 @@ class BlackDot:
 
     i: int
     lam: gf.FieldElem
-
-    def __post_init__(self):
-        if self.i < 1:
-            raise ValueError("black dot position is 1-based")
-        if not self.lam:
-            raise ValueError("black dot decoration must be nonzero")
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +162,7 @@ def _scalar_entries(row: dict) -> dict:
 
 def _perm_crossings(sigma) -> list:
     # Each cycle (c0 c1 ... c_{m-1}) factors as crossings (c0 c1) (c1 c2)
-    # ... in product order.
+    # ... in product order, each with its smaller position first.
     out = []
     seen = [False] * len(sigma)
     for s in range(len(sigma)):
@@ -195,7 +175,7 @@ def _perm_crossings(sigma) -> list:
             cyc.append(j)
             j = sigma[j]
         for a, b in zip(cyc, cyc[1:]):
-            out.append(Crossing(a + 1, b + 1))
+            out.append(Crossing(min(a, b) + 1, max(a, b) + 1))
     return out
 
 
@@ -857,7 +837,7 @@ class TwoStoryComplex:
         self.rounds, m = 0, self.depth()
         while m != math.inf:
             if self.rounds >= bound:
-                raise BoundExceeded(
+                raise InvariantViolation(
                     f"more than {bound} depth-raising rounds on rank {n}"
                 )
             m = self.increase_depth()

@@ -42,11 +42,9 @@ from snakedec.complexes import (
     validate,
 )
 from snakedec.errors import (
-    CountMismatch,
-    DimensionMismatch,
-    FieldMismatch,
     GradingViolation,
     InvariantViolation,
+    ValidationError,
 )
 from snakedec.gf import (
     PONE,
@@ -403,7 +401,7 @@ def transition_by_ring_inverse(c, xb, yb):
     if len(xb.generators) != len(yb.generators) or any(
         gx.grading != gy.grading for gx, gy in zip(xb.generators, yb.generators)
     ):
-        raise CountMismatch("bases are not aligned by bigrading")
+        raise ValidationError("bases are not aligned by bigrading")
     p_raw = xb.change.compose(yb.change.inverse())
     y_gens, x_gens = p_raw.old_gens, p_raw.new_gens
     with_v = [{j: e for j, e in row.items() if not e[1]} for row in p_raw.rows]
@@ -532,9 +530,9 @@ def token_matrix(token, width, char):
     if not isinstance(token, (Crossing, CrossoverArrow, BlackDot)):
         raise TypeError(f"not a token: {token!r}")
     if max(_token_indices(token)) > width:
-        raise DimensionMismatch(f"{token} does not fit {width} strands")
+        raise ValidationError(f"{token} does not fit {width} strands")
     if not isinstance(token, Crossing) and token.lam.char != char:
-        raise FieldMismatch(f"{token} lies outside F_{char}")
+        raise ValidationError(f"{token} lies outside F_{char}")
     rows = [[int(a == b) for b in range(width)] for a in range(width)]
     if isinstance(token, Crossing):
         i, j = token.i - 1, token.j - 1

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from gen import cycle_type, permutation_by_enumeration
 from snakedec import gf
 from snakedec.errors import (
-    DimensionMismatch,
-    FieldMismatch,
     SizeLimitExceeded,
     Singular,
     ValidationError,
@@ -75,9 +73,9 @@ def test_field_elem_validation():
         gf.FieldElem(1, 4)
     with pytest.raises(ValueError):
         gf.FieldElem(1, 1)
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(ValidationError):
         fe(1, 2) + fe(1, 3)
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(ValidationError):
         fe(1, 2) * fe(1, 3)
     assert fe(7, 5).value == 2
 
@@ -161,7 +159,7 @@ def test_matrix_basics():
     assert a.rows == 2 and a.cols == 2
     assert a.entries[0][1] == 1
     assert (a * a) == gf.Matrix.identity(2, 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError):
         a * M([[1], [0], [0]], 2)
 
 
@@ -185,14 +183,14 @@ def test_matrix_stores_int_residues():
 
 def test_matrix_rejects_foreign_entries():
     for bad in (fe(1, 3), fe(1, 5), 1.0, "1", None):
-        with pytest.raises(FieldMismatch):
+        with pytest.raises(ValidationError):
             M([[1, bad]], 3)
-        with pytest.raises(FieldMismatch):
+        with pytest.raises(ValidationError):
             gf.Matrix(((1, bad),), 3)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError):
         M([[1, 0], [1]], 3)
     a3, a5 = gf.Matrix.identity(2, 3), gf.Matrix.identity(2, 5)
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(ValidationError):
         a3 * a5
     with pytest.raises(TypeError):  # scalars are ints
         a3 * fe(2, 3)
@@ -202,9 +200,9 @@ def test_matrix_rejects_foreign_entries():
 def test_a_bool_entry_is_refused():
     # True == 1, but an entry is an int residue, not a truth value
     for rows in ([[True]], [[1, False]]):
-        with pytest.raises(FieldMismatch, match="not an int residue"):
+        with pytest.raises(ValidationError, match="not an int residue"):
             gf.Matrix(rows, 2)
-        with pytest.raises(FieldMismatch, match="not an int residue"):
+        with pytest.raises(ValidationError, match="not an int residue"):
             M(rows, 2)
     assert gf.Matrix([[1]], 2) == gf.Matrix.identity(1, 2)
 
@@ -212,7 +210,7 @@ def test_a_bool_entry_is_refused():
 def test_a_bool_scalar_is_refused():
     a = gf.Matrix.identity(2, 3)
     for scalar in (True, False):
-        with pytest.raises(FieldMismatch, match="not an int residue"):
+        with pytest.raises(ValidationError, match="not an int residue"):
             a * scalar
     assert a * 1 == a
 
@@ -224,7 +222,7 @@ def test_invert_examples():
     assert M([[2]], 3).inverse() == M([[2]], 3)
     with pytest.raises(Singular):
         M([[1, 1], [1, 1]], 2).inverse()
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError):
         M([[1, 0]], 2).inverse()
     # all of M_2(F_3): invertible exactly when the determinant is nonzero
     ident = gf.Matrix.identity(2, 3)
@@ -238,14 +236,14 @@ def test_invert_examples():
 def test_block_diag():
     b = gf.block_diag([M([[2]], 3), gf.Matrix.identity(2, 3)], 3)
     assert b == M([[2, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
-    with pytest.raises(DimensionMismatch, match="not square"):
+    with pytest.raises(ValidationError, match="not square"):
         gf.block_diag([M([[1], [2]], 3), M([[1]], 3)], 3)
     # the field is required and binds every block
     assert gf.block_diag([M([[1]], 3)], char=3).char == 3
     assert gf.block_diag([], char=5) == gf.Matrix((), 5)
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(ValidationError):
         gf.block_diag([M([[1]], 3)], char=5)
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(ValidationError):
         gf.block_diag([M([[1]], 5), M([[1]], 3)], 5)
     with pytest.raises(TypeError):
         gf.block_diag([M([[1]], 3)])
@@ -336,7 +334,7 @@ def test_ltu_structure_and_reassembly_exhaustive_gl2():
 def test_ltu_rejects_singular():
     with pytest.raises(Singular):
         gf.ltu_factorize(M([[1, 1], [1, 1]], 2))
-    with pytest.raises(DimensionMismatch, match="square"):
+    with pytest.raises(ValidationError, match="square"):
         gf.ltu_factorize(M([[1, 0]], 2))
 
 
@@ -445,9 +443,9 @@ def test_conjugate_test_examples():
     assert gf.conjugate_test(a, a)
     assert gf.conjugate_test(a, M([[0, 1], [1, 0]], 2))
     assert not gf.conjugate_test(M([[1, 1], [1, 0]], 2), gf.Matrix.identity(2, 2))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError):
         gf.conjugate_test(a, gf.Matrix.identity(3, 2))
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(ValidationError):
         gf.conjugate_test(a, gf.Matrix.identity(2, 3))
 
 
@@ -575,7 +573,7 @@ def test_canonical_bases_conjugate_each_class_onto_itself(n, p):
 
 def test_invariant_factors_split_semisimple():
     assert gf.invariant_factors(M([[2, 0], [0, 2]], 3)) == ((1, 1), (1, 1))
-    with pytest.raises(DimensionMismatch, match="square"):
+    with pytest.raises(ValidationError, match="square"):
         gf.invariant_factors(M([[1], [0]], 3))
 
 

@@ -1,9 +1,10 @@
 """Invariant checks in the package must survive ``python -O``.
 
 Every check in every module of ``src/snakedec`` raises a typed
-``SnakedecError`` rather than using ``assert``, which ``-O`` strips, and
-every type that ``errors.py`` declares is raised somewhere.  The modules
-are found by glob, so a new module is covered without a list to update.
+``SnakedecError`` rather than using ``assert``, which ``-O`` strips: every
+``raise`` names a type that ``errors.py`` declares, and every such type is
+raised somewhere.  The modules are found by glob, so a new module is
+covered without a list to update.
 """
 
 import ast
@@ -11,6 +12,12 @@ import collections
 import pathlib
 
 import pytest
+
+from gen import figure_eight, trefoil
+from snakedec import complexes as cx
+from snakedec import gf
+from snakedec.errors import SnakedecError, ValidationError
+from snakedec.simplify import horizontal_simplify, normalize_transition, vertical_simplify
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "snakedec"
 MODULES = sorted(path.name for path in SRC.glob("*.py"))
@@ -59,12 +66,57 @@ def _raised_names(path):
     return names
 
 
+def _declared_names():
+    tree = ast.parse((SRC / "errors.py").read_text())
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
 def test_every_error_type_is_raised_elsewhere(tmp_path):
     # a type that no other module raises cannot come back into errors.py
     path = tmp_path / "raising.py"
     path.write_text("def f():\n    raise A('x')\n    raise e.B\n    raise\n")
     assert _raised_names(path) == {"A", "B"}
-    tree = ast.parse((SRC / "errors.py").read_text())
-    declared = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
     raised = set().union(*(_raised_names(SRC / m) for m in MODULES if m != "errors.py"))
-    assert declared - raised == {"SnakedecError"}
+    assert _declared_names() - raised == {"SnakedecError"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_raise_names_a_declared_error_type(module):
+    # a builtin such as ValueError, or a type errors.py does not declare,
+    # would escape a caller that catches SnakedecError
+    stray = _raised_names(SRC / module) - _declared_names()
+    assert not stray, f"raise of a type errors.py does not declare: {sorted(stray)}"
+
+
+def _compose_across_fields():
+    over_2, over_3 = trefoil(), figure_eight()
+    return cx.BasisChange.identity(over_2).compose(cx.BasisChange.identity(over_3))
+
+
+def _normalize_misaligned():
+    c = trefoil()
+    return normalize_transition(c, vertical_simplify(c), horizontal_simplify(figure_eight()))
+
+
+def _scale_by_zero():
+    c = trefoil()
+    cx.Elimination(c.generators, c.char, cx.differential_rows(c)).scale(0, 0)
+
+
+# one refusal per layer, each of an input the operation is not defined on
+REFUSALS = {
+    "field element": lambda: gf.FieldElem(1, 4),
+    "ragged matrix": lambda: gf.Matrix([[1, 0], [1]], 2),
+    "block sum across fields": lambda: gf.block_diag([gf.Matrix([[1]], 3)], 2),
+    "negative exponent": lambda: cx.mono(1, 0, -1, 2),
+    "compose across fields": _compose_across_fields,
+    "misaligned bases": _normalize_misaligned,
+    "scale by zero": _scale_by_zero,
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(REFUSALS))
+def test_every_layer_refuses_bad_input_with_one_type(refusal):
+    with pytest.raises(ValidationError) as info:
+        REFUSALS[refusal]()
+    assert isinstance(info.value, SnakedecError) and isinstance(info.value, ValueError)

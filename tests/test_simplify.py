@@ -36,7 +36,6 @@ from snakedec.complexes import (
     RING_R1,
 )
 from snakedec.errors import (
-    CountMismatch,
     GradingViolation,
     InvariantViolation,
     Singular,
@@ -204,9 +203,9 @@ def test_simplify_rejects_unbigraded_input(simplify):
 def test_normalize_rejects_unaligned_bases():
     c = trefoil()
     xb, yb = vertical_simplify(c), horizontal_simplify(c)
-    with pytest.raises(CountMismatch, match="align"):
+    with pytest.raises(ValidationError, match="align"):
         normalize_transition(c, xb, _permuted(yb, (2, 0, 1)))
-    with pytest.raises(CountMismatch, match="align"):
+    with pytest.raises(ValidationError, match="align"):
         normalize_transition(c, xb, horizontal_simplify(figure_eight()))
 
 

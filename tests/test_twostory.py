@@ -59,9 +59,6 @@ from snakedec.complexes import (
     validate,
 )
 from snakedec.errors import (
-    BoundExceeded,
-    DimensionMismatch,
-    FieldMismatch,
     GradingViolation,
     InvariantViolation,
     SnakedecError,
@@ -127,23 +124,13 @@ def test_token_matrices():
     c = token_matrix(Crossing(1, 2), 3, 5)
     assert c.entries == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     for bad in (Crossing(1, 4), CrossoverArrow(4, 1, f(1, 5)), BlackDot(4, f(2, 5))):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError):
             token_matrix(bad, 3, 5)
     with pytest.raises(TypeError):
         token_matrix((1, 2), 3, 5)
     for bad in (BlackDot(1, f(4, 5)), CrossoverArrow(1, 2, f(4, 5))):
-        with pytest.raises(FieldMismatch):
+        with pytest.raises(ValidationError):
             token_matrix(bad, 2, 3)
-    with pytest.raises(ValueError):
-        Crossing(2, 2)
-    with pytest.raises(ValueError):
-        BlackDot(1, f(0, 5))
-    with pytest.raises(ValueError, match="1-based"):
-        BlackDot(0, f(1, 5))
-    with pytest.raises(ValueError, match="two distinct positions"):
-        CrossoverArrow(2, 2, f(1, 5))
-    with pytest.raises(ValueError, match="decoration must be nonzero"):
-        CrossoverArrow(1, 2, f(0, 5))
     # the calculus's local identities: each pair of words has one product
     for left, right, width, p in (
         ((Crossing(1, 2), BlackDot(3, f(2, 3))), (BlackDot(3, f(2, 3)), Crossing(1, 2)), 4, 3),
@@ -624,7 +611,7 @@ def test_round_bound_exceeded():
     calls = []
     # a stub that never raises the depth
     t.increase_depth = lambda: calls.append(t) or t.depth()
-    with pytest.raises(BoundExceeded, match=f"more than {n * (n - 1)} depth-raising rounds"):
+    with pytest.raises(InvariantViolation, match=f"more than {n * (n - 1)} depth-raising rounds"):
         t.run_to_depth_infinity()
     assert t.rounds == len(calls) == n * (n - 1)
 
@@ -1728,6 +1715,37 @@ def test_depth_loop_output_matches_the_recorded_digest():
         _fingerprint(h, t)
         h.update(f"rounds {t.rounds}\n".encode())
     assert h.hexdigest() == DEPTH_LOOP_DIGEST
+
+
+# the same SHA-256 over the 18 snake pairs at m = 6 and 8: unlike the inputs
+# above, they run both snowplow paths that the digest must pin, adjacent
+# swaps in a tier and convoy entries restored across the middle block
+SNAKE_PAIR_DIGEST = "4c5adc5da77c1a11cdc9fddd3ed74ff57b5469c5155c875cb73d340d9753996a"
+
+
+def test_snake_pair_output_matches_the_recorded_digest(monkeypatch):
+    ran = Counter()
+    swap, restore = twostory.TwoStoryComplex._swap_adjacent, twostory.TwoStoryComplex._restore_convoy
+
+    def counted_swap(self, seq, a):
+        swapped = swap(self, seq, a)
+        ran["swaps"] += swapped
+        return swapped
+
+    def counted_restore(self, convoy):
+        ran["cross restores"] += sum(tier != through for _, _, tier, through in convoy)
+        return restore(self, convoy)
+
+    monkeypatch.setattr(twostory.TwoStoryComplex, "_swap_adjacent", counted_swap)
+    monkeypatch.setattr(twostory.TwoStoryComplex, "_restore_convoy", counted_restore)
+    tails = [(2, 3), (-2, 2), (3, -1)]
+    h = hashlib.sha256()
+    for c in [snake_pair(m, ab, seed) for m in (6, 8) for ab in tails for seed in range(3)]:
+        t = _depth_infinity(c)
+        _fingerprint(h, t)
+        h.update(f"rounds {t.rounds}\n".encode())
+    assert ran["swaps"] > 0 and ran["cross restores"] > 0, ran
+    assert h.hexdigest() == SNAKE_PAIR_DIGEST
 
 
 # consecutive seeds from 0: sums of 10 pieces reach rank 141-200, the one
