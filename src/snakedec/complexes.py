@@ -61,11 +61,9 @@ class Monomial:
         return "*".join(parts)
 
 
-def mono(coeff, u_exp: int, v_exp: int, char: Optional[int] = None) -> Monomial:
-    """Convenience constructor accepting an int or FieldElem coefficient."""
-    if not isinstance(coeff, FieldElem):
-        coeff = FieldElem(coeff, char)
-    return Monomial(coeff, u_exp, v_exp)
+def mono(coeff: int, u_exp: int, v_exp: int, char: int) -> Monomial:
+    """The monomial coeff U^u V^v over F_char, from an int coefficient."""
+    return Monomial(FieldElem(coeff, char), u_exp, v_exp)
 
 
 def mono_mul(a: Monomial, b: Monomial, ring: str) -> Optional[Monomial]:
@@ -278,7 +276,8 @@ class BasisChange:
     maps a column j to ``(coeff, u_exp, v_exp)``, the monomial coeff U^u V^v
     with an int coefficient in [1, p).  The constructor takes dense
     ``entries``, rows of Monomial or None, over a prime int ``char``.
-    Changes are over R1: it refuses ``RING_FUV``, naming ``reduce_mod_uv``,
+    Changes are over R1, so they keep no ring tag: the constructor takes
+    one and refuses ``RING_FUV``, naming ``reduce_mod_uv``,
     what ``Complex`` refuses in the characteristic, the ring tag and either
     basis (so an id twice in one basis; the two bases may share ids), and
     any other entry (ValidationError); ``from_rows`` checks nothing.  Legal
@@ -287,7 +286,6 @@ class BasisChange:
     invertible.
     """
 
-    ring: str
     char: int
     old_gens: Tuple[Generator, ...]
     new_gens: Tuple[Generator, ...]
@@ -312,19 +310,19 @@ class BasisChange:
             {j: (m.coeff.value, m.u_exp, m.v_exp) for j, m in enumerate(row) if m is not None}
             for row in entries
         ])
-        _set_fields(self, ring, char, old_gens, new_gens, rows)
+        _set_fields(self, char, old_gens, new_gens, rows)
 
     @classmethod
-    def from_rows(cls, ring, char, old_gens, new_gens, rows) -> "BasisChange":
+    def from_rows(cls, char, old_gens, new_gens, rows) -> "BasisChange":
         """Wrap sparse rows as they are; the caller hands them over."""
         b = object.__new__(cls)
-        _set_fields(b, ring, char, old_gens, new_gens, tuple(rows))
+        _set_fields(b, char, old_gens, new_gens, tuple(rows))
         return b
 
     @classmethod
     def identity(cls, c: Complex) -> "BasisChange":
         rows = tuple([{i: (1, 0, 0)} for i in range(c.rank)])
-        return cls.from_rows(c.ring, c.char, c.generators, c.generators, rows)
+        return cls.from_rows(c.char, c.generators, c.generators, rows)
 
     def check_homogeneous(self) -> None:
         old = self.old_gens
@@ -378,17 +376,17 @@ class BasisChange:
                     add_row_multiple(inv[r], neg, inv[j], p)
         except GradingViolation as exc:
             raise GradingViolation(f"inhomogeneous elimination: {exc}") from exc
-        return BasisChange.from_rows(self.ring, self.char, self.new_gens, self.old_gens, inv)
+        return BasisChange.from_rows(self.char, self.new_gens, self.old_gens, inv)
 
     def compose(self, first: "BasisChange") -> "BasisChange":
         """The change performing ``first`` and then this one.  Off the
         pipeline path: input generators and test oracles use it."""
-        if self.char != first.char or self.ring != first.ring:
+        if self.char != first.char:
             raise ValidationError("composition over a different ring or field")
         if self.old_gens != first.new_gens:
             raise ValidationError("composition bases do not line up")
         rows = _mul_rows(self.rows, first.rows, self.char)
-        return BasisChange.from_rows(self.ring, self.char, first.old_gens, self.new_gens, rows)
+        return BasisChange.from_rows(self.char, first.old_gens, self.new_gens, rows)
 
 
 def _set_fields(obj, *values) -> None:
@@ -407,7 +405,7 @@ def apply_basis_change(c: Complex, b: BasisChange) -> Complex:
     """
     if c.ring != RING_R1:
         raise ValidationError("basis changes apply over R1: reduce_mod_uv first")
-    if b.char != c.char or b.ring != c.ring:
+    if b.char != c.char:
         raise ValidationError("basis change over a different ring or field")
     if b.old_gens != c.generators:
         raise ValidationError("basis change source basis does not match the complex")
@@ -433,18 +431,15 @@ def differential_rows(c: Complex) -> List[dict]:
     return d
 
 
-def quotient_row(row: dict, k: int) -> dict:
-    """A sparse row modulo U (k = 1) or V (k = 2): the row itself when it
-    has no entry in that variable, else a filtered copy."""
-    for e in row.values():
-        if e[k]:
-            return {j: e for j, e in row.items() if not e[k]}
-    return row
-
-
 def quotient_rows(d: List[dict], k: int) -> List[dict]:
-    """``quotient_row`` of each row: a row with nothing to drop is shared."""
-    return [quotient_row(row, k) for row in d]
+    """Sparse rows modulo U (k = 1) or V (k = 2): a row with no entry in
+    that variable is shared, any other becomes a filtered copy."""
+    out = []
+    for row in d:
+        if any(e[k] for e in row.values()):
+            row = {j: e for j, e in row.items() if not e[k]}
+        out.append(row)
+    return out
 
 
 def add_step(rows: List[dict], gens: Sequence[Generator], r: int, g: int, m: tuple, p: int) -> None:
@@ -663,7 +658,7 @@ def strip_zero_complexes(c: Complex):
     ]
     d = Complex.from_terms(c.ring, c.char, [gens[i] for i in keep], terms)
     new_gens = tuple([gens[i] for i in order])
-    total = BasisChange.from_rows(c.ring, c.char, gens, new_gens, [el.rows[i] for i in order])
+    total = BasisChange.from_rows(c.char, gens, new_gens, [el.rows[i] for i in order])
     return d, len(pairs), total
 
 

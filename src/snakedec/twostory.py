@@ -55,7 +55,6 @@ from .complexes import (
     BasisChange,
     Complex,
     Monomial,
-    RING_R1,
     _scaled,
     add_row_multiple,
     add_step,
@@ -394,12 +393,11 @@ class TwoStoryComplex:
     intertwining, without a ring inverse: each floor basis must carry the
     input's quotient differential onto its floor arrows, and the scalar
     parts of the two bases must differ by the shaft blocks.  The
-    constructor takes a complex and its normalized transition, whose
+    constructor takes a complex and its factored transition, whose
     bases carry the rows of the differential modulo U and V that every
-    ``verify`` reads; it reads no arrow of ``c``, and installs each
-    block's factors from the transition as that shaft's state, factoring
-    nothing again and copying nothing for a block with no arrow and no
-    dot.  It and a depth pass that ran end with one ``verify``; a pass at
+    ``verify`` reads; it reads no arrow of ``c``, and installs a copy of
+    each block's factors as that shaft's state, factoring nothing again.
+    It and a depth pass that ran end with one ``verify``; a pass at
     depth infinity changes nothing and does not.
 
     Journeys come from one successor table, ``_Journeys``, built when a
@@ -421,11 +419,7 @@ class TwoStoryComplex:
             slots[grading] = members
             for p, i in enumerate(members):
                 pos[i] = (grading, p)
-            lower, dots, up, upper = factors
-            if lower or dots or upper:
-                shafts[grading] = _factored_state(factors)
-            else:  # the identity or a bare permutation: nothing mutable to copy
-                shafts[grading] = _ShaftState([], {}, up, [])
+            shafts[grading] = _factored_state(factors)
         self._slots, self._pos, self._shafts = slots, pos, shafts
         self._gradings = tuple(self._slots)  # td.blocks ascend by bigrading
         self._table = None
@@ -474,7 +468,7 @@ class TwoStoryComplex:
             rows = [dict(row) for row in rows]
             for r, g, m in floor.steps:
                 add_step(rows, floor.gens, r, g, m, self.char)
-        return BasisChange.from_rows(RING_R1, self.char, floor.start.old_gens, floor.gens, rows)
+        return BasisChange.from_rows(self.char, floor.start.old_gens, floor.gens, rows)
 
     # -- views -------------------------------------------------------------
 
@@ -755,17 +749,12 @@ class TwoStoryComplex:
         component, or with ``near`` off their far one, equals m, one at a
         time through the floor at ``through``: the first shaft's arrow
         nearest that floor first.  Each arrow is weighed once, in the one
-        component the sweep tests, and a shaft with an empty tier is
-        skipped.  A snowplow changes no weight and moves no arrow but
-        those it removes, so the matches are found once, by record."""
+        component the sweep tests.  A snowplow changes no weight and moves
+        no arrow but those it removes, so the matches are found once, by
+        record."""
         found: dict = {}
-        bottom = end == BOTTOM
         for g in self._gradings:
-            st = self._shafts[g]
-            seq = st.lower if bottom else st.upper
-            if not seq:
-                continue
-            for ca in seq:
+            for ca in self._shafts[g].arrows(end):
                 if self._arrow_component(g, end, ca[0], ca[1], near) == m:
                     found.setdefault(g, {})[id(ca)] = ca  # held, so no id is reused
         for g, ids in found.items():
@@ -856,10 +845,9 @@ def _power_mono(c: int, end, delta: int) -> tuple:
 def build(c: Complex) -> TwoStoryComplex:
     """Simplify both quotients of a complex and assemble its two-story form.
 
-    ``simplify.simplified_transition`` checks the input, with the same
-    errors as every simplifier, and returns the normalized transition;
-    the constructor's one ``verify`` is the only check of the adjusted
-    bases and the factored transition blocks.
+    ``simplify.simplified_transition`` checks the input, as every
+    simplifier does, and returns both bases as found with the factored
+    scalar transition X_0 = S Y_0; the constructor's ``verify`` checks them.
     """
     return TwoStoryComplex(c, simplified_transition(c))
 

@@ -405,7 +405,7 @@ def transition_by_ring_inverse(c, xb, yb):
     p_raw = xb.change.compose(yb.change.inverse())
     y_gens, x_gens = p_raw.old_gens, p_raw.new_gens
     with_v = [{j: e for j, e in row.items() if not e[1]} for row in p_raw.rows]
-    x_change = BasisChange.from_rows(c.ring, c.char, y_gens, x_gens, with_v).compose(yb.change)
+    x_change = BasisChange.from_rows(c.char, y_gens, x_gens, with_v).compose(yb.change)
     slots = {}
     for i, g in enumerate(x_gens):
         slots.setdefault(g.grading, []).append(i)
@@ -426,7 +426,7 @@ def transition_by_ring_inverse(c, xb, yb):
         for i, row in zip(members, s_mat.inverse().entries):
             q_rows[i] = {members[k]: (x, 0, 0) for k, x in enumerate(row) if x}
         blocks.append((members, s_mat))
-    y_change = BasisChange.from_rows(c.ring, c.char, x_gens, y_gens, q_rows).compose(x_change)
+    y_change = BasisChange.from_rows(c.char, x_gens, y_gens, q_rows).compose(x_change)
     return x_change, y_change, tuple(blocks)
 
 

@@ -3,8 +3,9 @@
 Every check in every module of ``src/snakedec`` raises a typed
 ``SnakedecError`` rather than using ``assert``, which ``-O`` strips: every
 ``raise`` names a type that ``errors.py`` declares, and every such type is
-raised somewhere.  The modules are found by glob, so a new module is
-covered without a list to update.
+raised somewhere.  Every name a module imports is also used there.  The
+modules are found by glob, so a new module is covered without a list to
+update.
 """
 
 import ast
@@ -86,6 +87,37 @@ def test_every_raise_names_a_declared_error_type(module):
     # would escape a caller that catches SnakedecError
     stray = _raised_names(SRC / module) - _declared_names()
     assert not stray, f"raise of a type errors.py does not declare: {sorted(stray)}"
+
+
+def _unused_imports(path):
+    """The names a module imports and never reads, ``from __future__``
+    imports excepted."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_the_import_lint_sees_unused_names(tmp_path):
+    path = tmp_path / "importing.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport re as regex\nfrom . import gf\nfrom .m import a, b as c\n\n"
+        "def f():\n    return gf.x, a\n"
+    )
+    assert _unused_imports(path) == ["c", "os", "regex"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_src_import_is_used(module):
+    # an import left behind by a removal keeps a dead dependency between layers
+    unused = _unused_imports(SRC / module)
+    assert not unused, f"imported and never used: {unused}"
 
 
 def _compose_across_fields():

@@ -31,6 +31,7 @@ from snakedec.complexes import (
     apply_basis_change,
     direct_sum,
     mono,
+    quotient_rows,
     strip_zero_complexes,
     RING_FUV,
     RING_R1,
@@ -53,6 +54,7 @@ from snakedec.simplify import (
     simplified_transition,
     vertical_simplify,
 )
+from snakedec.twostory import TwoStoryComplex
 
 
 def replay(c, sb):
@@ -156,7 +158,7 @@ def _permuted(sb, perm):
     gens = tuple(sb.generators[j] for j in perm)
     arrows = tuple(sorted((pos[i], pos[j], a) for i, j, a in sb.arrows))
     rows = tuple(sb.change.rows[j] for j in perm)
-    change = BasisChange.from_rows(sb.change.ring, sb.change.char, sb.change.old_gens, gens, rows)
+    change = BasisChange.from_rows(sb.change.char, sb.change.old_gens, gens, rows)
     return SimplifiedBasis(sb.direction, gens, arrows, change, sb.quotient)
 
 
@@ -216,7 +218,7 @@ def test_normalize_rejects_a_transition_that_crosses_bigradings():
     j = next(j for j, g in enumerate(c.generators) if g.grading != xb.generators[0].grading)
     rows = [dict(row) for row in xb.change.rows]
     rows[0][j] = (1, 0, 0)
-    bad = BasisChange.from_rows(c.ring, c.char, c.generators, xb.generators, rows)
+    bad = BasisChange.from_rows(c.char, c.generators, xb.generators, rows)
     xb = SimplifiedBasis(xb.direction, xb.generators, xb.arrows, bad, xb.quotient)
     with pytest.raises(InvariantViolation, match="crosses bigradings"):
         normalize_transition(c, xb, yb)
@@ -231,7 +233,7 @@ def test_normalize_names_the_bigrading_of_a_singular_block(side):
     sb = xb if side == "x" else yb
     rows = [dict(row) for row in sb.change.rows]
     rows[3] = {j: e for j, e in rows[0].items() if e[1:] == (0, 0)}
-    change = BasisChange.from_rows(c.ring, c.char, c.generators, sb.generators, rows)
+    change = BasisChange.from_rows(c.char, c.generators, sb.generators, rows)
     bad = SimplifiedBasis(sb.direction, sb.generators, sb.arrows, change, sb.quotient)
     xb, yb = (bad, yb) if side == "x" else (xb, bad)
     with pytest.raises(Singular, match=rf"the {side}-basis .* singular .* bigrading \(0, 0\)"):
@@ -241,13 +243,12 @@ def test_normalize_names_the_bigrading_of_a_singular_block(side):
 def _check_blocks(c, td):
     """The transition blocks against an independent X Y^-1 over the ring.
 
-    The recomputed transition must be scalar, agree on every block with
-    the dense product of the block's factors and be zero off the blocks.
-    The blocks partition the positions by bigrading.  Returns S assembled
-    densely from the blocks.
+    The recomputed transition's scalar part must agree on every block
+    with the dense product of the block's factors and be zero off the
+    blocks; its U and V entries are not read.  The blocks partition the
+    positions by bigrading.  Returns S assembled densely from the blocks.
     """
     p = td.x_basis.change.compose(td.y_basis.change.inverse())
-    assert all(e[1:] == (0, 0) for row in p.rows for e in row.values())
     dense = [[0] * c.rank for _ in range(c.rank)]
     gradings = [g.grading for g in td.x_basis.generators]
     seen = []
@@ -261,7 +262,8 @@ def _check_blocks(c, td):
         seen.extend(members)
     assert sorted(seen) == list(range(c.rank))
     assert len(td.blocks) == len(set(gradings))
-    assert [[row.get(j, (0,))[0] for j in range(c.rank)] for row in p.rows] == dense
+    scalar = [{j: e[0] for j, e in row.items() if e[1:] == (0, 0)} for row in p.rows]
+    assert [[row.get(j, 0) for j in range(c.rank)] for row in scalar] == dense
     return tuple(map(tuple, dense))
 
 
@@ -344,7 +346,10 @@ def test_simplification_properties(seed, make):
 
 
 def test_normalize_transition_matches_the_ring_inverse_route():
-    """Equal bases and blocks to the X Y^-1 oracle on messy, sum and mixed inputs."""
+    """Equal blocks to the X Y^-1 oracle on messy, sum and mixed inputs, and
+    equal bases modulo U (X) and modulo V (Y): the oracle's bases are the
+    exactly scalar ones, which differ from the handed-on bases only by
+    S Y_U and S^-1 X_V."""
     cases = [random_messy(seed, max_rank=24) for seed in range(60)]
     cases += [random_complex(seed) for seed in range(60)]
     cases.append(mixed_sum(0, 10))
@@ -353,11 +358,22 @@ def test_normalize_transition_matches_the_ring_inverse_route():
         xb, yb = vertical_simplify(c), horizontal_simplify(c)
         td = normalize_transition(c, xb, yb)
         x_change, y_change, blocks = transition_by_ring_inverse(c, xb, yb)
-        assert td.x_basis.change.rows == x_change.rows
-        assert td.y_basis.change.rows == y_change.rows
+        assert quotient_rows(td.x_basis.change.rows, 1) == quotient_rows(x_change.rows, 1)
+        assert quotient_rows(td.y_basis.change.rows, 2) == quotient_rows(y_change.rows, 2)
         assert [members for members, _ in td.blocks] == [members for members, _ in blocks]
         for (_, factors), (_, block) in zip(td.blocks, blocks):  # the identity's included
             assert factors == gf.ltu_factorize(block)
+
+
+def test_normalize_transition_hands_the_bases_on():
+    """The bases come back as they were handed, and the two-story complex
+    starts its bottom floor from the vertical basis's own change."""
+    for c in (trefoil(), figure_eight(), v_case(), u_case(), random_messy(3, max_rank=24)):
+        c, _, _ = strip_zero_complexes(c)
+        xb, yb = vertical_simplify(c), horizontal_simplify(c)
+        td = normalize_transition(c, xb, yb)
+        assert td.x_basis is xb and td.y_basis is yb
+        assert TwoStoryComplex(c, td)._floors["bottom"].start is xb.change
 
 
 def test_pivot_heap_matches_the_full_scan(monkeypatch):

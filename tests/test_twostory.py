@@ -1173,7 +1173,7 @@ def test_verify_checks_a_one_strand_shaft_by_its_row_pair():
             rows = list(start.rows)
             rows[i] = {j: (2 * x % t.char, u, v) for j, (x, u, v) in rows[i].items()}
             floor.start = complexes.BasisChange.from_rows(
-                start.ring, start.char, start.old_gens, start.new_gens, rows
+                start.char, start.old_gens, start.new_gens, rows
             )
             drifted = re.escape(f"shaft product drifted at {grading}")
             with pytest.raises(InvariantViolation, match=drifted):
@@ -1279,7 +1279,7 @@ def _floor_arrows(floor):
 def _floor_check(t, end, rows):
     """The floor's own check of ``rows``, asserted equal to the products."""
     floor, k = t._floors[end], 1 if end == twostory.BOTTOM else 2
-    change = BasisChange.from_rows(RING_R1, t.char, (), (), rows)
+    change = BasisChange.from_rows(t.char, (), (), rows)
     got = floor.intertwines(rows, end, t.char)
     assert got == intertwines_by_products(floor.d, change, _floor_arrows(floor), k)
     return got
